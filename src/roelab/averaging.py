@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._jacobi import spectral_norm
+from ._linalg import spectral_norm
 from .errors import NumericCheckError, SizeGuardError
 from .operator import OperatorMatrix, expectation, propagation, truncate
 from .space import FiniteSpace

@@ -28,7 +28,7 @@ from .operator import (
     save_matrix,
     truncate,
 )
-from ._jacobi import spectral_norm
+from ._linalg import spectral_norm
 
 
 def _fmt(x):

@@ -7,7 +7,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._jacobi import jacobi_eigh, spectral_norm
+from ._linalg import eigvalsh, spectral_norm
 from .errors import NumericCheckError
 from .flows import flow_apply, w_map
 from .operator import OperatorMatrix, diagonal, identity
@@ -219,7 +219,7 @@ def _random_regular_graph(size: int, degree: int, rng) -> FiniteSpace:
 def _normalized_laplacian_gap(block: FiniteSpace, degree: int) -> float:
     adj = (block.dist == 1.0).astype(np.float64)
     lap = np.eye(block.n_points) - adj / degree
-    eigvals, _ = jacobi_eigh(lap)
+    eigvals = eigvalsh(lap)
     return float(eigvals[1]) if block.n_points > 1 else 0.0
 
 

@@ -10,7 +10,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._jacobi import spectral_norm
+from ._linalg import spectral_norm
 from .errors import NumericCheckError
 from .operator import OperatorMatrix, commutator, identity
 from .spectral import unitary_exp

@@ -6,7 +6,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._jacobi import spectral_norm
+from ._linalg import spectral_norm
 from .errors import SizeGuardError
 from .operator import OperatorMatrix, truncate
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jacobi import spectral_norm
+from ._linalg import spectral_norm
 from .space import FiniteSpace, growth_profile
 
 
@@ -124,7 +124,7 @@ def truncate(a: OperatorMatrix, r: float) -> OperatorMatrix:
 
 
 def operator_norm(a: OperatorMatrix) -> float:
-    """Largest singular value, via the Jacobi Hermitian eigensolver on a^H a."""
+    """Largest singular value (spectral norm), from LAPACK via ``_linalg``."""
     return spectral_norm(a.entries)
 
 

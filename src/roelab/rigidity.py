@@ -6,7 +6,7 @@ from typing import List
 
 import numpy as np
 
-from ._jacobi import spectral_norm
+from ._linalg import spectral_norm
 from .operator import OperatorMatrix
 from .spectral import unitary_exp
 

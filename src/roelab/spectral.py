@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jacobi import jacobi_eigh, spectral_norm
+from ._linalg import eigh, spectral_norm
 from .operator import OperatorMatrix
 from .space import FiniteSpace
 
@@ -32,7 +32,7 @@ def hermiticity_residual(a: OperatorMatrix) -> float:
 
 
 def hermitian_eig(a: OperatorMatrix) -> EigenSystem:
-    """Jacobi eigendecomposition; input must be Hermitian up to float noise.
+    """LAPACK eigendecomposition; input must be Hermitian up to float noise.
 
     Decompositions are memoized by content hash: flow and profile sweeps
     exponentiate the same generator at many times.
@@ -50,7 +50,7 @@ def hermitian_eig(a: OperatorMatrix) -> EigenSystem:
         w, v = _eig_cache[key]
     else:
         herm = 0.5 * (a.entries + a.entries.conj().T)
-        w, v = jacobi_eigh(herm)
+        w, v = eigh(herm)
         _eig_cache[key] = (w, v)
         if len(_eig_cache) > _CACHE_LIMIT:
             _eig_cache.popitem(last=False)

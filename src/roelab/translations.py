@@ -12,7 +12,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from ._jacobi import spectral_norm
+from ._linalg import spectral_norm
 from .errors import SizeGuardError
 from .operator import OperatorMatrix
 from .space import FiniteSpace

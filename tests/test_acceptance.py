@@ -32,7 +32,7 @@ from roelab.operator import (
     identity,
     truncate,
 )
-from roelab._jacobi import spectral_norm
+from roelab._linalg import spectral_norm
 from roelab.rigidity import probe
 from roelab.spectral import generator_check, unitary_exp
 from roelab.translations import (

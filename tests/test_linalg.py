@@ -1,0 +1,100 @@
+"""Analytic checks of the linear-algebra layer: closed-form spectra,
+reconstruction, the spectral norm's edge cases and scale invariance."""
+
+import numpy as np
+import pytest
+
+from roelab import space
+from roelab._linalg import eigh, eigvalsh, spectral_norm
+from roelab.operator import OperatorMatrix
+from roelab.spectral import unitary_exp
+
+SIZES = [1, 2, 64, 128]
+
+
+def random_hermitian(n, seed, complex_=True):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    if complex_:
+        m = m + 1j * rng.standard_normal((n, n))
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_path_dirichlet_laplacian_spectrum(n):
+    # 2I - A for the path adjacency A: eigenvalues 2 - 2cos(k pi / (n + 1))
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    assert np.allclose(eigvalsh(lap), exact, rtol=0.0, atol=1e-12)
+    w, _ = eigh(lap)
+    assert np.allclose(w, exact, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", SIZES)
+def test_eigh_reconstructs_with_orthonormal_vectors(n, complex_):
+    a = random_hermitian(n, seed=n, complex_=complex_)
+    w, v = eigh(a)
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.iscomplexobj(v) == complex_
+    scale = 1.0 + spectral_norm(a)
+    assert spectral_norm((v * w[None, :]) @ v.conj().T - a) <= 1e-12 * scale
+    assert spectral_norm(v.conj().T @ v - np.eye(n)) <= 1e-12
+    assert np.allclose(eigvalsh(a), w, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_spectral_norm_of_rectangular_matrix_with_known_singular_values():
+    rng = np.random.default_rng(7)
+    q1, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+    q2, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    m = q1 @ np.diag([0.5, 3.25, 1.0]) @ q2.conj().T
+    assert spectral_norm(m) == pytest.approx(3.25, rel=1e-13)
+    assert spectral_norm(m.T) == pytest.approx(3.25, rel=1e-13)
+
+
+def test_spectral_norm_ignores_zero_rows_and_columns():
+    m = np.array([[1.0, 2.0], [0.0, 1.0]])
+    padded = np.zeros((4, 5))
+    padded[np.ix_([0, 2], [1, 4])] = m
+    assert spectral_norm(m) == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-14)
+    assert spectral_norm(padded) == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 2)])
+def test_spectral_norm_of_empty_and_all_zero_arrays(shape):
+    assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-170, 1e150, 1e200])
+def test_spectral_norm_is_absolutely_homogeneous_at_extreme_scales(c):
+    # the Gram matrix squares magnitudes: unscaled, 1e200 overflows and
+    # 1e-170 underflows
+    rng = np.random.default_rng(3)
+    cases = [
+        np.array([[1.0, 2.0], [0.0, 1.0]]),
+        rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)),
+    ]
+    for m in cases:
+        base = spectral_norm(m)
+        assert spectral_norm(c * m) == pytest.approx(abs(c) * base, rel=1e-12)
+        assert spectral_norm(-c * m) == pytest.approx(abs(c) * base, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_rejected(bad):
+    a = np.eye(3)
+    a[1, 1] = bad
+    for f in (eigh, eigvalsh, spectral_norm):
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            f(a)
+    assert issubclass(np.linalg.LinAlgError, ValueError)  # CLI exit 4
+
+
+def test_unitary_group_law_at_n128():
+    s = space.path_graph(128)
+    h = OperatorMatrix(s, random_hermitian(128, seed=11))
+    t, u = 0.37, -1.21
+    lhs = unitary_exp(h, t + u).entries
+    rhs = unitary_exp(h, t).entries @ unitary_exp(h, u).entries
+    assert spectral_norm(lhs - rhs) <= 1e-11
+    assert spectral_norm(lhs.conj().T @ lhs - np.eye(128)) <= 1e-11
