@@ -12,6 +12,7 @@ validation failure.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .operator import (
     truncate,
 )
 from ._linalg import spectral_norm
+from .spectral import hermitian_eig
 
 
 def _fmt(x):
@@ -107,12 +109,24 @@ def _build_times(cfg):
 
 
 def _radii(cfg, sp):
-    if "radii" in cfg:
-        radii = [float(r) for r in cfg["radii"]]
-        if any(r < 0 for r in radii):
-            raise ConfigError("radii must be nonnegative")
-        return radii
-    return [float(r) for r in sp.distance_set()]
+    if "radii" not in cfg:
+        return [float(r) for r in sp.distance_set()]
+    radii = cfg["radii"]
+    if not isinstance(radii, list) or not all(
+        type(r) in (int, float) and math.isfinite(r) and r >= 0 for r in radii
+    ):
+        raise ConfigError(
+            f"radii must be a list of finite, nonnegative numbers, got {radii!r}"
+        )
+    return [float(r) for r in radii]
+
+
+def _output_name(cfg, subcommand):
+    name = cfg.get("output", f"{subcommand}.csv")
+    # a plain file name keeps the CSV inside --out
+    if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+        raise ConfigError(f"output must be a plain file name, got {name!r}")
+    return name
 
 
 def _modes(cfg, both):
@@ -160,9 +174,11 @@ def _run_flow_profile(cfg, rng, out, cfg_hash):
     h = _build_operator(cfg["h"], sp, rng)
     a = _build_operator(cfg["a"], sp, rng)
     comm = commutator(h, a)
+    es = hermitian_eig(h)
     rows = []
     for t in _build_times(cfg["time_grid"]):
-        moved = flows.flow_apply(h, t, a)
+        u = es.exp(t)
+        moved = u @ a @ u.H
         modulus = spectral_norm(moved.entries - a.entries)
         if t != 0.0:
             residual = spectral_norm(
@@ -307,16 +323,12 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         if args.threads is not None and args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        for name, tol in cfg.get("tolerances", {}).items():
-            if float(tol) <= 0:
-                raise ConfigError(f"tolerance {name} must be strictly positive")
         seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
         cfg["seed"] = seed
         cfg_hash = _config_hash(cfg)
         rng = np.random.default_rng(seed)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out = out_dir / cfg.get("output", f"{args.subcommand}.csv")
+        out = Path(args.out) / _output_name(cfg, args.subcommand)
+        out.parent.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "expander-preflow":
             _RUNNERS[args.subcommand](cfg, rng, out, cfg_hash, seed)
         else:

@@ -9,8 +9,7 @@ import numpy as np
 
 from ._linalg import eigvalsh, spectral_norm
 from .errors import NumericCheckError
-from .flows import flow_apply, w_map
-from .operator import OperatorMatrix, diagonal, identity
+from .operator import OperatorMatrix, diagonal
 from .space import FiniteSpace, coarse_union, from_edge_list
 
 WEIGHT_PRESETS = {
@@ -143,9 +142,9 @@ class DiscontinuityReport:
 def discontinuity_profile(fam: BlockFamily, t: float) -> DiscontinuityReport:
     """||sigma_{h,t}(p_A) - p_A|| against its closed form
     max_n split_factor(n) * |e^{itw(n)} - 1|."""
-    h = generator(fam)
+    u = preflow_unitary(fam, t)
     p_a = split_projection(fam)
-    moved = flow_apply(h, t, p_a)
+    moved = u @ p_a @ u.H
     measured = spectral_norm(moved.entries - p_a.entries)
     per_block = np.array(
         [
@@ -175,11 +174,8 @@ def wmap_lower_bound(fam: BlockFamily, k, t: float) -> WMapBound:
     k = np.asarray(k, dtype=np.float64)
     if k.shape != (fam.union.n_points,):
         raise ValueError("k must be a real function on the union")
-    h = generator(fam)
-    k_op = diagonal(fam.union, k)
-    lhs = spectral_norm(
-        w_map(h, k_op, t).entries - identity(fam.union).entries
-    )
+    w = preflow_unitary(fam, t) @ diagonal(fam.union, np.exp(-1j * t * k))
+    lhs = spectral_norm(w.entries - np.eye(fam.union.n_points))
     rhs = max(
         split_factor(fam, n) * abs(np.exp(1j * t * fam.weights[n]) - 1.0)
         for n in range(fam.n_blocks)

@@ -6,14 +6,14 @@ cocycle from a corrupted one, so corrupt_at() is part of the module API.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from ._linalg import spectral_norm
 from .errors import NumericCheckError
 from .operator import OperatorMatrix, commutator, identity
-from .spectral import unitary_exp
+from .spectral import EigenSystem, hermitian_eig, unitary_exp
 from .translations import PartialTranslation, to_matrix
 
 
@@ -22,6 +22,7 @@ class FlowGrid:
     generator: OperatorMatrix
     times: Tuple[float, ...]
     unitaries: Tuple[OperatorMatrix, ...]
+    eigensystem: EigenSystem
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
@@ -33,17 +34,18 @@ class FlowGrid:
     @classmethod
     def from_generator(cls, h: OperatorMatrix, times) -> "FlowGrid":
         times = tuple(float(t) for t in times)
-        return cls(h, times, tuple(unitary_exp(h, t) for t in times))
+        es = hermitian_eig(h)
+        return cls(h, times, tuple(es.exp(t) for t in times), es)
 
 
 @dataclass(frozen=True)
 class CocycleFamily:
     base_flow: FlowGrid
-    elements: Tuple[OperatorMatrix, ...]
-    u_of_t: Optional[Callable[[float], OperatorMatrix]] = None
+    u_of_t: Callable[[float], OperatorMatrix]
 
     def __post_init__(self):
-        for t, u in zip(self.base_flow.times, self.elements):
+        for t in self.base_flow.times:
+            u = self.u_of_t(t)
             res = spectral_norm(
                 u.entries.conj().T @ u.entries - np.eye(u.n)
             )
@@ -55,12 +57,7 @@ class CocycleFamily:
                     raise ValueError(f"u_0 must be the identity: residual {res0:.3e}")
 
     def element(self, t: float) -> OperatorMatrix:
-        if self.u_of_t is not None:
-            return self.u_of_t(float(t))
-        for s, u in zip(self.base_flow.times, self.elements):
-            if np.isclose(s, t, rtol=0.0, atol=1e-15):
-                return u
-        raise ValueError(f"t={t} not representable in this family")
+        return self.u_of_t(float(t))
 
 
 def flow_apply(h: OperatorMatrix, t: float, a: OperatorMatrix) -> OperatorMatrix:
@@ -105,10 +102,11 @@ def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> LipschitzRep
     bound = spectral_norm(h.entries - k.entries)
     diffs = np.unique(np.abs(times[None, :] - times[:, None]))
     diffs = diffs[diffs > 0]
+    eh, ek = hermitian_eig(h), hermitian_eig(k)
     eye = np.eye(h.n)
     max_ratio = 0.0
     for d in diffs:
-        ratio = spectral_norm(w_map(h, k, d).entries - eye) / d
+        ratio = spectral_norm((eh.exp(d) @ ek.exp(-d)).entries - eye) / d
         max_ratio = max(max_ratio, ratio)
     # the 1e-9 absolute slack absorbs float noise when h is close to k and
     # the true ratio is essentially zero
@@ -123,12 +121,13 @@ def cocycle_from_generators(
     h: OperatorMatrix, k: OperatorMatrix, times
 ) -> CocycleFamily:
     """The cocycle u_t = e^{itk} e^{-ith} intertwining sigma_k with sigma_h."""
+    grid = FlowGrid.from_generator(h, times)
+    eh, ek = grid.eigensystem, hermitian_eig(k)
 
     def u_of_t(t: float) -> OperatorMatrix:
-        return unitary_exp(k, t) @ unitary_exp(h, -t)
+        return ek.exp(t) @ eh.exp(-t)
 
-    grid = FlowGrid.from_generator(h, times)
-    return CocycleFamily(grid, tuple(u_of_t(t) for t in grid.times), u_of_t)
+    return CocycleFamily(grid, u_of_t)
 
 
 def corrupt_at(c: CocycleFamily, t0: float) -> CocycleFamily:
@@ -140,16 +139,16 @@ def corrupt_at(c: CocycleFamily, t0: float) -> CocycleFamily:
             return ident
         return c.element(t)
 
-    return CocycleFamily(c.base_flow, c.elements, u_of_t)
+    return CocycleFamily(c.base_flow, u_of_t)
 
 
 def cocycle_residual(c: CocycleFamily, t: float, s: float) -> float:
     """||u_{t+s} - u_t sigma_{h,t}(u_s)|| for the family's base flow."""
-    h = c.base_flow.generator
+    e_ith = c.base_flow.eigensystem.exp(t)
     u_ts = c.element(t + s)
     u_t = c.element(t)
     u_s = c.element(s)
-    rhs = u_t @ flow_apply(h, t, u_s)
+    rhs = u_t @ (e_ith @ u_s @ e_ith.H)
     return spectral_norm(u_ts.entries - rhs.entries)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from ._linalg import spectral_norm
 from .operator import OperatorMatrix
-from .spectral import unitary_exp
+from .spectral import hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -42,4 +42,5 @@ def flow_displacement_sweep(h: OperatorMatrix, times) -> List[RigidityReport]:
     Exploratory: no quantitative bound ties the displacement to t or to
     ||h - E(h)||, so the sweep reports data without asserting one.
     """
-    return [probe(unitary_exp(h, float(t))) for t in times]
+    es = hermitian_eig(h)
+    return [probe(es.exp(float(t))) for t in times]

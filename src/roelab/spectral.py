@@ -1,8 +1,6 @@
 """Hermitian spectral calculus: eigendecomposition, unitary exponentials,
 and the central-difference generator check."""
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +16,11 @@ class EigenSystem:
     eigenvalues: np.ndarray  # ascending, real
     vectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
 
-
-_CACHE_LIMIT = 64
-_eig_cache: "OrderedDict[str, tuple]" = OrderedDict()
+    def exp(self, t: float) -> OperatorMatrix:
+        """e^{ith} via the spectral theorem: V diag(e^{it lambda}) V^H."""
+        phases = np.exp(1j * t * self.eigenvalues)
+        u = (self.vectors * phases[None, :]) @ self.vectors.conj().T
+        return OperatorMatrix(self.space, u)
 
 
 def _frobenius(m):
@@ -34,8 +34,8 @@ def hermiticity_residual(a: OperatorMatrix) -> float:
 def hermitian_eig(a: OperatorMatrix) -> EigenSystem:
     """LAPACK eigendecomposition; input must be Hermitian up to float noise.
 
-    Decompositions are memoized by content hash: flow and profile sweeps
-    exponentiate the same generator at many times.
+    Solves on every call: a sweep over many times diagonalizes its
+    generator once and evaluates the returned EigenSystem.
     """
     residual = hermiticity_residual(a)
     scale = 1.0 + _frobenius(a.entries)
@@ -44,25 +44,13 @@ def hermitian_eig(a: OperatorMatrix) -> EigenSystem:
             f"input is not Hermitian: ||a - a^H||_F = {residual:.3e} "
             f"exceeds 1e-10 * (1 + ||a||_F) = {1e-10 * scale:.3e}"
         )
-    key = hashlib.sha256(a.entries.tobytes()).hexdigest()
-    if key in _eig_cache:
-        _eig_cache.move_to_end(key)
-        w, v = _eig_cache[key]
-    else:
-        herm = 0.5 * (a.entries + a.entries.conj().T)
-        w, v = eigh(herm)
-        _eig_cache[key] = (w, v)
-        if len(_eig_cache) > _CACHE_LIMIT:
-            _eig_cache.popitem(last=False)
+    w, v = eigh(0.5 * (a.entries + a.entries.conj().T))
     return EigenSystem(a.space, w, v)
 
 
 def unitary_exp(h: OperatorMatrix, t: float) -> OperatorMatrix:
-    """e^{ith} via the spectral theorem: V diag(e^{it lambda}) V^H."""
-    es = hermitian_eig(h)
-    phases = np.exp(1j * t * es.eigenvalues)
-    u = (es.vectors * phases[None, :]) @ es.vectors.conj().T
-    return OperatorMatrix(h.space, u)
+    """e^{ith} for a single t; sweeps hold hermitian_eig(h) instead."""
+    return hermitian_eig(h).exp(t)
 
 
 def generator_check(u_grid) -> float:

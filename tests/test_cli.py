@@ -211,3 +211,27 @@ def test_bad_threads_is_config_error(tmp_path):
         "operator": {"generator": {"kind": "diagonal_from_distance"}},
     }
     assert run(tmp_path, "ql-profile", cfg, extra=("--threads", "0")) == 2
+
+
+@pytest.mark.parametrize(
+    "extra_cfg",
+    [
+        {"radii": [1, "nan"]},
+        {"radii": 3},
+        {"output": "../../escape.csv"},
+    ],
+    ids=["radii-nan-string", "radii-not-a-list", "output-outside-out"],
+)
+def test_invalid_radii_or_output_is_config_error(tmp_path, extra_cfg):
+    cfg = {
+        "space": {"path_graph": 5},
+        "operator": {"generator": {"kind": "diagonal_from_distance"}},
+        "mode": "heuristic",
+        **extra_cfg,
+    }
+    out_dir = tmp_path / "a" / "b"
+    cfg_path = write_cfg(tmp_path, "coarse-check.json", cfg)
+    rc = main(["coarse-check", "--config", cfg_path, "--out", str(out_dir)])
+    assert rc == 2
+    assert not (tmp_path / "escape.csv").exists()
+    assert not (out_dir / "coarse-check.csv").exists()

@@ -77,10 +77,13 @@ def test_preflow_matches_spectral_exponential():
     for seed in range(3):
         w = rng.uniform(0.5, 5.0, size=2)
         t = rng.uniform(-2, 2)
-        fam = family_of_paths([3, 4], w)
-        direct = preflow_unitary(fam, t)
-        via_eig = unitary_exp(generator(fam), t)
-        assert np.linalg.norm(direct.entries - via_eig.entries, 2) <= 1e-10
+        for fam in (
+            family_of_paths([3, 4], w),
+            make_regular_family(4, 4, [16] * 4, seed),
+        ):
+            direct = preflow_unitary(fam, t)
+            via_eig = unitary_exp(generator(fam), t)
+            assert np.linalg.norm(direct.entries - via_eig.entries, 2) <= 1e-10
 
 
 def test_halfsplit_even_is_half():
