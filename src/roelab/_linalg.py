@@ -32,27 +32,34 @@ def eigvalsh(a):
     return np.linalg.eigvalsh(a)
 
 
-def spectral_norm(m):
-    """Largest singular value of a dense complex array (square or not).
+# Matrices per stack in the stacked enumerations (translations, locality,
+# averaging). Measured against 512, 64 ran faster and held peak memory flat.
+_CHUNK = 64
 
-    Exactly-zero rows and columns are dropped first and the Gram matrix is
-    formed on the smaller side, so sparse commutators cost almost nothing.
-    The array is divided by its largest entry modulus before the Gram
-    matrix squares it, so the result neither overflows nor underflows
-    unless the norm itself does.
+
+def spectral_norms(stack):
+    """Largest singular value of every matrix in a (k, p, q) stack.
+
+    Each matrix is divided by its largest entry modulus before the Gram
+    matrix squares it, so a result neither overflows nor underflows unless
+    the norm itself does. The Gram matrix is formed on the smaller side. An
+    all-zero matrix, and every matrix of an empty shape, has norm 0.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(stack, dtype=np.complex128)
+    if m.ndim != 3:
+        raise ValueError(f"need a (k, p, q) stack, got shape {m.shape}")
+    k, p, q = m.shape
     if m.size == 0:
-        return 0.0
-    scale = float(np.max(np.abs(m)))
+        return np.zeros(k)
+    scale = np.abs(m).max(axis=(1, 2))
     _require_finite(scale)
-    if scale == 0.0:
-        return 0.0
-    rows = np.any(m != 0, axis=1)
-    cols = np.any(m != 0, axis=0)
-    m = m[np.ix_(rows, cols)] / scale
-    if m.shape[0] < m.shape[1]:
-        m = m.conj().T
-    gram = m.conj().T @ m
-    top = np.linalg.eigvalsh(gram)[-1]
-    return float(np.sqrt(max(top, 0.0)) * scale)
+    m = m / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    mh = m.conj().transpose(0, 2, 1)
+    gram = m @ mh if p < q else mh @ m
+    top = np.linalg.eigvalsh(gram)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0)) * scale
+
+
+def spectral_norm(m):
+    """Largest singular value of a dense complex array (square or not)."""
+    return float(spectral_norms(np.asarray(m)[None])[0])

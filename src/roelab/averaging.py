@@ -6,15 +6,14 @@ invariant mean, so nothing else needs to be exposed. The same machinery
 drives the constructive finite-propagation extraction pipeline.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import spectral_norm
+from ._linalg import _CHUNK, spectral_norm
 from .errors import NumericCheckError, SizeGuardError
-from .operator import OperatorMatrix, expectation, propagation, truncate
+from .operator import OperatorMatrix, expectation
 from .space import FiniteSpace
 
 BRUTE_GUARD = 14
@@ -32,10 +31,20 @@ class SignVector:
         object.__setattr__(self, "signs", s)
 
 
+def _sign_blocks(n: int):
+    """{-1,+1}^n in canonical order, as int8 blocks of at most _CHUNK rows."""
+    powers = 1 << np.arange(n - 1, -1, -1)
+    for lo in range(0, 1 << n, _CHUNK):
+        index = np.arange(lo, min(lo + _CHUNK, 1 << n))
+        bits = (index[:, None] & powers) != 0
+        yield np.where(bits, 1, -1).astype(np.int8)
+
+
 def all_sign_vectors(n: int):
     """Canonical (lexicographic, -1 before +1) enumeration of {-1,+1}^n."""
-    for combo in itertools.product((-1, 1), repeat=n):
-        yield SignVector(np.array(combo, dtype=np.int8))
+    for block in _sign_blocks(n):
+        for signs in block:
+            yield SignVector(signs)
 
 
 def conjugate_by_sign(a: OperatorMatrix, eps: SignVector) -> OperatorMatrix:
@@ -87,7 +96,7 @@ class ExtractionReport:
 def extract_finite_prop(
     h: OperatorMatrix,
     r: float,
-    selector: Optional[Callable[[OperatorMatrix], OperatorMatrix]] = None,
+    selector: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> ExtractionReport:
     """Extract a propagation-<=r approximant of a Hermitian h by sign-group
     averaging.
@@ -97,6 +106,10 @@ def extract_finite_prop(
     b_eps. Averaging gives w = avg(m_eps) and b = avg(b_eps), and the output
     is h' = w + h - b with defect ||h - h'|| bounded by the worst selector
     error. w + h must equal E(h): that identity is re-verified on every run.
+
+    The selector takes a (k, n, n) stack of m_eps entry arrays, k sign
+    vectors at a time in canonical order, and returns the stack of b_eps
+    entry arrays. The default keeps the entries at distance <= r.
     """
     n = h.n
     if n > BRUTE_GUARD:
@@ -104,21 +117,32 @@ def extract_finite_prop(
     res = spectral_norm(h.entries - h.entries.conj().T)
     if res > 1e-10 * (1.0 + spectral_norm(h.entries)):
         raise ValueError(f"h must be Hermitian; residual {res:.3e}")
+    dist = h.space.dist
     if selector is None:
-        selector = lambda m: truncate(m, r)
+        band = dist <= r
+        selector = lambda m: np.where(band, m, 0.0)
 
+    minus_twice_h = -2.0 * h.entries
     w_sum = np.zeros((n, n), dtype=np.complex128)
     b_sum = np.zeros((n, n), dtype=np.complex128)
-    for eps in all_sign_vectors(n):
-        m_eps = conjugate_by_sign(h, eps) - h
-        b_eps = selector(m_eps)
-        if propagation(b_eps, 0.0) > r + 1e-12:
+    for block in _sign_blocks(n):
+        # h o (eps eps^T) - h, computed as what it is entrywise: -2 h_xy
+        # where eps_x != eps_y and 0 elsewhere (the same floats either way)
+        flip = block[:, :, None] != block[:, None, :]
+        m = np.where(flip, minus_twice_h, 0.0)
+        b = np.asarray(selector(m))
+        if b.shape != m.shape:
             raise ValueError(
-                "selector returned a matrix with propagation "
-                f"{propagation(b_eps, 0.0)} > r = {r}"
+                f"selector returned shape {b.shape} for a stack of shape {m.shape}"
             )
-        w_sum += m_eps.entries
-        b_sum += b_eps.entries
+        support = b.any(axis=0)
+        prop = float(dist[support].max(initial=0.0))
+        if prop > r + 1e-12:
+            raise ValueError(
+                f"selector returned a matrix with propagation {prop} > r = {r}"
+            )
+        w_sum += m.sum(axis=0)
+        b_sum += b.sum(axis=0)
 
     scale = float(2**n)
     w = OperatorMatrix(h.space, w_sum / scale)

@@ -54,15 +54,25 @@ def _write_csv(path, subcommand, cfg_hash, units, header, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
+# graph kind -> (builder, smallest size)
+_GRAPHS = {
+    "path_graph": (space.path_graph, 1),
+    "cycle_graph": (space.cycle_graph, 3),
+    "complete_graph": (space.complete_graph, 1),
+}
+
+
 def _build_space(cfg):
     if "edge_list" in cfg:
         return space.load_edge_list(cfg["edge_list"])
-    if "path_graph" in cfg:
-        return space.path_graph(int(cfg["path_graph"]))
-    if "cycle_graph" in cfg:
-        return space.cycle_graph(int(cfg["cycle_graph"]))
-    if "complete_graph" in cfg:
-        return space.complete_graph(int(cfg["complete_graph"]))
+    for kind, (build, least) in _GRAPHS.items():
+        if kind in cfg:
+            size = cfg[kind]
+            if type(size) is not int or size < least:
+                raise ConfigError(
+                    f"{kind} must be an integer of at least {least}, got {size!r}"
+                )
+            return build(size)
     if "coarse_union" in cfg:
         return space.coarse_union([_build_space(b) for b in cfg["coarse_union"]])
     raise ConfigError(f"unrecognized space source: {sorted(cfg)}")
@@ -202,9 +212,11 @@ def _run_cocycle_verify(cfg, rng, out, cfg_hash):
     family = flows.cocycle_from_generators(h, k, times)
     # the intertwining direction for the scalar-line check is reversed
     lam_family = flows.cocycle_from_generators(k, h, times)
+    eh = family.base_flow.eigensystem
+    ek = lam_family.base_flow.eigensystem
     rows = []
     for t in times:
-        lam = flows.lambda_scalar_residual(h, k, lam_family, t)
+        lam = flows.lambda_scalar_residual(eh, ek, lam_family, t)
         for s in times:
             rows.append((t, s, flows.cocycle_residual(family, t, s), lam))
     _write_csv(
@@ -338,6 +350,10 @@ def main(argv=None) -> int:
         return 2
     except KeyError as exc:
         print(f"error: config: missing key {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # an unreadable input file, or an --out or "output" that is taken
+        print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:
         print(f"error: size-guard: {exc}", file=sys.stderr)

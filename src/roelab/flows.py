@@ -153,16 +153,17 @@ def cocycle_residual(c: CocycleFamily, t: float, s: float) -> float:
 
 
 def lambda_scalar_residual(
-    h: OperatorMatrix, k: OperatorMatrix, u: CocycleFamily, t: float
+    eh: EigenSystem, ek: EigenSystem, u: CocycleFamily, t: float
 ) -> float:
-    """Distance of lambda_t = e^{-ith} u_t e^{itk} from the scalar line.
+    """Distance of lambda_t = e^{-ith} u_t e^{itk} from the scalar line,
+    given the eigensystems eh and ek of h and k.
 
     Cocycles that intertwine the flows on the full matrix algebra land in
     the commutant, which is the scalars in finite dimension. The
     intertwining direction matters: the family with u_t = e^{ith} e^{-itk}
     (cocycle_from_generators(k, h)) gives lambda_t = 1 exactly.
     """
-    lam = (unitary_exp(h, -t) @ u.element(t) @ unitary_exp(k, t)).entries
+    lam = (eh.exp(-t) @ u.element(t) @ ek.exp(t)).entries
     n = lam.shape[0]
     mean = np.trace(lam) / n
     return spectral_norm(lam - mean * np.eye(n))

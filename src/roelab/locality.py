@@ -6,7 +6,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import spectral_norm
+from ._linalg import _CHUNK, spectral_norm, spectral_norms
 from .errors import SizeGuardError
 from .operator import OperatorMatrix, truncate
 
@@ -20,8 +20,19 @@ class QLProfile:
     mode: str
 
 
-def _corner_norm(entries, a_mask, b_mask):
-    return spectral_norm(entries[np.ix_(a_mask, b_mask)])
+def _max_corner_norm(entries, dist, r, a_masks) -> float:
+    """max over the rows A of a_masks of ||p_A a p_B||, B = {y : d(A, y) > r}.
+
+    The corners are taken as masked n x n matrices: the zero rows and
+    columns leave the norm unchanged.
+    """
+    best = 0.0
+    for lo in range(0, len(a_masks), _CHUNK):
+        a_chunk = a_masks[lo : lo + _CHUNK]
+        far = np.where(a_chunk[:, :, None], dist, np.inf).min(axis=1) > r
+        corners = np.where(a_chunk[:, :, None] & far[:, None, :], entries, 0.0)
+        best = max(best, float(spectral_norms(corners).max()))
+    return best
 
 
 def ql_value(a: OperatorMatrix, r: float, mode: str = "exact") -> float:
@@ -33,29 +44,17 @@ def ql_value(a: OperatorMatrix, r: float, mode: str = "exact") -> float:
     """
     n = a.n
     dist = a.space.dist
-    entries = a.entries
     if mode == "exact":
         if n > EXACT_GUARD:
             raise SizeGuardError("ql-exact-subsets", EXACT_GUARD, n)
-        best = 0.0
-        for bits in range(1, 1 << n):
-            a_mask = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
-            b_mask = dist[a_mask].min(axis=0) > r
-            if not b_mask.any():
-                continue
-            best = max(best, _corner_norm(entries, a_mask, b_mask))
-        return best
-    if mode != "lower":
+        bits = np.arange(1, 1 << n)
+        a_masks = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
+    elif mode == "lower":
+        radii = a.space.distance_set()
+        a_masks = (dist[:, None, :] <= radii[None, :, None]).reshape(-1, n)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    best = 0.0
-    radii = a.space.distance_set()
-    for x in range(n):
-        for rho in radii:
-            a_mask = dist[x] <= rho
-            b_mask = dist[a_mask].min(axis=0) > r
-            if b_mask.any():
-                best = max(best, _corner_norm(entries, a_mask, b_mask))
-    return best
+    return _max_corner_norm(a.entries, dist, r, a_masks)
 
 
 def ql_profile(a: OperatorMatrix, radii: Sequence[float], mode: str) -> QLProfile:

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,17 @@ def from_edge_list(edges: Sequence[Tuple[int, int]], n_points: int) -> FiniteSpa
     """Shortest-path hop-count metric of a connected simple graph."""
     if n_points < 1:
         raise ValueError("n_points must be positive")
-    adj = np.zeros((n_points, n_points), dtype=np.float64)
+    dist = np.full((n_points, n_points), np.inf)
+    np.fill_diagonal(dist, 0.0)
     for u, v in edges:
         if not (0 <= u < n_points and 0 <= v < n_points):
             raise ValueError(f"edge ({u},{v}) out of range")
         if u == v:
             raise ValueError(f"self-loop at point {u}")
-        adj[u, v] = adj[v, u] = 1.0
-    dist = shortest_path(adj, method="D", unweighted=True, directed=False)
+        dist[u, v] = dist[v, u] = 1.0
+    # Floyd-Warshall; hop counts are small integers, exact in float64
+    for k in range(n_points):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     if not np.all(np.isfinite(dist)):
         raise ValueError("graph is disconnected; a finite metric must be total")
     return FiniteSpace(dist)

@@ -7,12 +7,13 @@ so the exact mode sits behind a size guard and a cheap heuristic lower
 bound is the default.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 import numpy as np
 
-from ._linalg import spectral_norm
+from ._linalg import _CHUNK, spectral_norms
 from .errors import SizeGuardError
 from .operator import OperatorMatrix
 from .space import FiniteSpace
@@ -61,47 +62,69 @@ def to_matrix(f: PartialTranslation) -> OperatorMatrix:
     return OperatorMatrix(f.space, m)
 
 
+def _translation_pairs(
+    s: FiniteSpace, r: float, allow_large: bool
+) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """The pairs of every partial bijection with displacement <= r, each
+    exactly once, starting with the empty one."""
+    n = s.n_points
+    if n > ENUMERATION_GUARD and not allow_large:
+        raise SizeGuardError("translation-enumeration", ENUMERATION_GUARD, n)
+    # a depth-first search in one frame: options[x] lists -1 (x left out of
+    # the domain) and then each target within r; choice[x] indexes it
+    options = [[-1] + np.flatnonzero(s.dist[x] <= r).tolist() for x in range(n)]
+    choice = [-1] * n
+    used = [False] * n
+    acc = []
+    x = 0
+    while x >= 0:
+        opts = options[x]
+        i = choice[x]
+        if i > 0:
+            used[opts[i]] = False
+            acc.pop()
+        i += 1
+        while 0 < i < len(opts) and used[opts[i]]:
+            i += 1
+        if i == len(opts):
+            choice[x] = -1
+            x -= 1
+            continue
+        choice[x] = i
+        if i > 0:
+            used[opts[i]] = True
+            acc.append((x, opts[i]))
+        if x == n - 1:
+            yield tuple(acc)
+        else:
+            x += 1
+
+
 def enumerate_r_translations(
     s: FiniteSpace, r: float, *, allow_large: bool = False
 ) -> Iterator[PartialTranslation]:
     """Every partial bijection with displacement <= r, each exactly once,
     starting with the empty translation."""
-    n = s.n_points
-    if n > ENUMERATION_GUARD and not allow_large:
-        raise SizeGuardError("translation-enumeration", ENUMERATION_GUARD, n)
-    dist = s.dist
-    used = np.zeros(n, dtype=bool)
-    acc = []
-
-    def rec(x):
-        if x == n:
-            yield PartialTranslation(s, tuple(acc))
-            return
-        yield from rec(x + 1)
-        for y in range(n):
-            if not used[y] and dist[x, y] <= r:
-                used[y] = True
-                acc.append((x, y))
-                yield from rec(x + 1)
-                acc.pop()
-                used[y] = False
-
-    yield from rec(0)
+    for pairs in _translation_pairs(s, r, allow_large):
+        yield PartialTranslation(s, pairs)
 
 
-def _commutator_entries(h: np.ndarray, pairs) -> np.ndarray:
-    """[h, v_f] assembled column/row-wise; v_f never materialized."""
+def _commutator_norms(h: np.ndarray, pair_lists) -> np.ndarray:
+    """||[h, v_f]|| for each pair list f, with the v_f stacked per chunk."""
     n = h.shape[0]
-    c = np.zeros((n, n), dtype=np.complex128)
-    for x, y in pairs:
-        c[:, x] += h[:, y]
-    for x, y in pairs:
-        c[y, :] -= h[x, :]
-    return c
+    out = []
+    for lo in range(0, len(pair_lists), _CHUNK):
+        chunk = pair_lists[lo : lo + _CHUNK]
+        v = np.zeros((len(chunk), n, n), dtype=np.complex128)
+        for i, pairs in enumerate(chunk):
+            for x, y in pairs:
+                v[i, y, x] = 1.0
+        out.append(spectral_norms(h @ v - v @ h))
+    return np.concatenate(out) if out else np.zeros(0)
 
 
 def commutator_norm(h: OperatorMatrix, f: PartialTranslation) -> float:
-    return spectral_norm(_commutator_entries(h.entries, f.pairs))
+    return float(_commutator_norms(h.entries, [f.pairs])[0])
 
 
 def coarseness_modulus(
@@ -118,37 +141,38 @@ def coarseness_modulus(
     greedy matching grown one pair at a time; for diagonal h the single
     pairs already witness the exact value.
     """
+    entries = h.entries
     if mode == "exact":
         best = 0.0
-        for f in enumerate_r_translations(h.space, r, allow_large=allow_large):
-            best = max(best, spectral_norm(_commutator_entries(h.entries, f.pairs)))
+        pairs = _translation_pairs(h.space, r, allow_large)
+        while chunk := list(itertools.islice(pairs, _CHUNK)):
+            best = max(best, float(_commutator_norms(entries, chunk).max()))
         return best
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")
 
     n = h.n
     dist = h.space.dist
-    entries = h.entries
     feasible = [(x, y) for x in range(n) for y in range(n) if dist[x, y] <= r]
-
-    best = 0.0
-    for pair in feasible:
-        best = max(best, spectral_norm(_commutator_entries(entries, [pair])))
+    best = float(
+        _commutator_norms(entries, [[pair] for pair in feasible]).max(initial=0.0)
+    )
 
     current: list = []
     current_norm = 0.0
     while True:
         used_src = {p[0] for p in current}
         used_tgt = {p[1] for p in current}
+        candidates = [
+            (x, y) for x, y in feasible if x not in used_src and y not in used_tgt
+        ]
+        norms = _commutator_norms(entries, [current + [c] for c in candidates])
         gain_pair = None
         gain_norm = current_norm
-        for x, y in feasible:
-            if x in used_src or y in used_tgt:
-                continue
-            cand = spectral_norm(_commutator_entries(entries, current + [(x, y)]))
+        for pair, cand in zip(candidates, norms):
             if cand > gain_norm + 1e-15:
-                gain_norm = cand
-                gain_pair = (x, y)
+                gain_norm = float(cand)
+                gain_pair = pair
         if gain_pair is None:
             break
         current.append(gain_pair)

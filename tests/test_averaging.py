@@ -143,3 +143,23 @@ def test_extraction_rejects_bad_selector():
     h = random_hermitian(s, 6)
     with pytest.raises(ValueError, match="propagation"):
         extract_finite_prop(h, 1.0, selector=lambda m: m)
+
+
+def test_extraction_with_stacked_custom_selector():
+    s = space.path_graph(7)  # 128 sign vectors: more than one stack
+    h = random_hermitian(s, 7)
+    r = 1.0
+    seen = []
+
+    def half_band(m):
+        seen.append(m.copy())
+        return 0.5 * np.where(s.dist <= r, m, 0.0)
+
+    rep = extract_finite_prop(h, r, selector=half_band)
+    per_sign = [(conjugate_by_sign(h, eps) - h).entries for eps in all_sign_vectors(7)]
+    # the selector sees every m_eps once, in canonical order, a stack at a time
+    assert len(seen) > 1 and all(m.ndim == 3 for m in seen)
+    assert np.array_equal(np.concatenate(seen), np.array(per_sign))
+    b = np.mean([0.5 * truncate(OperatorMatrix(s, m), r).entries for m in per_sign], axis=0)
+    assert np.abs(rep.h_prime.entries - (expectation(h).entries - b)).max() <= 1e-12
+    assert propagation(rep.h_prime) <= r

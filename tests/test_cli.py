@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roelab
+from roelab import spectral
 from roelab.cli import main
 
 
@@ -219,8 +225,20 @@ def test_bad_threads_is_config_error(tmp_path):
         {"radii": [1, "nan"]},
         {"radii": 3},
         {"output": "../../escape.csv"},
+        {"space": {"path_graph": "abc"}},
+        {"space": {"path_graph": 0}},
+        {"space": {"complete_graph": 2.5}},
+        {"space": {"cycle_graph": 2}},
     ],
-    ids=["radii-nan-string", "radii-not-a-list", "output-outside-out"],
+    ids=[
+        "radii-nan-string",
+        "radii-not-a-list",
+        "output-outside-out",
+        "path-size-string",
+        "path-size-zero",
+        "complete-size-float",
+        "cycle-size-two",
+    ],
 )
 def test_invalid_radii_or_output_is_config_error(tmp_path, extra_cfg):
     cfg = {
@@ -235,3 +253,49 @@ def test_invalid_radii_or_output_is_config_error(tmp_path, extra_cfg):
     assert rc == 2
     assert not (tmp_path / "escape.csv").exists()
     assert not (out_dir / "coarse-check.csv").exists()
+
+
+def test_taken_output_path_is_config_error(tmp_path):
+    cfg = {
+        "space": {"path_graph": 3},
+        "operator": {"generator": {"kind": "diagonal_from_distance"}},
+        "mode": "heuristic",
+    }
+    (tmp_path / "taken").mkdir()
+    # "output" names an existing directory
+    assert run(tmp_path, "coarse-check", {**cfg, "output": "taken"}) == 2
+    # --out is an existing file
+    (tmp_path / "file").write_text("")
+    cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
+    rc = main(["coarse-check", "--config", cfg_path, "--out", str(tmp_path / "file")])
+    assert rc == 2
+
+
+def test_cocycle_verify_diagonalizes_each_generator_once_per_family(
+    tmp_path, monkeypatch
+):
+    solves = []
+    eigh = spectral.eigh
+    monkeypatch.setattr(spectral, "eigh", lambda a: solves.append(a) or eigh(a))
+    cfg = {
+        "space": {"path_graph": 12},
+        "h": {"generator": {"kind": "random_hermitian"}},
+        "k": {"generator": {"kind": "random_hermitian", "scale": 0.5}},
+        "time_grid": {"start": 0.0, "stop": 1.0, "step": 0.25},
+        "seed": 5,
+    }
+    assert run(tmp_path, "cocycle-verify", cfg) == 0
+    # h and k, once for each of the two cocycle families
+    assert len(solves) == 4
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(roelab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, roelab.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

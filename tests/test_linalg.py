@@ -1,15 +1,30 @@
 """Analytic checks of the linear-algebra layer: closed-form spectra,
 reconstruction, the spectral norm's edge cases and scale invariance."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from roelab import space
-from roelab._linalg import eigh, eigvalsh, spectral_norm
+from roelab._linalg import eigh, eigvalsh, spectral_norm, spectral_norms
 from roelab.operator import OperatorMatrix
 from roelab.spectral import unitary_exp
 
 SIZES = [1, 2, 64, 128]
+
+
+def stacked_norm(m):
+    """spectral_norms of m inside a stack that also holds a zero matrix and
+    a second copy of m; each matrix must be normed on its own."""
+    m = np.asarray(m, dtype=complex)
+    norms = spectral_norms(np.stack([np.zeros_like(m), m, m]))
+    assert norms.shape == (3,)
+    assert norms[0] == 0.0 and norms[1] == norms[2]
+    return float(norms[1])
+
+
+NORMS = (spectral_norm, stacked_norm)
 
 
 def random_hermitian(n, seed, complex_=True):
@@ -48,21 +63,24 @@ def test_spectral_norm_of_rectangular_matrix_with_known_singular_values():
     q1, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
     q2, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     m = q1 @ np.diag([0.5, 3.25, 1.0]) @ q2.conj().T
-    assert spectral_norm(m) == pytest.approx(3.25, rel=1e-13)
-    assert spectral_norm(m.T) == pytest.approx(3.25, rel=1e-13)
+    for norm in NORMS:
+        assert norm(m) == pytest.approx(3.25, rel=1e-13)
+        assert norm(m.T) == pytest.approx(3.25, rel=1e-13)
 
 
 def test_spectral_norm_ignores_zero_rows_and_columns():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     padded = np.zeros((4, 5))
     padded[np.ix_([0, 2], [1, 4])] = m
-    assert spectral_norm(m) == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-14)
-    assert spectral_norm(padded) == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-14)
+    for norm in NORMS:
+        assert norm(m) == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-14)
+        assert norm(padded) == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 2)])
 def test_spectral_norm_of_empty_and_all_zero_arrays(shape):
-    assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+    for norm in NORMS:
+        assert norm(np.zeros(shape, dtype=complex)) == 0.0
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e-170, 1e150, 1e200])
@@ -74,20 +92,37 @@ def test_spectral_norm_is_absolutely_homogeneous_at_extreme_scales(c):
         np.array([[1.0, 2.0], [0.0, 1.0]]),
         rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)),
     ]
-    for m in cases:
-        base = spectral_norm(m)
-        assert spectral_norm(c * m) == pytest.approx(abs(c) * base, rel=1e-12)
-        assert spectral_norm(-c * m) == pytest.approx(abs(c) * base, rel=1e-12)
+    for m, norm in itertools.product(cases, NORMS):
+        base = norm(m)
+        assert norm(c * m) == pytest.approx(abs(c) * base, rel=1e-12)
+        assert norm(-c * m) == pytest.approx(abs(c) * base, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_is_rejected(bad):
     a = np.eye(3)
     a[1, 1] = bad
-    for f in (eigh, eigvalsh, spectral_norm):
+    for f in (eigh, eigvalsh, *NORMS):
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
             f(a)
     assert issubclass(np.linalg.LinAlgError, ValueError)  # CLI exit 4
+
+
+def test_spectral_norms_of_mixed_stack_match_lapack_svd():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((6, 3, 5)) + 1j * rng.standard_normal((6, 3, 5))
+    stack *= np.array([0.0, 1.0, 1e-3, 0.0, 7.0, 1e3])[:, None, None]
+    stack[4, 1, :] = 0.0
+    got = spectral_norms(stack)
+    want = [np.linalg.norm(m, ord=2) for m in stack]
+    assert got[0] == got[3] == 0.0
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    # the Gram matrix is formed on the smaller side either way round
+    assert np.allclose(
+        spectral_norms(stack.transpose(0, 2, 1)), want, rtol=1e-12, atol=0.0
+    )
+    with pytest.raises(ValueError, match="stack"):
+        spectral_norms(np.eye(3))
 
 
 def test_unitary_group_law_at_n128():

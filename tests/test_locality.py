@@ -142,3 +142,36 @@ def test_equi_profile_translations_bounded_by_displacement():
 def test_equi_profile_empty_family():
     with pytest.raises(ValueError):
         equi_approx_profile([], 0.5)
+
+
+def loop_ql(a, r, masks):
+    """ql_value's maximum evaluated one corner at a time over the sets A."""
+    dist = a.space.dist
+    best = 0.0
+    for amask in masks:
+        bmask = dist[amask].min(axis=0) > r
+        if bmask.any():
+            best = max(best, np.linalg.norm(a.entries[np.ix_(amask, bmask)], 2))
+    return best
+
+
+@pytest.mark.parametrize(
+    "s", [space.path_graph(7), space.cycle_graph(6)], ids=["path7", "cycle6"]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_ql_value_matches_per_corner_loop(s, seed):
+    a = random_operator(s, seed)
+    a = OperatorMatrix(s, 0.5 * (a.entries + a.entries.conj().T))
+    n = s.n_points
+    subsets = [
+        np.array([bits >> i & 1 for i in range(n)], dtype=bool)
+        for bits in range(1, 1 << n)
+    ]
+    balls = [s.dist[x] <= rho for x in range(n) for rho in s.distance_set()]
+    for r in s.distance_set():
+        assert ql_value(a, r, "exact") == pytest.approx(
+            loop_ql(a, r, subsets), abs=1e-12
+        )
+        assert ql_value(a, r, "lower") == pytest.approx(
+            loop_ql(a, r, balls), abs=1e-12
+        )

@@ -143,3 +143,52 @@ def test_projection_commutator_bounded_by_r0_modulus():
         subset = [i for i in range(5) if subset_bits >> i & 1]
         p = to_matrix(identity_on(s, subset))
         assert operator_norm(h @ p - p @ h) <= modulus + 1e-10
+
+
+def loop_commutator_norm(h, pairs):
+    v = np.zeros((h.n, h.n), dtype=complex)
+    for x, y in pairs:
+        v[y, x] = 1.0
+    return np.linalg.norm(h.entries @ v - v @ h.entries, 2)
+
+
+def loop_heuristic(h, r):
+    """The heuristic mode evaluated one translation at a time."""
+    n = h.n
+    feasible = [(x, y) for x in range(n) for y in range(n) if h.space.dist[x, y] <= r]
+    best = max((loop_commutator_norm(h, [p]) for p in feasible), default=0.0)
+    current, current_norm = [], 0.0
+    while True:
+        gain_pair, gain_norm = None, current_norm
+        for x, y in feasible:
+            if any(x == p[0] or y == p[1] for p in current):
+                continue
+            cand = loop_commutator_norm(h, current + [(x, y)])
+            if cand > gain_norm + 1e-15:
+                gain_pair, gain_norm = (x, y), cand
+        if gain_pair is None:
+            return max(best, current_norm)
+        current.append(gain_pair)
+        current_norm = gain_norm
+
+
+@pytest.mark.parametrize(
+    "s,radii",
+    [(space.path_graph(6), (0, 1, 2)), (space.cycle_graph(7), (0, 1))],
+    ids=["path6", "cycle7"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_coarseness_matches_per_translation_loop(s, radii, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((s.n_points,) * 2) + 1j * rng.standard_normal(
+        (s.n_points,) * 2
+    )
+    h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
+    for r in radii:
+        exact = max(
+            loop_commutator_norm(h, f.pairs) for f in enumerate_r_translations(s, r)
+        )
+        assert coarseness_modulus(h, r, "exact") == pytest.approx(exact, abs=1e-12)
+        assert coarseness_modulus(h, r, "heuristic") == pytest.approx(
+            loop_heuristic(h, r), abs=1e-12
+        )
