@@ -1,17 +1,47 @@
-"""The package's one linear-algebra layer: Hermitian eigensolves and the
-spectral norm, on LAPACK through numpy.linalg.
+"""The package's one linear-algebra layer: Hermitian eigensolves, the
+spectral norm, and the one place where operators are checked to be finite,
+Hermitian or unitary.
 
 LAPACK does not check its input: a NaN entry can come back as finite
-eigenvalues. Every routine here therefore rejects non-finite input with
+eigenvalues. The solvers and norms here therefore reject non-finite input with
 numpy.linalg.LinAlgError, a ValueError.
 """
 
 import numpy as np
 
+# The thresholds of the two hypotheses every flow statement starts from. Both
+# residuals are Frobenius norms, tested as "not res <= bound" so NaN fails.
+HERMITIAN_TOL = 1e-10
+UNITARY_TOL = 1e-10
 
-def _require_finite(a):
+
+def require_finite(a):
+    """Raise LinAlgError (a ValueError) unless every entry of a is finite."""
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
+
+
+def require_hermitian(m):
+    """Raise ValueError unless ||m - m^H||_F <= HERMITIAN_TOL (1 + max|m_xy|).
+
+    Never looser than checking the residual in the spectral or the Frobenius
+    norm against 1e-10 (1 + ||m||_2) or 1e-10 (1 + ||m||_F), because
+    ||.||_2 <= ||.||_F and max|m_xy| <= ||m||_2 <= ||m||_F.
+    """
+    res = float(np.linalg.norm(m - m.conj().T))
+    bound = HERMITIAN_TOL * (1.0 + float(np.abs(m).max(initial=0.0)))
+    if not res <= bound:
+        raise ValueError(f"input is not Hermitian: residual {res:.3e} > {bound:.3e}")
+
+
+def require_unitary(m, what):
+    """Raise ValueError naming what unless ||m^H m - 1||_F <= UNITARY_TOL.
+
+    Never looser than the same check in the spectral norm: ||.||_2 <= ||.||_F.
+    """
+    res = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1])))
+    if not res <= UNITARY_TOL:
+        raise ValueError(f"{what} is not unitary: residual {res:.3e}")
 
 
 def eigh(a):
@@ -21,14 +51,14 @@ def eigh(a):
     carry rounding noise above the diagonal.
     """
     a = np.asarray(a)
-    _require_finite(a)
+    require_finite(a)
     return np.linalg.eigh(a)
 
 
 def eigvalsh(a):
     """Eigenvalues (ascending) of a Hermitian array; lower triangle only."""
     a = np.asarray(a)
-    _require_finite(a)
+    require_finite(a)
     return np.linalg.eigvalsh(a)
 
 
@@ -52,7 +82,7 @@ def spectral_norms(stack):
     if m.size == 0:
         return np.zeros(k)
     scale = np.abs(m).max(axis=(1, 2))
-    _require_finite(scale)
+    require_finite(scale)
     m = m / np.where(scale > 0.0, scale, 1.0)[:, None, None]
     mh = m.conj().transpose(0, 2, 1)
     gram = m @ mh if p < q else mh @ m

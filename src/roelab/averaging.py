@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import _CHUNK, spectral_norm
+from ._linalg import _CHUNK, require_hermitian, spectral_norm
 from .errors import NumericCheckError, SizeGuardError
 from .operator import OperatorMatrix, expectation
 from .space import FiniteSpace
@@ -114,9 +114,7 @@ def extract_finite_prop(
     n = h.n
     if n > BRUTE_GUARD:
         raise SizeGuardError("sign-group-brute-average", BRUTE_GUARD, n)
-    res = spectral_norm(h.entries - h.entries.conj().T)
-    if res > 1e-10 * (1.0 + spectral_norm(h.entries)):
-        raise ValueError(f"h must be Hermitian; residual {res:.3e}")
+    require_hermitian(h.entries)
     dist = h.space.dist
     if selector is None:
         band = dist <= r

@@ -54,6 +54,26 @@ def _write_csv(path, subcommand, cfg_hash, units, header, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
+def _section(cfg, key):
+    """cfg[key], which must be a JSON object (a missing key exits 2 too)."""
+    value = cfg[key]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, what, integer=False):
+    """A config number as a float, or as an int where the config means one.
+
+    bool, str, None, NaN and infinities are config errors, never coerced.
+    """
+    kinds = (int,) if integer else (int, float)
+    if type(value) not in kinds or not -math.inf < value < math.inf:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    return value if integer else float(value)
+
+
 # graph kind -> (builder, smallest size)
 _GRAPHS = {
     "path_graph": (space.path_graph, 1),
@@ -74,7 +94,12 @@ def _build_space(cfg):
                 )
             return build(size)
     if "coarse_union" in cfg:
-        return space.coarse_union([_build_space(b) for b in cfg["coarse_union"]])
+        parts = cfg["coarse_union"]
+        if not isinstance(parts, list):
+            raise ConfigError(f"coarse_union must be a list, got {parts!r}")
+        return space.coarse_union(
+            [_build_space(_section(parts, i)) for i in range(len(parts))]
+        )
     raise ConfigError(f"unrecognized space source: {sorted(cfg)}")
 
 
@@ -83,12 +108,16 @@ def _build_operator(cfg, sp, rng):
         return load_matrix(cfg["file"], sp)
     if "generator" not in cfg:
         raise ConfigError(f"unrecognized operator source: {sorted(cfg)}")
-    gen = cfg["generator"]
+    gen = _section(cfg, "generator")
     kind = gen.get("kind")
     n = sp.n_points
-    scale = float(gen.get("scale", 1.0))
+    scale = _number(gen.get("scale", 1.0), "scale")
     if kind == "diagonal_from_distance":
-        base = int(gen.get("base_point", 0))
+        base = _number(gen.get("base_point", 0), "base_point", integer=True)
+        if not 0 <= base < n:
+            raise ConfigError(
+                f"base_point must be a point index below {n}, got {base}"
+            )
         return diagonal(sp, scale * sp.dist[base])
     if kind == "diagonal_random":
         return diagonal(sp, scale * rng.standard_normal(n))
@@ -96,7 +125,7 @@ def _build_operator(cfg, sp, rng):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return OperatorMatrix(sp, scale * 0.5 * (m + m.conj().T))
     if kind == "random_hermitian_banded":
-        band = float(gen["band"])
+        band = _number(gen["band"], "band")
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = OperatorMatrix(sp, scale * 0.5 * (m + m.conj().T))
         return truncate(herm, band)
@@ -105,9 +134,7 @@ def _build_operator(cfg, sp, rng):
 
 def _build_times(cfg):
     try:
-        start = float(cfg["start"])
-        stop = float(cfg["stop"])
-        step = float(cfg["step"])
+        start, stop, step = (_number(cfg[k], k) for k in ("start", "stop", "step"))
     except KeyError as exc:
         raise ConfigError(f"time_grid missing key {exc}") from None
     if step <= 0:
@@ -149,8 +176,8 @@ def _modes(cfg, both):
 
 
 def _run_coarse_check(cfg, rng, out, cfg_hash):
-    sp = _build_space(cfg["space"])
-    h = _build_operator(cfg["operator"], sp, rng)
+    sp = _build_space(_section(cfg, "space"))
+    h = _build_operator(_section(cfg, "operator"), sp, rng)
     rows = []
     for mode in _modes(cfg, ("heuristic", "exact")):
         for r in _radii(cfg, sp):
@@ -166,8 +193,8 @@ def _run_coarse_check(cfg, rng, out, cfg_hash):
 
 
 def _run_ql_profile(cfg, rng, out, cfg_hash):
-    sp = _build_space(cfg["space"])
-    a = _build_operator(cfg["operator"], sp, rng)
+    sp = _build_space(_section(cfg, "space"))
+    a = _build_operator(_section(cfg, "operator"), sp, rng)
     rows = []
     for mode in _modes(cfg, ("lower", "exact")):
         prof = locality.ql_profile(a, _radii(cfg, sp), mode)
@@ -180,13 +207,13 @@ def _run_ql_profile(cfg, rng, out, cfg_hash):
 
 
 def _run_flow_profile(cfg, rng, out, cfg_hash):
-    sp = _build_space(cfg["space"])
-    h = _build_operator(cfg["h"], sp, rng)
-    a = _build_operator(cfg["a"], sp, rng)
+    sp = _build_space(_section(cfg, "space"))
+    h = _build_operator(_section(cfg, "h"), sp, rng)
+    a = _build_operator(_section(cfg, "a"), sp, rng)
     comm = commutator(h, a)
     es = hermitian_eig(h)
     rows = []
-    for t in _build_times(cfg["time_grid"]):
+    for t in _build_times(_section(cfg, "time_grid")):
         u = es.exp(t)
         moved = u @ a @ u.H
         modulus = spectral_norm(moved.entries - a.entries)
@@ -205,10 +232,10 @@ def _run_flow_profile(cfg, rng, out, cfg_hash):
 
 
 def _run_cocycle_verify(cfg, rng, out, cfg_hash):
-    sp = _build_space(cfg["space"])
-    h = _build_operator(cfg["h"], sp, rng)
-    k = _build_operator(cfg["k"], sp, rng)
-    times = _build_times(cfg["time_grid"])
+    sp = _build_space(_section(cfg, "space"))
+    h = _build_operator(_section(cfg, "h"), sp, rng)
+    k = _build_operator(_section(cfg, "k"), sp, rng)
+    times = _build_times(_section(cfg, "time_grid"))
     family = flows.cocycle_from_generators(h, k, times)
     # the intertwining direction for the scalar-line check is reversed
     lam_family = flows.cocycle_from_generators(k, h, times)
@@ -227,9 +254,9 @@ def _run_cocycle_verify(cfg, rng, out, cfg_hash):
 
 
 def _run_diagonalize(cfg, rng, out, cfg_hash):
-    sp = _build_space(cfg["space"])
-    h = _build_operator(cfg["h"], sp, rng)
-    r = float(cfg["r"])
+    sp = _build_space(_section(cfg, "space"))
+    h = _build_operator(_section(cfg, "h"), sp, rng)
+    r = _number(cfg["r"], "r")
     report = averaging.extract_finite_prop(h, r)
     save_matrix(report.h_prime, Path(out).parent / "h_prime.txt")
     _write_csv(
@@ -242,19 +269,22 @@ def _run_diagonalize(cfg, rng, out, cfg_hash):
 
 
 def _build_family(cfg, seed):
-    exp_cfg = cfg["expander"]
+    exp_cfg = _section(cfg, "expander")
+    sizes = exp_cfg["sizes"]
+    if not isinstance(sizes, list):
+        raise ConfigError(f"sizes must be a list of integers, got {sizes!r}")
     return expander.make_regular_family(
-        int(exp_cfg["n_blocks"]),
-        int(exp_cfg["degree"]),
-        [int(s) for s in exp_cfg["sizes"]],
-        int(exp_cfg.get("seed", seed)),
+        _number(exp_cfg["n_blocks"], "n_blocks", integer=True),
+        _number(exp_cfg["degree"], "degree", integer=True),
+        [_number(size, "sizes", integer=True) for size in sizes],
+        _number(exp_cfg.get("seed", seed), "seed", integer=True),
         exp_cfg.get("weights", "quadratic"),
     )
 
 
 def _run_expander_preflow(cfg, rng, out, cfg_hash, seed):
     fam = _build_family(cfg, seed)
-    times = _build_times(cfg["time_grid"])
+    times = _build_times(_section(cfg, "time_grid"))
     k_kind = cfg.get("k", "zero")
     if k_kind == "zero":
         k = np.zeros(fam.union.n_points)
@@ -283,9 +313,9 @@ def _run_expander_preflow(cfg, rng, out, cfg_hash, seed):
 
 
 def _run_rigidity_probe(cfg, rng, out, cfg_hash):
-    sp = _build_space(cfg["space"])
-    h = _build_operator(cfg["h"], sp, rng)
-    times = _build_times(cfg["time_grid"])
+    sp = _build_space(_section(cfg, "space"))
+    h = _build_operator(_section(cfg, "h"), sp, rng)
+    times = _build_times(_section(cfg, "time_grid"))
     rows = [
         (t, rep.delta, rep.displacement)
         for t, rep in zip(times, rigidity.flow_displacement_sweep(h, times))
@@ -335,7 +365,9 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         if args.threads is not None and args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
+        seed = args.seed
+        if seed is None:
+            seed = _number(cfg.get("seed", 0), "seed", integer=True)
         cfg["seed"] = seed
         cfg_hash = _config_hash(cfg)
         rng = np.random.default_rng(seed)

@@ -35,10 +35,6 @@ class BlockFamily:
     def block_size(self, n: int) -> int:
         return self.blocks[n].n_points
 
-    def block_indices(self, n: int):
-        start = self.offsets[n]
-        return range(start, start + self.block_size(n))
-
 
 def block_family(
     blocks: Sequence[FiniteSpace],
@@ -79,23 +75,25 @@ def block_family(
     )
 
 
+def _block_sum(fam: BlockFamily, coeffs) -> np.ndarray:
+    """sum_n c_n p_n as an array: c_n / |X_n| on the square of block n."""
+    m = np.zeros((fam.union.n_points,) * 2, dtype=np.complex128)
+    for n, c in enumerate(coeffs):
+        block = slice(fam.offsets[n], fam.offsets[n] + fam.block_size(n))
+        m[block, block] = c / fam.block_size(n)
+    return m
+
+
 def averaging_projection(fam: BlockFamily, n: int) -> OperatorMatrix:
     """p_n: entries 1/|X_n| on block n, zero elsewhere. Rank one, trace one."""
     if not 0 <= n < fam.n_blocks:
         raise IndexError(f"block index {n} out of range")
-    size = fam.block_size(n)
-    m = np.zeros((fam.union.n_points,) * 2, dtype=np.complex128)
-    idx = np.array(fam.block_indices(n))
-    m[np.ix_(idx, idx)] = 1.0 / size
-    return OperatorMatrix(fam.union, m)
+    return OperatorMatrix(fam.union, _block_sum(fam, np.eye(fam.n_blocks)[n]))
 
 
 def generator(fam: BlockFamily) -> OperatorMatrix:
     """h = sum_n w(n) p_n."""
-    m = np.zeros((fam.union.n_points,) * 2, dtype=np.complex128)
-    for n in range(fam.n_blocks):
-        m += fam.weights[n] * averaging_projection(fam, n).entries
-    return OperatorMatrix(fam.union, m)
+    return OperatorMatrix(fam.union, _block_sum(fam, fam.weights))
 
 
 def split_projection(fam: BlockFamily) -> OperatorMatrix:
@@ -116,12 +114,10 @@ def split_factor(fam: BlockFamily, n: int) -> float:
 
 def preflow_unitary(fam: BlockFamily, t: float) -> OperatorMatrix:
     """e^{ith} assembled directly as id + sum_n (e^{itw(n)} - 1) p_n."""
-    m = np.eye(fam.union.n_points, dtype=np.complex128)
-    for n in range(fam.n_blocks):
-        m += (np.exp(1j * t * fam.weights[n]) - 1.0) * averaging_projection(
-            fam, n
-        ).entries
-    return OperatorMatrix(fam.union, m)
+    phases = np.exp(1j * t * fam.weights) - 1.0
+    return OperatorMatrix(
+        fam.union, np.eye(fam.union.n_points) + _block_sum(fam, phases)
+    )
 
 
 def halfsplit_commutator_norm(fam: BlockFamily, n: int) -> float:
@@ -130,6 +126,12 @@ def halfsplit_commutator_norm(fam: BlockFamily, n: int) -> float:
     p_n = averaging_projection(fam, n)
     p_a = split_projection(fam)
     return spectral_norm((p_n @ p_a - p_a @ p_n).entries)
+
+
+def _closed_forms(fam: BlockFamily, t: float) -> np.ndarray:
+    """split_factor(n) * |e^{itw(n)} - 1| for every block n."""
+    factors = np.array([split_factor(fam, n) for n in range(fam.n_blocks)])
+    return factors * np.abs(np.exp(1j * t * fam.weights) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -146,12 +148,7 @@ def discontinuity_profile(fam: BlockFamily, t: float) -> DiscontinuityReport:
     p_a = split_projection(fam)
     moved = u @ p_a @ u.H
     measured = spectral_norm(moved.entries - p_a.entries)
-    per_block = np.array(
-        [
-            split_factor(fam, n) * abs(np.exp(1j * t * fam.weights[n]) - 1.0)
-            for n in range(fam.n_blocks)
-        ]
-    )
+    per_block = _closed_forms(fam, t)
     block_of_max = int(np.argmax(per_block))
     closed_form = float(per_block[block_of_max])
     if abs(measured - closed_form) > 1e-9:
@@ -176,10 +173,7 @@ def wmap_lower_bound(fam: BlockFamily, k, t: float) -> WMapBound:
         raise ValueError("k must be a real function on the union")
     w = preflow_unitary(fam, t) @ diagonal(fam.union, np.exp(-1j * t * k))
     lhs = spectral_norm(w.entries - np.eye(fam.union.n_points))
-    rhs = max(
-        split_factor(fam, n) * abs(np.exp(1j * t * fam.weights[n]) - 1.0)
-        for n in range(fam.n_blocks)
-    )
+    rhs = _closed_forms(fam, t).max()
     if lhs < rhs - 1e-9:
         raise NumericCheckError(
             f"w-map lower bound failed at t={t}: lhs {lhs} < rhs {rhs}"

@@ -10,7 +10,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from ._linalg import spectral_norm
+from ._linalg import UNITARY_TOL, require_unitary, spectral_norm
 from .errors import NumericCheckError
 from .operator import OperatorMatrix, commutator, identity
 from .spectral import EigenSystem, hermitian_eig, unitary_exp
@@ -21,21 +21,16 @@ from .translations import PartialTranslation, to_matrix
 class FlowGrid:
     generator: OperatorMatrix
     times: Tuple[float, ...]
-    unitaries: Tuple[OperatorMatrix, ...]
     eigensystem: EigenSystem
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
         if t.size == 0 or np.any(np.diff(t) <= 0):
             raise ValueError("times must be a nonempty increasing grid")
-        if len(self.unitaries) != t.size:
-            raise ValueError("one unitary per grid time required")
 
     @classmethod
     def from_generator(cls, h: OperatorMatrix, times) -> "FlowGrid":
-        times = tuple(float(t) for t in times)
-        es = hermitian_eig(h)
-        return cls(h, times, tuple(es.exp(t) for t in times), es)
+        return cls(h, tuple(float(t) for t in times), hermitian_eig(h))
 
 
 @dataclass(frozen=True)
@@ -46,15 +41,11 @@ class CocycleFamily:
     def __post_init__(self):
         for t in self.base_flow.times:
             u = self.u_of_t(t)
-            res = spectral_norm(
-                u.entries.conj().T @ u.entries - np.eye(u.n)
-            )
-            if res > 1e-10:
-                raise ValueError(f"element at t={t} is not unitary: residual {res:.3e}")
+            require_unitary(u.entries, f"element at t={t}")
             if t == 0.0:
-                res0 = spectral_norm(u.entries - np.eye(u.n))
-                if res0 > 1e-10:
-                    raise ValueError(f"u_0 must be the identity: residual {res0:.3e}")
+                res0 = float(np.linalg.norm(u.entries - np.eye(u.n)))
+                if not res0 <= UNITARY_TOL:
+                    raise ValueError(f"u_0 is not the identity: residual {res0:.3e}")
 
     def element(self, t: float) -> OperatorMatrix:
         return self.u_of_t(float(t))

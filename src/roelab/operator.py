@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import spectral_norm
+from ._linalg import require_finite, spectral_norm
 from .space import FiniteSpace, growth_profile
 
 
@@ -19,13 +19,11 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
+        m = np.array(self.entries, dtype=np.complex128)
         n = self.space.n_points
         if m.shape != (n, n):
             raise ValueError(f"entries must be {n}x{n}, got {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("entries must be finite (no NaN/Inf)")
-        m = m.copy()
+        require_finite(m)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

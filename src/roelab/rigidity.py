@@ -6,7 +6,7 @@ from typing import List
 
 import numpy as np
 
-from ._linalg import spectral_norm
+from ._linalg import require_unitary
 from .operator import OperatorMatrix
 from .spectral import hermitian_eig
 
@@ -24,9 +24,7 @@ def probe(u: OperatorMatrix) -> RigidityReport:
 
     delta is always >= 1/sqrt(n): columns of a unitary are unit vectors.
     """
-    res = spectral_norm(u.entries.conj().T @ u.entries - np.eye(u.n))
-    if res > 1e-8:
-        raise ValueError(f"input is not unitary: residual {res:.3e}")
+    require_unitary(u.entries, "input")
     mags = np.abs(u.entries)
     point_map = np.argmax(mags, axis=0)  # argmax over rows y, per column x
     delta = float(np.min(mags[point_map, np.arange(u.n)]))

@@ -229,6 +229,17 @@ def test_bad_threads_is_config_error(tmp_path):
         {"space": {"path_graph": 0}},
         {"space": {"complete_graph": 2.5}},
         {"space": {"cycle_graph": 2}},
+        {"space": 5},
+        {"space": {"coarse_union": [{"path_graph": 2}, 5]}},
+        {"operator": 7},
+        {"operator": {"generator": 3}},
+        {
+            "space": {"path_graph": 4},
+            "operator": {
+                "generator": {"kind": "diagonal_from_distance", "base_point": 9}
+            },
+        },
+        {"operator": {"generator": {"kind": "diagonal_random", "scale": "nan"}}},
     ],
     ids=[
         "radii-nan-string",
@@ -238,6 +249,12 @@ def test_bad_threads_is_config_error(tmp_path):
         "path-size-zero",
         "complete-size-float",
         "cycle-size-two",
+        "space-not-object",
+        "coarse-union-entry-not-object",
+        "operator-not-object",
+        "generator-not-object",
+        "base-point-out-of-range",
+        "scale-nan-string",
     ],
 )
 def test_invalid_radii_or_output_is_config_error(tmp_path, extra_cfg):
@@ -253,6 +270,59 @@ def test_invalid_radii_or_output_is_config_error(tmp_path, extra_cfg):
     assert rc == 2
     assert not (tmp_path / "escape.csv").exists()
     assert not (out_dir / "coarse-check.csv").exists()
+
+
+_GRID = {"start": 0.0, "stop": 0.5, "step": 0.25}
+_EXPANDER = {"n_blocks": 2, "degree": 3, "sizes": [6, 8]}
+_VALID = {
+    "flow-profile": {
+        "space": {"path_graph": 3},
+        "h": {"generator": {"kind": "random_hermitian"}},
+        "a": {"generator": {"kind": "random_hermitian"}},
+        "time_grid": _GRID,
+    },
+    "diagonalize": {
+        "space": {"path_graph": 4},
+        "h": {"generator": {"kind": "random_hermitian"}},
+        "r": 1.0,
+    },
+    "expander-preflow": {
+        "expander": _EXPANDER,
+        "time_grid": _GRID,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "sub, extra_cfg",
+    [
+        ("flow-profile", {"time_grid": [0, 1]}),
+        ("flow-profile", {"time_grid": {**_GRID, "stop": "x"}}),
+        ("flow-profile", {"time_grid": {**_GRID, "stop": "nan"}}),
+        ("flow-profile", {"seed": 1.5}),
+        ("diagonalize", {"r": "abc"}),
+        ("diagonalize", {"r": True}),
+        ("expander-preflow", {"expander": [1]}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "n_blocks": "x"}}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "sizes": [6.0, 8]}}),
+    ],
+    ids=[
+        "time-grid-not-object",
+        "stop-string",
+        "stop-nan-string",
+        "seed-float",
+        "r-string",
+        "r-bool",
+        "expander-not-object",
+        "n-blocks-string",
+        "sizes-float",
+    ],
+)
+def test_invalid_section_or_number_is_config_error(tmp_path, sub, extra_cfg):
+    assert run(tmp_path, sub, {**_VALID[sub], "seed": 3}) == 0
+    (tmp_path / f"{sub}.csv").unlink()
+    assert run(tmp_path, sub, {**_VALID[sub], "seed": 3, **extra_cfg}) == 2
+    assert not (tmp_path / f"{sub}.csv").exists()
 
 
 def test_taken_output_path_is_config_error(tmp_path):

@@ -7,9 +7,19 @@ import numpy as np
 import pytest
 
 from roelab import space
-from roelab._linalg import eigh, eigvalsh, spectral_norm, spectral_norms
+from roelab._linalg import (
+    HERMITIAN_TOL,
+    UNITARY_TOL,
+    eigh,
+    eigvalsh,
+    spectral_norm,
+    spectral_norms,
+)
+from roelab.averaging import extract_finite_prop
+from roelab.flows import CocycleFamily, FlowGrid
 from roelab.operator import OperatorMatrix
-from roelab.spectral import unitary_exp
+from roelab.rigidity import probe
+from roelab.spectral import hermitian_eig, unitary_exp
 
 SIZES = [1, 2, 64, 128]
 
@@ -133,3 +143,83 @@ def test_unitary_group_law_at_n128():
     rhs = unitary_exp(h, t).entries @ unitary_exp(h, u).entries
     assert spectral_norm(lhs - rhs) <= 1e-11
     assert spectral_norm(lhs.conj().T @ lhs - np.eye(128)) <= 1e-11
+
+
+# The validity layer at each of its callers. Every input below carries one
+# residual x: a perturbed entry for OperatorMatrix's finiteness check,
+# ||m - m^H||_F for the Hermitian checks, ||u^H u - 1||_F or ||u_0 - 1||_F
+# for the unitary ones.
+S3 = space.path_graph(3)
+
+
+def _op(m):
+    """OperatorMatrix(S3, m); a non-finite m is stored unchecked, so that the
+    caller's own check is the one under test."""
+    if np.isfinite(m).all():
+        return OperatorMatrix(S3, m)
+    a = OperatorMatrix(S3, np.zeros((3, 3)))
+    object.__setattr__(a, "entries", m)
+    return a
+
+
+def _hermitian_input(x):
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = x / np.sqrt(2.0)  # ||m - m^H||_F = x, max|m_xy| = 1
+    return m
+
+
+def _unitary_input(x):
+    return np.diag([np.sqrt(1.0 + x), 1.0, 1.0]).astype(complex)
+
+
+def _cocycle(u_0, u_half):
+    grid = FlowGrid.from_generator(OperatorMatrix(S3, np.zeros((3, 3))), [0.0, 0.5])
+    return CocycleFamily(grid, lambda t: _op(u_0 if t == 0.0 else u_half))
+
+
+# caller -> (call on x, the largest x the check accepts, error text)
+VALIDITY = {
+    "OperatorMatrix": (
+        lambda x: OperatorMatrix(S3, np.diag([x, 1.0, 1.0])),
+        float(np.finfo(np.float64).max),
+        "finite",
+    ),
+    "hermitian_eig": (
+        lambda x: hermitian_eig(_op(_hermitian_input(x))),
+        2.0 * HERMITIAN_TOL,
+        "Hermitian",
+    ),
+    "extract_finite_prop": (
+        lambda x: extract_finite_prop(_op(_hermitian_input(x)), 1.0),
+        2.0 * HERMITIAN_TOL,
+        "Hermitian",
+    ),
+    "CocycleFamily-element": (
+        lambda x: _cocycle(np.eye(3), _unitary_input(x)),
+        UNITARY_TOL,
+        "unitary",
+    ),
+    "CocycleFamily-u0": (
+        lambda x: _cocycle(np.diag([np.exp(1j * x), 1.0, 1.0]), np.eye(3)),
+        UNITARY_TOL,
+        "identity|unitary",
+    ),
+    "probe": (
+        lambda x: probe(_op(_unitary_input(x))),
+        UNITARY_TOL,
+        "unitary",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["over", "small", "nan"])
+@pytest.mark.parametrize("caller", list(VALIDITY))
+def test_validity_check_at_each_caller(caller, case):
+    call, accepted, text = VALIDITY[caller]
+    # 1.5 times the largest finite float is inf
+    x = {"over": 1.5 * accepted, "small": 1e-13, "nan": np.nan}[case]
+    if case == "small":
+        call(x)
+    else:
+        with pytest.raises(ValueError, match=text):
+            call(x)
