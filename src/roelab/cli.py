@@ -12,7 +12,6 @@ validation failure.
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -54,24 +53,56 @@ def _write_csv(path, subcommand, cfg_hash, units, header, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _section(cfg, key):
-    """cfg[key], which must be a JSON object (a missing key exits 2 too)."""
-    value = cfg[key]
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
-    return value
+# kind -> (types, description), matched by type(): a bool is neither int nor number
+_KINDS = {
+    "object": ((dict,), "a JSON object"), "list": ((list,), "a list"),
+    "str": ((str,), "a string"), "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"), "number": ((int, float), "a finite number"),
+}
+_REQUIRED = object()
+
+# the most CSV rows one run may write: T time points, or T^2 for cocycle-verify
+MAX_ROWS = 100_000
 
 
-def _number(value, what, integer=False):
-    """A config number as a float, or as an int where the config means one.
+def _check(value, what, kind, least=None):
+    types, name = _KINDS[kind]
+    # abs() compares an int exactly, so one too large for a float fails
+    if type(value) not in types or (
+        kind == "number" and not abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{what} must be {name}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{what} must be at least {least}, got {value!r}")
+    return float(value) if kind == "number" else value
 
-    bool, str, None, NaN and infinities are config errors, never coerced.
+
+def _get(cfg, key, kind, default=_REQUIRED, least=None):
+    """cfg[key], which must be of ``kind``; values are never coerced.
+
+    ``kind`` is "object", "list", "str", "bool", "int" or "number" (finite,
+    returned as a float). ``least`` is a lower bound for an int or number.
+    A missing key gives ``default``, or is a ConfigError if there is none.
     """
-    kinds = (int,) if integer else (int, float)
-    if type(value) not in kinds or not -math.inf < value < math.inf:
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{what} must be {kind}, got {value!r}")
-    return value if integer else float(value)
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r}")
+        return default
+    return _check(cfg[key], key, kind, least)
+
+
+def _get_list(cfg, key, kind, least=None):
+    """_get for a required list each of whose items is of ``kind``."""
+    items = _get(cfg, key, "list")
+    return [_check(item, f"{key} item", kind, least) for item in items]
+
+
+def _choice(cfg, key, choices, default):
+    """_get for a string that must be one of ``choices``."""
+    value = _get(cfg, key, "str", default)
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {sorted(choices)}, got {value!r}")
+    return value
 
 
 # graph kind -> (builder, smallest size)
@@ -84,105 +115,92 @@ _GRAPHS = {
 
 def _build_space(cfg):
     if "edge_list" in cfg:
-        return space.load_edge_list(cfg["edge_list"])
+        return space.load_edge_list(_get(cfg, "edge_list", "str"))
     for kind, (build, least) in _GRAPHS.items():
         if kind in cfg:
-            size = cfg[kind]
-            if type(size) is not int or size < least:
-                raise ConfigError(
-                    f"{kind} must be an integer of at least {least}, got {size!r}"
-                )
-            return build(size)
+            return build(_get(cfg, kind, "int", least=least))
     if "coarse_union" in cfg:
-        parts = cfg["coarse_union"]
-        if not isinstance(parts, list):
-            raise ConfigError(f"coarse_union must be a list, got {parts!r}")
-        return space.coarse_union(
-            [_build_space(_section(parts, i)) for i in range(len(parts))]
-        )
+        blocks = []
+        for part in _get_list(cfg, "coarse_union", "object"):
+            blocks.append(_build_space(part))
+            # refuse before building the next block, not after the last
+            space.check_points(sum(b.n_points for b in blocks))
+        return space.coarse_union(blocks)
     raise ConfigError(f"unrecognized space source: {sorted(cfg)}")
 
 
 def _build_operator(cfg, sp, rng):
     if "file" in cfg:
-        return load_matrix(cfg["file"], sp)
-    if "generator" not in cfg:
-        raise ConfigError(f"unrecognized operator source: {sorted(cfg)}")
-    gen = _section(cfg, "generator")
-    kind = gen.get("kind")
+        return load_matrix(_get(cfg, "file", "str"), sp)
+    gen = _get(cfg, "generator", "object")
+    kind = _get(gen, "kind", "str")
     n = sp.n_points
-    scale = _number(gen.get("scale", 1.0), "scale")
+    scale = _get(gen, "scale", "number", 1.0)
     if kind == "diagonal_from_distance":
-        base = _number(gen.get("base_point", 0), "base_point", integer=True)
-        if not 0 <= base < n:
+        base = _get(gen, "base_point", "int", 0, least=0)
+        if base >= n:
             raise ConfigError(
                 f"base_point must be a point index below {n}, got {base}"
             )
         return diagonal(sp, scale * sp.dist[base])
     if kind == "diagonal_random":
         return diagonal(sp, scale * rng.standard_normal(n))
-    if kind == "random_hermitian":
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return OperatorMatrix(sp, scale * 0.5 * (m + m.conj().T))
-    if kind == "random_hermitian_banded":
-        band = _number(gen["band"], "band")
+    if kind in ("random_hermitian", "random_hermitian_banded"):
+        band = _get(gen, "band", "number", least=0) if kind.endswith("banded") else None
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = OperatorMatrix(sp, scale * 0.5 * (m + m.conj().T))
-        return truncate(herm, band)
+        return herm if band is None else truncate(herm, band)
     raise ConfigError(f"unknown operator generator kind {kind!r}")
 
 
-def _build_times(cfg):
-    try:
-        start, stop, step = (_number(cfg[k], k) for k in ("start", "stop", "step"))
-    except KeyError as exc:
-        raise ConfigError(f"time_grid missing key {exc}") from None
-    if step <= 0:
-        raise ConfigError("time_grid step must be positive")
+def _operators(cfg, rng, *keys):
+    """Build the "space" section, then one operator per section in ``keys``."""
+    sp = _build_space(_get(cfg, "space", "object"))
+    return [_build_operator(_get(cfg, key, "object"), sp, rng) for key in keys]
+
+
+def _build_times(cfg, square=False):
+    """The time grid; ``square`` when a run writes a row per pair of times."""
+    start, stop, step = (_get(cfg, k, "number") for k in ("start", "stop", "step"))
+    if step <= 0 or start > stop:
+        raise ConfigError("time_grid needs step > 0 and start <= stop")
+    count = (stop - start) / step + 1  # a float, inf if the span overflows
+    rows = count * count if square else count
+    if not rows <= MAX_ROWS:
+        raise SizeGuardError("time_grid rows", MAX_ROWS, rows)
     n_steps = int(round((stop - start) / step))
-    if n_steps < 0 or start > stop:
-        raise ConfigError("time_grid is empty (stop < start)")
     return start + step * np.arange(n_steps + 1)
 
 
 def _radii(cfg, sp):
     if "radii" not in cfg:
         return [float(r) for r in sp.distance_set()]
-    radii = cfg["radii"]
-    if not isinstance(radii, list) or not all(
-        type(r) in (int, float) and math.isfinite(r) and r >= 0 for r in radii
-    ):
-        raise ConfigError(
-            f"radii must be a list of finite, nonnegative numbers, got {radii!r}"
-        )
-    return [float(r) for r in radii]
+    return _get_list(cfg, "radii", "number", least=0)
 
 
 def _output_name(cfg, subcommand):
-    name = cfg.get("output", f"{subcommand}.csv")
+    name = _get(cfg, "output", "str", f"{subcommand}.csv")
     # a plain file name keeps the CSV inside --out
-    if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+    if name in ("", "..") or Path(name).name != name:
         raise ConfigError(f"output must be a plain file name, got {name!r}")
     return name
 
 
 def _modes(cfg, both):
-    mode = cfg.get("mode", both[0])
-    if mode == "both":
-        return list(both)
-    if mode not in both:
-        raise ConfigError(f"mode must be one of {both + ('both',)}, got {mode!r}")
-    return [mode]
+    mode = _choice(cfg, "mode", both + ("both",), both[0])
+    return list(both) if mode == "both" else [mode]
 
 
 def _run_coarse_check(cfg, rng, out, cfg_hash):
-    sp = _build_space(_section(cfg, "space"))
-    h = _build_operator(_section(cfg, "operator"), sp, rng)
+    modes = _modes(cfg, ("heuristic", "exact"))
+    allow_large = _get(cfg, "allow_large", "bool", False)
+    [h] = _operators(cfg, rng, "operator")
+    radii = _radii(cfg, h.space)
     rows = []
-    for mode in _modes(cfg, ("heuristic", "exact")):
-        for r in _radii(cfg, sp):
+    for mode in modes:
+        for r in radii:
             value = translations.coarseness_modulus(
-                h, r, mode, allow_large=bool(cfg.get("allow_large", False))
+                h, r, mode, allow_large=allow_large
             )
             rows.append((r, value, mode))
     _write_csv(
@@ -193,11 +211,12 @@ def _run_coarse_check(cfg, rng, out, cfg_hash):
 
 
 def _run_ql_profile(cfg, rng, out, cfg_hash):
-    sp = _build_space(_section(cfg, "space"))
-    a = _build_operator(_section(cfg, "operator"), sp, rng)
+    modes = _modes(cfg, ("lower", "exact"))
+    [a] = _operators(cfg, rng, "operator")
+    radii = _radii(cfg, a.space)
     rows = []
-    for mode in _modes(cfg, ("lower", "exact")):
-        prof = locality.ql_profile(a, _radii(cfg, sp), mode)
+    for mode in modes:
+        prof = locality.ql_profile(a, radii, mode)
         rows.extend(zip(prof.radii, prof.values, [mode] * len(prof.radii)))
     _write_csv(
         out, "ql-profile", cfg_hash,
@@ -207,13 +226,12 @@ def _run_ql_profile(cfg, rng, out, cfg_hash):
 
 
 def _run_flow_profile(cfg, rng, out, cfg_hash):
-    sp = _build_space(_section(cfg, "space"))
-    h = _build_operator(_section(cfg, "h"), sp, rng)
-    a = _build_operator(_section(cfg, "a"), sp, rng)
+    times = _build_times(_get(cfg, "time_grid", "object"))
+    h, a = _operators(cfg, rng, "h", "a")
     comm = commutator(h, a)
     es = hermitian_eig(h)
     rows = []
-    for t in _build_times(_section(cfg, "time_grid")):
+    for t in times:
         u = es.exp(t)
         moved = u @ a @ u.H
         modulus = spectral_norm(moved.entries - a.entries)
@@ -232,10 +250,8 @@ def _run_flow_profile(cfg, rng, out, cfg_hash):
 
 
 def _run_cocycle_verify(cfg, rng, out, cfg_hash):
-    sp = _build_space(_section(cfg, "space"))
-    h = _build_operator(_section(cfg, "h"), sp, rng)
-    k = _build_operator(_section(cfg, "k"), sp, rng)
-    times = _build_times(_section(cfg, "time_grid"))
+    times = _build_times(_get(cfg, "time_grid", "object"), square=True)
+    h, k = _operators(cfg, rng, "h", "k")
     family = flows.cocycle_from_generators(h, k, times)
     # the intertwining direction for the scalar-line check is reversed
     lam_family = flows.cocycle_from_generators(k, h, times)
@@ -254,9 +270,8 @@ def _run_cocycle_verify(cfg, rng, out, cfg_hash):
 
 
 def _run_diagonalize(cfg, rng, out, cfg_hash):
-    sp = _build_space(_section(cfg, "space"))
-    h = _build_operator(_section(cfg, "h"), sp, rng)
-    r = _number(cfg["r"], "r")
+    r = _get(cfg, "r", "number", least=0)
+    [h] = _operators(cfg, rng, "h")
     report = averaging.extract_finite_prop(h, r)
     save_matrix(report.h_prime, Path(out).parent / "h_prime.txt")
     _write_csv(
@@ -268,30 +283,26 @@ def _run_diagonalize(cfg, rng, out, cfg_hash):
     )
 
 
-def _build_family(cfg, seed):
-    exp_cfg = _section(cfg, "expander")
-    sizes = exp_cfg["sizes"]
-    if not isinstance(sizes, list):
-        raise ConfigError(f"sizes must be a list of integers, got {sizes!r}")
+def _build_family(cfg):
+    exp_cfg = _get(cfg, "expander", "object")
+    weights = _choice(exp_cfg, "weights", expander.WEIGHT_PRESETS, "quadratic")
     return expander.make_regular_family(
-        _number(exp_cfg["n_blocks"], "n_blocks", integer=True),
-        _number(exp_cfg["degree"], "degree", integer=True),
-        [_number(size, "sizes", integer=True) for size in sizes],
-        _number(exp_cfg.get("seed", seed), "seed", integer=True),
-        exp_cfg.get("weights", "quadratic"),
+        _get(exp_cfg, "n_blocks", "int", least=1),
+        _get(exp_cfg, "degree", "int", least=1),
+        _get_list(exp_cfg, "sizes", "int", least=1),
+        _get(exp_cfg, "seed", "int", cfg["seed"], least=0),
+        weights,
     )
 
 
-def _run_expander_preflow(cfg, rng, out, cfg_hash, seed):
-    fam = _build_family(cfg, seed)
-    times = _build_times(_section(cfg, "time_grid"))
-    k_kind = cfg.get("k", "zero")
+def _run_expander_preflow(cfg, rng, out, cfg_hash):
+    k_kind = _choice(cfg, "k", ("zero", "diagonal_of_h"), "zero")
+    times = _build_times(_get(cfg, "time_grid", "object"))
+    fam = _build_family(cfg)
     if k_kind == "zero":
         k = np.zeros(fam.union.n_points)
-    elif k_kind == "diagonal_of_h":
-        k = np.real(np.diag(expander.generator(fam).entries))
     else:
-        raise ConfigError(f"unknown k choice {k_kind!r}")
+        k = np.real(np.diag(expander.generator(fam).entries))
     rows = []
     wmap_rows = []
     for t in times:
@@ -313,9 +324,8 @@ def _run_expander_preflow(cfg, rng, out, cfg_hash, seed):
 
 
 def _run_rigidity_probe(cfg, rng, out, cfg_hash):
-    sp = _build_space(_section(cfg, "space"))
-    h = _build_operator(_section(cfg, "h"), sp, rng)
-    times = _build_times(_section(cfg, "time_grid"))
+    times = _build_times(_get(cfg, "time_grid", "object"))
+    [h] = _operators(cfg, rng, "h")
     rows = [
         (t, rep.delta, rep.displacement)
         for t, rep in zip(times, rigidity.flow_displacement_sweep(h, times))
@@ -359,32 +369,21 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: bad JSON or bad UTF-8; RecursionError: nested too deep
             raise ConfigError(f"cannot read config: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         if args.threads is not None and args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        seed = args.seed
-        if seed is None:
-            seed = _number(cfg.get("seed", 0), "seed", integer=True)
-        cfg["seed"] = seed
-        cfg_hash = _config_hash(cfg)
-        rng = np.random.default_rng(seed)
+        seeds = cfg if args.seed is None else {"seed": args.seed}
+        cfg["seed"] = _get(seeds, "seed", "int", 0, least=0)
         out = Path(args.out) / _output_name(cfg, args.subcommand)
         out.parent.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "expander-preflow":
-            _RUNNERS[args.subcommand](cfg, rng, out, cfg_hash, seed)
-        else:
-            _RUNNERS[args.subcommand](cfg, rng, out, cfg_hash)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: config: missing key {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # an unreadable input file, or an --out or "output" that is taken
+        rng = np.random.default_rng(cfg["seed"])
+        _RUNNERS[args.subcommand](cfg, rng, out, _config_hash(cfg))
+    except (ConfigError, OSError) as exc:
+        # OSError: an unreadable input file, or an --out or "output" that is taken
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:

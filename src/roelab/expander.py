@@ -10,7 +10,7 @@ import numpy as np
 from ._linalg import eigvalsh, spectral_norm
 from .errors import NumericCheckError
 from .operator import OperatorMatrix, diagonal
-from .space import FiniteSpace, coarse_union, from_edge_list
+from .space import FiniteSpace, check_points, coarse_union, from_edge_list
 
 WEIGHT_PRESETS = {
     "constant": lambda n: 1.0,
@@ -230,6 +230,8 @@ def make_regular_family(
             raise ValueError(f"block size {size} must exceed degree {degree}")
         if (size * degree) % 2 != 0:
             raise ValueError(f"degree*size must be even (size {size})")
+    # the union is refused before a block of it is sampled
+    check_points(sum(sizes))
     rng = np.random.default_rng(seed)
     blocks = [_random_regular_graph(size, degree, rng) for size in sizes]
     gaps = [_normalized_laplacian_gap(b, degree) for b in blocks]

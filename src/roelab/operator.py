@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import require_finite, spectral_norm
-from .space import FiniteSpace, growth_profile
+from .space import FiniteSpace, _parse, _records, growth_profile
 
 
 @dataclass(frozen=True)
@@ -181,23 +181,20 @@ def save_matrix(a: OperatorMatrix, path) -> None:
 
 def load_matrix(path, space: FiniteSpace) -> OperatorMatrix:
     m = None
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "n":
-                n = int(parts[1])
-                if n != space.n_points:
-                    raise ValueError(
-                        f"matrix is {n}x{n} but space has {space.n_points} points"
-                    )
-                m = np.zeros((n, n), dtype=np.complex128)
-            else:
-                if m is None:
-                    raise ValueError(f"{path}: entry before 'n <n>' header")
-                x, y = int(parts[0]), int(parts[1])
-                m[x, y] = complex(float(parts[2]), float(parts[3]))
+    for where, fields in _records(path):
+        if fields[0] == "n":
+            _, n = _parse(where, fields, (str, int))
+            if n != space.n_points:
+                raise ValueError(
+                    f"{where}: matrix is {n}x{n} but space has "
+                    f"{space.n_points} points"
+                )
+            m = np.zeros((n, n), dtype=np.complex128)
+        else:
+            if m is None:
+                raise ValueError(f"{where}: entry before 'n <n>' header")
+            x, y, re, im = _parse(where, fields, (int, int, float, float), len(m))
+            m[x, y] = complex(re, im)
     if m is None:
         raise ValueError(f"{path}: missing 'n <n>' header")
     return OperatorMatrix(space, m)

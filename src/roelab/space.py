@@ -9,6 +9,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import SizeGuardError
+
+# the most points any space may have; checked before an n x n array is built
+MAX_POINTS = 2048
+# the most elements of one temporary in the triangle-inequality check
+_TRIANGLE_CHUNK = 2**22
+
 
 @dataclass(frozen=True)
 class FiniteSpace:
@@ -32,9 +39,12 @@ class FiniteSpace:
         if off.size and np.min(off) <= 0.0:
             raise ValueError("distinct points must be at positive distance")
         tol = 1e-9 * (1.0 + float(d.max(initial=0.0)))
-        # d[i,j] <= d[i,k] + d[k,j] for all triples
-        if np.any(d[:, None, :] > d[:, :, None] + d[None, :, :] + tol):
-            raise ValueError("triangle inequality violated")
+        # d[i,j] <= d[i,k] + d[k,j] for all triples, a block of rows i at a time
+        rows = max(1, _TRIANGLE_CHUNK // (n * n))
+        for i in range(0, n, rows):
+            di = d[i : i + rows]
+            if np.any(di[:, None, :] > di[:, :, None] + d[None, :, :] + tol):
+                raise ValueError("triangle inequality violated")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal n_points")
         d.setflags(write=False)
@@ -53,10 +63,17 @@ class FiniteSpace:
         return np.unique(self.dist)
 
 
+def check_points(n: int) -> None:
+    """Refuse a space of more than MAX_POINTS points (SizeGuardError)."""
+    if n > MAX_POINTS:
+        raise SizeGuardError("points", MAX_POINTS, n)
+
+
 def from_edge_list(edges: Sequence[Tuple[int, int]], n_points: int) -> FiniteSpace:
     """Shortest-path hop-count metric of a connected simple graph."""
     if n_points < 1:
         raise ValueError("n_points must be positive")
+    check_points(n_points)
     dist = np.full((n_points, n_points), np.inf)
     np.fill_diagonal(dist, 0.0)
     for u, v in edges:
@@ -92,6 +109,7 @@ def coarse_union(blocks: Sequence[FiniteSpace]) -> FiniteSpace:
         )
     sizes = [b.n_points for b in blocks]
     n = sum(sizes)
+    check_points(n)
     dist = np.zeros((n, n), dtype=np.float64)
     starts = np.concatenate([[0], np.cumsum(sizes)])
     for i, bi in enumerate(blocks):
@@ -114,34 +132,62 @@ def growth_profile(s: FiniteSpace, r: float) -> int:
 
 
 def path_graph(n: int) -> FiniteSpace:
+    check_points(n)
     return from_edge_list([(i, i + 1) for i in range(n - 1)], n)
 
 
 def cycle_graph(n: int) -> FiniteSpace:
     if n < 3:
         raise ValueError("a cycle needs at least 3 points")
+    check_points(n)
     return from_edge_list([(i, (i + 1) % n) for i in range(n)], n)
 
 
 def complete_graph(n: int) -> FiniteSpace:
+    check_points(n)
     return from_edge_list(
         [(i, j) for i in range(n) for j in range(i + 1, n)], n
     )
+
+
+def _records(path):
+    """Yield (where, fields) for each line of a text file that is neither
+    blank nor a "#" comment; ``where`` is "path:line" for error messages."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            fields = line.split()
+            if fields and not fields[0].startswith("#"):
+                yield f"{path}:{number}", fields
+
+
+def _parse(where, fields, kinds, n=None):
+    """``fields`` converted by ``kinds``, one type each. With ``n`` given,
+    every int must be a point index, 0 <= i < n. A ValueError names
+    ``where``."""
+    try:
+        if len(fields) != len(kinds):
+            raise ValueError(f"expected {len(kinds)} fields")
+        values = [kind(field) for kind, field in zip(kinds, fields)]
+        if n is not None and any(
+            kind is int and not 0 <= v < n for kind, v in zip(kinds, values)
+        ):
+            raise ValueError(f"point index out of range for {n} points")
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc} in {' '.join(fields)!r}") from None
+    return values
 
 
 def load_edge_list(path) -> FiniteSpace:
     """Read the edge-list text format: header "n <n_points>", then "u v" lines."""
     edges = []
     n_points = None
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "n":
-                n_points = int(parts[1])
-            else:
-                edges.append((int(parts[0]), int(parts[1])))
+    for where, fields in _records(path):
+        if fields[0] == "n":
+            _, n_points = _parse(where, fields, (str, int))
+        elif n_points is None:
+            raise ValueError(f"{where}: edge before the 'n <n_points>' header")
+        else:
+            edges.append(tuple(_parse(where, fields, (int, int), n_points)))
     if n_points is None:
         raise ValueError(f"{path}: missing 'n <n_points>' header")
     return from_edge_list(edges, n_points)

@@ -1,14 +1,19 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import roelab
-from roelab import spectral
+from roelab import expander, space, spectral
 from roelab.cli import main
 
 
@@ -211,6 +216,12 @@ def test_numeric_error_exit_code(tmp_path):
     assert run(tmp_path, "ql-profile", cfg) == 4
 
 
+def test_deeply_nested_config_is_config_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    assert main(["ql-profile", "--config", str(p)]) == 2
+
+
 def test_bad_threads_is_config_error(tmp_path):
     cfg = {
         "space": {"path_graph": 3},
@@ -240,6 +251,12 @@ def test_bad_threads_is_config_error(tmp_path):
             },
         },
         {"operator": {"generator": {"kind": "diagonal_random", "scale": "nan"}}},
+        {"allow_large": "no"},
+        {"allow_large": 1},
+        {"space": {"edge_list": 0}},
+        {"operator": {"file": 0}},
+        {"seed": -1},
+        {"operator": {"generator": {"kind": "diagonal_random", "scale": 10**400}}},
     ],
     ids=[
         "radii-nan-string",
@@ -255,6 +272,12 @@ def test_bad_threads_is_config_error(tmp_path):
         "generator-not-object",
         "base-point-out-of-range",
         "scale-nan-string",
+        "allow-large-string",
+        "allow-large-int",
+        "edge-list-fd",
+        "matrix-file-fd",
+        "seed-negative",
+        "scale-too-large-for-float",
     ],
 )
 def test_invalid_radii_or_output_is_config_error(tmp_path, extra_cfg):
@@ -274,6 +297,7 @@ def test_invalid_radii_or_output_is_config_error(tmp_path, extra_cfg):
 
 _GRID = {"start": 0.0, "stop": 0.5, "step": 0.25}
 _EXPANDER = {"n_blocks": 2, "degree": 3, "sizes": [6, 8]}
+_BANDED = "random_hermitian_banded"
 _VALID = {
     "flow-profile": {
         "space": {"path_graph": 3},
@@ -288,6 +312,12 @@ _VALID = {
     },
     "expander-preflow": {
         "expander": _EXPANDER,
+        "time_grid": _GRID,
+    },
+    "cocycle-verify": {
+        "space": {"path_graph": 3},
+        "h": {"generator": {"kind": "random_hermitian"}},
+        "k": {"generator": {"kind": "random_hermitian", "scale": 0.5}},
         "time_grid": _GRID,
     },
 }
@@ -305,6 +335,13 @@ _VALID = {
         ("expander-preflow", {"expander": [1]}),
         ("expander-preflow", {"expander": {**_EXPANDER, "n_blocks": "x"}}),
         ("expander-preflow", {"expander": {**_EXPANDER, "sizes": [6.0, 8]}}),
+        ("flow-profile", {"a": {"generator": {"kind": _BANDED, "band": -1}}}),
+        ("diagonalize", {"r": -1}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "weights": "cubic"}}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "weights": [1, 1e300]}}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "n_blocks": 0}}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "degree": 0}}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "seed": -1}}),
     ],
     ids=[
         "time-grid-not-object",
@@ -316,6 +353,13 @@ _VALID = {
         "expander-not-object",
         "n-blocks-string",
         "sizes-float",
+        "band-negative",
+        "r-negative",
+        "weights-unknown-preset",
+        "weights-list",
+        "n-blocks-zero",
+        "degree-zero",
+        "expander-seed-negative",
     ],
 )
 def test_invalid_section_or_number_is_config_error(tmp_path, sub, extra_cfg):
@@ -323,6 +367,72 @@ def test_invalid_section_or_number_is_config_error(tmp_path, sub, extra_cfg):
     (tmp_path / f"{sub}.csv").unlink()
     assert run(tmp_path, sub, {**_VALID[sub], "seed": 3, **extra_cfg}) == 2
     assert not (tmp_path / f"{sub}.csv").exists()
+
+
+def test_negative_seed_flag_is_config_error(tmp_path):
+    cfg = {**_VALID["flow-profile"], "seed": 3}
+    assert run(tmp_path, "flow-profile", cfg, extra=("--seed", "-5")) == 2
+    assert not (tmp_path / "flow-profile.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "sub, extra_cfg",
+    [
+        ("flow-profile", {"time_grid": {"start": 0, "stop": 1e9, "step": 1e-9}}),
+        ("flow-profile", {"time_grid": {"start": -1e308, "stop": 1e308, "step": 1}}),
+        # 317 times, so 317^2 = 100489 rows
+        ("cocycle-verify", {"time_grid": {"start": 0, "stop": 316, "step": 1}}),
+        # a size just over the guard, refused before anything of size n is built
+        ("flow-profile", {"space": {"path_graph": space.MAX_POINTS + 1}}),
+    ],
+    ids=["grid-eib", "grid-span-overflows", "cocycle-rows", "points-path"],
+)
+def test_oversize_request_is_size_guard(tmp_path, capsys, sub, extra_cfg):
+    assert run(tmp_path, sub, {**_VALID[sub], **extra_cfg}) == 3
+    assert "error: size-guard:" in capsys.readouterr().err
+    assert not (tmp_path / f"{sub}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "source, text, line",
+    [
+        ("edge_list", "n\n", 1),
+        ("edge_list", "n 3\n0 1\n1 -1\n", 3),
+        ("file", "n 3\n0 1\n", 2),
+        ("file", "n 3\n# a comment\n0 5 1.0 0.0\n", 3),
+        ("file", "n 3\n0 -1 1.0 0.0\n", 2),
+    ],
+    ids=[
+        "edge-list-header-no-count",
+        "edge-list-negative-index",
+        "matrix-no-value",
+        "matrix-column-out-of-range",
+        "matrix-negative-index",
+    ],
+)
+def test_malformed_input_file_is_numeric_error(tmp_path, capsys, source, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    cfg = {
+        "space": {"path_graph": 3},
+        "operator": {"generator": {"kind": "diagonal_from_distance"}},
+        "mode": "heuristic",
+    }
+    if source == "edge_list":
+        cfg["space"] = {"edge_list": str(path)}
+    else:
+        cfg["operator"] = {"file": str(path)}
+    assert run(tmp_path, "coarse-check", cfg) == 4
+    assert f"{path}:{line}:" in capsys.readouterr().err
+
+
+def test_expander_preflow_reads_config_before_sampling(tmp_path, monkeypatch):
+    def solve(*args):
+        raise AssertionError("sampled a block before the config was read")
+
+    monkeypatch.setattr(expander, "eigvalsh", solve)
+    cfg = {**_VALID["expander-preflow"], "k": "bogus"}
+    assert run(tmp_path, "expander-preflow", cfg) == 2
 
 
 def test_taken_output_path_is_config_error(tmp_path):
@@ -369,3 +479,95 @@ def test_cli_import_does_not_load_scipy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+# one small valid config per subcommand, every optional key set, for fuzzing
+_FUZZ = {
+    "coarse-check": {
+        "space": {"path_graph": 4},
+        "operator": {"generator": {"kind": "diagonal_from_distance", "base_point": 1}},
+        "mode": "heuristic",
+        "radii": [0, 1],
+        "allow_large": False,
+    },
+    "ql-profile": {
+        "space": {"cycle_graph": 4},
+        "operator": {"generator": {"kind": "random_hermitian", "scale": 0.5}},
+        "mode": "lower",
+    },
+    "flow-profile": {
+        **_VALID["flow-profile"],
+        "a": {"generator": {"kind": _BANDED, "band": 1}},
+    },
+    "cocycle-verify": _VALID["cocycle-verify"],
+    "diagonalize": _VALID["diagonalize"],
+    "expander-preflow": {
+        "expander": {**_EXPANDER, "weights": "linear", "seed": 2},
+        "time_grid": _GRID,
+        "k": "diagonal_of_h",
+    },
+    "rigidity-probe": {
+        "space": {"complete_graph": 3},
+        "h": {"generator": {"kind": "diagonal_random"}},
+        "time_grid": _GRID,
+        "output": "probe.csv",
+    },
+}
+_DELETE = object()
+_NUMBERS = [-1, 0, 0.5, 1, 2, 6, 10**9, -(10**9), 1e308, -1e308, 1e-300]
+_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.text(max_size=3)
+    | st.sampled_from(_NUMBERS + [math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _key_paths(cfg, prefix=()):
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def _edits(draw):
+    sub = draw(st.sampled_from(sorted(_FUZZ)))
+    path = draw(st.sampled_from(sorted(_key_paths(_FUZZ[sub]))))
+    return sub, path, draw(st.just(_DELETE) | _VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit=_edits())
+@example(edit=("coarse-check", ("allow_large",), "no"))
+@example(edit=("coarse-check", ("allow_large",), 1))
+@example(edit=("coarse-check", ("space",), {"edge_list": 0}))
+@example(edit=("coarse-check", ("operator",), {"file": 0}))
+@example(edit=("expander-preflow", ("expander", "weights"), "cubic"))
+@example(edit=("expander-preflow", ("expander", "weights"), [1, 1e300]))
+@example(edit=("flow-profile", ("a", "generator", "band"), -1))
+@example(edit=("diagonalize", ("r",), -1))
+@example(edit=("rigidity-probe", ("seed",), -1))
+@example(edit=("expander-preflow", ("expander", "n_blocks"), 0))
+@example(edit=("expander-preflow", ("expander", "degree"), 0))
+@example(edit=("ql-profile", ("operator", "generator", "scale"), 10**400))
+@example(edit=("flow-profile", ("time_grid",), {"start": 0, "stop": 1e9, "step": 1e-9}))
+@example(edit=("cocycle-verify", ("time_grid", "start"), -1e308))
+@example(edit=("rigidity-probe", ("space", "complete_graph"), 10**9))
+def test_fuzzed_config_exits_with_a_code(edit):
+    sub, (*outer, key), value = edit
+    cfg = copy.deepcopy(_FUZZ[sub])
+    section = cfg
+    for name in outer:
+        section = section[name]
+    if value is _DELETE:
+        del section[key]
+    else:
+        section[key] = value
+    with tempfile.TemporaryDirectory() as out:
+        cfg_path = Path(out) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([sub, "--config", str(cfg_path), "--out", out]) in (0, 2, 3, 4)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from roelab import space
-from roelab.errors import NumericCheckError
+from roelab import expander, space
+from roelab.errors import NumericCheckError, SizeGuardError
 from roelab.expander import (
     averaging_projection,
     block_family,
@@ -180,6 +180,16 @@ def test_regular_family_unsatisfiable():
         make_regular_family(1, 3, [3], seed=0)
     with pytest.raises(ValueError):
         make_regular_family(1, 3, [5], seed=0)
+
+
+def test_regular_family_refuses_oversize_union_before_sampling(monkeypatch):
+    def sample(*args):
+        raise AssertionError("sampled a block of an oversize union")
+
+    monkeypatch.setattr(expander, "_random_regular_graph", sample)
+    half = space.MAX_POINTS // 2 + 1
+    with pytest.raises(SizeGuardError, match="'points'"):
+        make_regular_family(2, 3, [half + half % 2, half + half % 2], seed=0)
 
 
 def test_block_sum_projections_and_equi_profile():

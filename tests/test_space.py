@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roelab import space
+from roelab.errors import SizeGuardError
 
 
 def test_path_two_hops():
@@ -120,3 +122,47 @@ def test_edge_list_roundtrip(tmp_path):
     space.dump_edge_list(s, path)
     again = space.load_edge_list(path)
     assert np.array_equal(s.dist, again.dist)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: space.path_graph(9),
+        lambda: space.cycle_graph(9),
+        lambda: space.complete_graph(9),
+        lambda: space.from_edge_list([], 9),
+        lambda: space.coarse_union([space.path_graph(5), space.path_graph(4)]),
+    ],
+    ids=["path", "cycle", "complete", "edge-list", "coarse-union"],
+)
+def test_points_guard_at_every_builder(monkeypatch, build):
+    monkeypatch.setattr(space, "MAX_POINTS", 8)
+    with pytest.raises(SizeGuardError, match="'points'"):
+        build()
+    # the guard refuses only what is over it
+    assert space.path_graph(8).n_points == 8
+
+
+def test_triangle_check_temporaries_are_chunked():
+    n = 300
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    tracemalloc.start()
+    try:
+        space.FiniteSpace(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk: 2^22 floats and 2^22 bools; unchunked it is 9 n^3 bytes
+    assert peak < 48 * 2**20
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_triangle_violation_found_in_every_chunk(monkeypatch, row):
+    n = 7
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    # d(row, row + 1) = 9 > 3 = d(row, k) + d(k, row + 1) for k two steps away;
+    # only rows row and row + 1 see it, and they share a chunk of two rows
+    dist[row, row + 1] = dist[row + 1, row] = 9.0
+    monkeypatch.setattr(space, "_TRIANGLE_CHUNK", 2 * n * n)
+    with pytest.raises(ValueError, match="triangle inequality"):
+        space.FiniteSpace(dist)
