@@ -37,11 +37,16 @@ def require_hermitian(m):
 def require_unitary(m, what):
     """Raise ValueError naming what unless ||m^H m - 1||_F <= UNITARY_TOL.
 
-    Never looser than the same check in the spectral norm: ||.||_2 <= ||.||_F.
+    m is one matrix or a (k, n, n) stack, checked slice by slice; the error
+    names the first slice that fails. Never looser than the same check in
+    the spectral norm: ||.||_2 <= ||.||_F.
     """
-    res = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1])))
-    if not res <= UNITARY_TOL:
-        raise ValueError(f"{what} is not unitary: residual {res:.3e}")
+    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    res = np.atleast_1d(np.linalg.norm(gram - np.eye(m.shape[-1]), axis=(-2, -1)))
+    bad = np.flatnonzero(~(res <= UNITARY_TOL))
+    if bad.size:
+        where = f" (slice {bad[0]})" if m.ndim == 3 else ""
+        raise ValueError(f"{what}{where} is not unitary: residual {res[bad[0]]:.3e}")
 
 
 def eigh(a):
@@ -62,9 +67,24 @@ def eigvalsh(a):
     return np.linalg.eigvalsh(a)
 
 
-# Matrices per stack in the stacked enumerations (translations, locality,
-# averaging). Measured against 512, 64 ran faster and held peak memory flat.
+# The chunk rule for every stack of matrices (enumerations and time grids):
+# at most _CHUNK matrices, and at most _STACK_ENTRIES entries in all, so each
+# stacked temporary is O(2**22) elements whatever the stack's length. Up to
+# 256 x 256 the rule gives _CHUNK. Measured against 512, 64 ran faster and
+# held peak memory flat.
 _CHUNK = 64
+_STACK_ENTRIES = 2**22
+
+
+def chunk_len(p, q):
+    """Matrices per stack of p x q matrices: min(_CHUNK, max(1, 2**22 // pq))."""
+    return min(_CHUNK, max(1, _STACK_ENTRIES // (p * q)))
+
+
+def chunks(count, p, q):
+    """Consecutive slices covering range(count), one stack of p x q each."""
+    step = chunk_len(p, q)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def spectral_norms(stack):

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import _CHUNK, require_hermitian, spectral_norm
+from ._linalg import chunks, require_hermitian, spectral_norm
 from .errors import NumericCheckError, SizeGuardError
 from .operator import OperatorMatrix, expectation
 from .space import FiniteSpace
@@ -32,10 +32,11 @@ class SignVector:
 
 
 def _sign_blocks(n: int):
-    """{-1,+1}^n in canonical order, as int8 blocks of at most _CHUNK rows."""
+    """{-1,+1}^n in canonical order, as int8 blocks of one n x n stack's
+    worth of rows."""
     powers = 1 << np.arange(n - 1, -1, -1)
-    for lo in range(0, 1 << n, _CHUNK):
-        index = np.arange(lo, min(lo + _CHUNK, 1 << n))
+    for sl in chunks(1 << n, n, n):
+        index = np.arange(sl.start, min(sl.stop, 1 << n))
         bits = (index[:, None] & powers) != 0
         yield np.where(bits, 1, -1).astype(np.int8)
 

@@ -10,6 +10,7 @@ validation failure.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -21,15 +22,12 @@ from . import averaging, expander, flows, locality, rigidity, space, translation
 from .errors import ConfigError, NumericCheckError, SizeGuardError
 from .operator import (
     OperatorMatrix,
-    commutator,
     diagonal,
     load_matrix,
     propagation,
     save_matrix,
     truncate,
 )
-from ._linalg import spectral_norm
-from .spectral import hermitian_eig
 
 
 def _fmt(x):
@@ -97,6 +95,14 @@ def _get_list(cfg, key, kind, least=None):
     return [_check(item, f"{key} item", kind, least) for item in items]
 
 
+def _path(cfg, key, default=_REQUIRED):
+    """_get for a file path; open() would refuse one holding a NUL byte."""
+    value = _get(cfg, key, "str", default)
+    if "\0" in value:
+        raise ConfigError(f"{key} must not contain a NUL byte, got {value!r}")
+    return value
+
+
 def _choice(cfg, key, choices, default):
     """_get for a string that must be one of ``choices``."""
     value = _get(cfg, key, "str", default)
@@ -115,13 +121,16 @@ _GRAPHS = {
 
 def _build_space(cfg):
     if "edge_list" in cfg:
-        return space.load_edge_list(_get(cfg, "edge_list", "str"))
+        return space.load_edge_list(_path(cfg, "edge_list"))
     for kind, (build, least) in _GRAPHS.items():
         if kind in cfg:
             return build(_get(cfg, kind, "int", least=least))
     if "coarse_union" in cfg:
+        parts = _get_list(cfg, "coarse_union", "object")
+        if not parts:
+            raise ConfigError("coarse_union needs at least one block")
         blocks = []
-        for part in _get_list(cfg, "coarse_union", "object"):
+        for part in parts:
             blocks.append(_build_space(part))
             # refuse before building the next block, not after the last
             space.check_points(sum(b.n_points for b in blocks))
@@ -131,7 +140,7 @@ def _build_space(cfg):
 
 def _build_operator(cfg, sp, rng):
     if "file" in cfg:
-        return load_matrix(_get(cfg, "file", "str"), sp)
+        return load_matrix(_path(cfg, "file"), sp)
     gen = _get(cfg, "generator", "object")
     kind = _get(gen, "kind", "str")
     n = sp.n_points
@@ -179,7 +188,7 @@ def _radii(cfg, sp):
 
 
 def _output_name(cfg, subcommand):
-    name = _get(cfg, "output", "str", f"{subcommand}.csv")
+    name = _path(cfg, "output", f"{subcommand}.csv")
     # a plain file name keeps the CSV inside --out
     if name in ("", "..") or Path(name).name != name:
         raise ConfigError(f"output must be a plain file name, got {name!r}")
@@ -228,24 +237,11 @@ def _run_ql_profile(cfg, rng, out, cfg_hash):
 def _run_flow_profile(cfg, rng, out, cfg_hash):
     times = _build_times(_get(cfg, "time_grid", "object"))
     h, a = _operators(cfg, rng, "h", "a")
-    comm = commutator(h, a)
-    es = hermitian_eig(h)
-    rows = []
-    for t in times:
-        u = es.exp(t)
-        moved = u @ a @ u.H
-        modulus = spectral_norm(moved.entries - a.entries)
-        if t != 0.0:
-            residual = spectral_norm(
-                (moved.entries - a.entries) / t - 1j * comm.entries
-            )
-        else:
-            residual = 0.0
-        rows.append((t, modulus, residual))
     _write_csv(
         out, "flow-profile", cfg_hash,
         "t:seconds modulus:operator-norm derivative_residual:operator-norm",
-        ("t", "modulus", "derivative_residual"), rows,
+        ("t", "modulus", "derivative_residual"),
+        zip(times, *flows.flow_profile(h, a, times)),
     )
 
 
@@ -257,15 +253,14 @@ def _run_cocycle_verify(cfg, rng, out, cfg_hash):
     lam_family = flows.cocycle_from_generators(k, h, times)
     eh = family.base_flow.eigensystem
     ek = lam_family.base_flow.eigensystem
-    rows = []
-    for t in times:
-        lam = flows.lambda_scalar_residual(eh, ek, lam_family, t)
-        for s in times:
-            rows.append((t, s, flows.cocycle_residual(family, t, s), lam))
+    residuals = flows.cocycle_residuals(family, times, times)
+    lam = flows.lambda_scalar_residuals(eh, ek, lam_family, times)
+    t, s = np.meshgrid(times, times, indexing="ij")
     _write_csv(
         out, "cocycle-verify", cfg_hash,
         "t:seconds s:seconds residuals:operator-norm",
-        ("t", "s", "cocycle_residual", "lambda_residual"), rows,
+        ("t", "s", "cocycle_residual", "lambda_residual"),
+        zip(t.ravel(), s.ravel(), residuals.ravel(), np.repeat(lam, len(times))),
     )
 
 
@@ -303,13 +298,8 @@ def _run_expander_preflow(cfg, rng, out, cfg_hash):
         k = np.zeros(fam.union.n_points)
     else:
         k = np.real(np.diag(expander.generator(fam).entries))
-    rows = []
-    wmap_rows = []
-    for t in times:
-        rep = expander.discontinuity_profile(fam, t)
-        rows.append((t, rep.measured, rep.closed_form, rep.block_of_max))
-        bound = expander.wmap_lower_bound(fam, k, t)
-        wmap_rows.append((t, bound.lhs, bound.rhs))
+    rows = zip(times, *expander.discontinuity_profiles(fam, times))
+    wmap_rows = zip(times, *expander.wmap_lower_bounds(fam, k, times))
     _write_csv(
         out, "expander-preflow", cfg_hash,
         "t:seconds measured:operator-norm closed_form:operator-norm",
@@ -348,7 +338,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _parser():
+    """The argument parser; built on the first main() call of a process."""
     p = argparse.ArgumentParser(
         prog="roelab",
         description="Finite-scale experiments on operators over coarse spaces.",

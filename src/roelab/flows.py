@@ -10,7 +10,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from ._linalg import UNITARY_TOL, require_unitary, spectral_norm
+from ._linalg import UNITARY_TOL, chunks, require_unitary, spectral_norm, spectral_norms
 from .errors import NumericCheckError
 from .operator import OperatorMatrix, commutator, identity
 from .spectral import EigenSystem, hermitian_eig, unitary_exp
@@ -57,6 +57,33 @@ def flow_apply(h: OperatorMatrix, t: float, a: OperatorMatrix) -> OperatorMatrix
     return u @ a @ u.H
 
 
+def flow_profile(h: OperatorMatrix, a: OperatorMatrix, times):
+    """Per grid time t, the modulus ||sigma_{h,t}(a) - a|| and the derivative
+    residual ||(sigma_{h,t}(a) - a)/t - i[h, a]|| (0 at t = 0), as two arrays.
+
+    Both are taken in the eigenbasis of h = V diag(lambda) V^H (Higham,
+    Functions of Matrices, 2008, section 10). With A = V^H a V and
+    D_xy = lambda_x - lambda_y, V^H sigma_{h,t}(a) V = e^{itD} o A and
+    V^H i[h, a] V = iD o A, and unitary invariance of the norm gives
+    ||(e^{itD} - 1) o A|| and ||((e^{itD} - 1)/t - iD) o A||.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    es = hermitian_eig(h)
+    v = es.vectors
+    a_eig = v.conj().T @ a.entries @ v
+    gaps = es.eigenvalues[:, None] - es.eigenvalues[None, :]
+    modulus = np.zeros(len(times))
+    residual = np.zeros(len(times))
+    for sl in chunks(len(times), h.n, h.n):
+        t = times[sl, None, None]
+        moved = np.exp(1j * t * gaps) - 1.0
+        modulus[sl] = spectral_norms(moved * a_eig)
+        quotient = moved / np.where(t != 0.0, t, 1.0) - 1j * gaps
+        residual[sl] = spectral_norms(quotient * a_eig)
+    residual[times == 0.0] = 0.0
+    return modulus, residual
+
+
 def flow_derivative_residual(
     h: OperatorMatrix, f: PartialTranslation, delta: float
 ) -> float:
@@ -96,9 +123,10 @@ def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> LipschitzRep
     eh, ek = hermitian_eig(h), hermitian_eig(k)
     eye = np.eye(h.n)
     max_ratio = 0.0
-    for d in diffs:
-        ratio = spectral_norm((eh.exp(d) @ ek.exp(-d)).entries - eye) / d
-        max_ratio = max(max_ratio, ratio)
+    for sl in chunks(len(diffs), h.n, h.n):
+        d = diffs[sl]
+        w = eh.exp_many(d) @ ek.exp_many(-d)
+        max_ratio = max(max_ratio, float((spectral_norms(w - eye) / d).max()))
     # the 1e-9 absolute slack absorbs float noise when h is close to k and
     # the true ratio is essentially zero
     if max_ratio > bound * (1.0 + 1e-8) + 1e-9:
@@ -133,31 +161,62 @@ def corrupt_at(c: CocycleFamily, t0: float) -> CocycleFamily:
     return CocycleFamily(c.base_flow, u_of_t)
 
 
+def _elements(c: CocycleFamily, times) -> np.ndarray:
+    """The (T, n, n) stack of c.element(t) over times."""
+    return np.stack([c.element(t).entries for t in times])
+
+
+def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
+    """(len ts, len ss) array of ||u_{t+s} - u_t sigma_{h,t}(u_s)|| for the
+    family's base flow; each row t is one stack over s."""
+    ts = np.asarray(ts, dtype=np.float64)
+    ss = np.asarray(ss, dtype=np.float64)
+    es = c.base_flow.eigensystem
+    n = es.vectors.shape[0]
+    out = np.zeros((len(ts), len(ss)))
+    for sl in chunks(len(ss), n, n):
+        u_s = _elements(c, ss[sl])
+        for i, t in enumerate(ts):
+            e_ith = es.exp_many([t])[0]
+            moved = e_ith @ u_s @ e_ith.conj().T
+            rhs = c.element(t).entries @ moved
+            out[i, sl] = spectral_norms(_elements(c, t + ss[sl]) - rhs)
+    return out
+
+
 def cocycle_residual(c: CocycleFamily, t: float, s: float) -> float:
-    """||u_{t+s} - u_t sigma_{h,t}(u_s)|| for the family's base flow."""
-    e_ith = c.base_flow.eigensystem.exp(t)
-    u_ts = c.element(t + s)
-    u_t = c.element(t)
-    u_s = c.element(s)
-    rhs = u_t @ (e_ith @ u_s @ e_ith.H)
-    return spectral_norm(u_ts.entries - rhs.entries)
+    """||u_{t+s} - u_t sigma_{h,t}(u_s)|| at one pair of times."""
+    return float(cocycle_residuals(c, [t], [s])[0, 0])
 
 
-def lambda_scalar_residual(
-    eh: EigenSystem, ek: EigenSystem, u: CocycleFamily, t: float
-) -> float:
-    """Distance of lambda_t = e^{-ith} u_t e^{itk} from the scalar line,
-    given the eigensystems eh and ek of h and k.
+def lambda_scalar_residuals(
+    eh: EigenSystem, ek: EigenSystem, u: CocycleFamily, times
+) -> np.ndarray:
+    """Per time t, the distance of lambda_t = e^{-ith} u_t e^{itk} from the
+    scalar line, given the eigensystems eh and ek of h and k.
 
     Cocycles that intertwine the flows on the full matrix algebra land in
     the commutant, which is the scalars in finite dimension. The
     intertwining direction matters: the family with u_t = e^{ith} e^{-itk}
     (cocycle_from_generators(k, h)) gives lambda_t = 1 exactly.
     """
-    lam = (eh.exp(-t) @ u.element(t) @ ek.exp(t)).entries
-    n = lam.shape[0]
-    mean = np.trace(lam) / n
-    return spectral_norm(lam - mean * np.eye(n))
+    times = np.asarray(times, dtype=np.float64)
+    n = eh.vectors.shape[0]
+    eye = np.eye(n)
+    out = np.zeros(len(times))
+    for sl in chunks(len(times), n, n):
+        t = times[sl]
+        lam = eh.exp_many(-t) @ _elements(u, t) @ ek.exp_many(t)
+        mean = np.trace(lam, axis1=1, axis2=2) / n
+        out[sl] = spectral_norms(lam - mean[:, None, None] * eye)
+    return out
+
+
+def lambda_scalar_residual(
+    eh: EigenSystem, ek: EigenSystem, u: CocycleFamily, t: float
+) -> float:
+    """lambda_scalar_residuals at a single time t."""
+    return float(lambda_scalar_residuals(eh, ek, u, [t])[0])
 
 
 def diagonal_closeness(h_vals, k_vals) -> float:

@@ -6,7 +6,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import _CHUNK, spectral_norm, spectral_norms
+from ._linalg import chunks, spectral_norm, spectral_norms
 from .errors import SizeGuardError
 from .operator import OperatorMatrix, truncate
 
@@ -27,8 +27,9 @@ def _max_corner_norm(entries, dist, r, a_masks) -> float:
     columns leave the norm unchanged.
     """
     best = 0.0
-    for lo in range(0, len(a_masks), _CHUNK):
-        a_chunk = a_masks[lo : lo + _CHUNK]
+    n = len(dist)
+    for sl in chunks(len(a_masks), n, n):
+        a_chunk = a_masks[sl]
         far = np.where(a_chunk[:, :, None], dist, np.inf).min(axis=1) > r
         corners = np.where(a_chunk[:, :, None] & far[:, None, :], entries, 0.0)
         best = max(best, float(spectral_norms(corners).max()))

@@ -6,7 +6,7 @@ from typing import List
 
 import numpy as np
 
-from ._linalg import require_unitary
+from ._linalg import chunks, require_unitary
 from .operator import OperatorMatrix
 from .spectral import hermitian_eig
 
@@ -18,27 +18,37 @@ class RigidityReport:
     displacement: float  # max over x of dist(x, f(x))
 
 
+def _probes(space, stack) -> List[RigidityReport]:
+    """probe() for every unitary in a (T, n, n) stack over one space."""
+    require_unitary(stack, "input")
+    mags = np.abs(stack)
+    point_maps = np.argmax(mags, axis=1)  # argmax over rows y, per column x
+    deltas = np.take_along_axis(mags, point_maps[:, None, :], axis=1).min(axis=(1, 2))
+    displacements = space.dist[np.arange(space.n_points), point_maps].max(axis=1)
+    return [
+        RigidityReport(f, float(d), float(x))
+        for f, d, x in zip(point_maps, deltas, displacements)
+    ]
+
+
 def probe(u: OperatorMatrix) -> RigidityReport:
     """f(x) = argmax_y |u_yx| (ties to the smallest index), with
     delta = min_x |u_{f(x),x}| and the displacement of f.
 
     delta is always >= 1/sqrt(n): columns of a unitary are unit vectors.
     """
-    require_unitary(u.entries, "input")
-    mags = np.abs(u.entries)
-    point_map = np.argmax(mags, axis=0)  # argmax over rows y, per column x
-    delta = float(np.min(mags[point_map, np.arange(u.n)]))
-    displacement = float(
-        np.max(u.space.dist[np.arange(u.n), point_map])
-    )
-    return RigidityReport(point_map, delta, displacement)
+    return _probes(u.space, u.entries[None])[0]
 
 
 def flow_displacement_sweep(h: OperatorMatrix, times) -> List[RigidityReport]:
-    """probe(e^{ith}) per grid point.
+    """probe(e^{ith}) per grid point, one stack of e^{ith} per chunk.
 
     Exploratory: no quantitative bound ties the displacement to t or to
     ||h - E(h)||, so the sweep reports data without asserting one.
     """
+    times = np.asarray(times, dtype=np.float64)
     es = hermitian_eig(h)
-    return [probe(es.exp(float(t))) for t in times]
+    reports = []
+    for sl in chunks(len(times), h.n, h.n):
+        reports += _probes(h.space, es.exp_many(times[sl]))
+    return reports

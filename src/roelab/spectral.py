@@ -16,11 +16,16 @@ class EigenSystem:
     eigenvalues: np.ndarray  # ascending, real
     vectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
 
+    def exp_many(self, times) -> np.ndarray:
+        """The (T, n, n) stack of e^{ith} over times, each by the spectral
+        theorem: V diag(e^{it lambda}) V^H. Callers bound T by the chunk rule."""
+        t = np.asarray(times, dtype=np.float64)
+        phases = np.exp(1j * t[:, None] * self.eigenvalues[None, :])
+        return (self.vectors * phases[:, None, :]) @ self.vectors.conj().T
+
     def exp(self, t: float) -> OperatorMatrix:
-        """e^{ith} via the spectral theorem: V diag(e^{it lambda}) V^H."""
-        phases = np.exp(1j * t * self.eigenvalues)
-        u = (self.vectors * phases[None, :]) @ self.vectors.conj().T
-        return OperatorMatrix(self.space, u)
+        """e^{ith} for a single t."""
+        return OperatorMatrix(self.space, self.exp_many([t])[0])
 
 
 def hermitian_eig(a: OperatorMatrix) -> EigenSystem:

@@ -13,7 +13,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from ._linalg import _CHUNK, spectral_norms
+from ._linalg import chunk_len, chunks, spectral_norms
 from .errors import SizeGuardError
 from .operator import OperatorMatrix
 from .space import FiniteSpace
@@ -113,8 +113,8 @@ def _commutator_norms(h: np.ndarray, pair_lists) -> np.ndarray:
     """||[h, v_f]|| for each pair list f, with the v_f stacked per chunk."""
     n = h.shape[0]
     out = []
-    for lo in range(0, len(pair_lists), _CHUNK):
-        chunk = pair_lists[lo : lo + _CHUNK]
+    for sl in chunks(len(pair_lists), n, n):
+        chunk = pair_lists[sl]
         v = np.zeros((len(chunk), n, n), dtype=np.complex128)
         for i, pairs in enumerate(chunk):
             for x, y in pairs:
@@ -145,7 +145,8 @@ def coarseness_modulus(
     if mode == "exact":
         best = 0.0
         pairs = _translation_pairs(h.space, r, allow_large)
-        while chunk := list(itertools.islice(pairs, _CHUNK)):
+        step = chunk_len(h.n, h.n)
+        while chunk := list(itertools.islice(pairs, step)):
             best = max(best, float(_commutator_norms(entries, chunk).max()))
         return best
     if mode != "heuristic":

@@ -257,6 +257,10 @@ def test_bad_threads_is_config_error(tmp_path):
         {"operator": {"file": 0}},
         {"seed": -1},
         {"operator": {"generator": {"kind": "diagonal_random", "scale": 10**400}}},
+        {"output": "a\u0000b"},
+        {"space": {"edge_list": "x\u0000y"}},
+        {"operator": {"file": "x\u0000y"}},
+        {"space": {"coarse_union": []}},
     ],
     ids=[
         "radii-nan-string",
@@ -278,6 +282,10 @@ def test_bad_threads_is_config_error(tmp_path):
         "matrix-file-fd",
         "seed-negative",
         "scale-too-large-for-float",
+        "output-nul",
+        "edge-list-nul",
+        "matrix-file-nul",
+        "coarse-union-empty",
     ],
 )
 def test_invalid_radii_or_output_is_config_error(tmp_path, extra_cfg):
@@ -557,6 +565,10 @@ def _edits(draw):
 @example(edit=("flow-profile", ("time_grid",), {"start": 0, "stop": 1e9, "step": 1e-9}))
 @example(edit=("cocycle-verify", ("time_grid", "start"), -1e308))
 @example(edit=("rigidity-probe", ("space", "complete_graph"), 10**9))
+@example(edit=("rigidity-probe", ("output",), "a\u0000b"))
+@example(edit=("coarse-check", ("space",), {"edge_list": "x\u0000y"}))
+@example(edit=("coarse-check", ("operator",), {"file": "x\u0000y"}))
+@example(edit=("coarse-check", ("space",), {"coarse_union": []}))
 def test_fuzzed_config_exits_with_a_code(edit):
     sub, (*outer, key), value = edit
     cfg = copy.deepcopy(_FUZZ[sub])

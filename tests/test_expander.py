@@ -7,6 +7,7 @@ from roelab.expander import (
     averaging_projection,
     block_family,
     discontinuity_profile,
+    discontinuity_profiles,
     generator,
     halfsplit_commutator_norm,
     make_regular_family,
@@ -14,9 +15,10 @@ from roelab.expander import (
     split_factor,
     split_projection,
     wmap_lower_bound,
+    wmap_lower_bounds,
 )
 from roelab.locality import equi_approx_profile
-from roelab.operator import OperatorMatrix, operator_norm
+from roelab.operator import OperatorMatrix, diagonal, operator_norm
 from roelab.spectral import unitary_exp
 
 
@@ -214,3 +216,75 @@ def test_weight_presets():
     assert np.array_equal(fam.weights, [1.0, 4.0, 9.0])
     fam2 = family_of_paths([2, 2], "linear")
     assert np.array_equal(fam2.weights, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("sizes", [[6, 8], [6, 10, 12]])
+def test_blockwise_norms_match_dense_norms(sizes):
+    fam = family_of_paths(sizes, "quadratic")
+    n = fam.union.n_points
+    k = np.random.default_rng(len(sizes)).standard_normal(n)
+    times = np.linspace(-1.5, 1.5, 61)
+    measured, closed_form, block = discontinuity_profiles(fam, times)
+    lhs, rhs = wmap_lower_bounds(fam, k, times)
+    p_a = split_projection(fam)
+    for i, t in enumerate(times):
+        u = preflow_unitary(fam, t)
+        dense = operator_norm(u @ p_a @ u.H - p_a)
+        assert measured[i] == pytest.approx(dense, rel=1e-12, abs=1e-14)
+        w = u @ diagonal(fam.union, np.exp(-1j * t * k))
+        dense_w = np.linalg.norm(w.entries - np.eye(n), 2)
+        assert lhs[i] == pytest.approx(dense_w, rel=1e-12, abs=1e-14)
+        assert rhs[i] == closed_form[i]
+        rep = discontinuity_profile(fam, t)
+        assert (rep.measured, rep.closed_form, rep.block_of_max) == (
+            measured[i], closed_form[i], block[i]
+        )
+        assert wmap_lower_bound(fam, k, t) == expander.WMapBound(lhs[i], rhs[i])
+
+
+def test_discontinuity_checks_every_block(monkeypatch):
+    # a wrong closed form on a block that does not attain the max still fails
+    fam = family_of_paths([4, 4], [1.0, 4.0])
+    closed = expander._closed_forms
+
+    def off_on_block_0(fam, times):
+        out = closed(fam, times)
+        out[:, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(expander, "_closed_forms", off_on_block_0)
+    with pytest.raises(NumericCheckError, match="block 0"):
+        discontinuity_profiles(fam, [0.3])
+
+
+def _sampler_oracle(size, degree, rng):
+    """The per-pair loop that _random_regular_graph replaced."""
+    for _ in range(1000):
+        stubs = np.repeat(np.arange(size), degree)
+        rng.shuffle(stubs)
+        edges = set()
+        simple = True
+        for i in range(0, len(stubs), 2):
+            u, v = int(stubs[i]), int(stubs[i + 1])
+            if u == v or (min(u, v), max(u, v)) in edges:
+                simple = False
+                break
+            edges.add((min(u, v), max(u, v)))
+        if not simple:
+            continue
+        try:
+            return space.from_edge_list(sorted(edges), size)
+        except ValueError:
+            continue
+    raise ValueError("no sample")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 77, 1234])
+@pytest.mark.parametrize("size, degree", [(16, 4), (9, 2), (12, 3)])
+def test_sampler_matches_loop_oracle(seed, size, degree):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got = expander._random_regular_graph(size, degree, fast)
+        want = _sampler_oracle(size, degree, slow)
+        assert np.array_equal(got.dist, want.dist)
+    assert fast.random() == slow.random()

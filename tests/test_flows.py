@@ -8,15 +8,18 @@ from roelab.flows import (
     FlowGrid,
     cocycle_from_generators,
     cocycle_residual,
+    cocycle_residuals,
     corrupt_at,
     diagonal_closeness,
     flow_apply,
     flow_derivative_residual,
+    flow_profile,
     lambda_scalar_residual,
+    lambda_scalar_residuals,
     lipschitz_audit,
     w_map,
 )
-from roelab.operator import OperatorMatrix, diagonal, operator_norm
+from roelab.operator import OperatorMatrix, commutator, diagonal, operator_norm
 from roelab.spectral import hermitian_eig, unitary_exp
 from roelab.translations import PartialTranslation, to_matrix
 
@@ -239,3 +242,66 @@ def test_flow_grid_validates_times():
     h = random_hermitian(s, 32)
     with pytest.raises(ValueError):
         FlowGrid.from_generator(h, [0.5, 0.5])
+
+
+def test_flow_profile_matches_per_time_formula():
+    # the per-t loop it replaced: u a u^H, then direct differences
+    s = space.path_graph(9)
+    h = random_hermitian(s, 40)
+    a = random_hermitian(s, 41)
+    times = np.linspace(-1.0, 1.0, 9)
+    modulus, residual = flow_profile(h, a, times)
+    es = hermitian_eig(h)
+    comm = commutator(h, a).entries
+    for t, mod, res in zip(times, modulus, residual):
+        u = es.exp(t)
+        moved = (u @ a @ u.H).entries - a.entries
+        assert mod == pytest.approx(operator_norm(OperatorMatrix(s, moved)), rel=1e-12)
+        if t == 0.0:
+            assert res == 0.0
+        else:
+            want = np.linalg.norm(moved / t - 1j * comm, 2)
+            assert res == pytest.approx(want, rel=1e-12)
+
+
+def _cocycle_oracle(c, t, s_):
+    """The per-pair formula the stacked path replaced."""
+    e_ith = c.base_flow.eigensystem.exp(t)
+    rhs = c.element(t) @ (e_ith @ c.element(s_) @ e_ith.H)
+    return np.linalg.norm(c.element(t + s_).entries - rhs.entries, 2)
+
+
+def test_cocycle_residuals_match_per_pair_formula():
+    s = space.path_graph(6)
+    times = np.linspace(-0.8, 0.8, 7)
+    h, k = random_hermitian(s, 42), random_hermitian(s, 43)
+    fam = cocycle_from_generators(h, k, times)
+    bad = corrupt_at(fam, float(times[2]))
+    for c in (fam, bad):
+        grid = cocycle_residuals(c, times, times[::-1])
+        assert grid.shape == (7, 7)
+        for i, t in enumerate(times):
+            for j, s_ in enumerate(times[::-1]):
+                assert grid[i, j] == pytest.approx(
+                    _cocycle_oracle(c, t, s_), rel=1e-12, abs=1e-14
+                )
+                single = cocycle_residual(c, t, s_)
+                assert single == pytest.approx(grid[i, j], rel=1e-12, abs=1e-14)
+    assert cocycle_residuals(fam, times, times).max() <= 1e-9
+    # the corrupted element still shows through the stacked path
+    assert cocycle_residuals(bad, times[2:3], times)[0, 5] > 1e-2
+
+
+def test_lambda_residuals_match_per_time_formula():
+    s = space.path_graph(4)
+    h, k = random_hermitian(s, 44), random_hermitian(s, 45)
+    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    times = np.linspace(0.0, 1.0, 5)
+    fam = cocycle_from_generators(h, k, times)  # not intertwining: lambda != 1
+    stacked = lambda_scalar_residuals(eh, ek, fam, times)
+    for t, got in zip(times, stacked):
+        lam = (eh.exp(-t) @ fam.element(t) @ ek.exp(t)).entries
+        want = np.linalg.norm(lam - np.trace(lam) / 4 * np.eye(4), 2)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert lambda_scalar_residual(eh, ek, fam, t) == pytest.approx(got, rel=1e-12)
+    assert stacked[1:].min() > 1e-3

@@ -6,19 +6,32 @@ import itertools
 import numpy as np
 import pytest
 
-from roelab import space
+from roelab import _linalg, expander, space
 from roelab._linalg import (
     HERMITIAN_TOL,
     UNITARY_TOL,
+    chunk_len,
     eigh,
     eigvalsh,
+    require_unitary,
     spectral_norm,
     spectral_norms,
 )
 from roelab.averaging import extract_finite_prop
-from roelab.flows import CocycleFamily, FlowGrid
+from roelab.flows import (
+    CocycleFamily,
+    FlowGrid,
+    cocycle_from_generators,
+    cocycle_residuals,
+    corrupt_at,
+    flow_profile,
+    lambda_scalar_residuals,
+    lipschitz_audit,
+)
+from roelab.locality import ql_value
 from roelab.operator import OperatorMatrix
-from roelab.rigidity import probe
+from roelab.rigidity import flow_displacement_sweep, probe
+from roelab.translations import coarseness_modulus
 from roelab.spectral import hermitian_eig, unitary_exp
 
 SIZES = [1, 2, 64, 128]
@@ -223,3 +236,78 @@ def test_validity_check_at_each_caller(caller, case):
     else:
         with pytest.raises(ValueError, match=text):
             call(x)
+
+
+def test_chunk_rule():
+    # _CHUNK matrices up to 256 x 256, then 2**22 entries per stack, then one
+    assert chunk_len(1, 1) == chunk_len(256, 256) == 64
+    assert chunk_len(257, 257) == 63
+    assert chunk_len(1024, 1024) == 4
+    assert chunk_len(2048, 2048) == 1
+    assert chunk_len(2048, 4096) == 1
+
+
+def test_require_unitary_names_the_failing_slice():
+    stack = np.stack([np.eye(3), np.eye(3), 2.0 * np.eye(3)]).astype(complex)
+    require_unitary(stack[:2], "stack")
+    with pytest.raises(ValueError, match=r"stack \(slice 2\) is not unitary"):
+        require_unitary(stack, "stack")
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"slice 1"):
+        require_unitary(stack, "stack")
+
+
+def _stacked_paths():
+    """Every path that evaluates stacks under the chunk rule, on inputs
+    large enough that the default rule stacks more than one matrix."""
+    s = space.path_graph(6)
+    rng = np.random.default_rng(99)
+
+    def herm(scale=1.0):
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        return OperatorMatrix(s, scale * 0.5 * (m + m.conj().T))
+
+    h, k, a = herm(), herm(0.5), herm()
+    times = np.linspace(-1.0, 1.0, 9)
+    fam = cocycle_from_generators(h, k, times)
+    lam_fam = cocycle_from_generators(k, h, times)
+    blocks = expander.block_family(
+        [space.path_graph(m) for m in (3, 5, 4)], "quadratic"
+    )
+    out = {
+        "flow_profile": flow_profile(h, a, times),
+        "sweep": [
+            (r.point_map, r.delta, r.displacement)
+            for r in flow_displacement_sweep(h, times)
+        ],
+        "cocycle": cocycle_residuals(fam, times, times),
+        "corrupted": cocycle_residuals(corrupt_at(fam, float(times[3])), times, times),
+        "lambda": lambda_scalar_residuals(
+            hermitian_eig(h), hermitian_eig(k), lam_fam, times
+        ),
+        "discontinuity": expander.discontinuity_profiles(blocks, times),
+        "wmap": expander.wmap_lower_bounds(
+            blocks, rng.standard_normal(blocks.union.n_points), times
+        ),
+        "lipschitz": lipschitz_audit(h, k, times).max_ratio,
+        "ql": ql_value(a, 1.0, "exact"),
+        "coarse-exact": coarseness_modulus(a, 1.0, "exact"),
+        "coarse-heuristic": coarseness_modulus(a, 1.0, "heuristic"),
+        "extract": extract_finite_prop(h, 1.0).h_prime.entries,
+    }
+    return out
+
+
+def test_stacked_paths_do_not_depend_on_the_chunk(monkeypatch):
+    default = _stacked_paths()
+    monkeypatch.setattr(_linalg, "_CHUNK", 1)
+    assert chunk_len(6, 6) == 1
+    one = _stacked_paths()
+    for name, value in default.items():
+        if name == "sweep":
+            for (f, d, x), (f1, d1, x1) in zip(value, one[name]):
+                assert np.array_equal(f, f1) and x == x1, name
+                assert d == pytest.approx(d1, rel=1e-12), name
+            continue
+        for got, want in zip(np.atleast_1d(one[name]), np.atleast_1d(value)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=name)

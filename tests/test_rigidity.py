@@ -4,6 +4,7 @@ import pytest
 from roelab import space
 from roelab.operator import OperatorMatrix, diagonal, identity
 from roelab.rigidity import flow_displacement_sweep, probe
+from roelab.spectral import hermitian_eig
 from roelab.translations import PartialTranslation, to_matrix
 
 
@@ -84,3 +85,17 @@ def test_sweep_small_time_stays_near_diagonal():
     for rep in flow_displacement_sweep(h, [0.0, 1e-3, 2e-3]):
         assert rep.displacement == 0.0
         assert rep.delta >= 0.999
+
+
+def test_sweep_matches_per_time_probe():
+    s = space.complete_graph(10)
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
+    times = np.linspace(0.0, 3.0, 13)
+    es = hermitian_eig(h)
+    for t, rep in zip(times, flow_displacement_sweep(h, times)):
+        want = probe(es.exp(t))
+        assert np.array_equal(rep.point_map, want.point_map)
+        assert rep.delta == pytest.approx(want.delta, rel=1e-12)
+        assert rep.displacement == want.displacement
