@@ -136,26 +136,30 @@ def _closed_forms(fam: BlockFamily, times) -> np.ndarray:
 
 
 def _block_norms(fam: BlockFamily, times, piece) -> np.ndarray:
-    """(T, n_blocks) array of the norms of piece(n, t, u) per block n and
-    time, with u the stack of block n of preflow_unitary over a chunk t of
-    the times.
+    """(T, n_blocks) array of the norms of piece(ns, t, u) per block n and
+    time. ns lists the blocks of one size s, and u is the (T, m, s, s) stack
+    of their blocks of preflow_unitary over a chunk t of the times.
 
     preflow_unitary is block diagonal by construction (_block_sum writes
     only the diagonal blocks). For a block-diagonal piece, the norm of the
     whole operator is the max over blocks: the norm of a direct sum.
     """
     out = np.zeros((len(times), fam.n_blocks))
-    for n in range(fam.n_blocks):
-        size = fam.block_size(n)
-        for sl in chunks(len(times), size, size):
-            phases = np.exp(1j * times[sl] * fam.weights[n]) - 1.0
-            u = np.eye(size) + (phases / size)[:, None, None]
-            out[sl, n] = spectral_norms(piece(n, times[sl], u))
+    for size in sorted({fam.block_size(n) for n in range(fam.n_blocks)}):
+        ns = [n for n in range(fam.n_blocks) if fam.block_size(n) == size]
+        # the chunk rule bounds the m blocks of one time as one (m s) x s slab
+        for sl in chunks(len(times), len(ns) * size, size):
+            t = times[sl]
+            phases = np.exp(1j * t[:, None] * fam.weights[ns]) - 1.0
+            u = np.eye(size) + (phases / size)[:, :, None, None]
+            norms = spectral_norms(piece(ns, t, u).reshape(-1, size, size))
+            out[sl, ns] = norms.reshape(len(t), len(ns))
     return out
 
 
-def _block_slice(fam: BlockFamily, n: int) -> slice:
-    return slice(fam.offsets[n], fam.offsets[n] + fam.block_size(n))
+def _block_rows(fam: BlockFamily, v, ns) -> np.ndarray:
+    """The (m, s) array of v restricted to each block in ns, all of size s."""
+    return v[np.array(fam.offsets)[ns][:, None] + np.arange(fam.block_size(ns[0]))]
 
 
 @dataclass(frozen=True)
@@ -176,10 +180,10 @@ def discontinuity_profiles(fam: BlockFamily, times):
     """
     times = np.asarray(times, dtype=np.float64)
     p_a = np.real(np.diag(split_projection(fam).entries))
-    masks = [p_a[_block_slice(fam, n)] for n in range(fam.n_blocks)]
 
-    def moved(n, t, u):
-        return (u * masks[n]) @ u.conj().transpose(0, 2, 1) - np.diag(masks[n])
+    def moved(ns, t, u):
+        mask = _block_rows(fam, p_a, ns)[:, None, :]
+        return (u * mask) @ u.conj().swapaxes(-1, -2) - mask * np.eye(u.shape[-1])
 
     measured = _block_norms(fam, times, moved)
     closed = _closed_forms(fam, times)
@@ -213,10 +217,10 @@ def wmap_lower_bounds(fam: BlockFamily, k, times):
     if k.shape != (fam.union.n_points,):
         raise ValueError("k must be a real function on the union")
     times = np.asarray(times, dtype=np.float64)
-    ks = [k[_block_slice(fam, n)] for n in range(fam.n_blocks)]
 
-    def w_minus_one(n, t, u):
-        return u * np.exp(-1j * t[:, None, None] * ks[n]) - np.eye(len(ks[n]))
+    def w_minus_one(ns, t, u):
+        k_ns = _block_rows(fam, k, ns)[:, None, :]
+        return u * np.exp(-1j * t[:, None, None, None] * k_ns) - np.eye(u.shape[-1])
 
     lhs = _block_norms(fam, times, w_minus_one).max(axis=1)
     rhs = _closed_forms(fam, times).max(axis=1)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._linalg import UNITARY_TOL, chunks, require_unitary, spectral_norm, spectral_norms
 from .errors import NumericCheckError
-from .operator import OperatorMatrix, commutator, identity
+from .operator import OperatorMatrix, commutator
 from .spectral import EigenSystem, hermitian_eig, unitary_exp
 from .translations import PartialTranslation, to_matrix
 
@@ -36,19 +36,27 @@ class FlowGrid:
 @dataclass(frozen=True)
 class CocycleFamily:
     base_flow: FlowGrid
-    u_of_t: Callable[[float], OperatorMatrix]
+    # 1-D float64 times -> the (T, n, n) stack of u_t, as EigenSystem.exp_many
+    u_many: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        for t in self.base_flow.times:
-            u = self.u_of_t(t)
-            require_unitary(u.entries, f"element at t={t}")
-            if t == 0.0:
-                res0 = float(np.linalg.norm(u.entries - np.eye(u.n)))
+        times = self.base_flow.times
+        n = self.base_flow.generator.n
+        for sl in chunks(len(times), n, n):
+            ts = times[sl]
+            u = self.u_many(np.array(ts))
+            if np.shape(u) != (len(ts), n, n):
+                raise ValueError(f"element at t={ts[0]}: stack shape {np.shape(u)}")
+            for t, u_t in zip(ts, u):
+                require_unitary(u_t, f"element at t={t}")
+                res0 = float(np.linalg.norm(u_t - np.eye(n))) if t == 0.0 else 0.0
                 if not res0 <= UNITARY_TOL:
                     raise ValueError(f"u_0 is not the identity: residual {res0:.3e}")
 
     def element(self, t: float) -> OperatorMatrix:
-        return self.u_of_t(float(t))
+        """u_t for a single t."""
+        u = self.u_many(np.array([float(t)]))[0]
+        return OperatorMatrix(self.base_flow.generator.space, u)
 
 
 def flow_apply(h: OperatorMatrix, t: float, a: OperatorMatrix) -> OperatorMatrix:
@@ -142,28 +150,18 @@ def cocycle_from_generators(
     """The cocycle u_t = e^{itk} e^{-ith} intertwining sigma_k with sigma_h."""
     grid = FlowGrid.from_generator(h, times)
     eh, ek = grid.eigensystem, hermitian_eig(k)
-
-    def u_of_t(t: float) -> OperatorMatrix:
-        return ek.exp(t) @ eh.exp(-t)
-
-    return CocycleFamily(grid, u_of_t)
+    return CocycleFamily(grid, lambda ts: ek.exp_many(ts) @ eh.exp_many(-ts))
 
 
 def corrupt_at(c: CocycleFamily, t0: float) -> CocycleFamily:
     """Negative control: the element at t0 is replaced by the identity."""
-    ident = identity(c.base_flow.generator.space)
+    eye = np.eye(c.base_flow.generator.n)
 
-    def u_of_t(t: float) -> OperatorMatrix:
-        if np.isclose(t, t0, rtol=0.0, atol=1e-15):
-            return ident
-        return c.element(t)
+    def u_many(ts):
+        hit = np.isclose(ts, t0, rtol=0.0, atol=1e-15)[:, None, None]
+        return np.where(hit, eye, c.u_many(ts))
 
-    return CocycleFamily(c.base_flow, u_of_t)
-
-
-def _elements(c: CocycleFamily, times) -> np.ndarray:
-    """The (T, n, n) stack of c.element(t) over times."""
-    return np.stack([c.element(t).entries for t in times])
+    return CocycleFamily(c.base_flow, u_many)
 
 
 def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
@@ -174,13 +172,14 @@ def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
     es = c.base_flow.eigensystem
     n = es.vectors.shape[0]
     out = np.zeros((len(ts), len(ss)))
-    for sl in chunks(len(ss), n, n):
-        u_s = _elements(c, ss[sl])
-        for i, t in enumerate(ts):
-            e_ith = es.exp_many([t])[0]
-            moved = e_ith @ u_s @ e_ith.conj().T
-            rhs = c.element(t).entries @ moved
-            out[i, sl] = spectral_norms(_elements(c, t + ss[sl]) - rhs)
+    for tsl in chunks(len(ts), n, n):
+        e_it, u_t = es.exp_many(ts[tsl]), c.u_many(ts[tsl])
+        for sl in chunks(len(ss), n, n):
+            u_s = c.u_many(ss[sl])
+            for i, t in enumerate(ts[tsl]):
+                moved = e_it[i] @ u_s @ e_it[i].conj().T
+                rhs = u_t[i] @ moved
+                out[tsl.start + i, sl] = spectral_norms(c.u_many(t + ss[sl]) - rhs)
     return out
 
 
@@ -206,7 +205,7 @@ def lambda_scalar_residuals(
     out = np.zeros(len(times))
     for sl in chunks(len(times), n, n):
         t = times[sl]
-        lam = eh.exp_many(-t) @ _elements(u, t) @ ek.exp_many(t)
+        lam = eh.exp_many(-t) @ u.u_many(t) @ ek.exp_many(t)
         mean = np.trace(lam, axis1=1, axis2=2) / n
         out[sl] = spectral_norms(lam - mean[:, None, None] * eye)
     return out

@@ -123,10 +123,6 @@ def _commutator_norms(h: np.ndarray, pair_lists) -> np.ndarray:
     return np.concatenate(out) if out else np.zeros(0)
 
 
-def commutator_norm(h: OperatorMatrix, f: PartialTranslation) -> float:
-    return float(_commutator_norms(h.entries, [f.pairs])[0])
-
-
 def coarseness_modulus(
     h: OperatorMatrix,
     r: float,

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import roelab
-from roelab import expander, space, spectral
+from roelab import expander, operator, space, spectral
 from roelab.cli import main
 
 
@@ -475,6 +475,42 @@ def test_cocycle_verify_diagonalizes_each_generator_once_per_family(
     assert run(tmp_path, "cocycle-verify", cfg) == 0
     # h and k, once for each of the two cocycle families
     assert len(solves) == 4
+
+
+def _cocycle_verify_counts(tmp_path, monkeypatch, step):
+    """(OperatorMatrix constructions, exp_many calls) of one cocycle-verify
+    run on the grid 0, step, ..., 1."""
+    counts = {"operators": 0, "exp_many": 0}
+    post_init = operator.OperatorMatrix.__post_init__
+    exp_many = spectral.EigenSystem.exp_many
+
+    def counted_post_init(self):
+        counts["operators"] += 1
+        post_init(self)
+
+    def counted_exp_many(self, times):
+        counts["exp_many"] += 1
+        return exp_many(self, times)
+
+    monkeypatch.setattr(operator.OperatorMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(spectral.EigenSystem, "exp_many", counted_exp_many)
+    cfg = {
+        "space": {"path_graph": 12},
+        "h": {"generator": {"kind": "random_hermitian"}},
+        "k": {"generator": {"kind": "random_hermitian", "scale": 0.5}},
+        "time_grid": {"start": 0.0, "stop": 1.0, "step": step},
+        "seed": 5,
+    }
+    assert run(tmp_path, "cocycle-verify", cfg) == 0
+    monkeypatch.undo()
+    return counts["operators"], counts["exp_many"]
+
+
+def test_cocycle_verify_builds_no_operator_per_grid_time(tmp_path, monkeypatch):
+    ops_5, exps_5 = _cocycle_verify_counts(tmp_path, monkeypatch, 0.25)
+    ops_17, exps_17 = _cocycle_verify_counts(tmp_path, monkeypatch, 0.0625)
+    assert ops_5 == ops_17
+    assert exps_5 <= 6 * 5 and exps_17 <= 6 * 17
 
 
 def test_cli_import_does_not_load_scipy():

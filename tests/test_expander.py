@@ -218,7 +218,7 @@ def test_weight_presets():
     assert np.array_equal(fam2.weights, [1.0, 2.0])
 
 
-@pytest.mark.parametrize("sizes", [[6, 8], [6, 10, 12]])
+@pytest.mark.parametrize("sizes", [[6, 8], [6, 10, 12], [4, 6, 4, 6, 4]])
 def test_blockwise_norms_match_dense_norms(sizes):
     fam = family_of_paths(sizes, "quadratic")
     n = fam.union.n_points

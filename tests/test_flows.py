@@ -200,8 +200,8 @@ def test_lambda_residual_scalar_phase_passes():
     k = random_hermitian(s, 28)
     base = cocycle_from_generators(k, h, [0.0, 0.4])
 
-    def phased(t):
-        return np.exp(1j * 0.9 * t) * base.element(t)
+    def phased(ts):
+        return np.exp(1j * 0.9 * ts)[:, None, None] * base.u_many(ts)
 
     fam = CocycleFamily(base.base_flow, phased)
     assert lambda_scalar_residual(hermitian_eig(h), hermitian_eig(k), fam, 0.4) <= 1e-10
@@ -218,11 +218,46 @@ def test_lambda_residual_negative_control():
     q, _ = np.linalg.qr(m)
     fam = CocycleFamily(
         grid,
-        lambda t: OperatorMatrix(s, np.eye(4))
-        if t == 0.0
-        else OperatorMatrix(s, q),
+        lambda ts: np.stack([np.eye(4) if t == 0.0 else q for t in ts]),
     )
     assert lambda_scalar_residual(hermitian_eig(h), hermitian_eig(k), fam, 0.4) > 0.1
+
+
+def _one_bad_slice(bad):
+    """u_t = 1 on the grid except u_{0.25} = bad."""
+    return lambda ts: np.stack([bad if t == 0.25 else np.eye(4) for t in ts])
+
+
+@pytest.mark.parametrize(
+    "u_many, text",
+    [
+        # a stack of the wrong shape fails at the first time of its chunk
+        (lambda ts: np.stack([np.eye(3)] * len(ts)), r"t=0\.0: stack shape"),
+        (_one_bad_slice(2.0 * np.eye(4)), r"t=0\.25 is not unitary"),
+        (_one_bad_slice(np.full((4, 4), np.nan)), r"t=0\.25 is not unitary"),
+    ],
+)
+def test_cocycle_family_rejects_a_bad_stack_naming_the_time(u_many, text):
+    s = space.path_graph(4)
+    grid = FlowGrid.from_generator(random_hermitian(s, 33), [0.0, 0.25, 0.5])
+    CocycleFamily(grid, _one_bad_slice(np.eye(4)))
+    with pytest.raises(ValueError, match=text):
+        CocycleFamily(grid, u_many)
+
+
+def test_corrupt_at_changes_only_t0_and_element_is_one_slice():
+    s = space.path_graph(5)
+    times = np.linspace(-1.0, 1.0, 9)
+    h, k = random_hermitian(s, 34), random_hermitian(s, 35)
+    fam = cocycle_from_generators(h, k, times)
+    bad = corrupt_at(fam, float(times[6]))
+    base, corrupted = fam.u_many(times), bad.u_many(times)
+    same = [np.array_equal(a, b) for a, b in zip(base, corrupted)]
+    assert same == [i != 6 for i in range(9)]
+    assert np.array_equal(corrupted[6], np.eye(5))
+    for c in (fam, bad):
+        for t in times:
+            assert np.array_equal(c.element(t).entries, c.u_many(np.array([t]))[0])
 
 
 def test_diagonal_closeness():

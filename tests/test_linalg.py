@@ -187,7 +187,9 @@ def _unitary_input(x):
 
 def _cocycle(u_0, u_half):
     grid = FlowGrid.from_generator(OperatorMatrix(S3, np.zeros((3, 3))), [0.0, 0.5])
-    return CocycleFamily(grid, lambda t: _op(u_0 if t == 0.0 else u_half))
+    return CocycleFamily(
+        grid, lambda ts: np.stack([u_0 if t == 0.0 else u_half for t in ts])
+    )
 
 
 # caller -> (call on x, the largest x the check accepts, error text)
