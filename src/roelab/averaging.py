@@ -55,36 +55,17 @@ def conjugate_by_sign(a: OperatorMatrix, eps: SignVector) -> OperatorMatrix:
 
 
 def brute_average(
-    space: FiniteSpace,
-    family: Callable[[SignVector], OperatorMatrix],
-    *,
-    allow_large: bool = False,
+    space: FiniteSpace, family: Callable[[SignVector], OperatorMatrix]
 ) -> OperatorMatrix:
     """2^{-n} sum of family(eps) over all sign vectors, summed in the
     canonical order so the float result is reproducible."""
     n = space.n_points
-    if n > BRUTE_GUARD and not allow_large:
+    if n > BRUTE_GUARD:
         raise SizeGuardError("sign-group-brute-average", BRUTE_GUARD, n)
     acc = np.zeros((n, n), dtype=np.complex128)
     for eps in all_sign_vectors(n):
         acc += family(eps).entries
     return OperatorMatrix(space, acc / float(2**n))
-
-
-def average_conjugation(a: OperatorMatrix, method: str = "auto") -> OperatorMatrix:
-    """Average of pi(eps)^* a pi(eps) over the sign group.
-
-    The analytic fast path is expectation(a): the average of eps_x eps_y is
-    1 iff x = y and 0 otherwise. The brute path exists to validate it and is
-    the default below the size guard.
-    """
-    if method == "auto":
-        method = "brute" if a.n <= BRUTE_GUARD else "fast"
-    if method == "fast":
-        return expectation(a)
-    if method != "brute":
-        raise ValueError(f"unknown method {method!r}")
-    return brute_average(a.space, lambda eps: conjugate_by_sign(a, eps))
 
 
 @dataclass(frozen=True)

@@ -297,7 +297,9 @@ def _run_expander_preflow(cfg, rng, out, cfg_hash):
     if k_kind == "zero":
         k = np.zeros(fam.union.n_points)
     else:
-        k = np.real(np.diag(expander.generator(fam).entries))
+        # the diagonal of h = sum_n w(n) p_n: w(n) / |X_n| on block n
+        sizes = [b.n_points for b in fam.blocks]
+        k = np.repeat(fam.weights / sizes, sizes)
     rows = zip(times, *expander.discontinuity_profiles(fam, times))
     wmap_rows = zip(times, *expander.wmap_lower_bounds(fam, k, times))
     _write_csv(

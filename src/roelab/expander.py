@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._linalg import chunks, eigvalsh, spectral_norm, spectral_norms
-from .errors import NumericCheckError
+from .errors import ConfigError, NumericCheckError
 from .operator import OperatorMatrix, diagonal
 from .space import FiniteSpace, check_points, coarse_union, from_edge_list
 
@@ -24,7 +24,6 @@ class BlockFamily:
     blocks: Tuple[FiniteSpace, ...]
     weights: np.ndarray
     union: FiniteSpace
-    half_splits: Tuple[Tuple[int, ...], ...]  # block-local indices
     offsets: Tuple[int, ...]
     spectral_gaps: Optional[Tuple[float, ...]] = None
 
@@ -39,11 +38,10 @@ class BlockFamily:
 def block_family(
     blocks: Sequence[FiniteSpace],
     weights,
-    half_splits: Optional[Sequence[Sequence[int]]] = None,
     spectral_gaps=None,
 ) -> BlockFamily:
-    """Assemble a family; the default half split takes the first ceil(size/2)
-    points of each block."""
+    """Assemble a family of blocks with one weight each, given or named by a
+    preset."""
     blocks = tuple(blocks)
     if not blocks:
         raise ValueError("at least one block required")
@@ -55,21 +53,12 @@ def block_family(
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(blocks),):
         raise ValueError("one weight per block required")
-    if half_splits is None:
-        half_splits = [
-            tuple(range((b.n_points + 1) // 2)) for b in blocks
-        ]
-    half_splits = tuple(tuple(hs) for hs in half_splits)
-    for b, hs in zip(blocks, half_splits):
-        if len(set(hs)) != len(hs) or any(not 0 <= i < b.n_points for i in hs):
-            raise ValueError("half split must be a subset of the block")
     sizes = [b.n_points for b in blocks]
     offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
     return BlockFamily(
         blocks,
         w,
         coarse_union(blocks),
-        half_splits,
         offsets,
         None if spectral_gaps is None else tuple(spectral_gaps),
     )
@@ -96,19 +85,23 @@ def generator(fam: BlockFamily) -> OperatorMatrix:
     return OperatorMatrix(fam.union, _block_sum(fam, fam.weights))
 
 
+def _split_mask(size: int) -> np.ndarray:
+    """The diagonal of p_{A_n} on a block of ``size`` points: the half split
+    A_n of a block is its first ceil(size / 2) points."""
+    return (np.arange(size) < (size + 1) // 2).astype(np.float64)
+
+
 def split_projection(fam: BlockFamily) -> OperatorMatrix:
     """p_A for A = union of the per-block half splits (a diagonal projection)."""
-    diag = np.zeros(fam.union.n_points, dtype=np.float64)
-    for n in range(fam.n_blocks):
-        for local in fam.half_splits[n]:
-            diag[fam.offsets[n] + local] = 1.0
-    return diagonal(fam.union, diag)
+    return diagonal(
+        fam.union, np.concatenate([_split_mask(b.n_points) for b in fam.blocks])
+    )
 
 
 def split_factor(fam: BlockFamily, n: int) -> float:
-    """sqrt(|A_n| * |X_n \\ A_n|) / |X_n|; equals 1/2 for even half splits."""
+    """sqrt(|A_n| * |X_n \\ A_n|) / |X_n|; equals 1/2 for even block sizes."""
     size = fam.block_size(n)
-    a = len(fam.half_splits[n])
+    a = _split_mask(size).sum()
     return float(np.sqrt(a * (size - a)) / size)
 
 
@@ -179,11 +172,11 @@ def discontinuity_profiles(fam: BlockFamily, times):
     split_factor(n) * |e^{itw(n)} - 1| within 1e-9.
     """
     times = np.asarray(times, dtype=np.float64)
-    p_a = np.real(np.diag(split_projection(fam).entries))
 
     def moved(ns, t, u):
-        mask = _block_rows(fam, p_a, ns)[:, None, :]
-        return (u * mask) @ u.conj().swapaxes(-1, -2) - mask * np.eye(u.shape[-1])
+        # every block of one size has the same p_{A_n} diagonal
+        mask = _split_mask(u.shape[-1])
+        return (u * mask) @ u.conj().swapaxes(-1, -2) - np.diag(mask)
 
     measured = _block_norms(fam, times, moved)
     closed = _closed_forms(fam, times)
@@ -277,14 +270,14 @@ def make_regular_family(
 ) -> BlockFamily:
     """Random connected degree-regular blocks (pairing model), deterministic
     under the seed, with the normalized-Laplacian spectral gap reported per
-    block."""
+    block. A shape no such family has raises ConfigError, a ValueError."""
     if len(sizes) != n_blocks:
-        raise ValueError("one size per block required")
+        raise ConfigError("one size per block required")
     for size in sizes:
         if size <= degree:
-            raise ValueError(f"block size {size} must exceed degree {degree}")
+            raise ConfigError(f"block size {size} must exceed degree {degree}")
         if (size * degree) % 2 != 0:
-            raise ValueError(f"degree*size must be even (size {size})")
+            raise ConfigError(f"degree*size must be even (size {size})")
     # the union is refused before a block of it is sampled
     check_points(sum(sizes))
     rng = np.random.default_rng(seed)

@@ -1,11 +1,11 @@
 """Finite metric spaces: graph metrics, coarse disjoint unions, growth profiles.
 
-Points are 0-based contiguous integers; labels are cosmetic. Distances are
-stored dense (double precision) so non-graph metrics are admissible.
+Points are 0-based contiguous integers. Distances are stored dense (double
+precision) so non-graph metrics are admissible.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class FiniteSpace:
     """A finite discrete metric space with a full distance matrix."""
 
     dist: np.ndarray
-    labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=np.float64)
@@ -45,8 +44,6 @@ class FiniteSpace:
             di = d[i : i + rows]
             if np.any(di[:, None, :] > di[:, :, None] + d[None, :, :] + tol):
                 raise ValueError("triangle inequality violated")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must equal n_points")
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
 

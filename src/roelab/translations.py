@@ -100,12 +100,10 @@ def _translation_pairs(
             x += 1
 
 
-def enumerate_r_translations(
-    s: FiniteSpace, r: float, *, allow_large: bool = False
-) -> Iterator[PartialTranslation]:
+def enumerate_r_translations(s: FiniteSpace, r: float) -> Iterator[PartialTranslation]:
     """Every partial bijection with displacement <= r, each exactly once,
-    starting with the empty translation."""
-    for pairs in _translation_pairs(s, r, allow_large):
+    starting with the empty translation (size guarded)."""
+    for pairs in _translation_pairs(s, r, allow_large=False):
         yield PartialTranslation(s, pairs)
 
 

@@ -5,7 +5,6 @@ from roelab import space
 from roelab.averaging import (
     SignVector,
     all_sign_vectors,
-    average_conjugation,
     brute_average,
     conjugate_by_sign,
     extract_finite_prop,
@@ -67,14 +66,6 @@ def test_brute_average_extracts_diagonal():
         a = random_hermitian(s, n)
         avg = brute_average(s, lambda eps: conjugate_by_sign(a, eps))
         assert np.abs(avg.entries - expectation(a).entries).max() <= 1e-13
-
-
-def test_fast_path_agrees_with_brute():
-    s = space.path_graph(5)
-    a = random_hermitian(s, 2)
-    brute = average_conjugation(a, "brute")
-    fast = average_conjugation(a, "fast")
-    assert np.abs(brute.entries - fast.entries).max() <= 1e-13
 
 
 def test_average_preserves_propagation():

@@ -157,6 +157,14 @@ def test_expander_preflow_outputs(tmp_path):
     _, wrows = read_rows(tmp_path / "preflow-wmap.csv")
     for t, lhs, rhs in wrows:
         assert float(lhs) >= float(rhs) - 1e-9
+    # "diagonal_of_h" is the diagonal of the generator, bit for bit
+    fam = expander.make_regular_family(2, 3, [6, 8], 4)
+    k = np.real(np.diag(expander.generator(fam).entries))
+    times = np.array([float(row[0]) for row in wrows])
+    lhs, rhs = expander.wmap_lower_bounds(fam, k, times)
+    assert [row[1:] for row in wrows] == [
+        [format(a, ".17g"), format(b, ".17g")] for a, b in zip(lhs, rhs)
+    ]
 
 
 def test_rigidity_probe_outputs(tmp_path):
@@ -350,6 +358,9 @@ _VALID = {
         ("expander-preflow", {"expander": {**_EXPANDER, "n_blocks": 0}}),
         ("expander-preflow", {"expander": {**_EXPANDER, "degree": 0}}),
         ("expander-preflow", {"expander": {**_EXPANDER, "seed": -1}}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "sizes": [6]}}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "sizes": [3, 3]}}),
+        ("expander-preflow", {"expander": {**_EXPANDER, "sizes": [5, 5]}}),
     ],
     ids=[
         "time-grid-not-object",
@@ -368,6 +379,9 @@ _VALID = {
         "n-blocks-zero",
         "degree-zero",
         "expander-seed-negative",
+        "sizes-one-short",
+        "size-not-above-degree",
+        "degree-times-size-odd",
     ],
 )
 def test_invalid_section_or_number_is_config_error(tmp_path, sub, extra_cfg):

@@ -97,9 +97,12 @@ def test_halfsplit_even_is_half():
 
 
 def test_halfsplit_odd_three():
+    # A_n is the first ceil(|X_n| / 2) points of a block
+    for size, mask in ((3, [1, 1, 0]), (4, [1, 1, 0, 0])):
+        p_a = split_projection(family_of_paths([size], [1.0]))
+        assert np.array_equal(np.diag(p_a.entries), mask)
     fam = family_of_paths([3], [1.0])
     # |A| = 2, |X \ A| = 1: sqrt(2)/3
-    assert len(fam.half_splits[0]) == 2
     assert halfsplit_commutator_norm(fam, 0) == pytest.approx(
         np.sqrt(2) / 3, abs=1e-10
     )
