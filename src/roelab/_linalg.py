@@ -13,6 +13,10 @@ import numpy as np
 # residuals are Frobenius norms, tested as "not res <= bound" so NaN fails.
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
+# The sign-group extraction's two checks: a selector's output may reach r plus
+# SELECTOR_PROP_SLACK, and w + h may miss E(h) by ZERO_PROP_TOL (spectral norm).
+SELECTOR_PROP_SLACK = 1e-12
+ZERO_PROP_TOL = 1e-10
 
 
 def require_finite(a):

@@ -11,6 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._linalg import SELECTOR_PROP_SLACK, ZERO_PROP_TOL
 from ._linalg import chunks, require_hermitian, spectral_norm
 from .errors import NumericCheckError, SizeGuardError
 from .operator import OperatorMatrix, expectation
@@ -31,19 +32,19 @@ class SignVector:
         object.__setattr__(self, "signs", s)
 
 
-def _sign_blocks(n: int):
-    """{-1,+1}^n in canonical order, as int8 blocks of one n x n stack's
-    worth of rows."""
+def _sign_blocks(n: int, count: int):
+    """The first count vectors of {-1,+1}^n in canonical order, as int8
+    blocks of one n x n stack's worth of rows."""
     powers = 1 << np.arange(n - 1, -1, -1)
-    for sl in chunks(1 << n, n, n):
-        index = np.arange(sl.start, min(sl.stop, 1 << n))
+    for sl in chunks(count, n, n):
+        index = np.arange(sl.start, min(sl.stop, count))
         bits = (index[:, None] & powers) != 0
         yield np.where(bits, 1, -1).astype(np.int8)
 
 
 def all_sign_vectors(n: int):
     """Canonical (lexicographic, -1 before +1) enumeration of {-1,+1}^n."""
-    for block in _sign_blocks(n):
+    for block in _sign_blocks(n, 1 << n):
         for signs in block:
             yield SignVector(signs)
 
@@ -89,7 +90,9 @@ def extract_finite_prop(
     is h' = w + h - b with defect ||h - h'|| bounded by the worst selector
     error. w + h must equal E(h): that identity is re-verified on every run.
 
-    The selector takes a (k, n, n) stack of m_eps entry arrays, k sign
+    m_eps is the same for eps and -eps, so the averages run over the coset
+    representatives with eps_0 = -1: the first half of the canonical order.
+    The selector takes a (k, n, n) stack of their m_eps entry arrays, k sign
     vectors at a time in canonical order, and returns the stack of b_eps
     entry arrays. The default keeps the entries at distance <= r.
     """
@@ -105,7 +108,8 @@ def extract_finite_prop(
     minus_twice_h = -2.0 * h.entries
     w_sum = np.zeros((n, n), dtype=np.complex128)
     b_sum = np.zeros((n, n), dtype=np.complex128)
-    for block in _sign_blocks(n):
+    half = 1 << (n - 1)
+    for block in _sign_blocks(n, half):
         # h o (eps eps^T) - h, computed as what it is entrywise: -2 h_xy
         # where eps_x != eps_y and 0 elsewhere (the same floats either way)
         flip = block[:, :, None] != block[:, None, :]
@@ -117,23 +121,18 @@ def extract_finite_prop(
             )
         support = b.any(axis=0)
         prop = float(dist[support].max(initial=0.0))
-        if prop > r + 1e-12:
+        if not prop <= r + SELECTOR_PROP_SLACK:
             raise ValueError(
                 f"selector returned a matrix with propagation {prop} > r = {r}"
             )
         w_sum += m.sum(axis=0)
         b_sum += b.sum(axis=0)
 
-    scale = float(2**n)
-    w = OperatorMatrix(h.space, w_sum / scale)
-    b = OperatorMatrix(h.space, b_sum / scale)
+    w = OperatorMatrix(h.space, w_sum / float(half))
+    b = OperatorMatrix(h.space, b_sum / float(half))
     h_prime = w + h - b
     defect = spectral_norm(h.entries - h_prime.entries)
-    zero_prop_residual = spectral_norm(
-        w.entries + h.entries - expectation(h).entries
-    )
-    if zero_prop_residual > 1e-10:
-        raise NumericCheckError(
-            f"w + h deviates from E(h) by {zero_prop_residual:.3e}"
-        )
+    zero_prop_residual = spectral_norm(w.entries + h.entries - expectation(h).entries)
+    if not zero_prop_residual <= ZERO_PROP_TOL:
+        raise NumericCheckError(f"w + h deviates from E(h) by {zero_prop_residual:.3e}")
     return ExtractionReport(h_prime, defect, zero_prop_residual)

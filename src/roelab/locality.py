@@ -23,16 +23,24 @@ class QLProfile:
 def _max_corner_norm(entries, dist, r, a_masks) -> float:
     """max over the rows A of a_masks of ||p_A a p_B||, B = {y : d(A, y) > r}.
 
-    The corners are taken as masked n x n matrices: the zero rows and
-    columns leave the norm unchanged.
+    Each corner is taken as its dense |A| x |B| block, and the blocks of one
+    shape are stacked together. An A with empty B is skipped: its norm is 0.
     """
-    best = 0.0
     n = len(dist)
+    far = np.zeros(a_masks.shape, dtype=bool)
     for sl in chunks(len(a_masks), n, n):
-        a_chunk = a_masks[sl]
-        far = np.where(a_chunk[:, :, None], dist, np.inf).min(axis=1) > r
-        corners = np.where(a_chunk[:, :, None] & far[:, None, :], entries, 0.0)
-        best = max(best, float(spectral_norms(corners).max()))
+        far[sl] = np.where(a_masks[sl, :, None], dist, np.inf).min(axis=1) > r
+    keep = far.any(axis=1)
+    a_masks, far = a_masks[keep], far[keep]
+    sizes_a, sizes_b = a_masks.sum(axis=1), far.sum(axis=1)
+    best = 0.0
+    for p, q in sorted(set(zip(sizes_a.tolist(), sizes_b.tolist()))):
+        group = np.flatnonzero((sizes_a == p) & (sizes_b == q))
+        for sl in chunks(len(group), p, q):
+            rows = np.nonzero(a_masks[group[sl]])[1].reshape(-1, p)
+            cols = np.nonzero(far[group[sl]])[1].reshape(-1, q)
+            corners = entries[rows[:, :, None], cols[:, None, :]]
+            best = max(best, float(spectral_norms(corners).max()))
     return best
 
 

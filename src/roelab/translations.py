@@ -7,13 +7,12 @@ so the exact mode sits behind a size guard and a cheap heuristic lower
 bound is the default.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 import numpy as np
 
-from ._linalg import chunk_len, chunks, spectral_norms
+from ._linalg import chunks, spectral_norms
 from .errors import SizeGuardError
 from .operator import OperatorMatrix
 from .space import FiniteSpace
@@ -62,63 +61,59 @@ def to_matrix(f: PartialTranslation) -> OperatorMatrix:
     return OperatorMatrix(f.space, m)
 
 
-def _translation_pairs(
-    s: FiniteSpace, r: float, allow_large: bool
-) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """The pairs of every partial bijection with displacement <= r, each
-    exactly once, starting with the empty one."""
+# Rows per block of the enumeration: extending a block by one point gives at
+# most _BLOCK * (n + 1) rows, so each level's array stays bounded at any n.
+_BLOCK = 1024
+
+
+def _translation_targets(s: FiniteSpace, r: float, allow_large: bool):
+    """Every partial bijection f with displacement <= r, each exactly once,
+    as blocks of rows of a (k, n) target array: f[x] is the image of x, or
+    -1 where x is outside the domain. The rows come in lexicographic order
+    (-1 first), starting with the empty translation. Size guarded."""
     n = s.n_points
     if n > ENUMERATION_GUARD and not allow_large:
         raise SizeGuardError("translation-enumeration", ENUMERATION_GUARD, n)
-    # a depth-first search in one frame: options[x] lists -1 (x left out of
-    # the domain) and then each target within r; choice[x] indexes it
-    options = [[-1] + np.flatnonzero(s.dist[x] <= r).tolist() for x in range(n)]
-    choice = [-1] * n
-    used = [False] * n
-    acc = []
-    x = 0
-    while x >= 0:
-        opts = options[x]
-        i = choice[x]
-        if i > 0:
-            used[opts[i]] = False
-            acc.pop()
-        i += 1
-        while 0 < i < len(opts) and used[opts[i]]:
-            i += 1
-        if i == len(opts):
-            choice[x] = -1
-            x -= 1
-            continue
-        choice[x] = i
-        if i > 0:
-            used[opts[i]] = True
-            acc.append((x, opts[i]))
-        if x == n - 1:
-            yield tuple(acc)
-        else:
-            x += 1
+    options = [np.concatenate([[-1], np.flatnonzero(s.dist[x] <= r)]) for x in range(n)]
+    return _extend(np.zeros((1, 0), dtype=np.intp), options)
+
+
+def _extend(rows, options):
+    """The rows extended by every option of the next points, block by block:
+    each row is repeated once per option of its next point, and the rows
+    that reuse a target are dropped."""
+    x = rows.shape[1]
+    if x == len(options):
+        yield rows
+        return
+    opts = options[x]
+    new = np.column_stack([np.repeat(rows, len(opts), 0), np.tile(opts, len(rows))])
+    new = new[(new[:, x] < 0) | (new[:, :x] != new[:, x:]).all(axis=1)]
+    for lo in range(0, len(new), _BLOCK):
+        yield from _extend(new[lo : lo + _BLOCK], options)
 
 
 def enumerate_r_translations(s: FiniteSpace, r: float) -> Iterator[PartialTranslation]:
     """Every partial bijection with displacement <= r, each exactly once,
     starting with the empty translation (size guarded)."""
-    for pairs in _translation_pairs(s, r, allow_large=False):
-        yield PartialTranslation(s, pairs)
+    points = range(s.n_points)
+    for block in _translation_targets(s, r, allow_large=False):
+        for row in block.tolist():
+            pairs = tuple([(x, y) for x, y in zip(points, row) if y >= 0])
+            yield PartialTranslation(s, pairs)
 
 
-def _commutator_norms(h: np.ndarray, pair_lists) -> np.ndarray:
-    """||[h, v_f]|| for each pair list f, with the v_f stacked per chunk."""
+def _commutator_norms(h: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """||[h, v_f]|| for each row f of a (k, n) target array, v_f stacked per chunk."""
     n = h.shape[0]
-    out = []
-    for sl in chunks(len(pair_lists), n, n):
-        chunk = pair_lists[sl]
-        v = np.zeros((len(chunk), n, n), dtype=np.complex128)
-        for i, pairs in enumerate(chunk):
-            for x, y in pairs:
-                v[i, y, x] = 1.0
+    out = [np.zeros(0)]
+    for sl in chunks(len(targets), n, n):
+        f = targets[sl]
+        i, x = np.nonzero(f >= 0)
+        v = np.zeros((len(f), n, n), dtype=np.complex128)
+        v[i, f[i, x], x] = 1.0
         out.append(spectral_norms(h @ v - v @ h))
-    return np.concatenate(out) if out else np.zeros(0)
+    return np.concatenate(out)
 
 
 def coarseness_modulus(
@@ -138,38 +133,32 @@ def coarseness_modulus(
     entries = h.entries
     if mode == "exact":
         best = 0.0
-        pairs = _translation_pairs(h.space, r, allow_large)
-        step = chunk_len(h.n, h.n)
-        while chunk := list(itertools.islice(pairs, step)):
-            best = max(best, float(_commutator_norms(entries, chunk).max()))
+        for block in _translation_targets(h.space, r, allow_large):
+            best = max(best, float(_commutator_norms(entries, block).max()))
         return best
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")
 
-    n = h.n
-    dist = h.space.dist
-    feasible = [(x, y) for x in range(n) for y in range(n) if dist[x, y] <= r]
-    best = float(
-        _commutator_norms(entries, [[pair] for pair in feasible]).max(initial=0.0)
-    )
-
-    current: list = []
+    # the first round's trials are the single pairs (x, y) with d(x, y) <= r
+    src, tgt = np.nonzero(h.space.dist <= r)
+    current = np.full(h.n, -1)
     current_norm = 0.0
+    best = None
     while True:
-        used_src = {p[0] for p in current}
-        used_tgt = {p[1] for p in current}
-        candidates = [
-            (x, y) for x, y in feasible if x not in used_src and y not in used_tgt
-        ]
-        norms = _commutator_norms(entries, [current + [c] for c in candidates])
-        gain_pair = None
+        free = (current[src] < 0) & ~np.isin(tgt, current)
+        trials = np.tile(current, (int(free.sum()), 1))
+        trials[np.arange(len(trials)), src[free]] = tgt[free]
+        norms = _commutator_norms(entries, trials).tolist()
+        if best is None:
+            best = max(norms, default=0.0)
+        gain = None
         gain_norm = current_norm
-        for pair, cand in zip(candidates, norms):
+        for i, cand in enumerate(norms):
             if cand > gain_norm + 1e-15:
-                gain_norm = float(cand)
-                gain_pair = pair
-        if gain_pair is None:
+                gain_norm = cand
+                gain = i
+        if gain is None:
             break
-        current.append(gain_pair)
+        current = trials[gain]
         current_norm = gain_norm
     return max(best, current_norm)

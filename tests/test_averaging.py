@@ -137,7 +137,7 @@ def test_extraction_rejects_bad_selector():
 
 
 def test_extraction_with_stacked_custom_selector():
-    s = space.path_graph(7)  # 128 sign vectors: more than one stack
+    s = space.path_graph(8)  # 128 coset representatives: more than one stack
     h = random_hermitian(s, 7)
     r = 1.0
     seen = []
@@ -147,10 +147,42 @@ def test_extraction_with_stacked_custom_selector():
         return 0.5 * np.where(s.dist <= r, m, 0.0)
 
     rep = extract_finite_prop(h, r, selector=half_band)
-    per_sign = [(conjugate_by_sign(h, eps) - h).entries for eps in all_sign_vectors(7)]
-    # the selector sees every m_eps once, in canonical order, a stack at a time
+    per_sign = [
+        (conjugate_by_sign(h, eps) - h).entries
+        for eps in all_sign_vectors(8)
+        if eps.signs[0] == -1
+    ]
+    # the selector sees the m_eps of every eps with eps_0 = -1 once (m_eps =
+    # m_{-eps}), in canonical order, a stack at a time
+    assert len(per_sign) == 2**7
     assert len(seen) > 1 and all(m.ndim == 3 for m in seen)
     assert np.array_equal(np.concatenate(seen), np.array(per_sign))
     b = np.mean([0.5 * truncate(OperatorMatrix(s, m), r).entries for m in per_sign], axis=0)
     assert np.abs(rep.h_prime.entries - (expectation(h).entries - b)).max() <= 1e-12
     assert propagation(rep.h_prime) <= r
+
+
+def full_group_extraction(h, r):
+    """h' = w + h - b with w and b averaged over all 2^n sign vectors, one at a
+    time, under the default (band) selector."""
+    band = h.space.dist <= r
+    w_sum = np.zeros((h.n, h.n), dtype=complex)
+    b_sum = np.zeros((h.n, h.n), dtype=complex)
+    for eps in all_sign_vectors(h.n):
+        m = (conjugate_by_sign(h, eps) - h).entries
+        w_sum += m
+        b_sum += np.where(band, m, 0.0)
+    scale = float(2**h.n)
+    return w_sum / scale + h.entries - b_sum / scale
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_coset_average_matches_full_group_average(n):
+    s = space.path_graph(n)
+    h = random_hermitian(s, 40 + n)
+    for r in (0.0, 1.0, 2.0):
+        rep = extract_finite_prop(h, r)
+        full = full_group_extraction(h, r)
+        assert np.abs(rep.h_prime.entries - full).max() <= 1e-13
+        assert rep.defect == pytest.approx(operator_norm(h - OperatorMatrix(s, full)), abs=1e-13)
+        assert rep.zero_prop_residual <= 1e-10

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from roelab import _linalg, expander, space
+from roelab import _linalg, expander, space, translations
 from roelab._linalg import (
     HERMITIAN_TOL,
     UNITARY_TOL,
@@ -293,6 +293,7 @@ def _stacked_paths():
         ),
         "lipschitz": lipschitz_audit(h, k, times).max_ratio,
         "ql": ql_value(a, 1.0, "exact"),
+        "ql-lower": ql_value(a, 1.0, "lower"),
         "coarse-exact": coarseness_modulus(a, 1.0, "exact"),
         "coarse-heuristic": coarseness_modulus(a, 1.0, "heuristic"),
         "extract": extract_finite_prop(h, 1.0).h_prime.entries,
@@ -303,6 +304,7 @@ def _stacked_paths():
 def test_stacked_paths_do_not_depend_on_the_chunk(monkeypatch):
     default = _stacked_paths()
     monkeypatch.setattr(_linalg, "_CHUNK", 1)
+    monkeypatch.setattr(translations, "_BLOCK", 1)
     assert chunk_len(6, 6) == 1
     one = _stacked_paths()
     for name, value in default.items():

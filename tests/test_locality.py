@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from roelab import space
+from roelab._linalg import spectral_norms
 from roelab.errors import SizeGuardError
 from roelab.locality import (
     eps_r_certificate,
@@ -175,3 +177,60 @@ def test_stacked_ql_value_matches_per_corner_loop(s, seed):
         assert ql_value(a, r, "lower") == pytest.approx(
             loop_ql(a, r, balls), abs=1e-12
         )
+
+
+def masked_ql(a, r, mode):
+    """ql_value's maximum with every corner taken as a masked n x n matrix:
+    p_A a p_B with the rows outside A and the columns outside B zeroed."""
+    n = a.n
+    dist = a.space.dist
+    if mode == "exact":
+        bits = np.arange(1, 1 << n)
+        a_masks = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
+    else:
+        radii = a.space.distance_set()
+        a_masks = (dist[:, None, :] <= radii[None, :, None]).reshape(-1, n)
+    far = np.where(a_masks[:, :, None], dist, np.inf).min(axis=1) > r
+    corners = np.where(a_masks[:, :, None] & far[:, None, :], a.entries, 0.0)
+    return float(spectral_norms(corners).max())
+
+
+@pytest.mark.parametrize(
+    "s",
+    [space.cycle_graph(9), space.path_graph(10), space.complete_graph(6)],
+    ids=["cycle9", "path10", "complete6"],
+)
+@pytest.mark.parametrize("mode", ["exact", "lower"])
+def test_grouped_corners_match_masked_corners(s, mode):
+    a = random_operator(s, 5)
+    a = OperatorMatrix(s, 0.5 * (a.entries + a.entries.conj().T))
+    for r in s.distance_set():
+        want = masked_ql(a, r, mode)
+        assert ql_value(a, r, mode) == pytest.approx(want, rel=1e-14, abs=0.0)
+        if s.diameter <= r:
+            assert want == 0.0
+
+
+def test_exact_ql_temporaries_stay_small():
+    a = random_operator(space.path_graph(16), 0)
+    tracemalloc.start()
+    try:
+        ql_value(a, 1.0, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2^16 x 16 subset bits (8 MiB as int64) dominate; one (2^16, 16, 16)
+    # temporary for the far sets would be 134 MB
+    assert peak < 16 * 2**20
+
+
+def test_exact_size_guard_fires_before_any_array():
+    a = random_operator(space.path_graph(17), 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            ql_value(a, 1.0, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10

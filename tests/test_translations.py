@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,3 +193,68 @@ def test_stacked_coarseness_matches_per_translation_loop(s, radii, seed):
         assert coarseness_modulus(h, r, "heuristic") == pytest.approx(
             loop_heuristic(h, r), abs=1e-12
         )
+
+
+def dfs_translations(s, r):
+    """The pairs of every partial bijection with displacement <= r, by a
+    recursive depth-first search: x left out of the domain first, then each
+    free target within r in increasing order."""
+    n = s.n_points
+
+    def extend(x, acc, used):
+        if x == n:
+            yield tuple(acc)
+            return
+        yield from extend(x + 1, acc, used)
+        for y in np.flatnonzero(s.dist[x] <= r).tolist():
+            if y not in used:
+                yield from extend(x + 1, acc + [(x, y)], used | {y})
+
+    return list(extend(0, [], frozenset()))
+
+
+ENUMERATION_CASES = [
+    *[(space.path_graph(6), r) for r in (0, 1, 2)],
+    *[(space.cycle_graph(7), r) for r in (0, 1)],
+    (space.from_edge_list([], 1), 0),
+    (two_point_space(1.0), 1),
+    (two_point_space(3.0), 1),
+]
+
+
+@pytest.mark.parametrize("block", [None, 1, 5])
+@pytest.mark.parametrize("s,r", ENUMERATION_CASES)
+def test_target_rows_follow_the_dfs_order(monkeypatch, s, r, block):
+    if block is not None:
+        monkeypatch.setattr(translations, "_BLOCK", block)
+    got = [f.pairs for f in enumerate_r_translations(s, r)]
+    assert got == dfs_translations(s, r)
+
+
+def test_exact_coarseness_temporaries_stay_small():
+    s = space.path_graph(10)
+    h = diagonal(s, np.arange(10.0))
+    tracemalloc.start()
+    try:
+        coarseness_modulus(h, 1, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of target rows per level, and one chunk of v_f and [h, v_f];
+    # the 78,243 translations as one (k, 10) array would take 6 MiB
+    assert peak < 4 * 2**20
+
+
+def test_enumeration_size_guard_fires_before_any_array():
+    s = space.path_graph(11)
+    h = diagonal(s, np.arange(11.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            coarseness_modulus(h, 1, "exact")
+        with pytest.raises(SizeGuardError):
+            next(enumerate_r_translations(s, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
