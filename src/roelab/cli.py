@@ -28,6 +28,7 @@ from .operator import (
     save_matrix,
     truncate,
 )
+from .spectral import hermitian_eig
 
 
 def _fmt(x):
@@ -249,12 +250,10 @@ def _run_cocycle_verify(cfg, rng, out, cfg_hash):
     times = _build_times(_get(cfg, "time_grid", "object"), square=True)
     h, k = _operators(cfg, rng, "h", "k")
     family = flows.cocycle_from_generators(h, k, times)
-    # the intertwining direction for the scalar-line check is reversed
-    lam_family = flows.cocycle_from_generators(k, h, times)
-    eh = family.base_flow.eigensystem
-    ek = lam_family.base_flow.eigensystem
+    eh, ek = family.base_flow.eigensystem, hermitian_eig(k)
     residuals = flows.cocycle_residuals(family, times, times)
-    lam = flows.lambda_scalar_residuals(eh, ek, lam_family, times)
+    # h and k swapped: e^{-itk} u_t e^{ith} = 1 for this family's u_t
+    lam = flows.lambda_scalar_residuals(ek, eh, family, times)
     t, s = np.meshgrid(times, times, indexing="ij")
     _write_csv(
         out, "cocycle-verify", cfg_hash,

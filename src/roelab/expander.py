@@ -196,12 +196,6 @@ def discontinuity_profile(fam: BlockFamily, t: float) -> DiscontinuityReport:
     return DiscontinuityReport(float(measured[0]), float(closed_form[0]), int(block[0]))
 
 
-@dataclass(frozen=True)
-class WMapBound:
-    lhs: float
-    rhs: float
-
-
 def wmap_lower_bounds(fam: BlockFamily, k, times):
     """Per grid time t, lhs = ||e^{ith} e^{-itk} - id|| for diagonal k and
     the corner bound rhs = max_n split_factor(n) * |e^{itw(n)} - 1|, as two
@@ -224,12 +218,6 @@ def wmap_lower_bounds(fam: BlockFamily, k, times):
             f"w-map lower bound failed at t={times[i]}: lhs {lhs[i]} < rhs {rhs[i]}"
         )
     return lhs, rhs
-
-
-def wmap_lower_bound(fam: BlockFamily, k, t: float) -> WMapBound:
-    """wmap_lower_bounds at a single time t."""
-    lhs, rhs = wmap_lower_bounds(fam, k, [t])
-    return WMapBound(float(lhs[0]), float(rhs[0]))
 
 
 def _random_regular_graph(size: int, degree: int, rng) -> FiniteSpace:

@@ -12,9 +12,8 @@ import numpy as np
 
 from ._linalg import UNITARY_TOL, chunks, require_unitary, spectral_norm, spectral_norms
 from .errors import NumericCheckError
-from .operator import OperatorMatrix, commutator
+from .operator import OperatorMatrix
 from .spectral import EigenSystem, hermitian_eig, unitary_exp
-from .translations import PartialTranslation, to_matrix
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,6 @@ class CocycleFamily:
                 if not res0 <= UNITARY_TOL:
                     raise ValueError(f"u_0 is not the identity: residual {res0:.3e}")
 
-    def element(self, t: float) -> OperatorMatrix:
-        """u_t for a single t."""
-        u = self.u_many(np.array([float(t)]))[0]
-        return OperatorMatrix(self.base_flow.generator.space, u)
-
 
 def flow_apply(h: OperatorMatrix, t: float, a: OperatorMatrix) -> OperatorMatrix:
     """sigma_{h,t}(a) = e^{ith} a e^{-ith}."""
@@ -90,23 +84,6 @@ def flow_profile(h: OperatorMatrix, a: OperatorMatrix, times):
         residual[sl] = spectral_norms(quotient * a_eig)
     residual[times == 0.0] = 0.0
     return modulus, residual
-
-
-def flow_derivative_residual(
-    h: OperatorMatrix, f: PartialTranslation, delta: float
-) -> float:
-    """||(sigma_{h,delta}(v_f) - v_f)/delta - i[h, v_f]||; O(delta ||h||^2)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    vf = to_matrix(f)
-    moved = flow_apply(h, delta, vf)
-    diff = (moved.entries - vf.entries) / delta - 1j * commutator(h, vf).entries
-    return spectral_norm(diff)
-
-
-def w_map(h: OperatorMatrix, k: OperatorMatrix, t: float) -> OperatorMatrix:
-    """w_{h,k}(t) = e^{ith} e^{-itk}."""
-    return unitary_exp(h, t) @ unitary_exp(k, -t)
 
 
 @dataclass(frozen=True)
@@ -196,8 +173,12 @@ def lambda_scalar_residuals(
 
     Cocycles that intertwine the flows on the full matrix algebra land in
     the commutant, which is the scalars in finite dimension. The
-    intertwining direction matters: the family with u_t = e^{ith} e^{-itk}
-    (cocycle_from_generators(k, h)) gives lambda_t = 1 exactly.
+    intertwining direction matters: cocycle_from_generators(h, k), with
+    u_t = e^{itk} e^{-ith}, is read with h and k swapped, as
+    lambda_scalar_residuals(ek, eh, ...), and then lambda_t =
+    e^{-itk} u_t e^{ith} = 1 exactly. That lambda_t is the adjoint of the
+    one the mirror family cocycle_from_generators(k, h) gives unswapped,
+    and the distance from the scalar line is invariant under adjoint.
     """
     times = np.asarray(times, dtype=np.float64)
     n = eh.vectors.shape[0]
@@ -209,13 +190,6 @@ def lambda_scalar_residuals(
         mean = np.trace(lam, axis1=1, axis2=2) / n
         out[sl] = spectral_norms(lam - mean[:, None, None] * eye)
     return out
-
-
-def lambda_scalar_residual(
-    eh: EigenSystem, ek: EigenSystem, u: CocycleFamily, t: float
-) -> float:
-    """lambda_scalar_residuals at a single time t."""
-    return float(lambda_scalar_residuals(eh, ek, u, [t])[0])
 
 
 def diagonal_closeness(h_vals, k_vals) -> float:

@@ -56,8 +56,9 @@ def ql_value(a: OperatorMatrix, r: float, mode: str = "exact") -> float:
     if mode == "exact":
         if n > EXACT_GUARD:
             raise SizeGuardError("ql-exact-subsets", EXACT_GUARD, n)
-        bits = np.arange(1, 1 << n)
-        a_masks = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
+        # uint16 holds every subset, since EXACT_GUARD = 16
+        bits = np.arange(1, 1 << n, dtype=np.uint16)
+        a_masks = (bits[:, None] & (1 << np.arange(n, dtype=np.uint16))) != 0
     elif mode == "lower":
         radii = a.space.distance_set()
         a_masks = (dist[:, None, :] <= radii[None, :, None]).reshape(-1, n)

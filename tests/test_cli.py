@@ -473,9 +473,7 @@ def test_taken_output_path_is_config_error(tmp_path):
     assert rc == 2
 
 
-def test_cocycle_verify_diagonalizes_each_generator_once_per_family(
-    tmp_path, monkeypatch
-):
+def test_cocycle_verify_builds_one_family_with_three_solves(tmp_path, monkeypatch):
     solves = []
     eigh = spectral.eigh
     monkeypatch.setattr(spectral, "eigh", lambda a: solves.append(a) or eigh(a))
@@ -487,8 +485,8 @@ def test_cocycle_verify_diagonalizes_each_generator_once_per_family(
         "seed": 5,
     }
     assert run(tmp_path, "cocycle-verify", cfg) == 0
-    # h and k, once for each of the two cocycle families
-    assert len(solves) == 4
+    # h and k for the one cocycle family, and k again for the scalar-line check
+    assert len(solves) == 3
 
 
 def _cocycle_verify_counts(tmp_path, monkeypatch, step):

@@ -12,12 +12,9 @@ from roelab.flows import (
     corrupt_at,
     diagonal_closeness,
     flow_apply,
-    flow_derivative_residual,
     flow_profile,
-    lambda_scalar_residual,
     lambda_scalar_residuals,
     lipschitz_audit,
-    w_map,
 )
 from roelab.operator import OperatorMatrix, commutator, diagonal, operator_norm
 from roelab.spectral import hermitian_eig, unitary_exp
@@ -86,7 +83,8 @@ def test_derivative_residual_zero_generator():
     s = space.path_graph(3)
     h = diagonal(s, [0.0, 0.0, 0.0])
     f = PartialTranslation(s, ((0, 1),))
-    assert flow_derivative_residual(h, f, 1e-5) == pytest.approx(0.0, abs=1e-12)
+    res = flow_profile(h, to_matrix(f), [1e-5])[1][0]
+    assert res == pytest.approx(0.0, abs=1e-12)
 
 
 def test_derivative_residual_two_point_oracle():
@@ -96,7 +94,7 @@ def test_derivative_residual_two_point_oracle():
     h = diagonal(s, [0.0, 5.0])
     f = PartialTranslation(s, ((0, 1), (1, 0)))
     delta = 1e-5
-    res = flow_derivative_residual(h, f, delta)
+    res = flow_profile(h, to_matrix(f), [delta])[1][0]
     scalar = abs((np.exp(1j * delta * 5) - 1) / delta - 5j)
     assert res == pytest.approx(scalar, rel=1e-6)
     assert res <= 1e-3
@@ -106,16 +104,17 @@ def test_derivative_residual_first_order():
     s = space.path_graph(4)
     h = random_hermitian(s, 8)
     f = PartialTranslation(s, ((0, 1), (2, 2)))
-    r1 = flow_derivative_residual(h, f, 1e-4)
-    r2 = flow_derivative_residual(h, f, 5e-5)
+    r2, r1 = flow_profile(h, to_matrix(f), [5e-5, 1e-4])[1]
     assert 1.8 <= r1 / r2 <= 2.2
 
 
 def test_w_map_equal_generators():
     s = space.path_graph(4)
     h = random_hermitian(s, 9)
-    for t in (0.0, 0.6, -2.0):
-        assert np.allclose(w_map(h, h, t).entries, np.eye(4), atol=1e-10)
+    eh = hermitian_eig(h)
+    ts = np.array([0.0, 0.6, -2.0])
+    for w in eh.exp_many(ts) @ eh.exp_many(-ts):
+        assert np.allclose(w, np.eye(4), atol=1e-10)
 
 
 def test_w_map_diagonal_closed_form():
@@ -123,8 +122,9 @@ def test_w_map_diagonal_closed_form():
     hv = np.array([1.0, -0.5, 2.0])
     kv = np.array([0.2, 0.2, -1.0])
     t = 0.9
-    w = w_map(diagonal(s, hv), diagonal(s, kv), t)
-    assert np.allclose(w.entries, np.diag(np.exp(1j * t * (hv - kv))), atol=1e-12)
+    eh, ek = hermitian_eig(diagonal(s, hv)), hermitian_eig(diagonal(s, kv))
+    [w] = eh.exp_many([t]) @ ek.exp_many([-t])
+    assert np.allclose(w, np.diag(np.exp(1j * t * (hv - kv))), atol=1e-12)
 
 
 def test_lipschitz_equal_generators():
@@ -162,7 +162,7 @@ def test_cocycle_identity_and_u0():
     k = random_hermitian(s, 21)
     times = np.linspace(-1, 1, 9)
     fam = cocycle_from_generators(h, k, times)
-    assert np.allclose(fam.element(0.0).entries, np.eye(5), atol=1e-12)
+    assert np.allclose(fam.u_many(np.array([0.0]))[0], np.eye(5), atol=1e-12)
     for t, s_ in [(0.3, 0.7), (-0.5, 0.25), (0.0, 0.0)]:
         assert cocycle_residual(fam, t, s_) <= 1e-9
 
@@ -171,9 +171,8 @@ def test_cocycle_equal_generators_constant_identity():
     s = space.path_graph(3)
     h = random_hermitian(s, 22)
     fam = cocycle_from_generators(h, h, [0.0, 0.5, 1.0])
-    for t in fam.base_flow.times:
-        u = fam.element(t)
-        assert np.allclose(u.entries, np.eye(3), atol=1e-10)
+    for u in fam.u_many(np.array(fam.base_flow.times)):
+        assert np.allclose(u, np.eye(3), atol=1e-10)
 
 
 def test_corrupted_cocycle_fails():
@@ -191,7 +190,8 @@ def test_lambda_residual_intertwining():
     k = random_hermitian(s, 26)
     # u_t = e^{ith} e^{-itk} makes lambda_t the identity exactly
     fam = cocycle_from_generators(k, h, [0.0, 0.4, 0.8])
-    assert lambda_scalar_residual(hermitian_eig(h), hermitian_eig(k), fam, 0.4) <= 1e-10
+    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    assert lambda_scalar_residuals(eh, ek, fam, [0.4])[0] <= 1e-10
 
 
 def test_lambda_residual_scalar_phase_passes():
@@ -204,7 +204,8 @@ def test_lambda_residual_scalar_phase_passes():
         return np.exp(1j * 0.9 * ts)[:, None, None] * base.u_many(ts)
 
     fam = CocycleFamily(base.base_flow, phased)
-    assert lambda_scalar_residual(hermitian_eig(h), hermitian_eig(k), fam, 0.4) <= 1e-10
+    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    assert lambda_scalar_residuals(eh, ek, fam, [0.4])[0] <= 1e-10
 
 
 def test_lambda_residual_negative_control():
@@ -220,7 +221,8 @@ def test_lambda_residual_negative_control():
         grid,
         lambda ts: np.stack([np.eye(4) if t == 0.0 else q for t in ts]),
     )
-    assert lambda_scalar_residual(hermitian_eig(h), hermitian_eig(k), fam, 0.4) > 0.1
+    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    assert lambda_scalar_residuals(eh, ek, fam, [0.4])[0] > 0.1
 
 
 def _one_bad_slice(bad):
@@ -255,9 +257,9 @@ def test_corrupt_at_changes_only_t0_and_element_is_one_slice():
     same = [np.array_equal(a, b) for a, b in zip(base, corrupted)]
     assert same == [i != 6 for i in range(9)]
     assert np.array_equal(corrupted[6], np.eye(5))
-    for c in (fam, bad):
-        for t in times:
-            assert np.array_equal(c.element(t).entries, c.u_many(np.array([t]))[0])
+    for c, stack in ((fam, base), (bad, corrupted)):
+        for t, u in zip(times, stack):
+            assert np.array_equal(c.u_many(np.array([t]))[0], u)
 
 
 def test_diagonal_closeness():
@@ -301,9 +303,10 @@ def test_flow_profile_matches_per_time_formula():
 
 def _cocycle_oracle(c, t, s_):
     """The per-pair formula the stacked path replaced."""
-    e_ith = c.base_flow.eigensystem.exp(t)
-    rhs = c.element(t) @ (e_ith @ c.element(s_) @ e_ith.H)
-    return np.linalg.norm(c.element(t + s_).entries - rhs.entries, 2)
+    u_t, u_s, u_ts = c.u_many(np.array([t, s_, t + s_]))
+    e_ith = c.base_flow.eigensystem.exp(t).entries
+    rhs = u_t @ (e_ith @ u_s @ e_ith.conj().T)
+    return np.linalg.norm(u_ts - rhs, 2)
 
 
 def test_cocycle_residuals_match_per_pair_formula():
@@ -335,8 +338,25 @@ def test_lambda_residuals_match_per_time_formula():
     fam = cocycle_from_generators(h, k, times)  # not intertwining: lambda != 1
     stacked = lambda_scalar_residuals(eh, ek, fam, times)
     for t, got in zip(times, stacked):
-        lam = (eh.exp(-t) @ fam.element(t) @ ek.exp(t)).entries
+        lam = eh.exp(-t).entries @ fam.u_many(np.array([t]))[0] @ ek.exp(t).entries
         want = np.linalg.norm(lam - np.trace(lam) / 4 * np.eye(4), 2)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
-        assert lambda_scalar_residual(eh, ek, fam, t) == pytest.approx(got, rel=1e-12)
+        single = lambda_scalar_residuals(eh, ek, fam, [t])[0]
+        assert single == pytest.approx(got, rel=1e-12)
     assert stacked[1:].min() > 1e-3
+
+
+@pytest.mark.parametrize("n, seed", [(4, 0), (6, 1), (9, 2), (12, 3)])
+def test_lambda_of_one_family_with_generators_swapped(n, seed):
+    # e^{-itk} (e^{itk} e^{-ith}) e^{ith} is the adjoint of the mirror
+    # family's lambda_t, and the scalar-line distance is adjoint invariant
+    s = space.path_graph(n)
+    h, k = random_hermitian(s, seed), random_hermitian(s, seed + 100, scale=0.5)
+    times = np.linspace(0.0, 1.0, 5)
+    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    family = cocycle_from_generators(h, k, times)
+    mirror_family = cocycle_from_generators(k, h, times)
+    one = lambda_scalar_residuals(ek, eh, family, times)
+    mirror = lambda_scalar_residuals(eh, ek, mirror_family, times)
+    assert np.abs(one - mirror).max() <= 1e-14
+    assert max(one.max(), mirror.max()) <= 1e-10

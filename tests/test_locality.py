@@ -219,9 +219,10 @@ def test_exact_ql_temporaries_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 2^16 x 16 subset bits (8 MiB as int64) dominate; one (2^16, 16, 16)
+    # the 2^16 x 16 subset masks (1 MiB as bool, from a 2 MiB uint16
+    # temporary) and the far sets bound the peak; one (2^16, 16, 16)
     # temporary for the far sets would be 134 MB
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_exact_size_guard_fires_before_any_array():
