@@ -1,6 +1,6 @@
 """The package's one linear-algebra layer: Hermitian eigensolves, the
-spectral norm, and the one place where operators are checked to be finite,
-Hermitian or unitary.
+spectral norm, and `check`, the one path of every numeric check, with every
+threshold in the table below.
 
 LAPACK does not check its input: a NaN entry can come back as finite
 eigenvalues. The solvers and norms here therefore reject non-finite input with
@@ -9,14 +9,25 @@ numpy.linalg.LinAlgError, a ValueError.
 
 import numpy as np
 
-# The thresholds of the two hypotheses every flow statement starts from. Both
-# residuals are Frobenius norms, tested as "not res <= bound" so NaN fails.
-HERMITIAN_TOL = 1e-10
-UNITARY_TOL = 1e-10
-# The sign-group extraction's two checks: a selector's output may reach r plus
-# SELECTOR_PROP_SLACK, and w + h may miss E(h) by ZERO_PROP_TOL (spectral norm).
-SELECTOR_PROP_SLACK = 1e-12
-ZERO_PROP_TOL = 1e-10
+from .errors import NumericCheckError
+
+# Every threshold of a numeric check, one line each; values never loosen.
+HERMITIAN_TOL = 1e-10  # ||m - m^H||_F per unit of 1 + max|m_xy|
+UNITARY_TOL = 1e-10  # ||u^H u - 1||_F, and ||u_0 - 1||_F for a cocycle
+ZERO_PROP_TOL = 1e-10  # ||w + h - E(h)|| in the sign-group extraction
+DISCONTINUITY_TOL = 1e-9  # |measured - closed form| per expander block
+WMAP_TOL = 1e-9  # corner bound minus ||w(t) - 1|| in the expander
+LIPSCHITZ_TOL = (1e-8, 1e-9)  # slack on ||h - k||: relative, absolute (for h ~ k)
+
+
+def check(residuals, bound, what, error=NumericCheckError):
+    """Raise error unless every residual is <= bound (so NaN fails). what(i)
+    names an array's first failing flat index i; a scalar's what is text."""
+    res = np.asarray(residuals)
+    bad = np.flatnonzero(~(res <= bound))
+    if bad.size:
+        name = what(bad[0]) if res.ndim else what
+        raise error(f"{name}: residual {res.flat[bad[0]]:.3e} > {bound:.3e}")
 
 
 def require_finite(a):
@@ -32,10 +43,9 @@ def require_hermitian(m):
     norm against 1e-10 (1 + ||m||_2) or 1e-10 (1 + ||m||_F), because
     ||.||_2 <= ||.||_F and max|m_xy| <= ||m||_2 <= ||m||_F.
     """
-    res = float(np.linalg.norm(m - m.conj().T))
+    res = np.linalg.norm(m - m.conj().T)
     bound = HERMITIAN_TOL * (1.0 + float(np.abs(m).max(initial=0.0)))
-    if not res <= bound:
-        raise ValueError(f"input is not Hermitian: residual {res:.3e} > {bound:.3e}")
+    check(res, bound, "input is not Hermitian", ValueError)
 
 
 def require_unitary(m, what):
@@ -47,10 +57,10 @@ def require_unitary(m, what):
     """
     gram = np.swapaxes(m.conj(), -1, -2) @ m
     res = np.atleast_1d(np.linalg.norm(gram - np.eye(m.shape[-1]), axis=(-2, -1)))
-    bad = np.flatnonzero(~(res <= UNITARY_TOL))
-    if bad.size:
-        where = f" (slice {bad[0]})" if m.ndim == 3 else ""
-        raise ValueError(f"{what}{where} is not unitary: residual {res[bad[0]]:.3e}")
+    at = " (slice {})" if m.ndim == 3 else ""
+    check(
+        res, UNITARY_TOL, lambda i: f"{what}{at.format(i)} is not unitary", ValueError
+    )
 
 
 def eigh(a):

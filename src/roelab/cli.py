@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, expander, flows, locality, rigidity, space, translations
+from ._linalg import check
 from .errors import ConfigError, NumericCheckError, SizeGuardError
 from .operator import (
     OperatorMatrix,
@@ -45,6 +46,11 @@ def _config_hash(cfg) -> str:
 
 
 def _write_csv(path, subcommand, cfg_hash, units, header, rows):
+    rows = list(rows)
+    # every numeric cell must be finite, checked before the file is opened
+    for j, name in enumerate(header):
+        cells = [abs(float(row[j])) for row in rows if not isinstance(row[j], str)]
+        check(np.array(cells), np.finfo(float).max, lambda i: f"column {name!r}")
     with open(path, "w", newline="") as fh:
         fh.write(f"# roelab {subcommand} config_hash={cfg_hash} units={units}\n")
         fh.write(",".join(header) + "\n")

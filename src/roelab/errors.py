@@ -15,7 +15,7 @@ class SizeGuardError(RuntimeError):
 
 
 class NumericCheckError(ArithmeticError):
-    """An identity the implementation promises to satisfy failed numerically."""
+    """An identity the code promises failed; only _linalg.check raises it."""
 
 
 class ConfigError(ValueError):

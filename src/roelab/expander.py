@@ -7,8 +7,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import chunks, eigvalsh, spectral_norm, spectral_norms
-from .errors import ConfigError, NumericCheckError
+from ._linalg import DISCONTINUITY_TOL, WMAP_TOL, check, chunks, eigvalsh
+from ._linalg import spectral_norm, spectral_norms
+from .errors import ConfigError
 from .operator import OperatorMatrix, diagonal
 from .space import FiniteSpace, check_points, coarse_union, from_edge_list
 
@@ -169,7 +170,7 @@ def discontinuity_profiles(fam: BlockFamily, times):
 
     p_A is diagonal, so sigma_{h,t}(p_A) - p_A is block diagonal, and the
     identity is checked block by block: the norm on block n must equal
-    split_factor(n) * |e^{itw(n)} - 1| within 1e-9.
+    split_factor(n) * |e^{itw(n)} - 1| within DISCONTINUITY_TOL.
     """
     times = np.asarray(times, dtype=np.float64)
 
@@ -180,13 +181,11 @@ def discontinuity_profiles(fam: BlockFamily, times):
 
     measured = _block_norms(fam, times, moved)
     closed = _closed_forms(fam, times)
-    bad = np.argwhere(~(np.abs(measured - closed) <= 1e-9))
-    if bad.size:
-        i, n = bad[0]
-        raise NumericCheckError(
-            f"discontinuity identity failed at t={times[i]} on block {n}: "
-            f"measured {measured[i, n]} vs closed form {closed[i, n]}"
-        )
+    m = measured.shape[1]
+    check(
+        np.abs(measured - closed), DISCONTINUITY_TOL,
+        lambda i: f"discontinuity identity at t={times[i // m]} on block {i % m}",
+    )
     return measured.max(axis=1), closed.max(axis=1), np.argmax(closed, axis=1)
 
 
@@ -211,12 +210,7 @@ def wmap_lower_bounds(fam: BlockFamily, k, times):
 
     lhs = _block_norms(fam, times, w_minus_one).max(axis=1)
     rhs = _closed_forms(fam, times).max(axis=1)
-    bad = np.flatnonzero(~(rhs - lhs <= 1e-9))
-    if bad.size:
-        i = bad[0]
-        raise NumericCheckError(
-            f"w-map lower bound failed at t={times[i]}: lhs {lhs[i]} < rhs {rhs[i]}"
-        )
+    check(rhs - lhs, WMAP_TOL, lambda i: f"w-map lower bound at t={times[i]}")
     return lhs, rhs
 
 

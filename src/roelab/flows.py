@@ -10,8 +10,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from ._linalg import UNITARY_TOL, chunks, require_unitary, spectral_norm, spectral_norms
-from .errors import NumericCheckError
+from ._linalg import LIPSCHITZ_TOL, UNITARY_TOL, check, chunks, require_unitary
+from ._linalg import spectral_norm, spectral_norms
 from .operator import OperatorMatrix
 from .spectral import EigenSystem, hermitian_eig, unitary_exp
 
@@ -48,9 +48,8 @@ class CocycleFamily:
                 raise ValueError(f"element at t={ts[0]}: stack shape {np.shape(u)}")
             for t, u_t in zip(ts, u):
                 require_unitary(u_t, f"element at t={t}")
-                res0 = float(np.linalg.norm(u_t - np.eye(n))) if t == 0.0 else 0.0
-                if not res0 <= UNITARY_TOL:
-                    raise ValueError(f"u_0 is not the identity: residual {res0:.3e}")
+                res0 = np.linalg.norm(u_t - np.eye(n)) if t == 0.0 else 0.0
+                check(res0, UNITARY_TOL, "u_0 is not the identity", ValueError)
 
 
 def flow_apply(h: OperatorMatrix, t: float, a: OperatorMatrix) -> OperatorMatrix:
@@ -106,19 +105,14 @@ def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> LipschitzRep
     diffs = np.unique(np.abs(times[None, :] - times[:, None]))
     diffs = diffs[diffs > 0]
     eh, ek = hermitian_eig(h), hermitian_eig(k)
-    eye = np.eye(h.n)
-    max_ratio = 0.0
+    ratios = np.empty(len(diffs))
     for sl in chunks(len(diffs), h.n, h.n):
         d = diffs[sl]
         w = eh.exp_many(d) @ ek.exp_many(-d)
-        max_ratio = max(max_ratio, float((spectral_norms(w - eye) / d).max()))
-    # the 1e-9 absolute slack absorbs float noise when h is close to k and
-    # the true ratio is essentially zero
-    if max_ratio > bound * (1.0 + 1e-8) + 1e-9:
-        raise NumericCheckError(
-            f"Lipschitz ratio {max_ratio} exceeds bound ||h-k|| = {bound}"
-        )
-    return LipschitzReport(max_ratio, bound)
+        ratios[sl] = spectral_norms(w - np.eye(h.n)) / d
+    limit = bound * (1.0 + LIPSCHITZ_TOL[0]) + LIPSCHITZ_TOL[1]
+    check(ratios, limit, lambda i: f"Lipschitz ratio at |t - s| = {diffs[i]}")
+    return LipschitzReport(float(ratios.max(initial=0.0)), bound)
 
 
 def cocycle_from_generators(

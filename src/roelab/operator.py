@@ -180,9 +180,12 @@ def save_matrix(a: OperatorMatrix, path) -> None:
 
 
 def load_matrix(path, space: FiniteSpace) -> OperatorMatrix:
-    m = None
+    """Read the save_matrix format; a bad line is a ValueError naming it."""
+    m, seen = None, set()
     for where, fields in _records(path):
         if fields[0] == "n":
+            if m is not None:
+                raise ValueError(f"{where}: second 'n <n>' header")
             _, n = _parse(where, fields, (str, int))
             if n != space.n_points:
                 raise ValueError(
@@ -194,6 +197,9 @@ def load_matrix(path, space: FiniteSpace) -> OperatorMatrix:
             if m is None:
                 raise ValueError(f"{where}: entry before 'n <n>' header")
             x, y, re, im = _parse(where, fields, (int, int, float, float), len(m))
+            if (x, y) in seen:
+                raise ValueError(f"{where}: repeated entry ({x}, {y})")
+            seen.add((x, y))
             m[x, y] = complex(re, im)
     if m is None:
         raise ValueError(f"{path}: missing 'n <n>' header")

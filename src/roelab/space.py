@@ -180,6 +180,8 @@ def load_edge_list(path) -> FiniteSpace:
     n_points = None
     for where, fields in _records(path):
         if fields[0] == "n":
+            if n_points is not None:
+                raise ValueError(f"{where}: second 'n <n_points>' header")
             _, n_points = _parse(where, fields, (str, int))
         elif n_points is None:
             raise ValueError(f"{where}: edge before the 'n <n_points>' header")

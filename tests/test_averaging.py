@@ -82,7 +82,7 @@ def test_brute_size_guard():
 
 
 def test_extraction_truncation_selector_collapses():
-    # with the truncation selector the pipeline must collapse to
+    # b is the band truncation, so the pipeline must collapse to
     # h' = truncate(h, r): truncation is entrywise, so it commutes with
     # sign conjugation and averaging; verified here against the closed form
     s = space.path_graph(6)
@@ -129,42 +129,9 @@ def test_extraction_defect_below_worst_selector_error():
         assert rep.defect <= worst + 1e-10
 
 
-def test_extraction_rejects_bad_selector():
-    s = space.path_graph(4)
-    h = random_hermitian(s, 6)
-    with pytest.raises(ValueError, match="propagation"):
-        extract_finite_prop(h, 1.0, selector=lambda m: m)
-
-
-def test_extraction_with_stacked_custom_selector():
-    s = space.path_graph(8)  # 128 coset representatives: more than one stack
-    h = random_hermitian(s, 7)
-    r = 1.0
-    seen = []
-
-    def half_band(m):
-        seen.append(m.copy())
-        return 0.5 * np.where(s.dist <= r, m, 0.0)
-
-    rep = extract_finite_prop(h, r, selector=half_band)
-    per_sign = [
-        (conjugate_by_sign(h, eps) - h).entries
-        for eps in all_sign_vectors(8)
-        if eps.signs[0] == -1
-    ]
-    # the selector sees the m_eps of every eps with eps_0 = -1 once (m_eps =
-    # m_{-eps}), in canonical order, a stack at a time
-    assert len(per_sign) == 2**7
-    assert len(seen) > 1 and all(m.ndim == 3 for m in seen)
-    assert np.array_equal(np.concatenate(seen), np.array(per_sign))
-    b = np.mean([0.5 * truncate(OperatorMatrix(s, m), r).entries for m in per_sign], axis=0)
-    assert np.abs(rep.h_prime.entries - (expectation(h).entries - b)).max() <= 1e-12
-    assert propagation(rep.h_prime) <= r
-
-
 def full_group_extraction(h, r):
     """h' = w + h - b with w and b averaged over all 2^n sign vectors, one at a
-    time, under the default (band) selector."""
+    time, b_eps the band truncation of m_eps."""
     band = h.space.dist <= r
     w_sum = np.zeros((h.n, h.n), dtype=complex)
     b_sum = np.zeros((h.n, h.n), dtype=complex)

@@ -423,6 +423,9 @@ def test_oversize_request_is_size_guard(tmp_path, capsys, sub, extra_cfg):
         ("file", "n 3\n0 1\n", 2),
         ("file", "n 3\n# a comment\n0 5 1.0 0.0\n", 3),
         ("file", "n 3\n0 -1 1.0 0.0\n", 2),
+        ("file", "n 3\n0 1 1.0 0.0\nn 3\n", 3),
+        ("edge_list", "n 3\n0 1\nn 4\n2 3\n1 2\n", 3),
+        ("file", "n 3\n0 1 1.0 0.0\n0 1 5.0 0.0\n", 3),
     ],
     ids=[
         "edge-list-header-no-count",
@@ -430,6 +433,9 @@ def test_oversize_request_is_size_guard(tmp_path, capsys, sub, extra_cfg):
         "matrix-no-value",
         "matrix-column-out-of-range",
         "matrix-negative-index",
+        "matrix-second-header",
+        "edge-list-second-header",
+        "matrix-repeated-entry",
     ],
 )
 def test_malformed_input_file_is_numeric_error(tmp_path, capsys, source, text, line):
@@ -446,6 +452,18 @@ def test_malformed_input_file_is_numeric_error(tmp_path, capsys, source, text, l
         cfg["operator"] = {"file": str(path)}
     assert run(tmp_path, "coarse-check", cfg) == 4
     assert f"{path}:{line}:" in capsys.readouterr().err
+
+
+def test_non_finite_output_is_numeric_error(tmp_path, capsys):
+    # ||h|| near 1e308: the coarseness modulus overflows to inf at r >= 1
+    cfg = {
+        "space": {"path_graph": 4},
+        "operator": {"generator": {"kind": "random_hermitian", "scale": 1e308}},
+        "mode": "heuristic",
+    }
+    assert run(tmp_path, "coarse-check", cfg) == 4
+    assert "column 'value'" in capsys.readouterr().err
+    assert not (tmp_path / "coarse-check.csv").exists()
 
 
 def test_expander_preflow_reads_config_before_sampling(tmp_path, monkeypatch):

@@ -6,10 +6,15 @@ import itertools
 import numpy as np
 import pytest
 
-from roelab import _linalg, expander, space, translations
+from roelab import _linalg, averaging, expander, flows, space, translations
 from roelab._linalg import (
+    DISCONTINUITY_TOL,
     HERMITIAN_TOL,
+    LIPSCHITZ_TOL,
     UNITARY_TOL,
+    WMAP_TOL,
+    ZERO_PROP_TOL,
+    check,
     chunk_len,
     eigh,
     eigvalsh,
@@ -18,6 +23,7 @@ from roelab._linalg import (
     spectral_norms,
 )
 from roelab.averaging import extract_finite_prop
+from roelab.errors import NumericCheckError
 from roelab.flows import (
     CocycleFamily,
     FlowGrid,
@@ -238,6 +244,84 @@ def test_validity_check_at_each_caller(caller, case):
     else:
         with pytest.raises(ValueError, match=text):
             call(x)
+
+
+def test_check_compares_each_residual_with_the_bound():
+    check(1.0, 1.0, "scalar")
+    check(np.array([[0.0, 1.0], [-np.inf, 0.5]]), 1.0, lambda i: "never named")
+    check(np.array([]), 0.0, lambda i: "never named")
+    with pytest.raises(
+        NumericCheckError, match=r"^scalar: residual 2\.000e\+00 > 1\.000e\+00$"
+    ):
+        check(2.0, 1.0, "scalar")
+    # written "not res <= bound", so NaN fails
+    with pytest.raises(NumericCheckError, match=r"^scalar: residual nan > "):
+        check(np.nan, 1.0, "scalar")
+    # an array names its first failing flat index
+    with pytest.raises(NumericCheckError, match=r"^index 2: residual 3\.000e\+00"):
+        check(np.array([[0.0, 0.5], [3.0, np.nan]]), 1.0, lambda i: f"index {i}")
+    with pytest.raises(NumericCheckError, match=r"^index 3: residual nan"):
+        check(np.array([[0.0, 0.5], [1.0, np.nan]]), 1.0, lambda i: f"index {i}")
+    # the error type is the caller's: ValueError for an input hypothesis
+    with pytest.raises(ValueError) as info:
+        check(2.0, 1.0, "input", ValueError)
+    assert type(info.value) is ValueError
+
+
+# The identity checks at each caller. Each call patches the source of its
+# residual so that the residual reads x.
+def _zero_prop(monkeypatch, x):
+    # the defect is a spectral norm too, but only the residual is checked
+    monkeypatch.setattr(averaging, "spectral_norm", lambda m: x)
+    extract_finite_prop(_op(np.eye(3)), 1.0)
+
+
+def _blocks_off_by(monkeypatch, x):
+    """A block family whose every block norm reads its closed form - x."""
+    fam = expander.block_family([space.path_graph(3), space.path_graph(4)], "quadratic")
+    closed = expander._closed_forms
+    monkeypatch.setattr(
+        expander, "_block_norms", lambda fam, times, f: closed(fam, times) - x
+    )
+    return fam
+
+
+def _discontinuity(monkeypatch, x):
+    expander.discontinuity_profiles(_blocks_off_by(monkeypatch, x), [0.0, 0.5])
+
+
+def _wmap(monkeypatch, x):
+    fam = _blocks_off_by(monkeypatch, x)
+    expander.wmap_lower_bounds(fam, np.zeros(fam.union.n_points), [0.0, 0.5])
+
+
+def _lipschitz(monkeypatch, x):
+    # h = k, so the bound is the absolute slack; the one ratio, at
+    # |t - s| = 1, reads x
+    monkeypatch.setattr(flows, "spectral_norms", lambda stack: np.full(len(stack), x))
+    h = _op(np.eye(3))
+    lipschitz_audit(h, h, [0.0, 1.0])
+
+
+# caller -> (call on monkeypatch and x, the largest x the check accepts, text)
+IDENTITY = {
+    "extract_finite_prop": (_zero_prop, ZERO_PROP_TOL, r"E\(h\)"),
+    "discontinuity_profiles": (_discontinuity, DISCONTINUITY_TOL, "on block"),
+    "wmap_lower_bounds": (_wmap, WMAP_TOL, "w-map lower bound at t="),
+    "lipschitz_audit": (_lipschitz, LIPSCHITZ_TOL[1], r"\|t - s\| = 1\.0"),
+}
+
+
+@pytest.mark.parametrize("case", ["over", "small", "nan"])
+@pytest.mark.parametrize("caller", list(IDENTITY))
+def test_identity_check_at_each_caller(monkeypatch, caller, case):
+    call, accepted, text = IDENTITY[caller]
+    x = {"over": 2.0 * accepted, "small": 1e-13, "nan": np.nan}[case]
+    if case == "small":
+        call(monkeypatch, x)
+    else:
+        with pytest.raises(NumericCheckError, match=f"{text}.*: residual "):
+            call(monkeypatch, x)
 
 
 def test_chunk_rule():
