@@ -124,6 +124,23 @@ def spectral_norms(stack):
     return np.sqrt(np.maximum(top, 0.0)) * scale
 
 
+def schur_bounds(stack):
+    """sqrt(||m||_1 ||m||_inf) >= ||m||_2 (Schur's test) for every matrix in a
+    (k, p, q) stack. With hi and lo the larger and smaller of the two norms
+    it is taken as hi sqrt(lo / hi), which neither overflows nor underflows
+    unless a sum does. For a weighted partial permutation (one nonzero entry
+    at most per row and column) it is the largest entry modulus, which is the
+    norm, bit for bit.
+    """
+    a = np.abs(np.asarray(stack, dtype=np.complex128))
+    cols = np.einsum("kij->kj", a).max(axis=1, initial=0.0)
+    rows = np.einsum("kij->ki", a).max(axis=1, initial=0.0)
+    hi, lo = np.maximum(cols, rows), np.minimum(cols, rows)
+    # a sum that overflowed leaves hi = inf, and the bound inf
+    unit = np.where((hi > 0.0) & (hi < np.inf), hi, 1.0)
+    return hi * np.sqrt(lo / unit)
+
+
 def spectral_norm(m):
     """Largest singular value of a dense complex array (square or not)."""
     return float(spectral_norms(np.asarray(m)[None])[0])

@@ -255,8 +255,9 @@ def _run_flow_profile(cfg, rng, out, cfg_hash):
 def _run_cocycle_verify(cfg, rng, out, cfg_hash):
     times = _build_times(_get(cfg, "time_grid", "object"), square=True)
     h, k = _operators(cfg, rng, "h", "k")
-    family = flows.cocycle_from_generators(h, k, times)
-    eh, ek = family.base_flow.eigensystem, hermitian_eig(k)
+    grid = flows.FlowGrid.from_generator(h, times)
+    eh, ek = grid.eigensystem, hermitian_eig(k)
+    family = flows.cocycle_from_eigensystems(grid, ek)
     residuals = flows.cocycle_residuals(family, times, times)
     # h and k swapped: e^{-itk} u_t e^{ith} = 1 for this family's u_t
     lam = flows.lambda_scalar_residuals(ek, eh, family, times)

@@ -120,7 +120,13 @@ def cocycle_from_generators(
 ) -> CocycleFamily:
     """The cocycle u_t = e^{itk} e^{-ith} intertwining sigma_k with sigma_h."""
     grid = FlowGrid.from_generator(h, times)
-    eh, ek = grid.eigensystem, hermitian_eig(k)
+    return cocycle_from_eigensystems(grid, hermitian_eig(k))
+
+
+def cocycle_from_eigensystems(grid: FlowGrid, ek: EigenSystem) -> CocycleFamily:
+    """cocycle_from_generators from the flow grid of h and the eigensystem of
+    k, for a caller that needs e^{itk} again and so keeps ek."""
+    eh = grid.eigensystem
     return CocycleFamily(grid, lambda ts: ek.exp_many(ts) @ eh.exp_many(-ts))
 
 

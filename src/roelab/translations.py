@@ -12,7 +12,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from ._linalg import chunks, spectral_norms
+from ._linalg import chunks, require_hermitian, schur_bounds, spectral_norms
 from .errors import SizeGuardError
 from .operator import OperatorMatrix
 from .space import FiniteSpace
@@ -103,17 +103,75 @@ def enumerate_r_translations(s: FiniteSpace, r: float) -> Iterator[PartialTransl
             yield PartialTranslation(s, pairs)
 
 
+def _inverses(targets: np.ndarray) -> np.ndarray:
+    """The target rows of f^-1 for the rows f of a (k, n) target array."""
+    i, x = np.nonzero(targets >= 0)
+    inverses = np.full_like(targets, -1)
+    inverses[i, targets[i, x]] = x
+    return inverses
+
+
+def _commutators(h: np.ndarray, targets: np.ndarray, inverses: np.ndarray):
+    """The (k, n, n) stack of [h, v_f] for the rows f of a (k, n) target array
+    and their inverse rows, gathered: (h v_f)[:, x] = h[:, f(x)] and
+    (v_f h)[y, :] = h[f^-1(y), :], zero where f or f^-1 is undefined. Each
+    product has a single nonzero term, so this is h @ v_f - v_f @ h bit for bit."""
+    n = h.shape[0]
+    # row j of each is column j or row j of h; index -1 picks the zero row n
+    columns = np.zeros((n + 1, n), dtype=np.complex128)
+    columns[:n] = h.T
+    rows = np.zeros((n + 1, n), dtype=np.complex128)
+    rows[:n] = h
+    hv = columns.take(targets, axis=0).transpose(0, 2, 1)
+    return hv - rows.take(inverses, axis=0)
+
+
 def _commutator_norms(h: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """||[h, v_f]|| for each row f of a (k, n) target array, v_f stacked per chunk."""
+    """||[h, v_f]|| for each row f of a (k, n) target array, one chunk at a time."""
     n = h.shape[0]
     out = [np.zeros(0)]
     for sl in chunks(len(targets), n, n):
         f = targets[sl]
-        i, x = np.nonzero(f >= 0)
-        v = np.zeros((len(f), n, n), dtype=np.complex128)
-        v[i, f[i, x], x] = 1.0
-        out.append(spectral_norms(h @ v - v @ h))
+        out.append(spectral_norms(_commutators(h, f, _inverses(f))))
     return np.concatenate(out)
+
+
+def _first_of_inverse_pair(targets: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    """Mask of the rows f with f <= f^-1 in lexicographic order (-1 first):
+    one row of each pair {f, f^-1}, and every involution."""
+    differ = targets != inverses
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(targets))
+    return ~differ[rows, first] | (targets[rows, first] < inverses[rows, first])
+
+
+def _exact_modulus(h: np.ndarray, blocks) -> float:
+    """max ||[h, v_f]|| over the rows of every block of targets, for Hermitian h.
+
+    [h, v_{f^-1}] = -[h, v_f]^H, so one row of each inverse pair is kept
+    (for h within require_hermitian's tolerance of h^H, the norms of a pair
+    differ by at most 2 ||h - h^H||). A block's rows are normed in descending order of their Schur bounds,
+    until no bound left exceeds the best norm so far."""
+    n = h.shape[0]
+    best = 0.0
+    for block in blocks:
+        inverses = _inverses(block)
+        keep = _first_of_inverse_pair(block, inverses)
+        block, inverses = block[keep], inverses[keep]
+        bounds = [np.zeros(0)]
+        for sl in chunks(len(block), n, n):
+            bounds.append(schur_bounds(_commutators(h, block[sl], inverses[sl])))
+        bounds = np.concatenate(bounds)
+        order = np.argsort(-bounds, kind="stable")
+        # the top row alone first: for diagonal h its norm is the block's max
+        top, rest = order[:1], order[1:]
+        for rows in [top, *(rest[sl] for sl in chunks(len(rest), n, n))]:
+            rows = rows[bounds[rows] > best]
+            if not rows.size:
+                break
+            c = _commutators(h, block[rows], inverses[rows])
+            best = max(best, float(spectral_norms(c).max()))
+    return best
 
 
 def coarseness_modulus(
@@ -123,19 +181,19 @@ def coarseness_modulus(
     *,
     allow_large: bool = False,
 ) -> float:
-    """sup over partial r-translations f of ||[h, v_f]||.
+    """sup over partial r-translations f of ||[h, v_f]||, for Hermitian h.
 
-    exact: brute force over the full enumeration (size guarded).
+    exact: the full enumeration (size guarded), taking one f of each inverse
+    pair and norming only where a row's Schur bound still beats the best
+    norm; for diagonal h the bound is the norm, so few rows are normed.
     heuristic: lower bound from all single-pair translations within r plus a
     greedy matching grown one pair at a time; for diagonal h the single
     pairs already witness the exact value.
     """
     entries = h.entries
+    require_hermitian(entries)
     if mode == "exact":
-        best = 0.0
-        for block in _translation_targets(h.space, r, allow_large):
-            best = max(best, float(_commutator_norms(entries, block).max()))
-        return best
+        return _exact_modulus(entries, _translation_targets(h.space, r, allow_large))
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")
 

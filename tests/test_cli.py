@@ -466,6 +466,29 @@ def test_non_finite_output_is_numeric_error(tmp_path, capsys):
     assert not (tmp_path / "coarse-check.csv").exists()
 
 
+def test_exact_mode_overflow_is_numeric_error(tmp_path, capsys):
+    # the Schur bounds overflow with the norms: no commutator is skipped
+    cfg = {
+        "space": {"path_graph": 4},
+        "operator": {"generator": {"kind": "random_hermitian", "scale": 1e308}},
+        "mode": "exact",
+    }
+    assert run(tmp_path, "coarse-check", cfg) == 4
+    assert "column 'value'" in capsys.readouterr().err
+    assert not (tmp_path / "coarse-check.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_non_hermitian_file_operator_is_numeric_error(tmp_path, capsys, mode):
+    sp = space.path_graph(3)
+    path = tmp_path / "h.txt"
+    operator.save_matrix(operator.OperatorMatrix(sp, np.triu(np.ones((3, 3)))), path)
+    cfg = {"space": {"path_graph": 3}, "operator": {"file": str(path)}, "mode": mode}
+    assert run(tmp_path, "coarse-check", cfg) == 4
+    assert "not Hermitian" in capsys.readouterr().err
+    assert not (tmp_path / "coarse-check.csv").exists()
+
+
 def test_expander_preflow_reads_config_before_sampling(tmp_path, monkeypatch):
     def solve(*args):
         raise AssertionError("sampled a block before the config was read")
@@ -491,7 +514,7 @@ def test_taken_output_path_is_config_error(tmp_path):
     assert rc == 2
 
 
-def test_cocycle_verify_builds_one_family_with_three_solves(tmp_path, monkeypatch):
+def test_cocycle_verify_builds_one_family_with_two_solves(tmp_path, monkeypatch):
     solves = []
     eigh = spectral.eigh
     monkeypatch.setattr(spectral, "eigh", lambda a: solves.append(a) or eigh(a))
@@ -503,8 +526,8 @@ def test_cocycle_verify_builds_one_family_with_three_solves(tmp_path, monkeypatc
         "seed": 5,
     }
     assert run(tmp_path, "cocycle-verify", cfg) == 0
-    # h and k for the one cocycle family, and k again for the scalar-line check
-    assert len(solves) == 3
+    # h and k once each: the scalar-line check reuses the family's k
+    assert len(solves) == 2
 
 
 def _cocycle_verify_counts(tmp_path, monkeypatch, step):

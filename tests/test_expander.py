@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,20 @@ def test_sampler_matches_loop_oracle(seed, size, degree):
         want = _sampler_oracle(size, degree, slow)
         assert np.array_equal(got.dist, want.dist)
     assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        (1000, "a7de3a85502a0dd0"),
+        (1001, "64e1f988125d4c5f"),
+        (1002, "7f760ac0d11e553d"),
+        (1003, "7e60f60534ea9197"),
+    ],
+)
+def test_regular_family_edge_sets_are_pinned(seed, digest):
+    # SHA-256 of the blocks' sorted edge lists, as sampled before the
+    # self-loop test moved ahead of the sort: the draws must not change
+    fam = make_regular_family(4, 4, [16] * 4, seed)
+    edges = [np.argwhere(np.triu(b.dist == 1.0)).tolist() for b in fam.blocks]
+    assert hashlib.sha256(repr(edges).encode()).hexdigest()[:16] == digest

@@ -19,6 +19,7 @@ from roelab._linalg import (
     eigh,
     eigvalsh,
     require_unitary,
+    schur_bounds,
     spectral_norm,
     spectral_norms,
 )
@@ -154,6 +155,29 @@ def test_spectral_norms_of_mixed_stack_match_lapack_svd():
         spectral_norms(np.eye(3))
 
 
+def test_schur_bounds_hold_and_are_exact_on_weighted_permutations():
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((7, 4, 5)) + 1j * rng.standard_normal((7, 4, 5))
+    stack *= np.array([0.0, 1.0, 1e-300, 1e-170, 1e150, 1e300, 1.0])[:, None, None]
+    stack[6] = 0.0
+    stack[6, 1, :] = 1.0  # a row of ones: the bound is its norm, sqrt(5)
+    bounds = schur_bounds(stack)
+    assert bounds[0] == 0.0 and np.isfinite(bounds).all()
+    assert (bounds >= spectral_norms(stack) * (1.0 - 1e-14)).all()
+    assert bounds[6] == pytest.approx(np.sqrt(5.0), rel=1e-15)
+    # at most one nonzero per row and column: the bound is the largest
+    # modulus, which is the norm, bit for bit
+    perm = np.zeros((3, 4, 4))
+    for k, p in enumerate([(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]):
+        perm[k, p, range(4)] = rng.standard_normal(4) * 10.0 ** (100 * k - 100)
+    perm[1, :, 2] = 0.0
+    assert np.array_equal(schur_bounds(perm), np.abs(perm).max(axis=(1, 2)))
+    np.testing.assert_allclose(schur_bounds(perm), spectral_norms(perm), rtol=1e-15)
+    # sums that overflow give an infinite bound, never NaN or a skipped row
+    huge = np.full((1, 3, 3), np.finfo(float).max)
+    assert schur_bounds(huge)[0] == np.inf
+
+
 def test_unitary_group_law_at_n128():
     s = space.path_graph(128)
     h = OperatorMatrix(s, random_hermitian(128, seed=11))
@@ -224,6 +248,11 @@ VALIDITY = {
         lambda x: _cocycle(np.diag([np.exp(1j * x), 1.0, 1.0]), np.eye(3)),
         UNITARY_TOL,
         "identity|unitary",
+    ),
+    "coarseness_modulus": (
+        lambda x: coarseness_modulus(_op(_hermitian_input(x)), 1.0, "exact"),
+        2.0 * HERMITIAN_TOL,
+        "Hermitian",
     ),
     "probe": (
         lambda x: probe(_op(_unitary_input(x))),

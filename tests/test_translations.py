@@ -6,7 +6,13 @@ import pytest
 
 from roelab import space, translations
 from roelab.errors import SizeGuardError
-from roelab.operator import OperatorMatrix, diagonal, operator_norm, propagation
+from roelab.operator import (
+    OperatorMatrix,
+    diagonal,
+    operator_norm,
+    propagation,
+    truncate,
+)
 from roelab.translations import (
     PartialTranslation,
     coarseness_modulus,
@@ -258,3 +264,98 @@ def test_enumeration_size_guard_fires_before_any_array():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10
+
+
+def _all_targets(s, r):
+    return np.concatenate(list(translations._translation_targets(s, r, False)))
+
+
+def _generator(kind, s, seed):
+    """A Hermitian operator on s of the given kind."""
+    n = s.n_points
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dense = OperatorMatrix(s, 0.5 * (m + m.conj().T))
+    if kind == "diagonal":
+        return diagonal(s, rng.standard_normal(n))
+    if kind == "dense":
+        return dense
+    if kind == "banded":
+        return truncate(dense, 1)
+    if kind == "rank-one":
+        v = m[:, 0]
+        return OperatorMatrix(s, np.outer(v, v.conj()))
+    return OperatorMatrix(s, 2.5 * np.eye(n, dtype=complex))  # scalar
+
+
+@pytest.mark.parametrize(
+    "kind", ["diagonal", "dense", "banded", "rank-one", "scalar"]
+)
+@pytest.mark.parametrize(
+    "s",
+    [space.path_graph(5), space.cycle_graph(5), space.from_edge_list([], 1)],
+    ids=["path5", "cycle5", "one-point"],
+)
+def test_exact_coarseness_matches_the_loop_oracle(s, kind):
+    h = _generator(kind, s, seed=s.n_points)
+    for r in s.distance_set():
+        want = max(
+            loop_commutator_norm(h, f.pairs)
+            for f in enumerate_r_translations(s, r)
+        )
+        got = coarseness_modulus(h, float(r), "exact")
+        assert abs(got - want) <= 1e-14 * want, (kind, r)
+        if kind == "scalar":
+            assert got == 0.0
+
+
+def test_gathered_commutators_equal_the_dense_products():
+    s = space.path_graph(5)
+    rng = np.random.default_rng(4)
+    h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    perms = np.array(list(itertools.permutations(range(5))))
+    targets = np.concatenate([np.full((1, 5), -1), perms, _all_targets(s, 2)])
+    got = translations._commutators(h, targets, translations._inverses(targets))
+    for f, c in zip(targets, got):
+        v = np.zeros((5, 5), dtype=complex)
+        x = np.flatnonzero(f >= 0)
+        v[f[x], x] = 1.0
+        assert np.array_equal(c, h @ v - v @ h), f
+
+
+@pytest.mark.parametrize("s,r", ENUMERATION_CASES)
+def test_inverse_pair_filter_keeps_one_row_of_each_pair(s, r):
+    rows = _all_targets(s, r)
+    inverses = translations._inverses(rows)
+    keep = translations._first_of_inverse_pair(rows, inverses)
+    involutions = (rows == inverses).all(axis=1)
+    assert keep[involutions].all()
+    assert keep.sum() == (len(rows) + involutions.sum()) // 2
+    kept = {tuple(f) for f in rows[keep]}
+    assert kept | {tuple(f) for f in inverses[keep]} == {tuple(f) for f in rows}
+
+
+def test_exact_coarseness_of_diagonal_h_norms_few_rows(monkeypatch):
+    s = space.path_graph(6)
+    normed = []
+    norms = translations.spectral_norms
+
+    def counted(stack):
+        normed.append(len(stack))
+        return norms(stack)
+
+    monkeypatch.setattr(translations, "spectral_norms", counted)
+    assert len(_all_targets(s, 2)) == 2701
+    for seed in range(5):
+        normed.clear()
+        h = diagonal(s, np.random.default_rng(seed).standard_normal(6))
+        coarseness_modulus(h, 2, "exact")
+        assert 0 < sum(normed) < 270
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_coarseness_of_non_hermitian_h_is_refused(mode):
+    s = space.path_graph(3)
+    h = OperatorMatrix(s, np.triu(np.ones((3, 3))))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        coarseness_modulus(h, 1, mode)
