@@ -74,13 +74,6 @@ def eigh(a):
     return np.linalg.eigh(a)
 
 
-def eigvalsh(a):
-    """Eigenvalues (ascending) of a Hermitian array; lower triangle only."""
-    a = np.asarray(a)
-    require_finite(a)
-    return np.linalg.eigvalsh(a)
-
-
 # The chunk rule for every stack of matrices (enumerations and time grids):
 # at most _CHUNK matrices, and at most _STACK_ENTRIES entries in all, so each
 # stacked temporary is O(2**22) elements whatever the stack's length. Up to

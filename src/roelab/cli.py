@@ -230,10 +230,7 @@ def _run_ql_profile(cfg, rng, out, cfg_hash):
     modes = _modes(cfg, ("lower", "exact"))
     [a] = _operators(cfg, rng, "operator")
     radii = _radii(cfg, a.space)
-    rows = []
-    for mode in modes:
-        prof = locality.ql_profile(a, radii, mode)
-        rows.extend(zip(prof.radii, prof.values, [mode] * len(prof.radii)))
+    rows = [(r, locality.ql_value(a, r, mode), mode) for mode in modes for r in radii]
     _write_csv(
         out, "ql-profile", cfg_hash,
         "radius:distance value:operator-norm",
@@ -324,14 +321,11 @@ def _run_expander_preflow(cfg, rng, out, cfg_hash):
 def _run_rigidity_probe(cfg, rng, out, cfg_hash):
     times = _build_times(_get(cfg, "time_grid", "object"))
     [h] = _operators(cfg, rng, "h")
-    rows = [
-        (t, rep.delta, rep.displacement)
-        for t, rep in zip(times, rigidity.flow_displacement_sweep(h, times))
-    ]
+    _, deltas, displacements = rigidity.flow_displacement_sweep(h, times)
     _write_csv(
         out, "rigidity-probe", cfg_hash,
         "t:seconds delta:modulus displacement:distance",
-        ("t", "delta", "displacement"), rows,
+        ("t", "delta", "displacement"), zip(times, deltas, displacements),
     )
 
 

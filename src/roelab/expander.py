@@ -3,11 +3,11 @@ averaging projections, the pre-flow e^{ith} they generate, and the exact
 discontinuity constants of that pre-flow."""
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import DISCONTINUITY_TOL, WMAP_TOL, check, chunks, eigvalsh
+from ._linalg import DISCONTINUITY_TOL, WMAP_TOL, check, chunks
 from ._linalg import spectral_norm, spectral_norms
 from .errors import ConfigError
 from .operator import OperatorMatrix, diagonal
@@ -26,7 +26,6 @@ class BlockFamily:
     weights: np.ndarray
     union: FiniteSpace
     offsets: Tuple[int, ...]
-    spectral_gaps: Optional[Tuple[float, ...]] = None
 
     @property
     def n_blocks(self) -> int:
@@ -36,11 +35,7 @@ class BlockFamily:
         return self.blocks[n].n_points
 
 
-def block_family(
-    blocks: Sequence[FiniteSpace],
-    weights,
-    spectral_gaps=None,
-) -> BlockFamily:
+def block_family(blocks: Sequence[FiniteSpace], weights) -> BlockFamily:
     """Assemble a family of blocks with one weight each, given or named by a
     preset."""
     blocks = tuple(blocks)
@@ -56,13 +51,7 @@ def block_family(
         raise ValueError("one weight per block required")
     sizes = [b.n_points for b in blocks]
     offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
-    return BlockFamily(
-        blocks,
-        w,
-        coarse_union(blocks),
-        offsets,
-        None if spectral_gaps is None else tuple(spectral_gaps),
-    )
+    return BlockFamily(blocks, w, coarse_union(blocks), offsets)
 
 
 def _block_sum(fam: BlockFamily, coeffs) -> np.ndarray:
@@ -156,13 +145,6 @@ def _block_rows(fam: BlockFamily, v, ns) -> np.ndarray:
     return v[np.array(fam.offsets)[ns][:, None] + np.arange(fam.block_size(ns[0]))]
 
 
-@dataclass(frozen=True)
-class DiscontinuityReport:
-    measured: float
-    closed_form: float
-    block_of_max: int
-
-
 def discontinuity_profiles(fam: BlockFamily, times):
     """Per grid time t, ||sigma_{h,t}(p_A) - p_A||, its closed form
     max_n split_factor(n) * |e^{itw(n)} - 1| and the block attaining it, as
@@ -187,12 +169,6 @@ def discontinuity_profiles(fam: BlockFamily, times):
         lambda i: f"discontinuity identity at t={times[i // m]} on block {i % m}",
     )
     return measured.max(axis=1), closed.max(axis=1), np.argmax(closed, axis=1)
-
-
-def discontinuity_profile(fam: BlockFamily, t: float) -> DiscontinuityReport:
-    """discontinuity_profiles at a single time t."""
-    measured, closed_form, block = discontinuity_profiles(fam, [t])
-    return DiscontinuityReport(float(measured[0]), float(closed_form[0]), int(block[0]))
 
 
 def wmap_lower_bounds(fam: BlockFamily, k, times):
@@ -239,13 +215,6 @@ def _random_regular_graph(size: int, degree: int, rng) -> FiniteSpace:
     )
 
 
-def _normalized_laplacian_gap(block: FiniteSpace, degree: int) -> float:
-    adj = (block.dist == 1.0).astype(np.float64)
-    lap = np.eye(block.n_points) - adj / degree
-    eigvals = eigvalsh(lap)
-    return float(eigvals[1]) if block.n_points > 1 else 0.0
-
-
 def make_regular_family(
     n_blocks: int,
     degree: int,
@@ -254,8 +223,8 @@ def make_regular_family(
     weights="quadratic",
 ) -> BlockFamily:
     """Random connected degree-regular blocks (pairing model), deterministic
-    under the seed, with the normalized-Laplacian spectral gap reported per
-    block. A shape no such family has raises ConfigError, a ValueError."""
+    under the seed. A shape no such family has raises ConfigError, a
+    ValueError."""
     if len(sizes) != n_blocks:
         raise ConfigError("one size per block required")
     for size in sizes:
@@ -267,5 +236,4 @@ def make_regular_family(
     check_points(sum(sizes))
     rng = np.random.default_rng(seed)
     blocks = [_random_regular_graph(size, degree, rng) for size in sizes]
-    gaps = [_normalized_laplacian_gap(b, degree) for b in blocks]
-    return block_family(blocks, weights, spectral_gaps=gaps)
+    return block_family(blocks, weights)

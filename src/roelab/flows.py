@@ -13,7 +13,7 @@ import numpy as np
 from ._linalg import LIPSCHITZ_TOL, UNITARY_TOL, check, chunks, require_unitary
 from ._linalg import spectral_norm, spectral_norms
 from .operator import OperatorMatrix
-from .spectral import EigenSystem, hermitian_eig, unitary_exp
+from .spectral import EigenSystem, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,8 @@ class FlowGrid:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
-        if t.size == 0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be a nonempty increasing grid")
+        if t.size == 0 or not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise ValueError("times must be a nonempty increasing finite grid")
 
     @classmethod
     def from_generator(cls, h: OperatorMatrix, times) -> "FlowGrid":
@@ -50,12 +50,6 @@ class CocycleFamily:
                 require_unitary(u_t, f"element at t={t}")
                 res0 = np.linalg.norm(u_t - np.eye(n)) if t == 0.0 else 0.0
                 check(res0, UNITARY_TOL, "u_0 is not the identity", ValueError)
-
-
-def flow_apply(h: OperatorMatrix, t: float, a: OperatorMatrix) -> OperatorMatrix:
-    """sigma_{h,t}(a) = e^{ith} a e^{-ith}."""
-    u = unitary_exp(h, t)
-    return u @ a @ u.H
 
 
 def flow_profile(h: OperatorMatrix, a: OperatorMatrix, times):
@@ -101,6 +95,8 @@ def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> LipschitzRep
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
         raise ValueError("grid needs at least 2 points")
+    if not np.isfinite(times).all():
+        raise ValueError("grid times must be finite")
     bound = spectral_norm(h.entries - k.entries)
     diffs = np.unique(np.abs(times[None, :] - times[:, None]))
     diffs = diffs[diffs > 0]
@@ -158,11 +154,6 @@ def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
                 rhs = u_t[i] @ moved
                 out[tsl.start + i, sl] = spectral_norms(c.u_many(t + ss[sl]) - rhs)
     return out
-
-
-def cocycle_residual(c: CocycleFamily, t: float, s: float) -> float:
-    """||u_{t+s} - u_t sigma_{h,t}(u_s)|| at one pair of times."""
-    return float(cocycle_residuals(c, [t], [s])[0, 0])
 
 
 def lambda_scalar_residuals(

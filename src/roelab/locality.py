@@ -1,8 +1,7 @@
 """Quasi-locality profiles: corner norms ||p_A a p_B|| over far-apart sets,
 and epsilon-r approximability certificates via band truncation."""
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -11,13 +10,6 @@ from .errors import SizeGuardError
 from .operator import OperatorMatrix, truncate
 
 EXACT_GUARD = 16
-
-
-@dataclass(frozen=True)
-class QLProfile:
-    radii: Tuple[float, ...]
-    values: Tuple[float, ...]
-    mode: str
 
 
 def _max_corner_norm(entries, dist, r, a_masks) -> float:
@@ -65,11 +57,6 @@ def ql_value(a: OperatorMatrix, r: float, mode: str = "exact") -> float:
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _max_corner_norm(a.entries, dist, r, a_masks)
-
-
-def ql_profile(a: OperatorMatrix, radii: Sequence[float], mode: str) -> QLProfile:
-    values = tuple(ql_value(a, r, mode) for r in radii)
-    return QLProfile(tuple(float(r) for r in radii), values, mode)
 
 
 def eps_r_certificate(a: OperatorMatrix, eps: float) -> float:

@@ -121,11 +121,6 @@ def truncate(a: OperatorMatrix, r: float) -> OperatorMatrix:
     return OperatorMatrix(a.space, kept)
 
 
-def operator_norm(a: OperatorMatrix) -> float:
-    """Largest singular value (spectral norm), from LAPACK via ``_linalg``."""
-    return spectral_norm(a.entries)
-
-
 def schur_bound(a: OperatorMatrix, r: float) -> float:
     """Certified upper bound beta(r) * max|a_xy| on the operator norm.
 

@@ -158,13 +158,15 @@ def _records(path):
 
 
 def _parse(where, fields, kinds, n=None):
-    """``fields`` converted by ``kinds``, one type each. With ``n`` given,
-    every int must be a point index, 0 <= i < n. A ValueError names
-    ``where``."""
+    """``fields`` converted by ``kinds``, one type each. Every float must be
+    finite and, with ``n`` given, every int a point index, 0 <= i < n. A
+    ValueError names ``where``."""
     try:
         if len(fields) != len(kinds):
             raise ValueError(f"expected {len(kinds)} fields")
         values = [kind(field) for kind, field in zip(kinds, fields)]
+        if any(kind is float and not np.isfinite(v) for kind, v in zip(kinds, values)):
+            raise ValueError("non-finite number")
         if n is not None and any(
             kind is int and not 0 <= v < n for kind, v in zip(kinds, values)
         ):

@@ -7,12 +7,10 @@ import numpy as np
 
 from ._linalg import eigh, require_hermitian, spectral_norm
 from .operator import OperatorMatrix
-from .space import FiniteSpace
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    space: FiniteSpace
     eigenvalues: np.ndarray  # ascending, real
     vectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
 
@@ -23,10 +21,6 @@ class EigenSystem:
         phases = np.exp(1j * t[:, None] * self.eigenvalues[None, :])
         return (self.vectors * phases[:, None, :]) @ self.vectors.conj().T
 
-    def exp(self, t: float) -> OperatorMatrix:
-        """e^{ith} for a single t."""
-        return OperatorMatrix(self.space, self.exp_many([t])[0])
-
 
 def hermitian_eig(a: OperatorMatrix) -> EigenSystem:
     """LAPACK eigendecomposition; input must pass require_hermitian.
@@ -36,12 +30,7 @@ def hermitian_eig(a: OperatorMatrix) -> EigenSystem:
     """
     require_hermitian(a.entries)
     w, v = eigh(0.5 * (a.entries + a.entries.conj().T))
-    return EigenSystem(a.space, w, v)
-
-
-def unitary_exp(h: OperatorMatrix, t: float) -> OperatorMatrix:
-    """e^{ith} for a single t; sweeps hold hermitian_eig(h) instead."""
-    return hermitian_eig(h).exp(t)
+    return EigenSystem(w, v)
 
 
 def generator_check(u_grid) -> float:
@@ -60,7 +49,6 @@ def generator_check(u_grid) -> float:
             break
     if delta is None:
         raise ValueError("grid has no symmetric +/-delta pair around 0")
-    u_p = u_grid.eigensystem.exp(delta).entries
-    u_m = u_grid.eigensystem.exp(-delta).entries
+    u_p, u_m = u_grid.eigensystem.exp_many([delta, -delta])
     diff = (u_p - u_m) / (2.0 * delta) - 1j * u_grid.generator.entries
     return spectral_norm(diff)

@@ -6,35 +6,27 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from roelab import space
 from roelab.averaging import brute_average, conjugate_by_sign, extract_finite_prop
 from roelab.cli import main as cli_main
 from roelab.expander import (
     block_family,
-    discontinuity_profile,
+    discontinuity_profiles,
     halfsplit_commutator_norm,
 )
 from roelab.flows import (
     FlowGrid,
     cocycle_from_generators,
-    cocycle_residual,
+    cocycle_residuals,
     corrupt_at,
-    flow_apply,
     lipschitz_audit,
 )
 from roelab.locality import ql_value
-from roelab.operator import (
-    OperatorMatrix,
-    diagonal,
-    expectation,
-    identity,
-    truncate,
-)
+from roelab.operator import OperatorMatrix, diagonal, expectation, truncate
 from roelab._linalg import spectral_norm
-from roelab.rigidity import probe
-from roelab.spectral import generator_check, unitary_exp
+from roelab.rigidity import probes
+from roelab.spectral import generator_check, hermitian_eig
 from roelab.translations import (
     PartialTranslation,
     coarseness_modulus,
@@ -78,9 +70,10 @@ def test_criterion_02_discontinuity_identity(capsys):
         fam = block_family(
             [space.path_graph(k) for k in (4, 4, 6, 8)], "quadratic"
         )
-        for t in np.linspace(-2.0, 2.0, 129):
-            rep = discontinuity_profile(fam, float(t))
-            assert abs(rep.measured - rep.closed_form) <= 1e-9
+        measured, closed_form, _ = discontinuity_profiles(
+            fam, np.linspace(-2.0, 2.0, 129)
+        )
+        assert np.abs(measured - closed_form).max() <= 1e-9
 
     _run(capsys, 2, "discontinuity closed form on 129-pt grid", 10.0, body)
 
@@ -89,11 +82,8 @@ def test_criterion_03_non_flow_shadow(capsys):
     def body():
         fam = block_family([space.path_graph(4)] * 8, "quadratic")
         delta = 0.05
-        hit = 0.0
-        for t in np.linspace(-delta, delta, 101):
-            rep = discontinuity_profile(fam, float(t))
-            hit = max(hit, rep.measured)
-        assert hit >= 0.99
+        measured, _, _ = discontinuity_profiles(fam, np.linspace(-delta, delta, 101))
+        assert measured.max() >= 0.99
 
     _run(capsys, 3, "pre-flow jumps by >= 0.99 within |t| <= 0.05", 30.0, body)
 
@@ -133,14 +123,9 @@ def test_criterion_06_cocycle_identity(capsys):
             h = _seeded_hermitian(s, 2 * seed)
             k = _seeded_hermitian(s, 2 * seed + 1)
             fam = cocycle_from_generators(h, k, grid)
-            worst = max(
-                cocycle_residual(fam, float(t), float(u))
-                for t in grid
-                for u in grid
-            )
-            assert worst <= 1e-9
+            assert cocycle_residuals(fam, grid, grid).max() <= 1e-9
             bad = corrupt_at(fam, float(grid[5]))
-            if cocycle_residual(bad, float(grid[5]), float(grid[10])) > 1e-2:
+            if cocycle_residuals(bad, grid[5:6], grid[10:11])[0, 0] > 1e-2:
                 corrupted_hits += 1
         assert corrupted_hits >= 9
 
@@ -171,10 +156,9 @@ def test_criterion_08_diagonal_flow_closed_form(capsys):
             t = float(rng.uniform(-2.0, 2.0))
             # sigma_t is entrywise for diagonal h; check every partial
             # translation against v_f e^{it(h o f - h)}
-            u = unitary_exp(h, t)
+            [u] = hermitian_eig(h).exp_many([t])
             for f in enumerate_r_translations(s, diam):
-                vf = to_matrix(f)
-                moved = (u @ vf @ u.H).entries
+                moved = u @ to_matrix(f).entries @ u.conj().T
                 expected = np.zeros((6, 6), dtype=complex)
                 for x, y in f.pairs:
                     expected[y, x] = np.exp(1j * t * (hvals[y] - hvals[x]))
@@ -223,10 +207,11 @@ def test_criterion_11_spectral_integrity(capsys):
         s = space.path_graph(7)
         h = _seeded_hermitian(s, 1111)
         eye = np.eye(7)
+        es = hermitian_eig(h)
         for t, u in [(0.3, 0.9), (-1.2, 0.4), (2.0, -2.0)]:
-            ut, uu = unitary_exp(h, t), unitary_exp(h, u)
-            assert spectral_norm((ut @ uu).entries - unitary_exp(h, t + u).entries) <= 1e-9
-            assert spectral_norm(ut.entries.conj().T @ ut.entries - eye) <= 1e-9
+            ut, uu, utu = es.exp_many([t, u, t + u])
+            assert spectral_norm(ut @ uu - utu) <= 1e-9
+            assert spectral_norm(ut.conj().T @ ut - eye) <= 1e-9
         residuals = []
         for d in (1e-2, 5e-3, 2.5e-3):
             grid = FlowGrid.from_generator(h, [-d, d])
@@ -241,18 +226,19 @@ def test_criterion_12_rigidity_probe(capsys):
     def body():
         s = space.path_graph(5)
         rng = np.random.default_rng(1212)
-        for _ in range(10):
-            u = OperatorMatrix(s, np.diag(np.exp(1j * rng.uniform(0, 7, 5))))
-            rep = probe(u)
-            assert np.array_equal(rep.point_map, np.arange(5))
-            assert abs(rep.delta - 1.0) <= 1e-12
-            assert rep.displacement == 0.0
-        for perm in itertools.permutations(range(5)):
-            g = PartialTranslation(s, tuple(enumerate(perm)))
-            rep = probe(to_matrix(g))
-            assert np.array_equal(rep.point_map, perm)
-            assert rep.delta == 1.0
-            assert rep.displacement == g.displacement
+        phases = [np.diag(np.exp(1j * rng.uniform(0, 7, 5))) for _ in range(10)]
+        point_maps, deltas, displacements = probes(s, np.stack(phases))
+        assert (point_maps == np.arange(5)).all()
+        assert np.abs(deltas - 1.0).max() <= 1e-12
+        assert (displacements == 0.0).all()
+        perms = list(itertools.permutations(range(5)))
+        gs = [PartialTranslation(s, tuple(enumerate(p))) for p in perms]
+        point_maps, deltas, displacements = probes(
+            s, np.stack([to_matrix(g).entries for g in gs])
+        )
+        assert np.array_equal(point_maps, perms)
+        assert (deltas == 1.0).all()
+        assert np.array_equal(displacements, [g.displacement for g in gs])
 
     _run(capsys, 12, "rigidity probe reads back point maps", 10.0, body)
 

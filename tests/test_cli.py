@@ -426,6 +426,9 @@ def test_oversize_request_is_size_guard(tmp_path, capsys, sub, extra_cfg):
         ("file", "n 3\n0 1 1.0 0.0\nn 3\n", 3),
         ("edge_list", "n 3\n0 1\nn 4\n2 3\n1 2\n", 3),
         ("file", "n 3\n0 1 1.0 0.0\n0 1 5.0 0.0\n", 3),
+        ("file", "n 3\n0 1 nan 0.0\n", 2),
+        ("file", "n 3\n0 1 1.0 inf\n", 2),
+        ("file", "n 3\n# 1e400 overflows to inf\n1 2 1e400 0.0\n", 3),
     ],
     ids=[
         "edge-list-header-no-count",
@@ -436,6 +439,9 @@ def test_oversize_request_is_size_guard(tmp_path, capsys, sub, extra_cfg):
         "matrix-second-header",
         "edge-list-second-header",
         "matrix-repeated-entry",
+        "matrix-nan",
+        "matrix-inf",
+        "matrix-overflow",
     ],
 )
 def test_malformed_input_file_is_numeric_error(tmp_path, capsys, source, text, line):
@@ -490,10 +496,10 @@ def test_non_hermitian_file_operator_is_numeric_error(tmp_path, capsys, mode):
 
 
 def test_expander_preflow_reads_config_before_sampling(tmp_path, monkeypatch):
-    def solve(*args):
+    def sample(*args):
         raise AssertionError("sampled a block before the config was read")
 
-    monkeypatch.setattr(expander, "eigvalsh", solve)
+    monkeypatch.setattr(expander, "_random_regular_graph", sample)
     cfg = {**_VALID["expander-preflow"], "k": "bogus"}
     assert run(tmp_path, "expander-preflow", cfg) == 2
 

@@ -8,7 +8,6 @@ from roelab.errors import NumericCheckError, SizeGuardError
 from roelab.expander import (
     averaging_projection,
     block_family,
-    discontinuity_profile,
     discontinuity_profiles,
     generator,
     halfsplit_commutator_norm,
@@ -18,9 +17,10 @@ from roelab.expander import (
     split_projection,
     wmap_lower_bounds,
 )
+from roelab._linalg import spectral_norm
 from roelab.locality import equi_approx_profile
-from roelab.operator import OperatorMatrix, diagonal, operator_norm
-from roelab.spectral import unitary_exp
+from roelab.operator import OperatorMatrix, diagonal
+from roelab.spectral import hermitian_eig
 
 
 def family_of_paths(sizes, weights):
@@ -85,8 +85,8 @@ def test_preflow_matches_spectral_exponential():
             make_regular_family(4, 4, [16] * 4, seed),
         ):
             direct = preflow_unitary(fam, t)
-            via_eig = unitary_exp(generator(fam), t)
-            assert np.linalg.norm(direct.entries - via_eig.entries, 2) <= 1e-10
+            [via_eig] = hermitian_eig(generator(fam)).exp_many([t])
+            assert np.linalg.norm(direct.entries - via_eig, 2) <= 1e-10
 
 
 def test_halfsplit_even_is_half():
@@ -112,24 +112,24 @@ def test_halfsplit_odd_three():
 
 def test_discontinuity_zero_at_zero():
     fam = family_of_paths([4, 4], [1.0, 4.0])
-    rep = discontinuity_profile(fam, 0.0)
-    assert rep.measured <= 1e-12
-    assert rep.closed_form == 0.0
+    [measured], [closed_form], _ = discontinuity_profiles(fam, [0.0])
+    assert measured <= 1e-12
+    assert closed_form == 0.0
 
 
 def test_discontinuity_single_block_full_swing():
     # w = 5, t = pi/5: |e^{i pi} - 1| = 2, closed form = 1
     fam = family_of_paths([4], [5.0])
-    rep = discontinuity_profile(fam, np.pi / 5)
-    assert rep.closed_form == pytest.approx(1.0, abs=1e-12)
-    assert rep.measured == pytest.approx(1.0, abs=1e-9)
+    [measured], [closed_form], _ = discontinuity_profiles(fam, [np.pi / 5])
+    assert closed_form == pytest.approx(1.0, abs=1e-12)
+    assert measured == pytest.approx(1.0, abs=1e-9)
 
 
 def test_discontinuity_grid_sweep():
     fam = family_of_paths([4, 2, 4, 2], [1.0, 4.0, 9.0, 16.0])
-    for t in np.linspace(-2, 2, 17):
-        rep = discontinuity_profile(fam, t)  # raises if identity fails
-        assert abs(rep.measured - rep.closed_form) <= 1e-9
+    # raises if the identity fails on a block
+    measured, closed_form, _ = discontinuity_profiles(fam, np.linspace(-2, 2, 17))
+    assert np.abs(measured - closed_form).max() <= 1e-9
 
 
 def test_wmap_zero_k_single_block():
@@ -158,11 +158,9 @@ def test_wmap_diagonal_k_sweep():
 
 def test_regular_family_complete_graph_case():
     fam = make_regular_family(2, 3, [4, 4], seed=1, weights="constant")
-    # 3-regular on 4 points is K_4; spectral gap recorded, not asserted
+    # 3-regular on 4 points is K_4
     for block in fam.blocks:
         assert block.diameter == 1.0
-    assert fam.spectral_gaps is not None
-    assert all(g > 0 for g in fam.spectral_gaps)
 
 
 def test_regular_family_deterministic():
@@ -232,16 +230,12 @@ def test_blockwise_norms_match_dense_norms(sizes):
     p_a = split_projection(fam)
     for i, t in enumerate(times):
         u = preflow_unitary(fam, t)
-        dense = operator_norm(u @ p_a @ u.H - p_a)
+        dense = spectral_norm((u @ p_a @ u.H - p_a).entries)
         assert measured[i] == pytest.approx(dense, rel=1e-12, abs=1e-14)
         w = u @ diagonal(fam.union, np.exp(-1j * t * k))
         dense_w = np.linalg.norm(w.entries - np.eye(n), 2)
         assert lhs[i] == pytest.approx(dense_w, rel=1e-12, abs=1e-14)
         assert rhs[i] == closed_form[i]
-        rep = discontinuity_profile(fam, t)
-        assert (rep.measured, rep.closed_form, rep.block_of_max) == (
-            measured[i], closed_form[i], block[i]
-        )
         [lhs_t], [rhs_t] = wmap_lower_bounds(fam, k, [t])
         assert (lhs_t, rhs_t) == (lhs[i], rhs[i])
 

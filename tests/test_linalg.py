@@ -17,7 +17,6 @@ from roelab._linalg import (
     check,
     chunk_len,
     eigh,
-    eigvalsh,
     require_unitary,
     schur_bounds,
     spectral_norm,
@@ -37,9 +36,9 @@ from roelab.flows import (
 )
 from roelab.locality import ql_value
 from roelab.operator import OperatorMatrix
-from roelab.rigidity import flow_displacement_sweep, probe
+from roelab.rigidity import flow_displacement_sweep, probes
 from roelab.translations import coarseness_modulus
-from roelab.spectral import hermitian_eig, unitary_exp
+from roelab.spectral import hermitian_eig
 
 SIZES = [1, 2, 64, 128]
 
@@ -70,7 +69,6 @@ def test_path_dirichlet_laplacian_spectrum(n):
     # 2I - A for the path adjacency A: eigenvalues 2 - 2cos(k pi / (n + 1))
     lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
-    assert np.allclose(eigvalsh(lap), exact, rtol=0.0, atol=1e-12)
     w, _ = eigh(lap)
     assert np.allclose(w, exact, rtol=0.0, atol=1e-12)
 
@@ -85,7 +83,6 @@ def test_eigh_reconstructs_with_orthonormal_vectors(n, complex_):
     scale = 1.0 + spectral_norm(a)
     assert spectral_norm((v * w[None, :]) @ v.conj().T - a) <= 1e-12 * scale
     assert spectral_norm(v.conj().T @ v - np.eye(n)) <= 1e-12
-    assert np.allclose(eigvalsh(a), w, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_spectral_norm_of_rectangular_matrix_with_known_singular_values():
@@ -132,7 +129,7 @@ def test_spectral_norm_is_absolutely_homogeneous_at_extreme_scales(c):
 def test_non_finite_input_is_rejected(bad):
     a = np.eye(3)
     a[1, 1] = bad
-    for f in (eigh, eigvalsh, *NORMS):
+    for f in (eigh, *NORMS):
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
             f(a)
     assert issubclass(np.linalg.LinAlgError, ValueError)  # CLI exit 4
@@ -182,9 +179,8 @@ def test_unitary_group_law_at_n128():
     s = space.path_graph(128)
     h = OperatorMatrix(s, random_hermitian(128, seed=11))
     t, u = 0.37, -1.21
-    lhs = unitary_exp(h, t + u).entries
-    rhs = unitary_exp(h, t).entries @ unitary_exp(h, u).entries
-    assert spectral_norm(lhs - rhs) <= 1e-11
+    u_t, u_u, lhs = hermitian_eig(h).exp_many([t, u, t + u])
+    assert spectral_norm(lhs - u_t @ u_u) <= 1e-11
     assert spectral_norm(lhs.conj().T @ lhs - np.eye(128)) <= 1e-11
 
 
@@ -255,7 +251,7 @@ VALIDITY = {
         "Hermitian",
     ),
     "probe": (
-        lambda x: probe(_op(_unitary_input(x))),
+        lambda x: probes(S3, _unitary_input(x)[None]),
         UNITARY_TOL,
         "unitary",
     ),
@@ -391,10 +387,8 @@ def _stacked_paths():
     )
     out = {
         "flow_profile": flow_profile(h, a, times),
-        "sweep": [
-            (r.point_map, r.delta, r.displacement)
-            for r in flow_displacement_sweep(h, times)
-        ],
+        # per time: the point map, delta and displacement, as one row
+        "sweep": np.column_stack(flow_displacement_sweep(h, times)),
         "cocycle": cocycle_residuals(fam, times, times),
         "corrupted": cocycle_residuals(corrupt_at(fam, float(times[3])), times, times),
         "lambda": lambda_scalar_residuals(
@@ -421,10 +415,5 @@ def test_stacked_paths_do_not_depend_on_the_chunk(monkeypatch):
     assert chunk_len(6, 6) == 1
     one = _stacked_paths()
     for name, value in default.items():
-        if name == "sweep":
-            for (f, d, x), (f1, d1, x1) in zip(value, one[name]):
-                assert np.array_equal(f, f1) and x == x1, name
-                assert d == pytest.approx(d1, rel=1e-12), name
-            continue
         for got, want in zip(np.atleast_1d(one[name]), np.atleast_1d(value)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=name)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roelab import space
+from roelab._linalg import spectral_norm
 from roelab.operator import (
     OperatorMatrix,
     diagonal,
@@ -13,7 +14,6 @@ from roelab.operator import (
     load_matrix,
     matrix_unit,
     offdiag_sup,
-    operator_norm,
     propagation,
     save_matrix,
     schur_bound,
@@ -85,7 +85,7 @@ def test_truncation_residual_nonincreasing():
     s = space.path_graph(6)
     a = random_operator(s, 9)
     residuals = [
-        operator_norm(a - truncate(a, r)) for r in s.distance_set()
+        spectral_norm((a - truncate(a, r)).entries) for r in s.distance_set()
     ]
     assert all(x >= y - 1e-12 for x, y in zip(residuals, residuals[1:]))
     assert residuals[-1] == 0.0
@@ -100,13 +100,13 @@ def test_propagation_subadditive_on_products():
 
 def test_norm_identity():
     s = space.path_graph(3)
-    assert operator_norm(identity(s)) == pytest.approx(1.0, abs=1e-12)
+    assert spectral_norm(identity(s).entries) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_rank_one_projection():
     s = space.complete_graph(4)
     a = OperatorMatrix(s, np.ones((4, 4), dtype=complex) / 4)
-    assert operator_norm(a) == pytest.approx(1.0, abs=1e-12)
+    assert spectral_norm(a.entries) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_halfsplit_block_matrix():
@@ -116,10 +116,7 @@ def test_norm_halfsplit_block_matrix():
         m = np.zeros((size, size), dtype=complex)
         m[half:, :half] = 1.0 / size
         m[:half, half:] = -1.0 / size
-        s = space.complete_graph(size)
-        assert operator_norm(OperatorMatrix(s, m)) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        assert spectral_norm(m) == pytest.approx(0.5, abs=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -127,7 +124,7 @@ def test_norm_halfsplit_block_matrix():
 def test_norm_matches_numpy_oracle(seed):
     s = space.path_graph(6)
     a = random_operator(s, seed)
-    assert operator_norm(a) == pytest.approx(
+    assert spectral_norm(a.entries) == pytest.approx(
         np.linalg.norm(a.entries, 2), rel=1e-10
     )
 
@@ -136,7 +133,7 @@ def test_schur_bound_diagonal_exact():
     s = space.path_graph(4)
     a = diagonal(s, [1.0, -3.0, 2.0, 0.5])
     assert schur_bound(a, 0) == pytest.approx(3.0)
-    assert schur_bound(a, 0) == pytest.approx(operator_norm(a), abs=1e-12)
+    assert schur_bound(a, 0) == pytest.approx(spectral_norm(a.entries), abs=1e-12)
 
 
 def test_schur_bound_requires_band():
@@ -150,7 +147,7 @@ def test_schur_bound_dominates_norm_seeded():
     s = space.path_graph(8)
     for seed in range(100):
         a = truncate(random_operator(s, seed), 2)
-        assert schur_bound(a, 2) >= operator_norm(a) - 1e-12
+        assert schur_bound(a, 2) >= spectral_norm(a.entries) - 1e-12
 
 
 def test_offdiag_sup():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from roelab import space
-from roelab.operator import OperatorMatrix, diagonal, identity
-from roelab.rigidity import flow_displacement_sweep, probe
+from roelab.operator import OperatorMatrix, diagonal
+from roelab.rigidity import flow_displacement_sweep, probes
 from roelab.spectral import hermitian_eig
 from roelab.translations import PartialTranslation, to_matrix
 
@@ -17,20 +17,19 @@ def haar_unitary(n, seed):
 
 def test_probe_identity():
     s = space.path_graph(5)
-    rep = probe(identity(s))
-    assert np.array_equal(rep.point_map, np.arange(5))
-    assert rep.delta == 1.0
-    assert rep.displacement == 0.0
+    [point_map], [delta], [displacement] = probes(s, np.eye(5)[None])
+    assert np.array_equal(point_map, np.arange(5))
+    assert delta == 1.0
+    assert displacement == 0.0
 
 
 def test_probe_diagonal_phases():
     s = space.path_graph(4)
-    u = diagonal(s, [1.0, 1.0, 1.0, 1.0])
-    u = OperatorMatrix(s, u.entries * np.exp(1j * np.arange(4)))
-    rep = probe(u)
-    assert np.array_equal(rep.point_map, np.arange(4))
-    assert rep.delta == pytest.approx(1.0, abs=1e-12)
-    assert rep.displacement == 0.0
+    u = np.diag(np.exp(1j * np.arange(4)))
+    [point_map], [delta], [displacement] = probes(s, u[None])
+    assert np.array_equal(point_map, np.arange(4))
+    assert delta == pytest.approx(1.0, abs=1e-12)
+    assert displacement == 0.0
 
 
 def test_probe_permutation_recovers_map():
@@ -38,33 +37,33 @@ def test_probe_permutation_recovers_map():
     s = space.cycle_graph(5)
     pairs = tuple((x, (x + 1) % 5) for x in range(5))
     g = PartialTranslation(s, pairs)
-    rep = probe(to_matrix(g))
+    [point_map], [delta], [displacement] = probes(s, to_matrix(g).entries[None])
     expected = np.array([(x + 1) % 5 for x in range(5)])
-    assert np.array_equal(rep.point_map, expected)
-    assert rep.delta == 1.0
-    assert rep.displacement == 1.0
+    assert np.array_equal(point_map, expected)
+    assert delta == 1.0
+    assert displacement == 1.0
 
 
 def test_probe_rejects_non_unitary():
     s = space.path_graph(3)
     with pytest.raises(ValueError, match="unitary"):
-        probe(OperatorMatrix(s, 2.0 * np.eye(3)))
+        probes(s, 2.0 * np.eye(3)[None])
 
 
 def test_delta_floor_random_unitaries():
     # columns are unit vectors, so the largest entry is at least 1/sqrt(n)
     for n, seed in [(3, 0), (6, 1), (10, 2), (10, 3)]:
         s = space.complete_graph(n)
-        rep = probe(OperatorMatrix(s, haar_unitary(n, seed)))
-        assert rep.delta >= 1.0 / np.sqrt(n) - 1e-12
+        [delta] = probes(s, haar_unitary(n, seed)[None])[1]
+        assert delta >= 1.0 / np.sqrt(n) - 1e-12
 
 
 def test_probe_tie_breaks_to_smallest_index():
     s = space.path_graph(2)
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    rep = probe(OperatorMatrix(s, had))
-    assert np.array_equal(rep.point_map, [0, 0])
-    assert rep.displacement == 1.0
+    [point_map], _, [displacement] = probes(s, had[None])
+    assert np.array_equal(point_map, [0, 0])
+    assert displacement == 1.0
 
 
 def test_sweep_starts_at_identity():
@@ -72,19 +71,21 @@ def test_sweep_starts_at_identity():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
-    reports = flow_displacement_sweep(h, np.linspace(0.0, 1.0, 5))
-    assert reports[0].displacement == 0.0
-    assert reports[0].delta == pytest.approx(1.0, abs=1e-12)
-    assert len(reports) == 5
+    point_maps, deltas, displacements = flow_displacement_sweep(
+        h, np.linspace(0.0, 1.0, 5)
+    )
+    assert displacements[0] == 0.0
+    assert deltas[0] == pytest.approx(1.0, abs=1e-12)
+    assert point_maps.shape == (5, 4) and deltas.shape == displacements.shape == (5,)
 
 
 def test_sweep_small_time_stays_near_diagonal():
     # e^{ith} = 1 + O(t), so tiny t keeps the argmax on the diagonal
     s = space.path_graph(5)
     h = diagonal(s, [1.0, 2.0, 3.0, 4.0, 5.0])
-    for rep in flow_displacement_sweep(h, [0.0, 1e-3, 2e-3]):
-        assert rep.displacement == 0.0
-        assert rep.delta >= 0.999
+    _, deltas, displacements = flow_displacement_sweep(h, [0.0, 1e-3, 2e-3])
+    assert (displacements == 0.0).all()
+    assert (deltas >= 0.999).all()
 
 
 def test_sweep_matches_per_time_probe():
@@ -94,8 +95,9 @@ def test_sweep_matches_per_time_probe():
     h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
     times = np.linspace(0.0, 3.0, 13)
     es = hermitian_eig(h)
-    for t, rep in zip(times, flow_displacement_sweep(h, times)):
-        want = probe(es.exp(t))
-        assert np.array_equal(rep.point_map, want.point_map)
-        assert rep.delta == pytest.approx(want.delta, rel=1e-12)
-        assert rep.displacement == want.displacement
+    sweep = flow_displacement_sweep(h, times)
+    for i, t in enumerate(times):
+        [point_map], [delta], [displacement] = probes(s, es.exp_many([t]))
+        assert np.array_equal(sweep[0][i], point_map)
+        assert sweep[1][i] == pytest.approx(delta, rel=1e-12)
+        assert sweep[2][i] == displacement

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from roelab import space
+from roelab._linalg import spectral_norm
 from roelab.flows import FlowGrid
-from roelab.operator import OperatorMatrix, diagonal, operator_norm, propagation
-from roelab.spectral import generator_check, hermitian_eig, unitary_exp
+from roelab.operator import OperatorMatrix, diagonal, propagation
+from roelab.spectral import generator_check, hermitian_eig
 
 
 def random_hermitian(s, seed, scale=1.0):
@@ -33,7 +34,7 @@ def test_reconstruction_residual():
     a = random_hermitian(s, 0)
     es = hermitian_eig(a)
     recon = (es.vectors * es.eigenvalues[None, :]) @ es.vectors.conj().T
-    norm_a = operator_norm(a)
+    norm_a = spectral_norm(a.entries)
     assert np.linalg.norm(a.entries - recon, 2) <= 1e-10 * (1 + norm_a)
     assert np.linalg.norm(
         es.vectors.conj().T @ es.vectors - np.eye(8), 2
@@ -50,15 +51,15 @@ def test_non_hermitian_rejected():
 
 def test_exp_at_zero_is_identity():
     s = space.path_graph(4)
-    u = unitary_exp(random_hermitian(s, 1), 0.0)
-    assert np.allclose(u.entries, np.eye(4), atol=1e-12)
+    [u] = hermitian_eig(random_hermitian(s, 1)).exp_many([0.0])
+    assert np.allclose(u, np.eye(4), atol=1e-12)
 
 
 def test_exp_diagonal_closed_form():
     s = space.path_graph(3)
     thetas = np.array([0.3, -1.2, 2.5])
-    u = unitary_exp(diagonal(s, thetas), 1.0)
-    assert np.allclose(u.entries, np.diag(np.exp(1j * thetas)), atol=1e-12)
+    [u] = hermitian_eig(diagonal(s, thetas)).exp_many([1.0])
+    assert np.allclose(u, np.diag(np.exp(1j * thetas)), atol=1e-12)
 
 
 def test_exp_rank_one_weighted_projection():
@@ -66,39 +67,37 @@ def test_exp_rank_one_weighted_projection():
     s = space.complete_graph(4)
     p = np.ones((4, 4), dtype=complex) / 4
     w, t = 2.7, 0.9
-    u = unitary_exp(OperatorMatrix(s, w * p), t)
+    [u] = hermitian_eig(OperatorMatrix(s, w * p)).exp_many([t])
     expected = np.eye(4) + (np.exp(1j * t * w) - 1.0) * p
-    assert np.allclose(u.entries, expected, atol=1e-10)
+    assert np.allclose(u, expected, atol=1e-10)
 
 
 def test_exp_adjoint_is_negative_time():
     s = space.path_graph(5)
     h = random_hermitian(s, 2)
-    u = unitary_exp(h, 0.7)
-    v = unitary_exp(h, -0.7)
-    assert np.linalg.norm(u.H.entries - v.entries, 2) <= 1e-10
+    u, v = hermitian_eig(h).exp_many([0.7, -0.7])
+    assert np.linalg.norm(u.conj().T - v, 2) <= 1e-10
 
 
 def test_exp_group_law_and_unitarity():
     s = space.path_graph(6)
     h = random_hermitian(s, 3)
+    es = hermitian_eig(h)
     for t, st_ in [(0.3, 0.4), (-1.1, 0.6)]:
-        lhs = unitary_exp(h, t + st_).entries
-        rhs = unitary_exp(h, t).entries @ unitary_exp(h, st_).entries
-        assert np.linalg.norm(lhs - rhs, 2) <= 1e-9
-        u = unitary_exp(h, t).entries
+        u, v, lhs = es.exp_many([t, st_, t + st_])
+        assert np.linalg.norm(lhs - u @ v, 2) <= 1e-9
         assert np.linalg.norm(u.conj().T @ u - np.eye(6), 2) <= 1e-10
 
 
 def test_exp_diagonal_has_propagation_zero():
     s = space.path_graph(5)
     h = diagonal(s, [0.1, 0.9, 2.2, -0.5, 1.4])
-    assert propagation(unitary_exp(h, 0.8)) == 0.0
+    assert propagation(OperatorMatrix(s, hermitian_eig(h).exp_many([0.8])[0])) == 0.0
 
 
 def test_exp_eigenvalues_on_unit_circle():
     s = space.path_graph(5)
-    u = unitary_exp(random_hermitian(s, 4), 1.3).entries
+    [u] = hermitian_eig(random_hermitian(s, 4)).exp_many([1.3])
     assert np.allclose(np.abs(np.linalg.eigvals(u)), 1.0, atol=1e-10)
 
 
@@ -116,7 +115,7 @@ def test_generator_check_diagonal_bound():
     s = space.path_graph(4)
     h = diagonal(s, [1.0, -2.0, 0.5, 3.0])
     res = generator_check(grid_for(h, 1e-4))
-    norm_h = operator_norm(h)
+    norm_h = spectral_norm(h.entries)
     assert res <= 1e-6 * (1 + norm_h**3)
 
 
