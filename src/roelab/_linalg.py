@@ -114,7 +114,8 @@ def spectral_norms(stack):
     mh = m.conj().transpose(0, 2, 1)
     gram = m @ mh if p < q else mh @ m
     top = np.linalg.eigvalsh(gram)[:, -1]
-    return np.sqrt(np.maximum(top, 0.0)) * scale
+    with np.errstate(over="ignore"):  # a norm that overflows is inf
+        return np.sqrt(np.maximum(top, 0.0)) * scale
 
 
 def schur_bounds(stack):

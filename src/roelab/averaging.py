@@ -19,18 +19,6 @@ from .space import FiniteSpace
 BRUTE_GUARD = 14
 
 
-@dataclass(frozen=True)
-class SignVector:
-    signs: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.signs, dtype=np.int8)
-        if s.ndim != 1 or not np.all(np.abs(s) == 1):
-            raise ValueError("signs must be a flat vector of +/-1")
-        s.setflags(write=False)
-        object.__setattr__(self, "signs", s)
-
-
 def _sign_blocks(n: int, count: int):
     """The first count vectors of {-1,+1}^n in canonical order, as int8
     blocks of one n x n stack's worth of rows."""
@@ -42,20 +30,21 @@ def _sign_blocks(n: int, count: int):
 
 
 def all_sign_vectors(n: int):
-    """Canonical (lexicographic, -1 before +1) enumeration of {-1,+1}^n."""
+    """{-1,+1}^n as int8 rows, in canonical (lexicographic, -1 first) order."""
     for block in _sign_blocks(n, 1 << n):
-        for signs in block:
-            yield SignVector(signs)
+        yield from block
 
 
-def conjugate_by_sign(a: OperatorMatrix, eps: SignVector) -> OperatorMatrix:
-    """pi(eps)^* a pi(eps): entry (x, y) picks up the factor eps_x eps_y."""
-    s = eps.signs.astype(np.float64)
+def conjugate_by_sign(a: OperatorMatrix, eps) -> OperatorMatrix:
+    """pi(eps)^* a pi(eps) for a +/-1 row eps: entry (x, y) gains eps_x eps_y."""
+    s = np.asarray(eps, dtype=np.float64)
+    if s.shape != (a.n,) or not (np.abs(s) == 1).all():
+        raise ValueError(f"eps must be a row of {a.n} signs +/-1")
     return OperatorMatrix(a.space, a.entries * np.outer(s, s))
 
 
 def brute_average(
-    space: FiniteSpace, family: Callable[[SignVector], OperatorMatrix]
+    space: FiniteSpace, family: Callable[[np.ndarray], OperatorMatrix]
 ) -> OperatorMatrix:
     """2^{-n} sum of family(eps) over all sign vectors, summed in the
     canonical order so the float result is reproducible."""

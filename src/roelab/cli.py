@@ -368,7 +368,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read config: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        if args.threads is not None and args.threads < 1:
+        if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         seeds = cfg if args.seed is None else {"seed": args.seed}
         cfg["seed"] = _get(seeds, "seed", "int", 0, least=0)

@@ -43,6 +43,8 @@ def ql_value(a: OperatorMatrix, r: float, mode: str = "exact") -> float:
     which halves the exponent of the brute force. The lower mode restricts A
     to singletons and metric balls.
     """
+    if not r >= 0:
+        raise ValueError("radius must be nonnegative")
     n = a.n
     dist = a.space.dist
     if mode == "exact":
@@ -65,7 +67,7 @@ def eps_r_certificate(a: OperatorMatrix, eps: float) -> float:
     An upper-bound certificate: truncation need not be the best
     propagation-r approximant, but r = diameter always succeeds.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     for r in a.space.distance_set():
         if spectral_norm(a.entries - truncate(a, r).entries) <= eps:

@@ -66,12 +66,6 @@ def identity(space: FiniteSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.eye(space.n_points, dtype=np.complex128))
 
 
-def zeros(space: FiniteSpace) -> OperatorMatrix:
-    return OperatorMatrix(
-        space, np.zeros((space.n_points, space.n_points), dtype=np.complex128)
-    )
-
-
 def diagonal(space: FiniteSpace, values) -> OperatorMatrix:
     values = np.asarray(values, dtype=np.complex128)
     if values.shape != (space.n_points,):
@@ -100,7 +94,7 @@ def propagation(a: OperatorMatrix, tol: float = None) -> float:
     mags = np.abs(a.entries)
     if tol is None:
         tol = 1e-12 * float(mags.max(initial=0.0))
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     support = mags > tol
     if not support.any():
@@ -115,7 +109,7 @@ def expectation(a: OperatorMatrix) -> OperatorMatrix:
 
 def truncate(a: OperatorMatrix, r: float) -> OperatorMatrix:
     """Zero every entry at distance > r; the canonical propagation-r approximant."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be nonnegative")
     kept = np.where(a.space.dist <= r, a.entries, 0.0)
     return OperatorMatrix(a.space, kept)

@@ -122,7 +122,7 @@ def coarse_union(blocks: Sequence[FiniteSpace]) -> FiniteSpace:
 
 def growth_profile(s: FiniteSpace, r: float) -> int:
     """beta(r): largest number of points in any closed ball of radius r."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be nonnegative")
     tol = 1e-12 * (1.0 + abs(r))
     return int(np.max(np.sum(s.dist <= r + tol, axis=1)))

@@ -1,14 +1,14 @@
 """Partial translations, their partial-isometry matrices, and coarseness
 moduli measured through commutators.
 
+A partial translation f is a target row: f[x] is the image of point x, or -1
+where x is outside the domain; k of them form a (k, n) target array.
+
 The exact coarseness modulus ranges over every partial bijection with
 bounded displacement; that set is finite here but grows superexponentially,
 so the exact mode sits behind a size guard and a cheap heuristic lower
 bound is the default.
 """
-
-from dataclasses import dataclass
-from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -20,45 +20,38 @@ from .space import FiniteSpace
 ENUMERATION_GUARD = 10
 
 
-@dataclass(frozen=True)
-class PartialTranslation:
-    space: FiniteSpace
-    pairs: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        n = self.space.n_points
-        sources = [p[0] for p in self.pairs]
-        targets = [p[1] for p in self.pairs]
-        for x in sources + targets:
-            if not 0 <= x < n:
-                raise ValueError(f"point {x} out of range")
-        if len(set(sources)) != len(sources):
-            raise ValueError("sources must be pairwise distinct")
-        if len(set(targets)) != len(targets):
-            raise ValueError("targets must be pairwise distinct")
-
-    @property
-    def displacement(self) -> float:
-        if not self.pairs:
-            return 0.0
-        return float(max(self.space.dist[x, y] for x, y in self.pairs))
-
-    def inverse(self) -> "PartialTranslation":
-        return PartialTranslation(self.space, tuple((y, x) for x, y in self.pairs))
+def _partial_bijections(targets) -> np.ndarray:
+    """targets as a (k, n) integer array; a ValueError unless every row is a
+    partial bijection: each value in [-1, n), and no target repeated."""
+    t = np.asarray(targets)
+    ordered = np.sort(t, axis=-1)
+    if (
+        t.ndim != 2
+        or not np.issubdtype(t.dtype, np.integer)
+        or ((ordered < -1) | (ordered >= t.shape[1])).any()
+        or ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any()
+    ):
+        raise ValueError("need a (k, n) integer array of partial bijection rows")
+    return t
 
 
-def identity_on(space: FiniteSpace, subset) -> PartialTranslation:
-    return PartialTranslation(space, tuple((x, x) for x in subset))
+def to_matrices(targets) -> np.ndarray:
+    """The (k, n, n) stack of v_f for the rows f of a (k, n) target array:
+    entry (f(x), x) = 1 for each x in the domain of f."""
+    targets = _partial_bijections(targets)
+    k, n = targets.shape
+    # index -1 writes the spare row n, dropped below
+    v = np.zeros((k, n + 1, n), dtype=np.complex128)
+    v[np.arange(k)[:, None], targets, np.arange(n)] = 1.0
+    return v[:, :n]
 
 
-def to_matrix(f: PartialTranslation) -> OperatorMatrix:
-    """v_f: entry (f(x), x) = 1 per pair. A partial isometry whose
-    propagation equals the displacement of f."""
-    n = f.space.n_points
-    m = np.zeros((n, n), dtype=np.complex128)
-    for x, y in f.pairs:
-        m[y, x] = 1.0
-    return OperatorMatrix(f.space, m)
+def displacements(s: FiniteSpace, targets) -> np.ndarray:
+    """max_x d(x, f(x)) for each row f of a (k, n) target array; 0 for the
+    empty translation."""
+    targets = _partial_bijections(targets)
+    moved = s.dist[np.arange(s.n_points), targets]
+    return np.where(targets >= 0, moved, 0.0).max(axis=1, initial=0.0)
 
 
 # Rows per block of the enumeration: extending a block by one point gives at
@@ -68,8 +61,7 @@ _BLOCK = 1024
 
 def _translation_targets(s: FiniteSpace, r: float, allow_large: bool):
     """Every partial bijection f with displacement <= r, each exactly once,
-    as blocks of rows of a (k, n) target array: f[x] is the image of x, or
-    -1 where x is outside the domain. The rows come in lexicographic order
+    as blocks of a (k, n) target array. The rows come in lexicographic order
     (-1 first), starting with the empty translation. Size guarded."""
     n = s.n_points
     if n > ENUMERATION_GUARD and not allow_large:
@@ -93,14 +85,11 @@ def _extend(rows, options):
         yield from _extend(new[lo : lo + _BLOCK], options)
 
 
-def enumerate_r_translations(s: FiniteSpace, r: float) -> Iterator[PartialTranslation]:
-    """Every partial bijection with displacement <= r, each exactly once,
-    starting with the empty translation (size guarded)."""
-    points = range(s.n_points)
+def enumerate_r_translations(s: FiniteSpace, r: float):
+    """The target row of every partial bijection with displacement <= r,
+    each exactly once, starting with the empty translation (size guarded)."""
     for block in _translation_targets(s, r, allow_large=False):
-        for row in block.tolist():
-            pairs = tuple([(x, y) for x, y in zip(points, row) if y >= 0])
-            yield PartialTranslation(s, pairs)
+        yield from block
 
 
 def _inverses(targets: np.ndarray) -> np.ndarray:
@@ -190,6 +179,8 @@ def coarseness_modulus(
     greedy matching grown one pair at a time; for diagonal h the single
     pairs already witness the exact value.
     """
+    if not r >= 0:
+        raise ValueError("radius must be nonnegative")
     entries = h.entries
     require_hermitian(entries)
     if mode == "exact":

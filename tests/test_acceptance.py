@@ -28,10 +28,10 @@ from roelab._linalg import spectral_norm
 from roelab.rigidity import probes
 from roelab.spectral import generator_check, hermitian_eig
 from roelab.translations import (
-    PartialTranslation,
     coarseness_modulus,
+    displacements,
     enumerate_r_translations,
-    to_matrix,
+    to_matrices,
 )
 
 
@@ -148,7 +148,8 @@ def test_criterion_07_lipschitz_bound(capsys):
 def test_criterion_08_diagonal_flow_closed_form(capsys):
     def body():
         s = space.path_graph(6)
-        diam = s.diameter
+        # the 13,327 partial translations, as one stack of v_f
+        v = to_matrices(list(enumerate_r_translations(s, s.diameter)))
         rng = np.random.default_rng(808)
         for _ in range(20):
             hvals = rng.standard_normal(6)
@@ -157,12 +158,9 @@ def test_criterion_08_diagonal_flow_closed_form(capsys):
             # sigma_t is entrywise for diagonal h; check every partial
             # translation against v_f e^{it(h o f - h)}
             [u] = hermitian_eig(h).exp_many([t])
-            for f in enumerate_r_translations(s, diam):
-                moved = u @ to_matrix(f).entries @ u.conj().T
-                expected = np.zeros((6, 6), dtype=complex)
-                for x, y in f.pairs:
-                    expected[y, x] = np.exp(1j * t * (hvals[y] - hvals[x]))
-                assert np.abs(moved - expected).max() <= 1e-12
+            moved = u @ v @ u.conj().T
+            expected = v * np.exp(1j * t * (hvals[:, None] - hvals[None, :]))
+            assert np.abs(moved - expected).max() <= 1e-12
 
     _run(capsys, 8, "diagonal flow closed form, exhaustive", 120.0, body)
 
@@ -227,18 +225,15 @@ def test_criterion_12_rigidity_probe(capsys):
         s = space.path_graph(5)
         rng = np.random.default_rng(1212)
         phases = [np.diag(np.exp(1j * rng.uniform(0, 7, 5))) for _ in range(10)]
-        point_maps, deltas, displacements = probes(s, np.stack(phases))
+        point_maps, deltas, moved = probes(s, np.stack(phases))
         assert (point_maps == np.arange(5)).all()
         assert np.abs(deltas - 1.0).max() <= 1e-12
-        assert (displacements == 0.0).all()
-        perms = list(itertools.permutations(range(5)))
-        gs = [PartialTranslation(s, tuple(enumerate(p))) for p in perms]
-        point_maps, deltas, displacements = probes(
-            s, np.stack([to_matrix(g).entries for g in gs])
-        )
+        assert (moved == 0.0).all()
+        perms = np.array(list(itertools.permutations(range(5))))
+        point_maps, deltas, moved = probes(s, to_matrices(perms))
         assert np.array_equal(point_maps, perms)
         assert (deltas == 1.0).all()
-        assert np.array_equal(displacements, [g.displacement for g in gs])
+        assert np.array_equal(moved, displacements(s, perms))
 
     _run(capsys, 12, "rigidity probe reads back point maps", 10.0, body)
 

@@ -4,7 +4,6 @@ import pytest
 from roelab import space
 from roelab._linalg import spectral_norm
 from roelab.averaging import (
-    SignVector,
     all_sign_vectors,
     brute_average,
     conjugate_by_sign,
@@ -28,14 +27,16 @@ def random_hermitian(s, seed):
 
 
 def test_sign_vector_validation():
-    with pytest.raises(ValueError):
-        SignVector(np.array([1, 0, -1]))
+    a = random_hermitian(space.path_graph(3), 0)
+    for eps in ([1, 0, -1], [1, -1], [1, -1, 1, 1], [[1, -1, 1]], [1, np.nan, 1]):
+        with pytest.raises(ValueError, match="signs"):
+            conjugate_by_sign(a, np.array(eps))
 
 
 def test_all_plus_is_identity_conjugation():
     s = space.path_graph(3)
     a = random_hermitian(s, 0)
-    eps = SignVector(np.ones(3, dtype=np.int8))
+    eps = np.ones(3, dtype=np.int8)
     assert np.array_equal(conjugate_by_sign(a, eps).entries, a.entries)
 
 
@@ -49,7 +50,7 @@ def test_diagonal_invariant_under_any_sign():
 def test_exchange_negated():
     s = space.path_graph(2)
     x = OperatorMatrix(s, np.array([[0, 1], [1, 0]], dtype=complex))
-    eps = SignVector(np.array([1, -1], dtype=np.int8))
+    eps = np.array([1, -1], dtype=np.int8)
     assert np.array_equal(conjugate_by_sign(x, eps).entries, -x.entries)
 
 

@@ -16,7 +16,7 @@ from roelab.flows import (
 )
 from roelab.operator import OperatorMatrix, commutator, diagonal
 from roelab.spectral import hermitian_eig
-from roelab.translations import PartialTranslation, to_matrix
+from roelab.translations import to_matrices
 
 
 def random_hermitian(s, seed, scale=1.0):
@@ -51,12 +51,10 @@ def test_diagonal_flow_closed_form():
     rng = np.random.default_rng(4)
     hvals = rng.standard_normal(5)
     h = diagonal(s, hvals)
-    f = PartialTranslation(s, ((0, 1), (2, 3), (4, 4)))
+    [v] = to_matrices([[1, -1, 3, -1, 4]])
     t = 0.77
-    moved = flow(h, t, to_matrix(f).entries)
-    expected = np.zeros((5, 5), dtype=complex)
-    for x, y in f.pairs:
-        expected[y, x] = np.exp(1j * t * (hvals[y] - hvals[x]))
+    moved = flow(h, t, v)
+    expected = v * np.exp(1j * t * (hvals[:, None] - hvals[None, :]))
     assert np.abs(moved - expected).max() <= 1e-12
 
 
@@ -84,8 +82,8 @@ def test_flow_homomorphism_and_group_law():
 def test_derivative_residual_zero_generator():
     s = space.path_graph(3)
     h = diagonal(s, [0.0, 0.0, 0.0])
-    f = PartialTranslation(s, ((0, 1),))
-    res = flow_profile(h, to_matrix(f), [1e-5])[1][0]
+    [v] = to_matrices([[1, -1, -1]])
+    res = flow_profile(h, OperatorMatrix(s, v), [1e-5])[1][0]
     assert res == pytest.approx(0.0, abs=1e-12)
 
 
@@ -94,9 +92,9 @@ def test_derivative_residual_two_point_oracle():
     # so the forward-difference residual is |(e^{i d g} - 1)/d - i g|, g = 5
     s = space.FiniteSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
     h = diagonal(s, [0.0, 5.0])
-    f = PartialTranslation(s, ((0, 1), (1, 0)))
+    [v] = to_matrices([[1, 0]])
     delta = 1e-5
-    res = flow_profile(h, to_matrix(f), [delta])[1][0]
+    res = flow_profile(h, OperatorMatrix(s, v), [delta])[1][0]
     scalar = abs((np.exp(1j * delta * 5) - 1) / delta - 5j)
     assert res == pytest.approx(scalar, rel=1e-6)
     assert res <= 1e-3
@@ -105,8 +103,8 @@ def test_derivative_residual_two_point_oracle():
 def test_derivative_residual_first_order():
     s = space.path_graph(4)
     h = random_hermitian(s, 8)
-    f = PartialTranslation(s, ((0, 1), (2, 2)))
-    r2, r1 = flow_profile(h, to_matrix(f), [5e-5, 1e-4])[1]
+    [v] = to_matrices([[1, -1, 2, -1]])
+    r2, r1 = flow_profile(h, OperatorMatrix(s, v), [5e-5, 1e-4])[1]
     assert 1.8 <= r1 / r2 <= 2.2
 
 

@@ -17,7 +17,7 @@ from roelab.operator import (
     matrix_unit,
     truncate,
 )
-from roelab.translations import identity_on, to_matrix
+from roelab.translations import enumerate_r_translations, to_matrices
 
 
 def random_operator(s, seed):
@@ -84,6 +84,10 @@ def test_lower_below_exact():
         a = random_operator(s, seed)
         for r in s.distance_set():
             assert ql_value(a, r, "lower") <= ql_value(a, r, "exact") + 1e-12
+    for mode in ("exact", "lower"):
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="radius"):
+                ql_value(a, bad, mode)
 
 
 def test_exact_size_guard():
@@ -119,22 +123,22 @@ def test_certificate_large_eps():
     a = random_operator(s, 8)
     eps = spectral_norm((a - truncate(a, 0)).entries) + 0.01
     assert eps_r_certificate(a, eps) == 0.0
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="eps"):
+            eps_r_certificate(a, bad)
 
 
 def test_equi_profile_projections_zero():
     s = space.path_graph(4)
-    family = [
-        to_matrix(identity_on(s, [i for i in range(4) if bits >> i & 1]))
-        for bits in range(16)
-    ]
+    subsets = [[x if bits >> x & 1 else -1 for x in range(4)] for bits in range(16)]
+    family = [OperatorMatrix(s, p) for p in to_matrices(subsets)]
     assert equi_approx_profile(family, 0.5) == 0.0
 
 
 def test_equi_profile_translations_bounded_by_displacement():
     s = space.path_graph(5)
-    from roelab.translations import enumerate_r_translations
-
-    family = [to_matrix(f) for f in enumerate_r_translations(s, 2)]
+    rows = list(enumerate_r_translations(s, 2))
+    family = [OperatorMatrix(s, v) for v in to_matrices(rows)]
     assert equi_approx_profile(family, 0.5) <= 2.0
 
 

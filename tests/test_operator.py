@@ -39,6 +39,9 @@ def test_propagation_all_ones_is_diameter():
     s = space.path_graph(3)
     a = OperatorMatrix(s, np.ones((3, 3), dtype=complex))
     assert propagation(a) == s.diameter == 2.0
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            propagation(a, bad)
 
 
 def test_nan_rejected():
@@ -70,6 +73,9 @@ def test_truncate_band_extraction():
         assert np.array_equal(t.entries, expected)
     assert np.array_equal(truncate(a, s.diameter).entries, a.entries)
     assert np.array_equal(truncate(a, 0).entries, expectation(a).entries)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            truncate(a, bad)
 
 
 def test_truncate_composition_is_min():
@@ -141,6 +147,11 @@ def test_schur_bound_requires_band():
     a = OperatorMatrix(s, np.ones((4, 4), dtype=complex))
     with pytest.raises(ValueError, match="propagation"):
         schur_bound(a, 1)
+    # no bound from a radius that is not one: ||diag(1, 2, 3, 4)|| = 4
+    d = diagonal(s, [1.0, 2.0, 3.0, 4.0])
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            schur_bound(d, bad)
 
 
 def test_schur_bound_dominates_norm_seeded():

@@ -5,7 +5,7 @@ from roelab import space
 from roelab.operator import OperatorMatrix, diagonal
 from roelab.rigidity import flow_displacement_sweep, probes
 from roelab.spectral import hermitian_eig
-from roelab.translations import PartialTranslation, to_matrix
+from roelab.translations import to_matrices
 
 
 def haar_unitary(n, seed):
@@ -35,10 +35,8 @@ def test_probe_diagonal_phases():
 def test_probe_permutation_recovers_map():
     # v_g for a full translation g is unitary; the probe reads g back off
     s = space.cycle_graph(5)
-    pairs = tuple((x, (x + 1) % 5) for x in range(5))
-    g = PartialTranslation(s, pairs)
-    [point_map], [delta], [displacement] = probes(s, to_matrix(g).entries[None])
     expected = np.array([(x + 1) % 5 for x in range(5)])
+    [point_map], [delta], [displacement] = probes(s, to_matrices(expected[None]))
     assert np.array_equal(point_map, expected)
     assert delta == 1.0
     assert displacement == 1.0

@@ -97,6 +97,9 @@ def test_coarse_union_separation_grows():
 
 def test_growth_r0_is_one():
     assert space.growth_profile(space.cycle_graph(5), 0) == 1
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            space.growth_profile(space.cycle_graph(5), bad)
 
 
 def test_growth_four_cycle_r1():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roelab import space, translations
 from roelab._linalg import spectral_norm
@@ -14,11 +16,10 @@ from roelab.operator import (
     truncate,
 )
 from roelab.translations import (
-    PartialTranslation,
     coarseness_modulus,
+    displacements,
     enumerate_r_translations,
-    identity_on,
-    to_matrix,
+    to_matrices,
 )
 
 
@@ -27,63 +28,104 @@ def two_point_space(d):
 
 
 def brute_partial_injections(n, dist, r):
-    """Independent oracle: enumerate partial injections via itertools."""
+    """Independent oracle: the target rows of every partial injection with
+    displacement <= r, via itertools."""
     points = range(n)
     out = set()
     for k in range(n + 1):
         for dom in itertools.combinations(points, k):
             for ran in itertools.permutations(points, k):
-                pairs = tuple(zip(dom, ran))
-                if all(dist[x, y] <= r for x, y in pairs):
-                    out.add(frozenset(pairs))
+                if all(dist[x, y] <= r for x, y in zip(dom, ran)):
+                    row = [-1] * n
+                    for x, y in zip(dom, ran):
+                        row[x] = y
+                    out.add(tuple(row))
     return out
 
 
 def test_identity_translation_is_projection():
-    s = space.path_graph(4)
-    f = identity_on(s, [1, 3])
-    m = to_matrix(f).entries
+    [m] = to_matrices([[-1, 1, -1, 3]])
     expected = np.diag([0.0, 1.0, 0.0, 1.0]).astype(complex)
     assert np.array_equal(m, expected)
 
 
 def test_empty_translation_zero_matrix():
     s = space.path_graph(3)
-    f = PartialTranslation(s, ())
-    assert not to_matrix(f).entries.any()
-    assert f.displacement == 0.0
+    f = np.full((1, 3), -1)
+    assert not to_matrices(f).any()
+    assert displacements(s, f).tolist() == [0.0]
 
 
 def test_swap_is_exchange_matrix():
-    s = two_point_space(1.0)
-    f = PartialTranslation(s, ((0, 1), (1, 0)))
-    m = to_matrix(f).entries
+    [m] = to_matrices([[1, 0]])
     assert np.array_equal(m, np.array([[0, 1], [1, 0]], dtype=complex))
     assert np.allclose(m @ m.conj().T, np.eye(2))
 
 
 def test_adjoint_is_inverse():
-    s = space.cycle_graph(5)
-    f = PartialTranslation(s, ((0, 1), (2, 4), (3, 3)))
-    assert np.array_equal(to_matrix(f).H.entries, to_matrix(f.inverse()).entries)
+    f = np.array([[1, -1, 4, 3, -1]])
+    v = to_matrices(f)
+    assert np.array_equal(v.conj().transpose(0, 2, 1), to_matrices(translations._inverses(f)))
 
 
 def test_propagation_equals_displacement():
     s = space.path_graph(5)
-    f = PartialTranslation(s, ((0, 2), (4, 3)))
-    assert propagation(to_matrix(f)) == f.displacement == 2.0
+    f = np.array([[2, -1, -1, -1, 3]])
+    [v] = to_matrices(f)
+    assert propagation(OperatorMatrix(s, v)) == displacements(s, f)[0] == 2.0
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [[[0, 0]], [[1, -1, 1]], [[2, -1]], [[-2, 0]], [0, 1], [[0.0, 1.0]]],
+    ids=["repeated", "repeated-with-gap", "too-large", "too-small", "1-d", "float"],
+)
+def test_a_row_that_is_not_a_partial_bijection_is_refused(targets):
+    with pytest.raises(ValueError):
+        to_matrices(targets)
+    with pytest.raises(ValueError):
+        displacements(space.path_graph(len(np.ravel(targets))), targets)
+
+
+SPACES = {"path": space.path_graph, "cycle": space.cycle_graph, "complete": space.complete_graph}
+
+
+@st.composite
+def translation_rows(draw):
+    """A space of n <= 6 points and one partial bijection row on it."""
+    kind = draw(st.sampled_from(sorted(SPACES)))
+    n = draw(st.integers(3 if kind == "cycle" else 1, 6))
+    image = draw(st.permutations(range(n)))
+    domain = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return SPACES[kind](n), np.array([[y if x else -1 for x, y in zip(domain, image)]])
+
+
+@given(translation_rows())
+@settings(max_examples=40, deadline=None)
+def test_row_form_properties(case):
+    s, f = case
+    [v] = to_matrices(f)
+    [d] = displacements(s, f)
+    assert propagation(OperatorMatrix(s, v)) == d
+    assert np.array_equal(v @ v.conj().T @ v, v)
+    assert np.array_equal(to_matrices(translations._inverses(f))[0], v.conj().T)
+    # yielded at its displacement, and at no smaller radius of the distance set
+    radii = s.distance_set()
+    for r in radii[radii <= d]:
+        rows = np.array(list(enumerate_r_translations(s, r)))
+        assert (rows == f).all(axis=1).any() == (r == d)
 
 
 def test_enumeration_one_point():
     s = space.from_edge_list([], 1)
     fams = list(enumerate_r_translations(s, 0))
-    assert {f.pairs for f in fams} == {(), ((0, 0),)}
+    assert {tuple(f) for f in fams} == {(-1,), (0,)}
 
 
 def test_enumeration_distant_points_only_subidentities():
     s = two_point_space(3.0)
-    fams = {f.pairs for f in enumerate_r_translations(s, 1)}
-    assert fams == {(), ((0, 0),), ((1, 1),), ((0, 0), (1, 1))}
+    fams = {tuple(f) for f in enumerate_r_translations(s, 1)}
+    assert fams == {(-1, -1), (0, -1), (-1, 1), (0, 1)}
 
 
 def test_enumeration_two_close_points_has_seven():
@@ -95,7 +137,7 @@ def test_enumeration_two_close_points_has_seven():
 @pytest.mark.parametrize("n,r", [(3, 1), (4, 2), (4, 10)])
 def test_enumeration_matches_brute_oracle(n, r):
     s = space.path_graph(n)
-    got = {frozenset(f.pairs) for f in enumerate_r_translations(s, r)}
+    got = {tuple(f) for f in enumerate_r_translations(s, r)}
     assert got == brute_partial_injections(n, s.dist, r)
     # uniqueness: no translation yielded twice
     assert len(list(enumerate_r_translations(s, r))) == len(got)
@@ -147,15 +189,15 @@ def test_projection_commutator_bounded_by_r0_modulus():
     h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
     modulus = coarseness_modulus(h, 0, "exact")
     for subset_bits in range(1 << 5):
-        subset = [i for i in range(5) if subset_bits >> i & 1]
-        p = to_matrix(identity_on(s, subset))
-        assert spectral_norm((h @ p - p @ h).entries) <= modulus + 1e-10
+        [p] = to_matrices([[x if subset_bits >> x & 1 else -1 for x in range(5)]])
+        assert spectral_norm(h.entries @ p - p @ h.entries) <= modulus + 1e-10
 
 
-def loop_commutator_norm(h, pairs):
+def loop_commutator_norm(h, row):
     v = np.zeros((h.n, h.n), dtype=complex)
-    for x, y in pairs:
-        v[y, x] = 1.0
+    for x, y in enumerate(row):
+        if y >= 0:
+            v[y, x] = 1.0
     return np.linalg.norm(h.entries @ v - v @ h.entries, 2)
 
 
@@ -163,20 +205,26 @@ def loop_heuristic(h, r):
     """The heuristic mode evaluated one translation at a time."""
     n = h.n
     feasible = [(x, y) for x in range(n) for y in range(n) if h.space.dist[x, y] <= r]
-    best = max((loop_commutator_norm(h, [p]) for p in feasible), default=0.0)
-    current, current_norm = [], 0.0
+
+    def extended(row, x, y):
+        return row[:x] + [y] + row[x + 1 :]
+
+    best = max(
+        (loop_commutator_norm(h, extended([-1] * n, x, y)) for x, y in feasible),
+        default=0.0,
+    )
+    current, current_norm = [-1] * n, 0.0
     while True:
-        gain_pair, gain_norm = None, current_norm
+        gain_row, gain_norm = None, current_norm
         for x, y in feasible:
-            if any(x == p[0] or y == p[1] for p in current):
+            if current[x] >= 0 or y in current:
                 continue
-            cand = loop_commutator_norm(h, current + [(x, y)])
+            cand = loop_commutator_norm(h, extended(current, x, y))
             if cand > gain_norm + 1e-15:
-                gain_pair, gain_norm = (x, y), cand
-        if gain_pair is None:
+                gain_row, gain_norm = extended(current, x, y), cand
+        if gain_row is None:
             return max(best, current_norm)
-        current.append(gain_pair)
-        current_norm = gain_norm
+        current, current_norm = gain_row, gain_norm
 
 
 @pytest.mark.parametrize(
@@ -193,7 +241,7 @@ def test_stacked_coarseness_matches_per_translation_loop(s, radii, seed):
     h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
     for r in radii:
         exact = max(
-            loop_commutator_norm(h, f.pairs) for f in enumerate_r_translations(s, r)
+            loop_commutator_norm(h, f) for f in enumerate_r_translations(s, r)
         )
         assert coarseness_modulus(h, r, "exact") == pytest.approx(exact, abs=1e-12)
         assert coarseness_modulus(h, r, "heuristic") == pytest.approx(
@@ -202,21 +250,22 @@ def test_stacked_coarseness_matches_per_translation_loop(s, radii, seed):
 
 
 def dfs_translations(s, r):
-    """The pairs of every partial bijection with displacement <= r, by a
-    recursive depth-first search: x left out of the domain first, then each
-    free target within r in increasing order."""
+    """The target row of every partial bijection with displacement <= r, by
+    a recursive depth-first search: x left out of the domain first, then
+    each free target within r in increasing order."""
     n = s.n_points
 
-    def extend(x, acc, used):
+    def extend(row):
+        x = len(row)
         if x == n:
-            yield tuple(acc)
+            yield row
             return
-        yield from extend(x + 1, acc, used)
+        yield from extend(row + (-1,))
         for y in np.flatnonzero(s.dist[x] <= r).tolist():
-            if y not in used:
-                yield from extend(x + 1, acc + [(x, y)], used | {y})
+            if y not in row:
+                yield from extend(row + (y,))
 
-    return list(extend(0, [], frozenset()))
+    return list(extend(()))
 
 
 ENUMERATION_CASES = [
@@ -233,7 +282,7 @@ ENUMERATION_CASES = [
 def test_target_rows_follow_the_dfs_order(monkeypatch, s, r, block):
     if block is not None:
         monkeypatch.setattr(translations, "_BLOCK", block)
-    got = [f.pairs for f in enumerate_r_translations(s, r)]
+    got = [tuple(f) for f in enumerate_r_translations(s, r)]
     assert got == dfs_translations(s, r)
 
 
@@ -300,7 +349,7 @@ def test_exact_coarseness_matches_the_loop_oracle(s, kind):
     h = _generator(kind, s, seed=s.n_points)
     for r in s.distance_set():
         want = max(
-            loop_commutator_norm(h, f.pairs)
+            loop_commutator_norm(h, f)
             for f in enumerate_r_translations(s, r)
         )
         got = coarseness_modulus(h, float(r), "exact")
@@ -359,3 +408,7 @@ def test_coarseness_of_non_hermitian_h_is_refused(mode):
     h = OperatorMatrix(s, np.triu(np.ones((3, 3))))
     with pytest.raises(ValueError, match="not Hermitian"):
         coarseness_modulus(h, 1, mode)
+    d = diagonal(s, [0.0, 1.0, 2.0])
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            coarseness_modulus(d, bad, mode)
