@@ -63,6 +63,8 @@ def _translation_targets(s: FiniteSpace, r: float, allow_large: bool):
     """Every partial bijection f with displacement <= r, each exactly once,
     as blocks of a (k, n) target array. The rows come in lexicographic order
     (-1 first), starting with the empty translation. Size guarded."""
+    if not r >= 0:
+        raise ValueError("radius must be nonnegative")
     n = s.n_points
     if n > ENUMERATION_GUARD and not allow_large:
         raise SizeGuardError("translation-enumeration", ENUMERATION_GUARD, n)

@@ -1,0 +1,154 @@
+"""Source hygiene of src/roelab and tests/: no unused import, every numeric
+identity through _linalg.check, and no top-level def or class in src/roelab
+that nothing names."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def parsed(root, *patterns):
+    return {
+        p.relative_to(root): ast.parse(p.read_text())
+        for pattern in patterns
+        for p in sorted(root.glob(pattern))
+    }
+
+
+def unused_imports(root):
+    """Every name a module of src/roelab or tests/ imports must be used in it
+    or listed in __all__."""
+    bad = []
+    for path, tree in parsed(root, "src/roelab/*.py", "tests/*.py").items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and "__all__" in [
+                getattr(t, "id", None) for t in node.targets
+            ]:
+                used |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        bad.append(f"{path}:{node.lineno}: {name} is imported but not used")
+    return bad
+
+
+def unchecked_identities(root):
+    """Only _linalg raises NumericCheckError, and no check() bound holds a
+    float literal other than 0.0 or 1.0 (a threshold is named in _linalg's
+    table)."""
+    bad = []
+    for path, tree in parsed(root, "src/roelab/*.py").items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Raise) and node.exc is not None
+                and "NumericCheckError" in ast.unparse(node.exc)
+                and path.name != "_linalg.py"
+            ):
+                bad.append(f"{path}:{node.lineno}: NumericCheckError is raised outside _linalg.check")
+            if isinstance(node, ast.Call) and "check" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                bound = [k.value for k in node.keywords if k.arg == "bound"]
+                for arg in node.args[1:2] + bound:
+                    for c in ast.walk(arg):
+                        if isinstance(c, ast.Constant) and type(c.value) is float and c.value not in (0.0, 1.0):
+                            bad.append(f"{path}:{node.lineno}: check() bound holds the literal {c.value!r}")
+    return bad
+
+
+def references(path, tree):
+    """The dotted names a file refers to: what it imports from a module, and
+    each alias.attr chain with the alias resolved to what it is bound to."""
+    package = list(path.parent.parts[1:])  # src/roelab/m.py is in roelab
+    aliases, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                head = a.asname or a.name.split(".")[0]
+                aliases[head] = a.name if a.asname else head
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else []
+            base = ".".join(base + [node.module] if node.module else base)
+            for a in node.names:
+                refs.add(f"{base}.{a.name}")
+                aliases[a.asname or a.name] = f"{base}.{a.name}"
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in aliases:
+            for k in range(1, len(attrs) + 1):
+                refs.add(".".join([aliases[node.id]] + attrs[:k]))
+    return refs
+
+
+def dead_names(root):
+    """Every top-level def or class `m.name` of src/roelab is named: by its
+    own module, by an import from roelab.m or .m elsewhere, by `alias.name`
+    elsewhere with alias bound to roelab.m, or by a string constant equal to
+    it (binding by name, as monkeypatch does)."""
+    files = parsed(root, "src/**/*.py", "tests/**/*.py")
+    strings = {
+        n.value for tree in files.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+    refs = {path: references(path, tree) for path, tree in files.items()}
+    bad = []
+    for path, tree in files.items():
+        if path.parent != Path("src/roelab"):
+            continue
+        module = f"roelab.{path.stem}"
+        own = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        elsewhere = set().union(*(r for p, r in refs.items() if p != path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                node.name in own or node.name in strings
+                or f"{module}.{node.name}" in elsewhere
+            ):
+                bad.append(f"{path}:{node.lineno}: {node.name} is defined but not named elsewhere in src/ or tests/")
+    return bad
+
+
+def test_no_unused_imports():
+    assert unused_imports(ROOT) == []
+
+
+def test_numeric_identities_go_through_check():
+    assert unchecked_identities(ROOT) == []
+
+
+def test_no_dead_names():
+    assert dead_names(ROOT) == []
+
+
+def test_dead_name_rule_resolves_imports(tmp_path):
+    sources = {
+        "src/roelab/operator.py": (
+            "import numpy as np\n\n\n"
+            "def zeros(space):\n    return np.zeros(3)\n\n\n"
+            "def by_own_module():\n    pass\n\n\n"
+            "def imported():\n    return by_own_module()\n\n\n"
+            "def by_attribute():\n    pass\n\n\n"
+            "def by_string():\n    pass\n"
+        ),
+        "tests/test_operator.py": (
+            "import numpy as np\n"
+            "from roelab import operator as op\n"
+            "from roelab.operator import imported\n\n\n"
+            "def test_it(monkeypatch):\n"
+            "    monkeypatch.setattr(op, 'by_string', imported)\n"
+            "    assert op.by_attribute() is None and not np.zeros(3).any()\n"
+        ),
+    }
+    for name, text in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # np.zeros names the word zeros, but nothing resolves to operator.zeros
+    assert dead_names(tmp_path) == [
+        "src/roelab/operator.py:4: zeros is defined but not named elsewhere in src/ or tests/"
+    ]

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roelab import space
+from roelab import locality, space
 from roelab._linalg import spectral_norm, spectral_norms
 from roelab.errors import SizeGuardError
 from roelab.locality import (
@@ -236,3 +238,92 @@ def test_exact_size_guard_fires_before_any_array():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10
+
+
+GRAPHS = {"path": space.path_graph, "cycle": space.cycle_graph, "complete": space.complete_graph}
+
+
+@st.composite
+def graphs(draw, max_n):
+    """A path, cycle or complete graph with 1 <= n <= max_n points."""
+    kind = draw(st.sampled_from(sorted(k for k in GRAPHS if max_n >= 3 or k != "cycle")))
+    return GRAPHS[kind](draw(st.integers(3 if kind == "cycle" else 1, max_n)))
+
+
+@st.composite
+def small_spaces(draw):
+    """A graph of n <= 8 points, or the coarse union of two graphs."""
+    if not draw(st.booleans()):
+        return draw(graphs(8))
+    first = draw(graphs(7))
+    return space.coarse_union([first, draw(graphs(8 - first.n_points))])
+
+
+HERMITIAN_KINDS = ("full", "banded", "diagonal", "rank-one")
+
+
+def drawn_operator(s, kind, seed):
+    """A full, banded, diagonal or rank-one operator made exactly Hermitian,
+    or a full or strictly upper triangular non-Hermitian one."""
+    rng = np.random.default_rng(seed)
+    n = s.n_points
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "banded":
+        m = np.where(s.dist <= 1, m, 0.0)
+    elif kind == "diagonal":
+        m = np.diag(m.real.diagonal()).astype(complex)
+    elif kind == "rank-one":
+        m = np.outer(m[0], m[0].conj())
+    elif kind == "upper":
+        m = np.triu(m, 1)
+    if kind in HERMITIAN_KINDS:
+        m = 0.5 * (m + m.conj().T)
+    return OperatorMatrix(s, m)
+
+
+@given(
+    small_spaces(),
+    st.sampled_from(HERMITIAN_KINDS + ("non-hermitian", "upper")),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_closed_set_reduction_matches_all_subsets(s, kind, seed):
+    a = drawn_operator(s, kind, seed)
+    if kind in HERMITIAN_KINDS:
+        assert np.array_equal(a.entries, a.entries.conj().T)
+    n = s.n_points
+    subsets = [
+        np.array([bits >> i & 1 for i in range(n)], dtype=bool)
+        for bits in range(1, 1 << n)
+    ]
+    for r in s.distance_set():
+        assert ql_value(a, r, "exact") == pytest.approx(
+            loop_ql(a, r, subsets), rel=1e-14, abs=0.0
+        )
+
+
+def test_swap_pairing_needs_hermitian_a():
+    # only the corner p_{2} a p_{0} is nonzero; its swap p_{0} a p_{2} is 0
+    s = space.path_graph(3)
+    m = np.zeros((3, 3), dtype=complex)
+    m[2, 0] = 1.0
+    assert ql_value(OperatorMatrix(s, m), 1, "exact") == 1.0
+
+
+@pytest.mark.parametrize(
+    "hermitian,counts", [(True, [255, 36, 18]), (False, [510, 72, 36])]
+)
+def test_exact_norms_closed_sets_and_one_of_each_swap_pair(monkeypatch, hermitian, counts):
+    normed = []
+
+    def counting(stack):
+        normed[-1] += len(stack)
+        return spectral_norms(stack)
+
+    monkeypatch.setattr(locality, "spectral_norms", counting)
+    s = space.cycle_graph(9)
+    a = drawn_operator(s, "full" if hermitian else "non-hermitian", 9)
+    for r in (0, 1, 2):
+        normed.append(0)
+        ql_value(a, r, "exact")
+    assert normed == counts

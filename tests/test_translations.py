@@ -147,6 +147,9 @@ def test_enumeration_size_guard():
     s = space.path_graph(11)
     with pytest.raises(SizeGuardError):
         list(enumerate_r_translations(s, 1))
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            list(enumerate_r_translations(space.path_graph(4), bad))
 
 
 def test_coarseness_diagonal_two_points():
