@@ -298,7 +298,7 @@ def _run_expander_preflow(cfg, rng, out, cfg_hash):
     times = _build_times(_get(cfg, "time_grid", "object"))
     fam = _build_family(cfg)
     if k_kind == "zero":
-        k = np.zeros(fam.union.n_points)
+        k = np.zeros(fam.n_points)
     else:
         # the diagonal of h = sum_n w(n) p_n: w(n) / |X_n| on block n
         sizes = [b.n_points for b in fam.blocks]

@@ -3,11 +3,12 @@ averaging projections, the pre-flow e^{ith} they generate, and the exact
 discontinuity constants of that pre-flow."""
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import DISCONTINUITY_TOL, WMAP_TOL, check, chunks
+from ._linalg import _CHUNK, DISCONTINUITY_TOL, WMAP_TOL, check, chunks
 from ._linalg import spectral_norm, spectral_norms
 from .errors import ConfigError
 from .operator import OperatorMatrix, diagonal
@@ -24,12 +25,20 @@ WEIGHT_PRESETS = {
 class BlockFamily:
     blocks: Tuple[FiniteSpace, ...]
     weights: np.ndarray
-    union: FiniteSpace
     offsets: Tuple[int, ...]
+
+    @cached_property
+    def union(self) -> FiniteSpace:
+        """The coarse union of the blocks, built and validated on first read."""
+        return coarse_union(self.blocks)
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    @property
+    def n_points(self) -> int:
+        return self.offsets[-1] + self.blocks[-1].n_points
 
     def block_size(self, n: int) -> int:
         return self.blocks[n].n_points
@@ -50,13 +59,14 @@ def block_family(blocks: Sequence[FiniteSpace], weights) -> BlockFamily:
     if w.shape != (len(blocks),):
         raise ValueError("one weight per block required")
     sizes = [b.n_points for b in blocks]
+    check_points(sum(sizes))
     offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
-    return BlockFamily(blocks, w, coarse_union(blocks), offsets)
+    return BlockFamily(blocks, w, offsets)
 
 
 def _block_sum(fam: BlockFamily, coeffs) -> np.ndarray:
     """sum_n c_n p_n as an array: c_n / |X_n| on the square of block n."""
-    m = np.zeros((fam.union.n_points,) * 2, dtype=np.complex128)
+    m = np.zeros((fam.n_points,) * 2, dtype=np.complex128)
     for n, c in enumerate(coeffs):
         block = slice(fam.offsets[n], fam.offsets[n] + fam.block_size(n))
         m[block, block] = c / fam.block_size(n)
@@ -99,7 +109,7 @@ def preflow_unitary(fam: BlockFamily, t: float) -> OperatorMatrix:
     """e^{ith} assembled directly as id + sum_n (e^{itw(n)} - 1) p_n."""
     phases = np.exp(1j * t * fam.weights) - 1.0
     return OperatorMatrix(
-        fam.union, np.eye(fam.union.n_points) + _block_sum(fam, phases)
+        fam.union, np.eye(fam.n_points) + _block_sum(fam, phases)
     )
 
 
@@ -126,18 +136,23 @@ def _block_norms(fam: BlockFamily, times, piece) -> np.ndarray:
     preflow_unitary is block diagonal by construction (_block_sum writes
     only the diagonal blocks). For a block-diagonal piece, the norm of the
     whole operator is the max over blocks: the norm of a direct sum.
+
+    Every piece is built from the real h, p_A and k, so the piece at -t is
+    the entrywise conjugate of the piece at t and has the same norm: the
+    norms are taken once per distinct |t| and indexed back.
     """
-    out = np.zeros((len(times), fam.n_blocks))
+    mags, back = np.unique(np.abs(times), return_inverse=True)
+    out = np.zeros((len(mags), fam.n_blocks))
     for size in sorted({fam.block_size(n) for n in range(fam.n_blocks)}):
         ns = [n for n in range(fam.n_blocks) if fam.block_size(n) == size]
         # the chunk rule bounds the m blocks of one time as one (m s) x s slab
-        for sl in chunks(len(times), len(ns) * size, size):
-            t = times[sl]
+        for sl in chunks(len(mags), len(ns) * size, size):
+            t = mags[sl]
             phases = np.exp(1j * t[:, None] * fam.weights[ns]) - 1.0
             u = np.eye(size) + (phases / size)[:, :, None, None]
             norms = spectral_norms(piece(ns, t, u).reshape(-1, size, size))
             out[sl, ns] = norms.reshape(len(t), len(ns))
-    return out
+    return out[back]
 
 
 def _block_rows(fam: BlockFamily, v, ns) -> np.ndarray:
@@ -176,7 +191,7 @@ def wmap_lower_bounds(fam: BlockFamily, k, times):
     the corner bound rhs = max_n split_factor(n) * |e^{itw(n)} - 1|, as two
     arrays. e^{-itk} is diagonal, so lhs is a max over blocks."""
     k = np.asarray(k, dtype=np.float64)
-    if k.shape != (fam.union.n_points,):
+    if k.shape != (fam.n_points,):
         raise ValueError("k must be a real function on the union")
     times = np.asarray(times, dtype=np.float64)
 
@@ -191,24 +206,30 @@ def wmap_lower_bounds(fam: BlockFamily, k, times):
 
 
 def _random_regular_graph(size: int, degree: int, rng) -> FiniteSpace:
-    """Pairing-model sample, resampled until simple and connected."""
+    """Pairing-model sample, resampled until simple and connected, at most
+    1000 attempts. The attempts are drawn _CHUNK at a time, and rng ends
+    where one rng.shuffle per attempt would leave it."""
     points = np.repeat(np.arange(size), degree)
-    for _ in range(1000):
-        stubs = points.copy()
-        rng.shuffle(stubs)
-        # stubs 2i and 2i + 1 pair up; most samples fail on a self-loop, so
-        # that is tested before the sort. As sorted keys min * size + max, a
+    for done in range(0, 1000, _CHUNK):
+        count = min(_CHUNK, 1000 - done)
+        state = rng.bit_generator.state
+        # row j is bit for bit the (j + 1)-th of count rng.shuffle draws
+        stubs = rng.permuted(np.tile(points, (count, 1)), axis=1)
+        # stubs 2i and 2i + 1 pair up. As sorted keys min * size + max, a
         # repeated edge is a key equal to its neighbour
-        u, v = stubs[0::2], stubs[1::2]
-        if (u == v).any():
-            continue
-        keys = np.sort(np.minimum(u, v) * size + np.maximum(u, v))
-        if (keys[1:] == keys[:-1]).any():
-            continue
-        try:
-            return from_edge_list(np.stack(np.divmod(keys, size), axis=1), size)
-        except ValueError:
-            continue  # disconnected sample
+        u, v = stubs[:, 0::2], stubs[:, 1::2]
+        keys = np.sort(np.minimum(u, v) * size + np.maximum(u, v), axis=1)
+        simple = ~((u == v).any(axis=1) | (keys[:, 1:] == keys[:, :-1]).any(axis=1))
+        for j in np.flatnonzero(simple):
+            edges = np.stack(np.divmod(keys[j], size), axis=1)
+            try:
+                block = from_edge_list(edges, size)
+            except ValueError:
+                continue  # disconnected sample
+            # leave rng where j + 1 single shuffles would have left it
+            rng.bit_generator.state = state
+            rng.permuted(np.tile(points, (j + 1, 1)), axis=1)
+            return block
     raise ValueError(
         f"could not sample a connected simple {degree}-regular graph on "
         f"{size} points"

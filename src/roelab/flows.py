@@ -79,14 +79,9 @@ def flow_profile(h: OperatorMatrix, a: OperatorMatrix, times):
     return modulus, residual
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
-    max_ratio: float
-    bound: float
-
-
-def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> LipschitzReport:
-    """Max of ||w(t) - w(s)|| / |t - s| over grid pairs, against M = ||h - k||.
+def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> Tuple[float, float]:
+    """(max_ratio, bound): the max of ||w(t) - w(s)|| / |t - s| over grid
+    pairs, and M = ||h - k||, which it may not exceed.
 
     Unitary invariance collapses the pair sweep: w(t) - w(s) =
     e^{ish} (w(t-s) - 1) e^{-isk}, so only the distinct positive time
@@ -108,7 +103,7 @@ def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> LipschitzRep
         ratios[sl] = spectral_norms(w - np.eye(h.n)) / d
     limit = bound * (1.0 + LIPSCHITZ_TOL[0]) + LIPSCHITZ_TOL[1]
     check(ratios, limit, lambda i: f"Lipschitz ratio at |t - s| = {diffs[i]}")
-    return LipschitzReport(float(ratios.max(initial=0.0)), bound)
+    return float(ratios.max(initial=0.0)), bound
 
 
 def cocycle_from_generators(

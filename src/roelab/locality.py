@@ -10,6 +10,8 @@ from .errors import SizeGuardError
 from .operator import OperatorMatrix, truncate
 
 EXACT_GUARD = 16
+# the most entries of the lower mode's (n |D|, n) ball masks, D the distance set
+LOWER_GUARD = 2**22
 
 
 def _far_sets(masks, dist, r):
@@ -75,6 +77,9 @@ def ql_value(a: OperatorMatrix, r: float, mode: str = "exact") -> float:
         a_masks, far = a_masks[keep], far[keep]
     elif mode == "lower":
         radii = a.space.distance_set()
+        entries = n * len(radii) * n
+        if entries > LOWER_GUARD:
+            raise SizeGuardError("ql-lower-balls", LOWER_GUARD, entries)
         a_masks = (dist[:, None, :] <= radii[None, :, None]).reshape(-1, n)
         far = _far_sets(a_masks, dist, r)
     else:

@@ -6,6 +6,7 @@ output indices and columns are input indices.
 """
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -136,22 +137,17 @@ def offdiag_sup(a: OperatorMatrix) -> float:
     return float(mags.max())
 
 
-@dataclass(frozen=True)
-class HigsonReport:
-    commutator_norm: float
-    entrywise_residual: float
-
-
-def higson_commutator_profile(a: OperatorMatrix, f) -> HigsonReport:
-    """||[a, M_f]|| for the diagonal multiplication operator of f, together
-    with the residual of the entrywise identity [a, M_f]_xy = (f_y - f_x) a_xy."""
+def higson_commutator_profile(a: OperatorMatrix, f) -> Tuple[float, float]:
+    """(commutator_norm, entrywise_residual): ||[a, M_f]|| for the diagonal
+    multiplication operator of f, and the residual of the entrywise identity
+    [a, M_f]_xy = (f_y - f_x) a_xy."""
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (a.n,):
         raise ValueError("f must assign one real value per point")
     comm = a.entries * f[None, :] - f[:, None] * a.entries
     predicted = (f[None, :] - f[:, None]) * a.entries
     residual = float(np.abs(comm - predicted).max(initial=0.0))
-    return HigsonReport(spectral_norm(comm), residual)
+    return spectral_norm(comm), residual
 
 
 def save_matrix(a: OperatorMatrix, path) -> None:

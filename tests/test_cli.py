@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import roelab
 from roelab import expander, operator, space, spectral
-from roelab.cli import main
+from roelab.cli import _RUNNERS, main
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -165,6 +165,65 @@ def test_expander_preflow_outputs(tmp_path):
     assert [row[1:] for row in wrows] == [
         [format(a, ".17g"), format(b, ".17g")] for a, b in zip(lhs, rhs)
     ]
+
+
+@pytest.mark.parametrize("k", ["zero", "diagonal_of_h"])
+def test_expander_preflow_never_builds_the_union(tmp_path, monkeypatch, k):
+    cfg = {
+        "expander": {"n_blocks": 3, "degree": 4, "sizes": [8, 10, 8], "seed": 2},
+        "time_grid": {"start": -0.5, "stop": 0.75, "step": 0.25},
+        "k": k,
+    }
+    for name in ("built", "lazy"):
+        (tmp_path / name).mkdir()
+    assert run(tmp_path / "built", "expander-preflow", cfg) == 0
+
+    def refuse(blocks):
+        raise AssertionError("the job built the coarse union")
+
+    monkeypatch.setattr(space, "coarse_union", refuse)
+    monkeypatch.setattr(expander, "coarse_union", refuse)
+    assert run(tmp_path / "lazy", "expander-preflow", cfg) == 0
+    for name in ("expander-preflow.csv", "expander-preflow-wmap.csv"):
+        built = (tmp_path / "built" / name).read_text()
+        assert (tmp_path / "lazy" / name).read_text() == built
+
+
+def _readme_examples():
+    """(subcommand, config, column specs) of each example in README's "One
+    example per subcommand" block; // starts a comment."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("One example per subcommand:")[1].split("```jsonc")[1]
+    block = block.split("```")[0]
+    examples, body, sub = [], [], None
+    for line in block.splitlines():
+        code, _, comment = line.partition("//")
+        comment = comment.strip()
+        body.append(code)
+        if comment.startswith("columns:"):
+            specs = comment[len("columns:"):].split(";")
+            examples.append((sub, json.loads("".join(body)), specs))
+            body, sub = [], None
+        elif sub is None and ":" in comment:
+            sub, body = comment.split(":")[0], []
+    return examples
+
+
+def test_readme_examples_run(tmp_path):
+    examples = _readme_examples()
+    assert sorted(sub for sub, _, _ in examples) == sorted(_RUNNERS)
+    for sub, cfg, specs in examples:
+        out = tmp_path / sub
+        out.mkdir()
+        assert main([sub, "--config", write_cfg(out, "cfg.json", cfg),
+                     "--out", str(out)]) == 0, sub
+        # "a,b,c (notes)" names the CSV's columns; "wmap: a,b" its sibling's
+        for spec in specs:
+            words = spec.split()
+            name = f"{sub}.csv"
+            if words[0].endswith(":"):
+                name = f"{sub}-{words.pop(0)[:-1]}.csv"
+            assert read_rows(out / name)[0] == words[0].split(","), spec
 
 
 def test_rigidity_probe_outputs(tmp_path):
@@ -336,6 +395,11 @@ _VALID = {
         "k": {"generator": {"kind": "random_hermitian", "scale": 0.5}},
         "time_grid": _GRID,
     },
+    "ql-profile": {
+        "space": {"cycle_graph": 6},
+        "operator": {"generator": {"kind": "random_hermitian"}},
+        "mode": "lower",
+    },
 }
 
 
@@ -406,8 +470,11 @@ def test_negative_seed_flag_is_config_error(tmp_path):
         ("cocycle-verify", {"time_grid": {"start": 0, "stop": 316, "step": 1}}),
         # a size just over the guard, refused before anything of size n is built
         ("flow-profile", {"space": {"path_graph": space.MAX_POINTS + 1}}),
+        # 162^3 lower-mode ball-mask entries, just over locality.LOWER_GUARD
+        ("ql-profile", {"space": {"path_graph": 162}, "radii": [1]}),
     ],
-    ids=["grid-eib", "grid-span-overflows", "cocycle-rows", "points-path"],
+    ids=["grid-eib", "grid-span-overflows", "cocycle-rows", "points-path",
+         "ql-lower-balls"],
 )
 def test_oversize_request_is_size_guard(tmp_path, capsys, sub, extra_cfg):
     assert run(tmp_path, sub, {**_VALID[sub], **extra_cfg}) == 3

@@ -17,7 +17,7 @@ from roelab.expander import (
     split_projection,
     wmap_lower_bounds,
 )
-from roelab._linalg import spectral_norm
+from roelab._linalg import spectral_norm, spectral_norms
 from roelab.locality import equi_approx_profile
 from roelab.operator import OperatorMatrix, diagonal
 from roelab.spectral import hermitian_eig
@@ -219,12 +219,8 @@ def test_weight_presets():
     assert np.array_equal(fam2.weights, [1.0, 2.0])
 
 
-@pytest.mark.parametrize("sizes", [[6, 8], [6, 10, 12], [4, 6, 4, 6, 4]])
-def test_blockwise_norms_match_dense_norms(sizes):
-    fam = family_of_paths(sizes, "quadratic")
+def assert_blockwise_norms_match_dense(fam, k, times):
     n = fam.union.n_points
-    k = np.random.default_rng(len(sizes)).standard_normal(n)
-    times = np.linspace(-1.5, 1.5, 61)
     measured, closed_form, block = discontinuity_profiles(fam, times)
     lhs, rhs = wmap_lower_bounds(fam, k, times)
     p_a = split_projection(fam)
@@ -238,6 +234,69 @@ def test_blockwise_norms_match_dense_norms(sizes):
         assert rhs[i] == closed_form[i]
         [lhs_t], [rhs_t] = wmap_lower_bounds(fam, k, [t])
         assert (lhs_t, rhs_t) == (lhs[i], rhs[i])
+
+
+@pytest.mark.parametrize("sizes", [[6, 8], [6, 10, 12], [4, 6, 4, 6, 4]])
+def test_blockwise_norms_match_dense_norms(sizes):
+    fam = family_of_paths(sizes, "quadratic")
+    k = np.random.default_rng(len(sizes)).standard_normal(fam.n_points)
+    assert_blockwise_norms_match_dense(fam, k, np.linspace(-1.5, 1.5, 61))
+
+
+@pytest.mark.parametrize(
+    "times",
+    [np.linspace(-0.7, 1.3, 23), np.linspace(-1.5, -0.1, 15)],
+    ids=["asymmetric", "negative-only"],
+)
+def test_norms_per_abs_time_match_dense_norms(times):
+    # the norms are taken at |t| only; a grid whose times are not mirrored,
+    # or all negative, must still give the norm of every t
+    fam = family_of_paths([6, 8, 6], "quadratic")
+    k = np.random.default_rng(5).standard_normal(fam.n_points)
+    assert_blockwise_norms_match_dense(fam, k, times)
+
+
+def test_one_norm_per_abs_time(monkeypatch):
+    # the spectral-sweep benchmark's family and grid: 17 times, 9 distinct |t|
+    fam = make_regular_family(4, 4, [16] * 4, seed=1000)
+    times = -0.5 + 0.0625 * np.arange(17)
+    normed = []
+
+    def counting(stack):
+        normed.append(len(stack))
+        return spectral_norms(stack)
+
+    monkeypatch.setattr(expander, "spectral_norms", counting)
+    discontinuity_profiles(fam, times)
+    assert sum(normed) == 9 * 4
+    normed.clear()
+    wmap_lower_bounds(fam, np.zeros(fam.n_points), times)
+    assert sum(normed) == 9 * 4
+
+
+def test_union_built_once_on_first_read(monkeypatch):
+    built = []
+
+    def counting(blocks):
+        built.append(len(blocks))
+        return space.coarse_union(blocks)
+
+    monkeypatch.setattr(expander, "coarse_union", counting)
+    fam = family_of_paths([3, 4], [1.0, 2.0])
+    assert built == [] and fam.n_points == 7
+    discontinuity_profiles(fam, [0.3])
+    wmap_lower_bounds(fam, np.zeros(7), [0.3])
+    assert built == []
+    union = fam.union
+    assert union.n_points == 7 and built == [2]
+    assert fam.union is union and preflow_unitary(fam, 0.3).space is union
+    assert built == [2]
+
+
+def test_block_family_refuses_oversize_union(monkeypatch):
+    monkeypatch.setattr(space, "MAX_POINTS", 9)
+    with pytest.raises(SizeGuardError, match="'points'"):
+        family_of_paths([5, 5], [1.0, 1.0])
 
 
 def test_discontinuity_checks_every_block(monkeypatch):
@@ -277,14 +336,35 @@ def _sampler_oracle(size, degree, rng):
     raise ValueError("no sample")
 
 
-@pytest.mark.parametrize("seed", [0, 1, 77, 1234])
-@pytest.mark.parametrize("size, degree", [(16, 4), (9, 2), (12, 3)])
-def test_sampler_matches_loop_oracle(seed, size, degree):
+def _sample_or_none(sampler, size, degree, rng):
+    try:
+        return sampler(size, degree, rng).dist
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "size, degree, seed",
+    [
+        (size, degree, seed)
+        for size, degree in [(16, 4), (9, 2), (12, 3)]
+        for seed in [0, 1, 77, 1234]
+    ]
+    # the first (16, 4) block is accepted at attempt 0, 63, 64, 65 and 203:
+    # at either edge of a batch of 64 and past three batches
+    + [(16, 4, seed) for seed in (20, 266, 582, 364, 3)]
+    # a simple but disconnected row is rejected inside a batch (attempt 7, 1)
+    + [(8, 2, 1), (8, 2, 4)]
+    # every perfect matching of 4 points is disconnected: 1000 attempts fail
+    + [(4, 1, 0)],
+)
+def test_sampler_matches_loop_oracle(size, degree, seed):
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        got = expander._random_regular_graph(size, degree, fast)
-        want = _sampler_oracle(size, degree, slow)
-        assert np.array_equal(got.dist, want.dist)
+        got = _sample_or_none(expander._random_regular_graph, size, degree, fast)
+        want = _sample_or_none(_sampler_oracle, size, degree, slow)
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
     assert fast.random() == slow.random()
 
 

@@ -398,7 +398,7 @@ def _stacked_paths():
         "wmap": expander.wmap_lower_bounds(
             blocks, rng.standard_normal(blocks.union.n_points), times
         ),
-        "lipschitz": lipschitz_audit(h, k, times).max_ratio,
+        "lipschitz": lipschitz_audit(h, k, times)[0],
         "ql": ql_value(a, 1.0, "exact"),
         "ql-lower": ql_value(a, 1.0, "lower"),
         "coarse-exact": coarseness_modulus(a, 1.0, "exact"),

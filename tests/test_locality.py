@@ -228,6 +228,22 @@ def test_exact_ql_temporaries_stay_small():
     assert peak < 6 * 2**20
 
 
+def test_lower_size_guard_fires_before_the_ball_masks():
+    # 162 points and 162 distances: 162^3 mask entries, just over the bound
+    s = space.path_graph(162)
+    assert 161**3 <= locality.LOWER_GUARD < 162**3
+    a = OperatorMatrix(s, np.eye(162))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="ql-lower-balls"):
+            ql_value(a, 1.0, "lower")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # np.unique of the 162 x 162 metric (about 1.3 MB), not the 4.25 MB masks
+    assert peak < 2 * 2**20
+
+
 def test_exact_size_guard_fires_before_any_array():
     a = random_operator(space.path_graph(17), 0)
     tracemalloc.start()
