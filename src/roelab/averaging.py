@@ -6,14 +6,13 @@ invariant mean, so nothing else needs to be exposed. The same machinery
 drives the constructive finite-propagation extraction.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ._linalg import ZERO_PROP_TOL, check, chunks, require_hermitian, spectral_norm
 from .errors import SizeGuardError
-from .operator import OperatorMatrix, expectation, truncate
+from .operator import OperatorMatrix, expectation
 from .space import FiniteSpace
 
 BRUTE_GUARD = 14
@@ -57,25 +56,21 @@ def brute_average(
     return OperatorMatrix(space, acc / float(2**n))
 
 
-@dataclass(frozen=True)
-class ExtractionReport:
-    h_prime: OperatorMatrix
-    defect: float
-    zero_prop_residual: float
-
-
-def extract_finite_prop(h: OperatorMatrix, r: float) -> ExtractionReport:
-    """The propagation-<=r approximant h' = w + h - truncate(w, r) of a
-    Hermitian h, and its defect ||h - h'||, where w averages m_eps =
-    pi(eps)^* h pi(eps) - h over the sign group (truncation is entrywise, so
-    it commutes with the average). m_eps = m_{-eps}, so w runs over the first
-    half of the canonical order (eps_0 = -1), a stack at a time. w + h must
-    equal E(h) within ZERO_PROP_TOL: that identity is checked on every run.
+def extract_finite_prop(h: OperatorMatrix, r: float):
+    """(h_prime, defect, zero_prop_residual): the propagation-<=r approximant
+    h' = w + h - truncate(w, r) of a Hermitian h, its defect ||h - h'|| and
+    ||w + h - E(h)||, where w averages m_eps = pi(eps)^* h pi(eps) - h over
+    the sign group (truncation is entrywise, so it commutes with the average).
+    m_eps = m_{-eps}, so w runs over the first half of the canonical order
+    (eps_0 = -1), a stack at a time. w + h must equal E(h) within
+    ZERO_PROP_TOL: that identity is checked on every run.
     """
     n = h.n
     if n > BRUTE_GUARD:
         raise SizeGuardError("sign-group-brute-average", BRUTE_GUARD, n)
     require_hermitian(h.entries)
+    if not r >= 0:
+        raise ValueError("radius must be nonnegative")
 
     minus_twice_h = -2.0 * h.entries
     w_sum = np.zeros((n, n), dtype=np.complex128)
@@ -86,9 +81,10 @@ def extract_finite_prop(h: OperatorMatrix, r: float) -> ExtractionReport:
         flip = block[:, :, None] != block[:, None, :]
         w_sum += np.where(flip, minus_twice_h, 0.0).sum(axis=0)
 
-    w = OperatorMatrix(h.space, w_sum / float(half))
-    h_prime = w + h - truncate(w, r)
-    defect = spectral_norm(h.entries - h_prime.entries)
-    zero_prop_residual = spectral_norm(w.entries + h.entries - expectation(h).entries)
+    w = w_sum / float(half)
+    w_plus_h = w + h.entries
+    h_prime = w_plus_h - np.where(h.space.dist <= r, w, 0.0)
+    defect = spectral_norm(h.entries - h_prime)
+    zero_prop_residual = spectral_norm(w_plus_h - expectation(h).entries)
     check(zero_prop_residual, ZERO_PROP_TOL, "w + h deviates from E(h)")
-    return ExtractionReport(h_prime, defect, zero_prop_residual)
+    return OperatorMatrix(h.space, h_prime), defect, zero_prop_residual

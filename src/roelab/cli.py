@@ -270,14 +270,13 @@ def _run_cocycle_verify(cfg, rng, out, cfg_hash):
 def _run_diagonalize(cfg, rng, out, cfg_hash):
     r = _get(cfg, "r", "number", least=0)
     [h] = _operators(cfg, rng, "h")
-    report = averaging.extract_finite_prop(h, r)
-    save_matrix(report.h_prime, Path(out).parent / "h_prime.txt")
+    h_prime, defect, zero_prop_residual = averaging.extract_finite_prop(h, r)
+    save_matrix(h_prime, Path(out).parent / "h_prime.txt")
     _write_csv(
         out, "diagonalize", cfg_hash,
         "r:distance defect:operator-norm residual:operator-norm",
         ("r", "defect", "zero_prop_residual", "h_prime_propagation"),
-        [(r, report.defect, report.zero_prop_residual,
-          propagation(report.h_prime))],
+        [(r, defect, zero_prop_residual, propagation(h_prime))],
     )
 
 

@@ -41,6 +41,8 @@ class BlockFamily:
         return self.offsets[-1] + self.blocks[-1].n_points
 
     def block_size(self, n: int) -> int:
+        if not 0 <= n < self.n_blocks:
+            raise IndexError(f"block index {n} out of range")
         return self.blocks[n].n_points
 
 
@@ -64,25 +66,24 @@ def block_family(blocks: Sequence[FiniteSpace], weights) -> BlockFamily:
     return BlockFamily(blocks, w, offsets)
 
 
-def _block_sum(fam: BlockFamily, coeffs) -> np.ndarray:
-    """sum_n c_n p_n as an array: c_n / |X_n| on the square of block n."""
+def _block_sum(fam: BlockFamily, terms) -> np.ndarray:
+    """sum c p_n over the (n, c) pairs of terms: c / |X_n| on block n's square."""
     m = np.zeros((fam.n_points,) * 2, dtype=np.complex128)
-    for n, c in enumerate(coeffs):
-        block = slice(fam.offsets[n], fam.offsets[n] + fam.block_size(n))
-        m[block, block] = c / fam.block_size(n)
+    for n, c in terms:
+        size = fam.block_size(n)  # before offsets[n]: refuses n outside [0, n_blocks)
+        block = slice(fam.offsets[n], fam.offsets[n] + size)
+        m[block, block] = c / size
     return m
 
 
 def averaging_projection(fam: BlockFamily, n: int) -> OperatorMatrix:
     """p_n: entries 1/|X_n| on block n, zero elsewhere. Rank one, trace one."""
-    if not 0 <= n < fam.n_blocks:
-        raise IndexError(f"block index {n} out of range")
-    return OperatorMatrix(fam.union, _block_sum(fam, np.eye(fam.n_blocks)[n]))
+    return OperatorMatrix(fam.union, _block_sum(fam, [(n, 1.0)]))
 
 
 def generator(fam: BlockFamily) -> OperatorMatrix:
     """h = sum_n w(n) p_n."""
-    return OperatorMatrix(fam.union, _block_sum(fam, fam.weights))
+    return OperatorMatrix(fam.union, _block_sum(fam, enumerate(fam.weights)))
 
 
 def _split_mask(size: int) -> np.ndarray:
@@ -91,11 +92,14 @@ def _split_mask(size: int) -> np.ndarray:
     return (np.arange(size) < (size + 1) // 2).astype(np.float64)
 
 
+def _split_diagonal(fam: BlockFamily) -> np.ndarray:
+    """The diagonal of p_A, A the union of the per-block half splits."""
+    return np.concatenate([_split_mask(b.n_points) for b in fam.blocks])
+
+
 def split_projection(fam: BlockFamily) -> OperatorMatrix:
     """p_A for A = union of the per-block half splits (a diagonal projection)."""
-    return diagonal(
-        fam.union, np.concatenate([_split_mask(b.n_points) for b in fam.blocks])
-    )
+    return diagonal(fam.union, _split_diagonal(fam))
 
 
 def split_factor(fam: BlockFamily, n: int) -> float:
@@ -109,16 +113,16 @@ def preflow_unitary(fam: BlockFamily, t: float) -> OperatorMatrix:
     """e^{ith} assembled directly as id + sum_n (e^{itw(n)} - 1) p_n."""
     phases = np.exp(1j * t * fam.weights) - 1.0
     return OperatorMatrix(
-        fam.union, np.eye(fam.n_points) + _block_sum(fam, phases)
+        fam.union, np.eye(fam.n_points) + _block_sum(fam, enumerate(phases))
     )
 
 
 def halfsplit_commutator_norm(fam: BlockFamily, n: int) -> float:
     """||p_n p_{A_n} - p_{A_n} p_n||, which evaluates to
     sqrt(|A_n| |X_n \\ A_n|) / |X_n|."""
-    p_n = averaging_projection(fam, n)
-    p_a = split_projection(fam)
-    return spectral_norm((p_n @ p_a - p_a @ p_n).entries)
+    p_n = _block_sum(fam, [(n, 1.0)])
+    p_a = np.diag(_split_diagonal(fam))
+    return spectral_norm(p_n @ p_a - p_a @ p_n)
 
 
 def _closed_forms(fam: BlockFamily, times) -> np.ndarray:

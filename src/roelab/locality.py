@@ -105,7 +105,7 @@ def equi_approx_profile(family: Sequence[OperatorMatrix], eps: float) -> float:
     """The single r certifying eps-r approximability for every family member."""
     if not family:
         raise ValueError("family must be nonempty")
-    first = family[0]
-    for member in family[1:]:
-        first._same_space(member)
+    dist = family[0].space.dist
+    if not all(np.array_equal(member.space.dist, dist) for member in family):
+        raise ValueError("operators live on different spaces")
     return max(eps_r_certificate(member, eps) for member in family)

@@ -2,7 +2,8 @@
 (propagation, diagonal part, band truncation, norms) everything else builds on.
 
 Convention: entry (x, y) of a matrix a is <a delta_y, delta_x>, i.e. rows are
-output indices and columns are input indices.
+output indices and columns are input indices. Products, sums and adjoints are
+numpy on .entries.
 """
 
 from dataclasses import dataclass
@@ -32,36 +33,6 @@ class OperatorMatrix:
     def n(self) -> int:
         return self.space.n_points
 
-    @property
-    def H(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.entries.conj().T)
-
-    def _same_space(self, other):
-        if other.space is not self.space and not np.array_equal(
-            other.space.dist, self.space.dist
-        ):
-            raise ValueError("operators live on different spaces")
-
-    def __matmul__(self, other):
-        self._same_space(other)
-        return OperatorMatrix(self.space, self.entries @ other.entries)
-
-    def __add__(self, other):
-        self._same_space(other)
-        return OperatorMatrix(self.space, self.entries + other.entries)
-
-    def __sub__(self, other):
-        self._same_space(other)
-        return OperatorMatrix(self.space, self.entries - other.entries)
-
-    def __neg__(self):
-        return OperatorMatrix(self.space, -self.entries)
-
-    def __mul__(self, scalar):
-        return OperatorMatrix(self.space, self.entries * scalar)
-
-    __rmul__ = __mul__
-
 
 def identity(space: FiniteSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.eye(space.n_points, dtype=np.complex128))
@@ -72,17 +43,6 @@ def diagonal(space: FiniteSpace, values) -> OperatorMatrix:
     if values.shape != (space.n_points,):
         raise ValueError("need one diagonal value per point")
     return OperatorMatrix(space, np.diag(values))
-
-
-def matrix_unit(space: FiniteSpace, y: int, x: int) -> OperatorMatrix:
-    """e_{y,x}: the rank-one partial isometry sending delta_x to delta_y."""
-    m = np.zeros((space.n_points, space.n_points), dtype=np.complex128)
-    m[y, x] = 1.0
-    return OperatorMatrix(space, m)
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    return a @ b - b @ a
 
 
 def propagation(a: OperatorMatrix, tol: float = None) -> float:

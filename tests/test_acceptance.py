@@ -106,10 +106,10 @@ def test_criterion_05_extraction_pipeline(capsys):
         for seed in range(20):
             h = truncate(_seeded_hermitian(s, seed), 3.0)  # coarse input
             r = float(1 + seed % 3)
-            rep = extract_finite_prop(h, r)
+            h_prime, _, zero_prop_residual = extract_finite_prop(h, r)
             closed = truncate(h, r)
-            assert np.abs(rep.h_prime.entries - closed.entries).max() <= 1e-12
-            assert rep.zero_prop_residual <= 1e-10
+            assert np.abs(h_prime.entries - closed.entries).max() <= 1e-12
+            assert zero_prop_residual <= 1e-10
 
     _run(capsys, 5, "extraction collapses to truncation", 60.0, body)
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_locality import drawn_operator, small_spaces
 
 from roelab import space
-from roelab._linalg import spectral_norm
+from roelab._linalg import ZERO_PROP_TOL, spectral_norm
 from roelab.averaging import (
     all_sign_vectors,
     brute_average,
@@ -89,22 +92,22 @@ def test_extraction_truncation_selector_collapses():
     s = space.path_graph(6)
     h = random_hermitian(s, 4)
     for r in (0.0, 1.0, 2.0):
-        rep = extract_finite_prop(h, r)
+        h_prime, defect, zero_prop_residual = extract_finite_prop(h, r)
         closed = truncate(h, r)
-        assert np.abs(rep.h_prime.entries - closed.entries).max() <= 1e-12
-        assert rep.defect == pytest.approx(
-            spectral_norm((h - closed).entries), abs=1e-10
+        assert np.abs(h_prime.entries - closed.entries).max() <= 1e-12
+        assert defect == pytest.approx(
+            spectral_norm(h.entries - closed.entries), abs=1e-10
         )
-        assert rep.zero_prop_residual <= 1e-10
-        assert propagation(rep.h_prime) <= r  # default tol eats float dust
+        assert zero_prop_residual <= 1e-10
+        assert propagation(h_prime) <= r  # default tol eats float dust
 
 
 def test_extraction_diagonal_input_exact():
     s = space.path_graph(5)
     h = diagonal(s, [1.0, 4.0, 9.0, 16.0, 25.0])
-    rep = extract_finite_prop(h, 0.0)
-    assert np.abs(rep.h_prime.entries - h.entries).max() <= 1e-13
-    assert rep.defect <= 1e-13
+    h_prime, defect, _ = extract_finite_prop(h, 0.0)
+    assert np.abs(h_prime.entries - h.entries).max() <= 1e-13
+    assert defect <= 1e-13
 
 
 def test_extraction_single_far_pair_defect():
@@ -112,8 +115,8 @@ def test_extraction_single_far_pair_defect():
     m = np.zeros((5, 5), dtype=complex)
     m[0, 4] = m[4, 0] = 0.7
     h = OperatorMatrix(s, m)
-    rep = extract_finite_prop(h, 2.0)
-    assert rep.defect == pytest.approx(0.7, abs=1e-12)
+    _, defect, _ = extract_finite_prop(h, 2.0)
+    assert defect == pytest.approx(0.7, abs=1e-12)
 
 
 def test_extraction_defect_below_worst_selector_error():
@@ -121,13 +124,13 @@ def test_extraction_defect_below_worst_selector_error():
     for seed in range(5):
         h = random_hermitian(s, seed)
         r = 1.0
-        rep = extract_finite_prop(h, r)
+        _, defect, _ = extract_finite_prop(h, r)
         worst = 0.0
         for eps in all_sign_vectors(5):
-            m_eps = conjugate_by_sign(h, eps) - h
-            c_eps = m_eps - truncate(m_eps, r)
-            worst = max(worst, spectral_norm(c_eps.entries))
-        assert rep.defect <= worst + 1e-10
+            m_eps = OperatorMatrix(s, conjugate_by_sign(h, eps).entries - h.entries)
+            c_eps = m_eps.entries - truncate(m_eps, r).entries
+            worst = max(worst, spectral_norm(c_eps))
+        assert defect <= worst + 1e-10
 
 
 def full_group_extraction(h, r):
@@ -137,7 +140,7 @@ def full_group_extraction(h, r):
     w_sum = np.zeros((h.n, h.n), dtype=complex)
     b_sum = np.zeros((h.n, h.n), dtype=complex)
     for eps in all_sign_vectors(h.n):
-        m = (conjugate_by_sign(h, eps) - h).entries
+        m = conjugate_by_sign(h, eps).entries - h.entries
         w_sum += m
         b_sum += np.where(band, m, 0.0)
     scale = float(2**h.n)
@@ -149,8 +152,27 @@ def test_coset_average_matches_full_group_average(n):
     s = space.path_graph(n)
     h = random_hermitian(s, 40 + n)
     for r in (0.0, 1.0, 2.0):
-        rep = extract_finite_prop(h, r)
+        h_prime, defect, zero_prop_residual = extract_finite_prop(h, r)
         full = full_group_extraction(h, r)
-        assert np.abs(rep.h_prime.entries - full).max() <= 1e-13
-        assert rep.defect == pytest.approx(spectral_norm(h.entries - full), abs=1e-13)
-        assert rep.zero_prop_residual <= 1e-10
+        assert np.abs(h_prime.entries - full).max() <= 1e-13
+        assert defect == pytest.approx(spectral_norm(h.entries - full), abs=1e-13)
+        assert zero_prop_residual <= 1e-10
+
+
+@given(
+    small_spaces(),
+    st.sampled_from(("full", "banded", "diagonal")),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_extraction_properties_at_every_radius(s, kind, seed):
+    h = drawn_operator(s, kind, seed)
+    for r in s.distance_set():
+        h_prime, _, zero_prop_residual = extract_finite_prop(h, r)
+        assert np.array_equal(h_prime.entries, h_prime.entries.conj().T)
+        assert propagation(h_prime) <= r
+        assert zero_prop_residual <= ZERO_PROP_TOL
+        if r == 0:
+            # w has a zero diagonal, so truncate(w, 0) = 0 and h' = w + h
+            deviation = spectral_norm(h_prime.entries - expectation(h).entries)
+            assert deviation <= ZERO_PROP_TOL

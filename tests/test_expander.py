@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_locality import graphs
 
 from roelab import expander, space
 from roelab.errors import NumericCheckError, SizeGuardError
@@ -19,7 +22,6 @@ from roelab.expander import (
 )
 from roelab._linalg import spectral_norm, spectral_norms
 from roelab.locality import equi_approx_profile
-from roelab.operator import OperatorMatrix, diagonal
 from roelab.spectral import hermitian_eig
 
 
@@ -45,19 +47,23 @@ def test_projection_block_of_two():
 
 def test_projection_rank_one_idempotent_orthogonal():
     fam = family_of_paths([4, 3], [1.0, 1.0])
-    p0 = averaging_projection(fam, 0)
-    p1 = averaging_projection(fam, 1)
-    assert np.allclose((p0 @ p0).entries, p0.entries, atol=1e-12)
-    assert np.abs(p0.entries - p0.H.entries).max() <= 1e-12
-    assert np.count_nonzero(np.round(np.linalg.eigvalsh(p0.entries), 8)) == 1
-    assert not (p0 @ p1).entries.any()
-    assert np.isclose(np.trace(p0.entries), 1.0)
+    p0 = averaging_projection(fam, 0).entries
+    p1 = averaging_projection(fam, 1).entries
+    assert np.allclose(p0 @ p0, p0, atol=1e-12)
+    assert np.abs(p0 - p0.conj().T).max() <= 1e-12
+    assert np.count_nonzero(np.round(np.linalg.eigvalsh(p0), 8)) == 1
+    assert not (p0 @ p1).any()
+    assert np.isclose(np.trace(p0), 1.0)
 
 
 def test_projection_index_out_of_range():
-    fam = family_of_paths([2], [1.0])
-    with pytest.raises(IndexError):
-        averaging_projection(fam, 1)
+    # every per-block function refuses n outside [0, n_blocks): -1 must not
+    # wrap round to the last block
+    fam = family_of_paths([2, 3], [1.0, 2.0])
+    for per_block in (split_factor, averaging_projection, halfsplit_commutator_norm):
+        for n in (-1, fam.n_blocks):
+            with pytest.raises(IndexError, match=f"block index {n} out of range"):
+                per_block(fam, n)
 
 
 def test_preflow_at_zero():
@@ -108,6 +114,16 @@ def test_halfsplit_odd_three():
         np.sqrt(2) / 3, abs=1e-10
     )
     assert split_factor(fam, 0) == pytest.approx(np.sqrt(2) / 3)
+
+
+@given(st.lists(graphs(9), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_halfsplit_commutator_matches_split_factor(blocks):
+    # the dense commutator of p_n and p_A against its closed form, at
+    # criterion 1's tolerance, on blocks of 1 to 9 points
+    fam = block_family(blocks, "quadratic")
+    for n in range(fam.n_blocks):
+        assert abs(halfsplit_commutator_norm(fam, n) - split_factor(fam, n)) <= 1e-10
 
 
 def test_discontinuity_zero_at_zero():
@@ -201,12 +217,10 @@ def test_block_sum_projections_and_equi_profile():
     # p_M is a projection for every subset M
     for bits in range(8):
         m = sum(
-            (p_all[n] for n in range(3) if bits >> n & 1),
-            start=OperatorMatrix(
-                fam.union, np.zeros((fam.union.n_points,) * 2)
-            ),
+            (p_all[n].entries for n in range(3) if bits >> n & 1),
+            start=np.zeros((fam.union.n_points,) * 2),
         )
-        assert np.allclose((m @ m).entries, m.entries, atol=1e-12)
+        assert np.allclose(m @ m, m, atol=1e-12)
     # equi-approximability profile recorded across the family
     r = equi_approx_profile(p_all, 0.25)
     assert r <= fam.union.diameter
@@ -223,13 +237,13 @@ def assert_blockwise_norms_match_dense(fam, k, times):
     n = fam.union.n_points
     measured, closed_form, block = discontinuity_profiles(fam, times)
     lhs, rhs = wmap_lower_bounds(fam, k, times)
-    p_a = split_projection(fam)
+    p_a = split_projection(fam).entries
     for i, t in enumerate(times):
-        u = preflow_unitary(fam, t)
-        dense = spectral_norm((u @ p_a @ u.H - p_a).entries)
+        u = preflow_unitary(fam, t).entries
+        dense = spectral_norm(u @ p_a @ u.conj().T - p_a)
         assert measured[i] == pytest.approx(dense, rel=1e-12, abs=1e-14)
-        w = u @ diagonal(fam.union, np.exp(-1j * t * k))
-        dense_w = np.linalg.norm(w.entries - np.eye(n), 2)
+        w = u @ np.diag(np.exp(-1j * t * k))
+        dense_w = np.linalg.norm(w - np.eye(n), 2)
         assert lhs[i] == pytest.approx(dense_w, rel=1e-12, abs=1e-14)
         assert rhs[i] == closed_form[i]
         [lhs_t], [rhs_t] = wmap_lower_bounds(fam, k, [t])

@@ -14,7 +14,7 @@ from roelab.flows import (
     lambda_scalar_residuals,
     lipschitz_audit,
 )
-from roelab.operator import OperatorMatrix, commutator, diagonal
+from roelab.operator import OperatorMatrix, diagonal
 from roelab.spectral import hermitian_eig
 from roelab.translations import to_matrices
 
@@ -61,7 +61,7 @@ def test_diagonal_flow_closed_form():
 def test_flow_fixes_own_spectral_projection():
     s = space.complete_graph(4)
     p = OperatorMatrix(s, np.ones((4, 4), dtype=complex) / 4)
-    h = 2.5 * p
+    h = OperatorMatrix(s, 2.5 * p.entries)
     assert np.allclose(flow(h, 1.3, p.entries), p.entries, atol=1e-10)
 
 
@@ -293,7 +293,7 @@ def test_flow_profile_matches_per_time_formula():
     times = np.linspace(-1.0, 1.0, 9)
     modulus, residual = flow_profile(h, a, times)
     es = hermitian_eig(h)
-    comm = commutator(h, a).entries
+    comm = h.entries @ a.entries - a.entries @ h.entries
     for t, mod, res in zip(times, modulus, residual):
         [u] = es.exp_many([t])
         moved = u @ a.entries @ u.conj().T - a.entries

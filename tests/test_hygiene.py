@@ -1,6 +1,6 @@
 """Source hygiene of src/roelab and tests/: no unused import, every numeric
-identity through _linalg.check, and no top-level def or class in src/roelab
-that nothing names."""
+identity through _linalg.check, no top-level def or class in src/roelab
+that nothing names, and no operator arithmetic on library classes."""
 
 import ast
 from pathlib import Path
@@ -114,6 +114,32 @@ def dead_names(root):
     return bad
 
 
+ARITHMETIC = {
+    "__matmul__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
+    "__truediv__",
+}
+
+
+def arithmetic_dunders(root):
+    """No class of src/roelab defines an arithmetic dunder, by def or by
+    assignment: arrays are multiplied as numpy arrays, on .entries."""
+    bad = []
+    for path, tree in parsed(root, "src/roelab/*.py").items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [getattr(t, "id", None) for t in node.targets]
+                else:
+                    continue
+                for name in ARITHMETIC.intersection(names):
+                    bad.append(f"{path}:{node.lineno}: {cls.name} defines {name}")
+    return bad
+
+
 def test_no_unused_imports():
     assert unused_imports(ROOT) == []
 
@@ -124,6 +150,27 @@ def test_numeric_identities_go_through_check():
 
 def test_no_dead_names():
     assert dead_names(ROOT) == []
+
+
+def test_no_arithmetic_dunders():
+    assert arithmetic_dunders(ROOT) == []
+
+
+def test_arithmetic_dunder_rule_sees_defs_and_aliases(tmp_path):
+    source = (
+        "class Op:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def __matmul__(self, other):\n        return self\n\n"
+        "    __rmul__ = __matmul__\n\n\n"
+        "def __add__(a, b):\n    return a\n"
+    )
+    (tmp_path / "src/roelab").mkdir(parents=True)
+    (tmp_path / "src/roelab/operator.py").write_text(source)
+    # a module-level function is not a class's arithmetic
+    assert arithmetic_dunders(tmp_path) == [
+        "src/roelab/operator.py:5: Op defines __matmul__",
+        "src/roelab/operator.py:8: Op defines __rmul__",
+    ]
 
 
 def test_dead_name_rule_resolves_imports(tmp_path):

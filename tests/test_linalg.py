@@ -403,7 +403,7 @@ def _stacked_paths():
         "ql-lower": ql_value(a, 1.0, "lower"),
         "coarse-exact": coarseness_modulus(a, 1.0, "exact"),
         "coarse-heuristic": coarseness_modulus(a, 1.0, "heuristic"),
-        "extract": extract_finite_prop(h, 1.0).h_prime.entries,
+        "extract": extract_finite_prop(h, 1.0)[0].entries,
     }
     return out
 

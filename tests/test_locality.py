@@ -16,7 +16,7 @@ from roelab.locality import (
 from roelab.operator import (
     OperatorMatrix,
     diagonal,
-    matrix_unit,
+    identity,
     truncate,
 )
 from roelab.translations import enumerate_r_translations, to_matrices
@@ -55,7 +55,9 @@ def test_finite_propagation_vanishes():
 
 def test_rank_one_threshold():
     s = space.path_graph(4)
-    a = matrix_unit(s, 3, 0)  # entry at distance 3
+    m = np.zeros((4, 4), dtype=complex)
+    m[3, 0] = 1.0  # e_{3,0}: one entry, at distance 3
+    a = OperatorMatrix(s, m)
     assert ql_value(a, 2, "exact") == pytest.approx(1.0, abs=1e-12)
     assert ql_value(a, 3, "exact") == 0.0
 
@@ -76,7 +78,7 @@ def test_truncation_sandwich():
         a = random_operator(s, seed)
         for r in s.distance_set():
             assert ql_value(a, r, "exact") <= spectral_norm(
-                (a - truncate(a, r)).entries
+                a.entries - truncate(a, r).entries
             ) + 1e-10
 
 
@@ -123,7 +125,7 @@ def test_certificate_single_offband_entry():
 def test_certificate_large_eps():
     s = space.path_graph(4)
     a = random_operator(s, 8)
-    eps = spectral_norm((a - truncate(a, 0)).entries) + 0.01
+    eps = spectral_norm(a.entries - truncate(a, 0).entries) + 0.01
     assert eps_r_certificate(a, eps) == 0.0
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="eps"):
@@ -147,6 +149,15 @@ def test_equi_profile_translations_bounded_by_displacement():
 def test_equi_profile_empty_family():
     with pytest.raises(ValueError):
         equi_approx_profile([], 0.5)
+
+
+def test_equi_profile_refuses_members_on_different_spaces():
+    p4, c4 = space.path_graph(4), space.cycle_graph(4)
+    family = [identity(p4), identity(c4)]
+    with pytest.raises(ValueError, match="different spaces"):
+        equi_approx_profile(family, 0.5)
+    # equal metrics are one space, whichever object carries them
+    assert equi_approx_profile([identity(p4), identity(space.path_graph(4))], 0.5) == 0.0
 
 
 def loop_ql(a, r, masks):
