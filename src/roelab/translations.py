@@ -12,7 +12,13 @@ bound is the default.
 
 import numpy as np
 
-from ._linalg import chunks, require_hermitian, schur_bounds, spectral_norms
+from ._linalg import (
+    chunks,
+    require_finite,
+    require_hermitian,
+    schur_bounds,
+    spectral_norms,
+)
 from .errors import SizeGuardError
 from .operator import OperatorMatrix
 from .space import FiniteSpace
@@ -114,7 +120,8 @@ def _commutators(h: np.ndarray, targets: np.ndarray, inverses: np.ndarray):
     rows = np.zeros((n + 1, n), dtype=np.complex128)
     rows[:n] = h
     hv = columns.take(targets, axis=0).transpose(0, 2, 1)
-    return hv - rows.take(inverses, axis=0)
+    with np.errstate(over="ignore"):  # an inf entry is refused by spectral_norms
+        return hv - rows.take(inverses, axis=0)
 
 
 def _commutator_norms(h: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -136,15 +143,16 @@ def _first_of_inverse_pair(targets: np.ndarray, inverses: np.ndarray) -> np.ndar
     return ~differ[rows, first] | (targets[rows, first] < inverses[rows, first])
 
 
-def _exact_modulus(h: np.ndarray, blocks) -> float:
-    """max ||[h, v_f]|| over the rows of every block of targets, for Hermitian h.
+def _exact_modulus(h: np.ndarray, blocks, best: float) -> float:
+    """max ||[h, v_f]|| over the rows of every block of targets and best, a
+    lower bound on it, for Hermitian h.
 
     [h, v_{f^-1}] = -[h, v_f]^H, so one row of each inverse pair is kept
     (for h within require_hermitian's tolerance of h^H, the norms of a pair
-    differ by at most 2 ||h - h^H||). A block's rows are normed in descending order of their Schur bounds,
-    until no bound left exceeds the best norm so far."""
+    differ by at most 2 ||h - h^H||). A block's rows are normed in
+    descending order of their Schur bounds, until no bound left exceeds the
+    best norm so far."""
     n = h.shape[0]
-    best = 0.0
     for block in blocks:
         inverses = _inverses(block)
         keep = _first_of_inverse_pair(block, inverses)
@@ -154,7 +162,8 @@ def _exact_modulus(h: np.ndarray, blocks) -> float:
             bounds.append(schur_bounds(_commutators(h, block[sl], inverses[sl])))
         bounds = np.concatenate(bounds)
         order = np.argsort(-bounds, kind="stable")
-        # the top row alone first: for diagonal h its norm is the block's max
+        # the top row alone first: for nearly diagonal h its norm is about the
+        # block's max
         top, rest = order[:1], order[1:]
         for rows in [top, *(rest[sl] for sl in chunks(len(rest), n, n))]:
             rows = rows[bounds[rows] > best]
@@ -174,9 +183,13 @@ def coarseness_modulus(
 ) -> float:
     """sup over partial r-translations f of ||[h, v_f]||, for Hermitian h.
 
-    exact: the full enumeration (size guarded), taking one f of each inverse
-    pair and norming only where a row's Schur bound still beats the best
-    norm; for diagonal h the bound is the norm, so few rows are normed.
+    exact: the full enumeration (size guarded), bracketed first. With D the
+    diagonal of h, the sup lies between floor = max |D_y - D_x| over the
+    pairs with d(x, y) <= r (the one-pair translation {x -> y} has entry
+    D_y - D_x) and floor + 2 ||h - diag D||. So for diagonal h the exact
+    value is the floor, and no translation is enumerated. Otherwise the
+    search starts from the floor, takes one f of each inverse pair, and
+    norms only where a row's Schur bound still beats the best norm.
     heuristic: lower bound from all single-pair translations within r plus a
     greedy matching grown one pair at a time; for diagonal h the single
     pairs already witness the exact value.
@@ -186,7 +199,16 @@ def coarseness_modulus(
     entries = h.entries
     require_hermitian(entries)
     if mode == "exact":
-        return _exact_modulus(entries, _translation_targets(h.space, r, allow_large))
+        # eager: the radius check and the size guard fire before anything else
+        blocks = _translation_targets(h.space, r, allow_large)
+        d = entries.diagonal()
+        with np.errstate(over="ignore"):  # an overflowed gap is refused below
+            gaps = np.abs(d[None, :] - d[:, None])
+        floor = float(gaps[h.space.dist <= r].max(initial=0.0))
+        require_finite(floor)
+        if not np.count_nonzero(entries - np.diag(d)):
+            return floor  # the ceiling is the floor
+        return _exact_modulus(entries, blocks, floor)
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -6,6 +6,7 @@ import json
 import time
 
 import numpy as np
+from test_translations import all_rows_modulus
 
 from roelab import space
 from roelab.averaging import brute_average, conjugate_by_sign, extract_finite_prop
@@ -180,6 +181,8 @@ def test_criterion_09_coarseness_equivalence(capsys):
                     np.abs(hvals[:, None] - hvals[None, :])[mask].max()
                 )
                 assert abs(exact - closed) <= 1e-10
+                # an enumerated witness: every translation normed, no bound
+                assert abs(all_rows_modulus(h, float(r)) - closed) <= 1e-10
 
     _run(capsys, 9, "exact coarseness equals diagonal oscillation", 120.0, body)
 

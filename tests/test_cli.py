@@ -552,6 +552,29 @@ def test_exact_mode_overflow_is_numeric_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_overflowing_diagonal_gap_is_numeric_error_without_a_warning(tmp_path, mode):
+    # a fresh process, so that a RuntimeWarning reaches stderr as a line
+    (tmp_path / "h.txt").write_text("n 3\n0 0 1e308 0.0\n1 1 -1e308 0.0\n")
+    cfg = {
+        "space": {"path_graph": 3},
+        "operator": {"file": str(tmp_path / "h.txt")},
+        "mode": mode,
+        "radii": [1],
+    }
+    src = str(Path(roelab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "roelab.cli", "coarse-check",
+         "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 4
+    assert "error: numeric:" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
 def test_non_hermitian_file_operator_is_numeric_error(tmp_path, capsys, mode):
     sp = space.path_graph(3)
     path = tmp_path / "h.txt"

@@ -1,6 +1,7 @@
 """Source hygiene of src/roelab and tests/: no unused import, every numeric
 identity through _linalg.check, no top-level def or class in src/roelab
-that nothing names, and no operator arithmetic on library classes."""
+that nothing names, no operator arithmetic on library classes, and no read
+of the environment in src/roelab."""
 
 import ast
 from pathlib import Path
@@ -140,6 +141,20 @@ def arithmetic_dunders(root):
     return bad
 
 
+ENVIRONMENT = {"os.environ", "os.environb", "os.getenv", "os.getenvb"}
+
+
+def environment_reads(root):
+    """No module of src/roelab reads the environment, under any alias: a
+    switch is a config key or a library argument that something sets, never
+    an environment variable."""
+    bad = []
+    for path, tree in parsed(root, "src/roelab/*.py").items():
+        for name in sorted(ENVIRONMENT & references(path, tree)):
+            bad.append(f"{path}: reads {name}")
+    return bad
+
+
 def test_no_unused_imports():
     assert unused_imports(ROOT) == []
 
@@ -154,6 +169,35 @@ def test_no_dead_names():
 
 def test_no_arithmetic_dunders():
     assert arithmetic_dunders(ROOT) == []
+
+
+def test_no_environment_reads():
+    assert environment_reads(ROOT) == []
+
+
+def test_environment_rule_resolves_aliases(tmp_path):
+    sources = {
+        "src/roelab/cli.py": (
+            "import os as system\n\n\n"
+            "def threads():\n    return system.environ.get('THREADS', '1')\n"
+        ),
+        "src/roelab/spectral.py": (
+            "from os import getenv as read\n\n\n"
+            "def cached():\n    return read('CACHE')\n"
+        ),
+        # a name or a string that only looks like one reads nothing
+        "src/roelab/space.py": (
+            "import os\n\n\n"
+            "def path(environ):\n    return os.path.join(environ, 'os.environ')\n"
+        ),
+    }
+    for name, text in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert environment_reads(tmp_path) == [
+        "src/roelab/cli.py: reads os.environ",
+        "src/roelab/spectral.py: reads os.getenv",
+    ]
 
 
 def test_arithmetic_dunder_rule_sees_defs_and_aliases(tmp_path):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_locality import HERMITIAN_KINDS, drawn_operator, graphs
 
 from roelab import space, translations
-from roelab._linalg import spectral_norm
+from roelab._linalg import spectral_norm, spectral_norms
 from roelab.errors import SizeGuardError
 from roelab.operator import (
     OperatorMatrix,
@@ -291,16 +292,18 @@ def test_target_rows_follow_the_dfs_order(monkeypatch, s, r, block):
 
 def test_exact_coarseness_temporaries_stay_small():
     s = space.path_graph(10)
-    h = diagonal(s, np.arange(10.0))
-    tracemalloc.start()
-    try:
-        coarseness_modulus(h, 1, "exact")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one block of target rows per level, and one chunk of v_f and [h, v_f];
-    # the 78,243 translations as one (k, 10) array would take 6 MiB
-    assert peak < 4 * 2**20
+    # a diagonal h is enumerated not at all; a nearly diagonal one in full
+    for coupling in (0.0, 1e-3):
+        h = OperatorMatrix(s, np.diag(np.arange(10.0)) + coupling * (s.dist == 1))
+        tracemalloc.start()
+        try:
+            coarseness_modulus(h, 1, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of target rows per level, and one chunk of v_f and [h, v_f];
+        # the 78,243 translations as one (k, 10) array would take 6 MiB
+        assert peak < 4 * 2**20, coupling
 
 
 def test_enumeration_size_guard_fires_before_any_array():
@@ -396,13 +399,72 @@ def test_exact_coarseness_of_diagonal_h_norms_few_rows(monkeypatch):
         normed.append(len(stack))
         return norms(stack)
 
-    monkeypatch.setattr(translations, "spectral_norms", counted)
+    def no_rows(rows, options):
+        raise AssertionError("a translation was enumerated")
+        yield
+
     assert len(_all_targets(s, 2)) == 2701
+    monkeypatch.setattr(translations, "spectral_norms", counted)
+    monkeypatch.setattr(translations, "_extend", no_rows)
     for seed in range(5):
         normed.clear()
         h = diagonal(s, np.random.default_rng(seed).standard_normal(6))
         coarseness_modulus(h, 2, "exact")
-        assert 0 < sum(normed) < 270
+        assert sum(normed) == 0
+
+
+def all_rows_modulus(h, r):
+    """max ||[h, v_f]|| over every row f of the enumeration, with no bound,
+    no inverse-pair filter and no shortcut."""
+    commutators, inverses = translations._commutators, translations._inverses
+    norms = [
+        spectral_norms(commutators(h.entries, f, inverses(f)))
+        for f in translations._translation_targets(h.space, r, allow_large=False)
+    ]
+    return float(np.concatenate(norms).max())
+
+
+@st.composite
+def coarseness_cases(draw):
+    """A graph of n <= 6 points, a radius of its distance set, and a
+    Hermitian h: a drawn_operator kind, or diagonal with repeated values,
+    scaled by 1, 1e150 or 1e-150."""
+    s = draw(graphs(6))
+    r = draw(st.sampled_from(s.distance_set().tolist()))
+    kind = draw(st.sampled_from(HERMITIAN_KINDS + ("repeated",)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    if kind == "repeated":
+        values = np.random.default_rng(seed).integers(0, 3, s.n_points)
+        h = diagonal(s, scale * values)
+    else:
+        h = OperatorMatrix(s, scale * drawn_operator(s, kind, seed).entries)
+    return h, r, kind
+
+
+@given(coarseness_cases())
+@settings(max_examples=100, deadline=None)
+def test_exact_coarseness_is_bracketed_and_matches_all_rows(case):
+    h, r, kind = case
+    d = h.entries.diagonal()
+    exact = coarseness_modulus(h, r, "exact")
+    floor = float(np.abs(d[:, None] - d[None, :])[h.space.dist <= r].max())
+    ceiling = floor + 2 * spectral_norm(h.entries - np.diag(d))
+    if kind in ("diagonal", "repeated"):
+        assert exact == floor
+    assert floor <= exact <= ceiling * (1 + 1e-14)
+    oracle = all_rows_modulus(h, r)
+    assert abs(exact - oracle) <= 1e-14 * oracle
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_overflowing_diagonal_gap_is_refused_without_a_warning(mode):
+    # under the suite's error::RuntimeWarning, a warning would fail the test
+    s = space.path_graph(3)
+    for coupling in (0.0, 1.0):
+        h = OperatorMatrix(s, np.diag([1e308, -1e308, 0.0]) + coupling * (s.dist == 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            coarseness_modulus(h, 1, mode)
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
