@@ -113,15 +113,15 @@ def higson_commutator_profile(a: OperatorMatrix, f) -> Tuple[float, float]:
 def save_matrix(a: OperatorMatrix, path) -> None:
     """Text format: header "n <n>", then "x y re im" for each nonzero entry.
 
-    repr() of the parts gives a bit-exact round trip for doubles.
+    repr() of the parts gives a bit-exact round trip for doubles. Entries
+    go in row-major order; one is nonzero when v != 0.
     """
+    xs, ys = np.nonzero(a.entries)
+    v = a.entries[xs, ys]
+    parts = zip(xs.tolist(), ys.tolist(), v.real.tolist(), v.imag.tolist())
     with open(path, "w") as fh:
         fh.write(f"n {a.n}\n")
-        for x in range(a.n):
-            for y in range(a.n):
-                v = a.entries[x, y]
-                if v != 0:
-                    fh.write(f"{x} {y} {float(v.real)!r} {float(v.imag)!r}\n")
+        fh.writelines(f"{x} {y} {re!r} {im!r}\n" for x, y, re, im in parts)
 
 
 def load_matrix(path, space: FiniteSpace) -> OperatorMatrix:

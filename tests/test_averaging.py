@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_locality import drawn_operator, small_spaces
 
-from roelab import space
+from roelab import averaging, space
 from roelab._linalg import ZERO_PROP_TOL, spectral_norm
 from roelab.averaging import (
+    _flip_counts,
     all_sign_vectors,
     brute_average,
     conjugate_by_sign,
@@ -159,19 +160,47 @@ def test_coset_average_matches_full_group_average(n):
         assert zero_prop_residual <= 1e-10
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_flip_counts_match_per_vector_count(n):
+    half = 1 << (n - 1)
+    first_half = np.array(list(all_sign_vectors(n))[:half])
+    oracle = (first_half[:, :, None] != first_half[:, None, :]).sum(axis=0)
+    counts = _flip_counts(n, half)
+    assert np.array_equal(counts, oracle)
+    assert np.array_equal(counts, (half // 2) * (1 - np.eye(n)))  # n = 1: C = 0
+
+
+def test_extraction_refuses_n_15_before_building_arrays(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("ran past the size guard")
+
+    monkeypatch.setattr(averaging, "require_hermitian", must_not_run)
+    monkeypatch.setattr(averaging, "_sign_bits", must_not_run)
+    monkeypatch.setattr(averaging, "_flip_counts", must_not_run)
+    s = space.path_graph(15)
+    with pytest.raises(SizeGuardError):
+        extract_finite_prop(OperatorMatrix(s, np.eye(15, dtype=complex)), 1.0)
+
+
 @given(
     small_spaces(),
     st.sampled_from(("full", "banded", "diagonal")),
+    st.sampled_from((1.0, 1e150, 1e-150)),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_extraction_properties_at_every_radius(s, kind, seed):
+def test_extraction_properties_at_every_radius(s, kind, scale, seed):
     h = drawn_operator(s, kind, seed)
+    h = OperatorMatrix(s, scale * h.entries)
     for r in s.distance_set():
-        h_prime, _, zero_prop_residual = extract_finite_prop(h, r)
+        h_prime, defect, zero_prop_residual = extract_finite_prop(h, r)
+        # the exact flip counts make w = -h off the diagonal, so h' is the
+        # band truncation of h bit for bit and w + h = E(h) exactly
+        assert h_prime.entries.tobytes() == truncate(h, r).entries.tobytes()
+        assert zero_prop_residual == 0.0
+        assert defect == spectral_norm(h.entries - truncate(h, r).entries)
         assert np.array_equal(h_prime.entries, h_prime.entries.conj().T)
         assert propagation(h_prime) <= r
-        assert zero_prop_residual <= ZERO_PROP_TOL
         if r == 0:
             # w has a zero diagonal, so truncate(w, 0) = 0 and h' = w + h
             deviation = spectral_norm(h_prime.entries - expectation(h).entries)

@@ -207,3 +207,34 @@ def test_matrix_io_roundtrip(tmp_path):
     again = load_matrix(path, s)
     assert np.array_equal(a.entries, again.entries)
 
+
+def per_entry_save(a, path):
+    """The writer as one write per nonzero entry, scanned in row-major order."""
+    with open(path, "w") as fh:
+        fh.write(f"n {a.n}\n")
+        for x in range(a.n):
+            for y in range(a.n):
+                v = a.entries[x, y]
+                if v != 0:
+                    fh.write(f"{x} {y} {float(v.real)!r} {float(v.imag)!r}\n")
+
+
+def test_matrix_writer_matches_per_entry_oracle_and_roundtrips(tmp_path):
+    s = space.path_graph(6)
+    parts = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, -1e300]
+    rng = np.random.default_rng(7)
+    m = rng.choice(parts + [1.0 / 3.0, -7.0], (6, 6)) * (1 + 0j)
+    m += 1j * rng.choice(parts, (6, 6))
+    m[0, :] = complex(-0.0, -0.0)  # a row of zeros, none written
+    m[1, 0], m[1, 1] = complex(-0.0, 2.5), complex(1.5, -0.0)
+    m[2, 0], m[2, 1] = 3j, -4e300j  # purely imaginary
+    m[3, 3] = complex(5e-324, -5e-324)
+    a = OperatorMatrix(s, m)
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    save_matrix(a, got)
+    per_entry_save(a, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert b"1 0 -0.0 2.5\n1 1 1.5 -0.0\n" in got.read_bytes()
+    # every written entry comes back bit for bit, every zero one as +0
+    again = load_matrix(got, s)
+    assert again.entries.tobytes() == np.where(m == 0, 0j, m).tobytes()
