@@ -14,7 +14,7 @@ from .errors import NumericCheckError
 # Every threshold of a numeric check, one line each; values never loosen.
 HERMITIAN_TOL = 1e-10  # ||m - m^H||_F per unit of 1 + max|m_xy|
 UNITARY_TOL = 1e-10  # ||u^H u - 1||_F, and ||u_0 - 1||_F for a cocycle
-ZERO_PROP_TOL = 1e-10  # ||w + h - E(h)|| in the sign-group extraction
+ZERO_PROP_TOL = 1e-10  # ||w + h - E(h)|| per unit of min(1, max|h_xy|)
 DISCONTINUITY_TOL = 1e-9  # |measured - closed form| per expander block
 WMAP_TOL = 1e-9  # corner bound minus ||w(t) - 1|| in the expander
 LIPSCHITZ_TOL = (1e-8, 1e-9)  # slack on ||h - k||: relative, absolute (for h ~ k)

@@ -127,6 +127,9 @@ _GRAPHS = {
 
 
 def _build_space(cfg):
+    sources = [key for key in ("edge_list", *_GRAPHS, "coarse_union") if key in cfg]
+    if len(sources) > 1:
+        raise ConfigError(f"space needs one source, got {sources}")
     if "edge_list" in cfg:
         return space.load_edge_list(_path(cfg, "edge_list"))
     for kind, (build, least) in _GRAPHS.items():

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_locality import drawn_operator, small_spaces
+from test_locality import HERMITIAN_KINDS, drawn_operator, small_spaces
 
 from roelab import averaging, space
 from roelab._linalg import ZERO_PROP_TOL, spectral_norm
 from roelab.averaging import (
-    _flip_counts,
+    BRUTE_GUARD,
     all_sign_vectors,
     brute_average,
     conjugate_by_sign,
     extract_finite_prop,
 )
-from roelab.errors import SizeGuardError
+from roelab.errors import NumericCheckError, SizeGuardError
 from roelab.operator import (
     OperatorMatrix,
     diagonal,
@@ -162,24 +162,71 @@ def test_coset_average_matches_full_group_average(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_flip_counts_match_per_vector_count(n):
+    # the closed form rests on this count: over the 2^(n-1) coset
+    # representatives eps (eps_0 = -1, the first half of the canonical
+    # order), each pair x != y has eps_x != eps_y for exactly 2^(n-2) of them
     half = 1 << (n - 1)
     first_half = np.array(list(all_sign_vectors(n))[:half])
-    oracle = (first_half[:, :, None] != first_half[:, None, :]).sum(axis=0)
-    counts = _flip_counts(n, half)
-    assert np.array_equal(counts, oracle)
+    assert (first_half[:, 0] == -1).all()
+    counts = (first_half[:, :, None] != first_half[:, None, :]).sum(axis=0)
     assert np.array_equal(counts, (half // 2) * (1 - np.eye(n)))  # n = 1: C = 0
+    # the average by these counts, w = (-2 C / 2^(n-1)) o h, gives the
+    # closed form's h' bit for bit
+    s = space.path_graph(n)
+    h = random_hermitian(s, n)
+    w = (-2.0 / half) * counts * h.entries
+    for r in s.distance_set():
+        counted = h.entries + np.where(s.dist > r, w, complex(-0.0, -0.0))
+        h_prime, _, _ = extract_finite_prop(h, r)
+        assert h_prime.entries.tobytes() == counted.tobytes()
 
 
-def test_extraction_refuses_n_15_before_building_arrays(monkeypatch):
+def test_extraction_past_the_brute_guard_is_the_truncation(monkeypatch):
     def must_not_run(*args):
-        raise AssertionError("ran past the size guard")
+        raise AssertionError("the extraction enumerated the sign group")
 
-    monkeypatch.setattr(averaging, "require_hermitian", must_not_run)
-    monkeypatch.setattr(averaging, "_sign_bits", must_not_run)
-    monkeypatch.setattr(averaging, "_flip_counts", must_not_run)
-    s = space.path_graph(15)
-    with pytest.raises(SizeGuardError):
-        extract_finite_prop(OperatorMatrix(s, np.eye(15, dtype=complex)), 1.0)
+    monkeypatch.setattr(averaging, "all_sign_vectors", must_not_run)
+    for n in (BRUTE_GUARD + 1, 128):
+        s = space.path_graph(n)
+        h = truncate(random_hermitian(s, n), 3.0)
+        for r in (0.0, 2.0, 3.0):
+            h_prime, defect, zero_prop_residual = extract_finite_prop(h, r)
+            assert h_prime.entries.tobytes() == truncate(h, r).entries.tobytes()
+            assert defect == spectral_norm(h.entries - truncate(h, r).entries)
+            assert zero_prop_residual == 0.0
+
+
+def test_zero_prop_check_scales_with_h(monkeypatch):
+    s = space.path_graph(6)
+    small = OperatorMatrix(s, 1e-12 * random_hermitian(s, 6).entries)
+    zero = OperatorMatrix(s, np.zeros((6, 6)))
+    assert extract_finite_prop(small, 1.0)[2] == 0.0
+    # the bound is 0 for h = 0, and the residual is exactly 0.0 there
+    assert extract_finite_prop(zero, 1.0)[2] == 0.0
+
+    def wrong_expectation(a):
+        return OperatorMatrix(a.space, np.zeros((a.n, a.n)))
+
+    # the residual is then ||diag h||, about 1e-12: below the absolute 1e-10,
+    # above ZERO_PROP_TOL max|h_xy|
+    monkeypatch.setattr(averaging, "expectation", wrong_expectation)
+    with pytest.raises(NumericCheckError, match=r"E\(h\)"):
+        extract_finite_prop(small, 1.0)
+
+
+@given(
+    small_spaces(),
+    st.sampled_from(HERMITIAN_KINDS),
+    st.sampled_from((1.0, 1e150, 1e-150)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_brute_average_is_the_expectation(s, kind, scale, seed):
+    h = OperatorMatrix(s, scale * drawn_operator(s, kind, seed).entries)
+    avg = brute_average(s, lambda eps: conjugate_by_sign(h, eps))
+    # criterion 4's tolerance, relative to the scale of h
+    deviation = np.abs(avg.entries - expectation(h).entries).max()
+    assert deviation <= 1e-13 * np.abs(h.entries).max()
 
 
 @given(
@@ -194,7 +241,7 @@ def test_extraction_properties_at_every_radius(s, kind, scale, seed):
     h = OperatorMatrix(s, scale * h.entries)
     for r in s.distance_set():
         h_prime, defect, zero_prop_residual = extract_finite_prop(h, r)
-        # the exact flip counts make w = -h off the diagonal, so h' is the
+        # the closed form makes w = -h off the diagonal, so h' is the
         # band truncation of h bit for bit and w + h = E(h) exactly
         assert h_prime.entries.tobytes() == truncate(h, r).entries.tobytes()
         assert zero_prop_residual == 0.0

@@ -141,6 +141,57 @@ def test_diagonalize_outputs(tmp_path):
     assert (tmp_path / "h_prime.txt").exists()
 
 
+def test_diagonalize_at_n_128(tmp_path):
+    cfg = {
+        "space": {"path_graph": 128},
+        "h": {"generator": {"kind": "random_hermitian_banded", "band": 2}},
+        "r": 1.0,
+        "seed": 3,
+    }
+    for name in ("first", "again"):
+        (tmp_path / name).mkdir()
+        assert run(tmp_path / name, "diagonalize", cfg) == 0
+    # the generator's h, drawn as the runner draws it
+    s = space.path_graph(128)
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    h = operator.truncate(operator.OperatorMatrix(s, 0.5 * (m + m.conj().T)), 2.0)
+    h_prime = operator.load_matrix(tmp_path / "first" / "h_prime.txt", s)
+    assert np.array_equal(h_prime.entries, operator.truncate(h, 1.0).entries)
+    for name in ("h_prime.txt", "diagonalize.csv"):
+        first = (tmp_path / "first" / name).read_bytes()
+        assert (tmp_path / "again" / name).read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "sources,named",
+    [
+        ({"path_graph": 5, "cycle_graph": 6}, "['path_graph', 'cycle_graph']"),
+        ({"complete_graph": 4, "edge_list": "E"}, "['edge_list', 'complete_graph']"),
+        (
+            {"coarse_union": [{"path_graph": 2}, {"path_graph": 2, "cycle_graph": 3}]},
+            "['path_graph', 'cycle_graph']",
+        ),
+    ],
+    ids=["graph-and-graph", "edge-list-and-graph", "inside-coarse-union"],
+)
+def test_space_with_two_sources_is_config_error(tmp_path, capsys, sources, named):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("n 3\n0 1\n1 2\n")
+    if "edge_list" in sources:
+        sources = {**sources, "edge_list": str(edges)}
+    cfg = {
+        "space": sources,
+        "h": {"generator": {"kind": "random_hermitian"}},
+        "r": 1.0,
+    }
+    assert run(tmp_path, "diagonalize", cfg) == 2
+    assert f"space needs one source, got {named}" in capsys.readouterr().err
+    # refused before diagonalize writes h_prime.txt, its first file
+    assert not (tmp_path / "h_prime.txt").exists()
+    assert not (tmp_path / "diagonalize.csv").exists()
+
+
 def test_expander_preflow_outputs(tmp_path):
     cfg = {
         "expander": {"n_blocks": 2, "degree": 3, "sizes": [6, 8], "seed": 4},
@@ -265,12 +316,14 @@ def test_bad_mode_is_config_error(tmp_path):
 
 
 def test_size_guard_exit_code(tmp_path):
+    # the exact mode must enumerate translations for a non-diagonal h, and
+    # that enumeration is refused at n > 10
     cfg = {
-        "space": {"path_graph": 20},
-        "h": {"generator": {"kind": "random_hermitian"}},
-        "r": 1.0,
+        "space": {"path_graph": 11},
+        "operator": {"generator": {"kind": "random_hermitian"}},
+        "mode": "exact",
     }
-    assert run(tmp_path, "diagonalize", cfg) == 3
+    assert run(tmp_path, "coarse-check", cfg) == 3
 
 
 def test_numeric_error_exit_code(tmp_path):

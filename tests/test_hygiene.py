@@ -1,7 +1,7 @@
 """Source hygiene of src/roelab and tests/: no unused import, every numeric
-identity through _linalg.check, no top-level def or class in src/roelab
-that nothing names, no operator arithmetic on library classes, and no read
-of the environment in src/roelab."""
+identity through _linalg.check, no top-level def, class or constant in
+src/roelab that nothing names, no operator arithmetic on library classes,
+and no read of the environment in src/roelab."""
 
 import ast
 from pathlib import Path
@@ -88,11 +88,29 @@ def references(path, tree):
     return refs
 
 
+def top_level_names(tree):
+    """(line, name) of each top-level def, class and assigned name of a
+    module, dunders such as __all__ or __version__ left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = [
+                n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield node.lineno, name
+
+
 def dead_names(root):
-    """Every top-level def or class `m.name` of src/roelab is named: by its
-    own module, by an import from roelab.m or .m elsewhere, by `alias.name`
-    elsewhere with alias bound to roelab.m, or by a string constant equal to
-    it (binding by name, as monkeypatch does)."""
+    """Every top-level def, class or constant `m.name` of src/roelab is
+    named: read by its own module, by an import from roelab.m or .m
+    elsewhere, by `alias.name` elsewhere with alias bound to roelab.m, or by
+    a string constant equal to it (binding by name, as monkeypatch does)."""
     files = parsed(root, "src/**/*.py", "tests/**/*.py")
     strings = {
         n.value for tree in files.values() for n in ast.walk(tree)
@@ -104,14 +122,16 @@ def dead_names(root):
         if path.parent != Path("src/roelab"):
             continue
         module = f"roelab.{path.stem}"
-        own = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        own = {
+            n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
         elsewhere = set().union(*(r for p, r in refs.items() if p != path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
-                node.name in own or node.name in strings
-                or f"{module}.{node.name}" in elsewhere
+        for lineno, name in top_level_names(tree):
+            if not (
+                name in own or name in strings or f"{module}.{name}" in elsewhere
             ):
-                bad.append(f"{path}:{node.lineno}: {node.name} is defined but not named elsewhere in src/ or tests/")
+                bad.append(f"{path}:{lineno}: {name} is defined but not named elsewhere in src/ or tests/")
     return bad
 
 
@@ -242,4 +262,34 @@ def test_dead_name_rule_resolves_imports(tmp_path):
     # np.zeros names the word zeros, but nothing resolves to operator.zeros
     assert dead_names(tmp_path) == [
         "src/roelab/operator.py:4: zeros is defined but not named elsewhere in src/ or tests/"
+    ]
+
+
+def test_dead_name_rule_covers_constants(tmp_path):
+    sources = {
+        "src/roelab/space.py": (
+            "__version__ = '0'\n"
+            "_READ_HERE = 1\n"
+            "_UNREAD = 2\n"
+            "LIMIT: int = 3\n"
+            "IMPORTED = 4\n"
+            "_ONLY_STORED = 5\n"
+            "_ONLY_STORED = 6\n\n\n"
+            "def size():\n    return _READ_HERE\n"
+        ),
+        "tests/test_space.py": (
+            "from roelab import space\n"
+            "from roelab.space import IMPORTED\n\n\n"
+            "def test_it():\n"
+            "    assert space.size() + space.LIMIT + IMPORTED\n"
+        ),
+    }
+    for name, text in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # a dunder is exempt; a name that is only ever assigned is not read
+    assert dead_names(tmp_path) == [
+        "src/roelab/space.py:3: _UNREAD is defined but not named elsewhere in src/ or tests/",
+        "src/roelab/space.py:6: _ONLY_STORED is defined but not named elsewhere in src/ or tests/",
+        "src/roelab/space.py:7: _ONLY_STORED is defined but not named elsewhere in src/ or tests/",
     ]
