@@ -97,12 +97,14 @@ def chunks(count, p, q):
 def spectral_norms(stack):
     """Largest singular value of every matrix in a (k, p, q) stack.
 
-    Each matrix is divided by its largest entry modulus before the Gram
-    matrix squares it, so a result neither overflows nor underflows unless
-    the norm itself does. The Gram matrix is formed on the smaller side. An
-    all-zero matrix, and every matrix of an empty shape, has norm 0.
+    Each matrix is scaled by 2^-e, with 2^(e-1) <= its largest entry modulus
+    < 2^e, before the Gram matrix squares it; the scaling is exact, even for
+    subnormal entries, and the result is scaled back by 2^e. So a result
+    neither overflows nor underflows unless the norm itself does. The Gram
+    matrix is formed on the smaller side. An all-zero matrix, and every
+    matrix of an empty shape, has norm 0.
     """
-    m = np.asarray(stack, dtype=np.complex128)
+    m = np.ascontiguousarray(stack, dtype=np.complex128)
     if m.ndim != 3:
         raise ValueError(f"need a (k, p, q) stack, got shape {m.shape}")
     k, p, q = m.shape
@@ -110,12 +112,14 @@ def spectral_norms(stack):
         return np.zeros(k)
     scale = np.abs(m).max(axis=(1, 2))
     require_finite(scale)
-    m = m / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    e = np.frexp(scale)[1][:, None, None]
+    # the real and imaginary parts side by side, each scaled exactly
+    m = np.ldexp(m.view(np.float64), -e).view(np.complex128)
     mh = m.conj().transpose(0, 2, 1)
     gram = m @ mh if p < q else mh @ m
     top = np.linalg.eigvalsh(gram)[:, -1]
     with np.errstate(over="ignore"):  # a norm that overflows is inf
-        return np.sqrt(np.maximum(top, 0.0)) * scale
+        return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e[:, 0, 0])
 
 
 def schur_bounds(stack):
@@ -124,7 +128,8 @@ def schur_bounds(stack):
     it is taken as hi sqrt(lo / hi), which neither overflows nor underflows
     unless a sum does. For a weighted partial permutation (one nonzero entry
     at most per row and column) it is the largest entry modulus, which is the
-    norm, bit for bit.
+    norm: spectral_norms gives it bit for bit for real entries, and within a
+    few roundings for complex ones, whose Gram matrix squares both parts.
     """
     a = np.abs(np.asarray(stack, dtype=np.complex128))
     cols = np.einsum("kij->kj", a).max(axis=1, initial=0.0)

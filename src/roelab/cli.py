@@ -58,9 +58,32 @@ def _write_csv(path, subcommand, cfg_hash, units, header, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
+class _Section(dict):
+    """A JSON object of the config that records which of its keys were read."""
+
+    def __init__(self, obj):
+        super().__init__(obj)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _unread(value, path=""):
+    """The dotted path of every key in value, or below it, that was not read."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _unread(item, f"{path}{i}.")
+    elif isinstance(value, _Section):
+        for key, item in value.items():
+            read = key in value.read
+            yield from _unread(item, f"{path}{key}.") if read else [path + key]
+
+
 # kind -> (types, description), matched by type(): a bool is neither int nor number
 _KINDS = {
-    "object": ((dict,), "a JSON object"), "list": ((list,), "a list"),
+    "object": ((dict, _Section), "a JSON object"), "list": ((list,), "a list"),
     "str": ((str,), "a string"), "bool": ((bool,), "true or false"),
     "int": ((int,), "an integer"), "number": ((int, float), "a finite number"),
 }
@@ -210,83 +233,112 @@ def _modes(cfg, both):
     return list(both) if mode == "both" else [mode]
 
 
-def _run_coarse_check(cfg, rng, out, cfg_hash):
+# Each runner reads its config and returns its computation, which takes the
+# output path and the config hash and writes the CSV.
+
+
+def _run_coarse_check(cfg, rng):
     modes = _modes(cfg, ("heuristic", "exact"))
     allow_large = _get(cfg, "allow_large", "bool", False)
     [h] = _operators(cfg, rng, "operator")
     radii = _radii(cfg, h.space)
-    rows = []
-    for mode in modes:
-        for r in radii:
-            value = translations.coarseness_modulus(
-                h, r, mode, allow_large=allow_large
-            )
-            rows.append((r, value, mode))
-    _write_csv(
-        out, "coarse-check", cfg_hash,
-        "radius:distance value:operator-norm",
-        ("radius", "value", "mode"), rows,
-    )
+
+    def compute(out, cfg_hash):
+        rows = []
+        for mode in modes:
+            for r in radii:
+                value = translations.coarseness_modulus(
+                    h, r, mode, allow_large=allow_large
+                )
+                rows.append((r, value, mode))
+        _write_csv(
+            out, "coarse-check", cfg_hash,
+            "radius:distance value:operator-norm",
+            ("radius", "value", "mode"), rows,
+        )
+
+    return compute
 
 
-def _run_ql_profile(cfg, rng, out, cfg_hash):
+def _run_ql_profile(cfg, rng):
     modes = _modes(cfg, ("lower", "exact"))
     [a] = _operators(cfg, rng, "operator")
     radii = _radii(cfg, a.space)
-    rows = [(r, locality.ql_value(a, r, mode), mode) for mode in modes for r in radii]
-    _write_csv(
-        out, "ql-profile", cfg_hash,
-        "radius:distance value:operator-norm",
-        ("radius", "value", "mode"), rows,
-    )
+
+    def compute(out, cfg_hash):
+        rows = [
+            (r, value, mode)
+            for mode in modes
+            for r, value in zip(radii, locality.ql_values(a, radii, mode))
+        ]
+        _write_csv(
+            out, "ql-profile", cfg_hash,
+            "radius:distance value:operator-norm",
+            ("radius", "value", "mode"), rows,
+        )
+
+    return compute
 
 
-def _run_flow_profile(cfg, rng, out, cfg_hash):
+def _run_flow_profile(cfg, rng):
     times = _build_times(_get(cfg, "time_grid", "object"))
     h, a = _operators(cfg, rng, "h", "a")
-    _write_csv(
-        out, "flow-profile", cfg_hash,
-        "t:seconds modulus:operator-norm derivative_residual:operator-norm",
-        ("t", "modulus", "derivative_residual"),
-        zip(times, *flows.flow_profile(h, a, times)),
-    )
+
+    def compute(out, cfg_hash):
+        _write_csv(
+            out, "flow-profile", cfg_hash,
+            "t:seconds modulus:operator-norm derivative_residual:operator-norm",
+            ("t", "modulus", "derivative_residual"),
+            zip(times, *flows.flow_profile(h, a, times)),
+        )
+
+    return compute
 
 
-def _run_cocycle_verify(cfg, rng, out, cfg_hash):
+def _run_cocycle_verify(cfg, rng):
     times = _build_times(_get(cfg, "time_grid", "object"), square=True)
     h, k = _operators(cfg, rng, "h", "k")
-    grid = flows.FlowGrid.from_generator(h, times)
-    eh, ek = grid.eigensystem, hermitian_eig(k)
-    family = flows.cocycle_from_eigensystems(grid, ek)
-    residuals = flows.cocycle_residuals(family, times, times)
-    # h and k swapped: e^{-itk} u_t e^{ith} = 1 for this family's u_t
-    lam = flows.lambda_scalar_residuals(ek, eh, family, times)
-    t, s = np.meshgrid(times, times, indexing="ij")
-    _write_csv(
-        out, "cocycle-verify", cfg_hash,
-        "t:seconds s:seconds residuals:operator-norm",
-        ("t", "s", "cocycle_residual", "lambda_residual"),
-        zip(t.ravel(), s.ravel(), residuals.ravel(), np.repeat(lam, len(times))),
-    )
+
+    def compute(out, cfg_hash):
+        grid = flows.FlowGrid.from_generator(h, times)
+        eh, ek = grid.eigensystem, hermitian_eig(k)
+        family = flows.cocycle_from_eigensystems(grid, ek)
+        residuals = flows.cocycle_residuals(family, times, times)
+        # h and k swapped: e^{-itk} u_t e^{ith} = 1 for this family's u_t
+        lam = flows.lambda_scalar_residuals(ek, eh, family, times)
+        t, s = np.meshgrid(times, times, indexing="ij")
+        _write_csv(
+            out, "cocycle-verify", cfg_hash,
+            "t:seconds s:seconds residuals:operator-norm",
+            ("t", "s", "cocycle_residual", "lambda_residual"),
+            zip(t.ravel(), s.ravel(), residuals.ravel(), np.repeat(lam, len(times))),
+        )
+
+    return compute
 
 
-def _run_diagonalize(cfg, rng, out, cfg_hash):
+def _run_diagonalize(cfg, rng):
     r = _get(cfg, "r", "number", least=0)
     [h] = _operators(cfg, rng, "h")
-    h_prime, defect, zero_prop_residual = averaging.extract_finite_prop(h, r)
-    save_matrix(h_prime, Path(out).parent / "h_prime.txt")
-    _write_csv(
-        out, "diagonalize", cfg_hash,
-        "r:distance defect:operator-norm residual:operator-norm",
-        ("r", "defect", "zero_prop_residual", "h_prime_propagation"),
-        [(r, defect, zero_prop_residual, propagation(h_prime))],
-    )
+
+    def compute(out, cfg_hash):
+        h_prime, defect, zero_prop_residual = averaging.extract_finite_prop(h, r)
+        save_matrix(h_prime, Path(out).parent / "h_prime.txt")
+        _write_csv(
+            out, "diagonalize", cfg_hash,
+            "r:distance defect:operator-norm residual:operator-norm",
+            ("r", "defect", "zero_prop_residual", "h_prime_propagation"),
+            [(r, defect, zero_prop_residual, propagation(h_prime))],
+        )
+
+    return compute
 
 
-def _build_family(cfg):
+def _family_args(cfg):
+    """The arguments of expander.make_regular_family, read from the config."""
     exp_cfg = _get(cfg, "expander", "object")
     weights = _choice(exp_cfg, "weights", expander.WEIGHT_PRESETS, "quadratic")
-    return expander.make_regular_family(
+    return (
         _get(exp_cfg, "n_blocks", "int", least=1),
         _get(exp_cfg, "degree", "int", least=1),
         _get_list(exp_cfg, "sizes", "int", least=1),
@@ -295,40 +347,49 @@ def _build_family(cfg):
     )
 
 
-def _run_expander_preflow(cfg, rng, out, cfg_hash):
+def _run_expander_preflow(cfg, rng):
     k_kind = _choice(cfg, "k", ("zero", "diagonal_of_h"), "zero")
     times = _build_times(_get(cfg, "time_grid", "object"))
-    fam = _build_family(cfg)
-    if k_kind == "zero":
-        k = np.zeros(fam.n_points)
-    else:
-        # the diagonal of h = sum_n w(n) p_n: w(n) / |X_n| on block n
-        sizes = [b.n_points for b in fam.blocks]
-        k = np.repeat(fam.weights / sizes, sizes)
-    rows = zip(times, *expander.discontinuity_profiles(fam, times))
-    wmap_rows = zip(times, *expander.wmap_lower_bounds(fam, k, times))
-    _write_csv(
-        out, "expander-preflow", cfg_hash,
-        "t:seconds measured:operator-norm closed_form:operator-norm",
-        ("t", "measured", "closed_form", "block_of_max"), rows,
-    )
-    wmap_path = Path(out).with_name(Path(out).stem + "-wmap.csv")
-    _write_csv(
-        wmap_path, "expander-preflow", cfg_hash,
-        "t:seconds lhs:operator-norm rhs:operator-norm",
-        ("t", "lhs", "rhs"), wmap_rows,
-    )
+    family_args = _family_args(cfg)
+
+    def compute(out, cfg_hash):
+        fam = expander.make_regular_family(*family_args)
+        if k_kind == "zero":
+            k = np.zeros(fam.n_points)
+        else:
+            # the diagonal of h = sum_n w(n) p_n: w(n) / |X_n| on block n
+            sizes = [b.n_points for b in fam.blocks]
+            k = np.repeat(fam.weights / sizes, sizes)
+        rows = zip(times, *expander.discontinuity_profiles(fam, times))
+        wmap_rows = zip(times, *expander.wmap_lower_bounds(fam, k, times))
+        _write_csv(
+            out, "expander-preflow", cfg_hash,
+            "t:seconds measured:operator-norm closed_form:operator-norm",
+            ("t", "measured", "closed_form", "block_of_max"), rows,
+        )
+        wmap_path = Path(out).with_name(Path(out).stem + "-wmap.csv")
+        _write_csv(
+            wmap_path, "expander-preflow", cfg_hash,
+            "t:seconds lhs:operator-norm rhs:operator-norm",
+            ("t", "lhs", "rhs"), wmap_rows,
+        )
+
+    return compute
 
 
-def _run_rigidity_probe(cfg, rng, out, cfg_hash):
+def _run_rigidity_probe(cfg, rng):
     times = _build_times(_get(cfg, "time_grid", "object"))
     [h] = _operators(cfg, rng, "h")
-    _, deltas, displacements = rigidity.flow_displacement_sweep(h, times)
-    _write_csv(
-        out, "rigidity-probe", cfg_hash,
-        "t:seconds delta:modulus displacement:distance",
-        ("t", "delta", "displacement"), zip(times, deltas, displacements),
-    )
+
+    def compute(out, cfg_hash):
+        _, deltas, displacements = rigidity.flow_displacement_sweep(h, times)
+        _write_csv(
+            out, "rigidity-probe", cfg_hash,
+            "t:seconds delta:modulus displacement:distance",
+            ("t", "delta", "displacement"), zip(times, deltas, displacements),
+        )
+
+    return compute
 
 
 _RUNNERS = {
@@ -364,7 +425,7 @@ def main(argv=None) -> int:
     try:
         try:
             with open(args.config) as fh:
-                cfg = json.load(fh)
+                cfg = json.load(fh, object_hook=_Section)
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError: bad JSON or bad UTF-8; RecursionError: nested too deep
             raise ConfigError(f"cannot read config: {exc}") from None
@@ -374,10 +435,15 @@ def main(argv=None) -> int:
             raise ConfigError("--threads must be >= 1")
         seeds = cfg if args.seed is None else {"seed": args.seed}
         cfg["seed"] = _get(seeds, "seed", "int", 0, least=0)
+        cfg.read.add("seed")  # read above, or overridden by --seed
         out = Path(args.out) / _output_name(cfg, args.subcommand)
-        out.parent.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(cfg["seed"])
-        _RUNNERS[args.subcommand](cfg, rng, out, _config_hash(cfg))
+        compute = _RUNNERS[args.subcommand](cfg, rng)
+        unread = list(_unread(cfg))
+        if unread:
+            raise ConfigError(f"keys that {args.subcommand} does not read: {unread}")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        compute(out, _config_hash(cfg))
     except (ConfigError, OSError) as exc:
         # OSError: an unreadable input file, or an --out or "output" that is taken
         print(f"error: config: {exc}", file=sys.stderr)

@@ -134,7 +134,13 @@ def corrupt_at(c: CocycleFamily, t0: float) -> CocycleFamily:
 
 def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
     """(len ts, len ss) array of ||u_{t+s} - u_t sigma_{h,t}(u_s)|| for the
-    family's base flow; each row t is one stack over s."""
+    family's base flow; each row t is one stack over s.
+
+    Within a block of rows and columns, u_{t+s} is formed once per distinct
+    sum t + s (2T - 1 of them, not T^2, on a uniform grid), a chunk at a
+    time. Each matrix of a stack is computed on its own, so the residuals
+    are those of one u_many(t + ss) call per row, bit for bit.
+    """
     ts = np.asarray(ts, dtype=np.float64)
     ss = np.asarray(ss, dtype=np.float64)
     es = c.base_flow.eigensystem
@@ -144,10 +150,16 @@ def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
         e_it, u_t = es.exp_many(ts[tsl]), c.u_many(ts[tsl])
         for sl in chunks(len(ss), n, n):
             u_s = c.u_many(ss[sl])
-            for i, t in enumerate(ts[tsl]):
-                moved = e_it[i] @ u_s @ e_it[i].conj().T
-                rhs = u_t[i] @ moved
-                out[tsl.start + i, sl] = spectral_norms(c.u_many(t + ss[sl]) - rhs)
+            sums, at = np.unique(ts[tsl, None] + ss[sl], return_inverse=True)
+            at = at.reshape(len(e_it), -1)
+            for part in chunks(len(sums), n, n):
+                u_sum = c.u_many(sums[part])
+                for i, row in enumerate(at):
+                    cols = np.flatnonzero((row >= part.start) & (row < part.stop))
+                    if cols.size:
+                        moved = e_it[i] @ u_s[cols] @ e_it[i].conj().T
+                        diff = u_sum[row[cols] - part.start] - u_t[i] @ moved
+                        out[tsl.start + i, sl.start + cols] = spectral_norms(diff)
     return out
 
 

@@ -183,34 +183,35 @@ def coarseness_modulus(
 ) -> float:
     """sup over partial r-translations f of ||[h, v_f]||, for Hermitian h.
 
-    exact: the full enumeration (size guarded), bracketed first. With D the
-    diagonal of h, the sup lies between floor = max |D_y - D_x| over the
-    pairs with d(x, y) <= r (the one-pair translation {x -> y} has entry
-    D_y - D_x) and floor + 2 ||h - diag D||. So for diagonal h the exact
-    value is the floor, and no translation is enumerated. Otherwise the
-    search starts from the floor, takes one f of each inverse pair, and
-    norms only where a row's Schur bound still beats the best norm.
+    Both modes first bracket the sup: with D the diagonal of h, it lies
+    between floor = max |D_y - D_x| over the pairs with d(x, y) <= r (the
+    one-pair translation {x -> y} has entry D_y - D_x) and
+    floor + 2 ||h - diag D||. So for diagonal h the value is the floor, and
+    no translation is enumerated or tried.
+    exact: the full enumeration (size guarded). It starts from the floor,
+    takes one f of each inverse pair, and norms only where a row's Schur
+    bound still beats the best norm.
     heuristic: lower bound from all single-pair translations within r plus a
-    greedy matching grown one pair at a time; for diagonal h the single
-    pairs already witness the exact value.
+    greedy matching grown one pair at a time.
     """
     if not r >= 0:
         raise ValueError("radius must be nonnegative")
     entries = h.entries
     require_hermitian(entries)
-    if mode == "exact":
-        # eager: the radius check and the size guard fire before anything else
-        blocks = _translation_targets(h.space, r, allow_large)
-        d = entries.diagonal()
-        with np.errstate(over="ignore"):  # an overflowed gap is refused below
-            gaps = np.abs(d[None, :] - d[:, None])
-        floor = float(gaps[h.space.dist <= r].max(initial=0.0))
-        require_finite(floor)
-        if not np.count_nonzero(entries - np.diag(d)):
-            return floor  # the ceiling is the floor
-        return _exact_modulus(entries, blocks, floor)
-    if mode != "heuristic":
+    if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact":
+        # eager: the size guard fires before anything else
+        blocks = _translation_targets(h.space, r, allow_large)
+    d = entries.diagonal()
+    with np.errstate(over="ignore"):  # an overflowed gap is refused below
+        gaps = np.abs(d[None, :] - d[:, None])
+    floor = float(gaps[h.space.dist <= r].max(initial=0.0))
+    require_finite(floor)
+    if not np.count_nonzero(entries - np.diag(d)):
+        return floor  # the ceiling is the floor
+    if mode == "exact":
+        return _exact_modulus(entries, blocks, floor)
 
     # the first round's trials are the single pairs (x, y) with d(x, y) <= r
     src, tgt = np.nonzero(h.space.dist <= r)

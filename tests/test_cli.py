@@ -821,3 +821,59 @@ def test_fuzzed_config_exits_with_a_code(edit):
         cfg_path = Path(out) / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main([sub, "--config", str(cfg_path), "--out", out]) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "sub, path",
+    [
+        ("coarse-check", ("radi",)),
+        ("ql-profile", ("mdoe",)),
+        ("flow-profile", ("time_grid", "stpe")),
+        ("cocycle-verify", ("k", "generator", "sacle")),
+        ("diagonalize", ("space", "bogus")),
+        ("expander-preflow", ("expander", "wieghts")),
+        ("rigidity-probe", ("ouput",)),
+        # read by another generator kind, not this one
+        ("flow-profile", ("h", "generator", "band")),
+        ("coarse-check", ("tolerances",)),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else v,
+)
+def test_unread_key_is_config_error_before_any_file(tmp_path, capsys, sub, path):
+    cfg = copy.deepcopy(_FUZZ[sub])
+    section = cfg
+    for name in path[:-1]:
+        section = section[name]
+    section[path[-1]] = 3
+    out = tmp_path / "out"
+    cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert main([sub, "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"'{'.'.join(path)}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_unread_key_is_named(tmp_path, capsys):
+    cfg = {
+        "space": {"coarse_union": [{"path_graph": 2}, {"path_graph": 3, "bogus": 1}]},
+        "operator": {"generator": {"kind": "diagonal_random", "sacle": 3}},
+        "radi": [1],
+        "tolerances": {},
+    }
+    assert run(tmp_path, "coarse-check", cfg) == 2
+    err = capsys.readouterr().err
+    for path in ("space.coarse_union.1.bogus", "operator.generator.sacle", "radi",
+                 "tolerances"):
+        assert f"'{path}'" in err
+    del cfg["radi"], cfg["tolerances"]
+    del cfg["space"]["coarse_union"][1]["bogus"], cfg["operator"]["generator"]["sacle"]
+    # a config seed that --seed overrides is not unread
+    assert run(tmp_path, "coarse-check", {**cfg, "seed": 1}, extra=("--seed", "2")) == 0
+
+
+def test_diagonalize_of_subnormal_entries(tmp_path):
+    # the defect h - h' holds only the subnormal entries: its norm was NaN
+    (tmp_path / "h.txt").write_text("n 3\n0 0 1.0 0.0\n0 2 5e-324 0.0\n2 0 5e-324 0.0\n")
+    cfg = {"space": {"path_graph": 3}, "h": {"file": str(tmp_path / "h.txt")}, "r": 1}
+    assert run(tmp_path, "diagonalize", cfg) == 0
+    _, [row] = read_rows(tmp_path / "diagonalize.csv")
+    assert float(row[1]) == 5e-324

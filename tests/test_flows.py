@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roelab import space
-from roelab._linalg import spectral_norm
+from roelab._linalg import spectral_norm, spectral_norms
 from roelab.flows import (
     CocycleFamily,
     FlowGrid,
@@ -330,6 +330,44 @@ def test_cocycle_residuals_match_per_pair_formula():
     assert cocycle_residuals(fam, times, times).max() <= 1e-9
     # the corrupted element still shows through the stacked path
     assert cocycle_residuals(bad, times[2:3], times)[0, 5] > 1e-2
+
+
+def _per_row_residuals(c, ts, ss):
+    """cocycle_residuals with one u_many(t + ss) call per row t."""
+    e_it = c.base_flow.eigensystem.exp_many(ts)
+    u_t, u_s = c.u_many(ts), c.u_many(ss)
+    out = np.zeros((len(ts), len(ss)))
+    for i, t in enumerate(ts):
+        moved = e_it[i] @ u_s @ e_it[i].conj().T
+        out[i] = spectral_norms(c.u_many(t + ss) - u_t[i] @ moved)
+    return out
+
+
+@pytest.mark.parametrize(
+    "times",
+    [np.linspace(-1.0, 1.0, 40), np.sort(np.random.default_rng(48).uniform(-1, 1, 12))],
+    ids=["uniform-79-sums", "random-78-sums"],
+)
+def test_cocycle_residuals_form_each_sum_once_bit_for_bit(times):
+    # 79 or 78 distinct sums t + s: more than one chunk of 64
+    s = space.path_graph(4)
+    fam = cocycle_from_generators(random_hermitian(s, 46), random_hermitian(s, 47), times)
+    formed = []
+
+    def counted(ts):
+        formed.append(len(ts))
+        return fam.u_many(ts)
+
+    counting = CocycleFamily(fam.base_flow, counted)
+    formed.clear()
+    grid = cocycle_residuals(counting, times, times)
+    sums = len(np.unique(times[:, None] + times))
+    assert sums > 64 and sum(formed) == 2 * len(times) + sums
+    assert np.array_equal(grid, _per_row_residuals(fam, times, times))
+    bad = corrupt_at(fam, float(times[5]))
+    corrupted = cocycle_residuals(bad, times, times)
+    assert np.array_equal(corrupted, _per_row_residuals(bad, times, times))
+    assert grid.max() <= 1e-9 and corrupted.max() > 1e-2
 
 
 def test_lambda_residuals_match_per_time_formula():

@@ -175,6 +175,33 @@ def test_schur_bounds_hold_and_are_exact_on_weighted_permutations():
     assert schur_bounds(huge)[0] == np.inf
 
 
+@pytest.mark.parametrize(
+    "m, want",
+    [([[5e-324, 0.0], [0.0, 0.0]], 5e-324), ([[1e-310 + 1e-310j, 0.0]], 1.414e-310)],
+)
+def test_spectral_norm_of_a_subnormal_matrix_is_finite(m, want):
+    # dividing by a subnormal scale went through 1/scale = inf, and NaN came out
+    for norm in NORMS:
+        assert norm(m) == pytest.approx(want, rel=1e-3)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-310])
+def test_schur_bounds_of_weighted_partial_permutations_bound_the_norm(scale):
+    # at most one nonzero per row and column; target -1 leaves a column empty
+    rng = np.random.default_rng(9)
+    targets = rng.permuted(np.tile(np.arange(5), (64, 1)), axis=1)
+    perm = translations.to_matrices(np.where(rng.random((64, 5)) < 0.7, targets, -1))
+    weights = scale * rng.standard_normal((64, 1, 5))
+    # real weights: the bound is the largest modulus, which is the norm
+    real = perm * weights
+    assert np.array_equal(spectral_norms(real), schur_bounds(real))
+    # complex weights: the Gram matrix squares the two parts, so the norm
+    # may differ from the modulus np.abs takes by a rounding or two
+    cplx = real + 1j * perm * scale * rng.standard_normal((64, 1, 5))
+    bounds = schur_bounds(cplx)
+    assert (spectral_norms(cplx) <= bounds + 4 * np.spacing(bounds)).all()
+
+
 def test_unitary_group_law_at_n128():
     s = space.path_graph(128)
     h = OperatorMatrix(s, random_hermitian(128, seed=11))

@@ -354,3 +354,40 @@ def test_exact_norms_closed_sets_and_one_of_each_swap_pair(monkeypatch, hermitia
         normed.append(0)
         ql_value(a, r, "exact")
     assert normed == counts
+
+
+@given(
+    small_spaces(),
+    st.sampled_from(HERMITIAN_KINDS + ("non-hermitian", "upper")),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_ql_values_at_every_radius_match_the_per_corner_loop(s, kind, seed):
+    # every radius of the distance set in one call, so that a corner normed
+    # for the wrong radius shows
+    a = drawn_operator(s, kind, seed)
+    n = s.n_points
+    radii = s.distance_set()
+    subsets = [
+        np.array([bits >> i & 1 for i in range(n)], dtype=bool)
+        for bits in range(1, 1 << n)
+    ]
+    balls = [s.dist[x] <= rho for x in range(n) for rho in radii]
+    for mode, masks in (("exact", subsets), ("lower", balls)):
+        values = locality.ql_values(a, radii, mode)
+        assert values.shape == radii.shape
+        for r, value in zip(radii, values):
+            assert value == pytest.approx(loop_ql(a, r, masks), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "lower"])
+def test_ql_values_on_one_and_two_points(mode):
+    # one point: no far set at any radius; two points: none beyond r = 0
+    a = OperatorMatrix(space.path_graph(1), np.array([[3.0]]))
+    assert locality.ql_values(a, [0.0, 1.0], mode).tolist() == [0.0, 0.0]
+    m = np.array([[1.0, -2.0], [0.5j, 4.0]])
+    a = OperatorMatrix(space.path_graph(2), m)
+    assert locality.ql_values(a, [0.0, 1.0, 2.0], mode).tolist() == [2.0, 0.0, 0.0]
+    assert locality.ql_values(a, [], mode).shape == (0,)
+    with pytest.raises(ValueError, match="radius"):
+        locality.ql_values(a, [1.0, -1.0], mode)

@@ -413,6 +413,19 @@ def test_exact_coarseness_of_diagonal_h_norms_few_rows(monkeypatch):
         assert sum(normed) == 0
 
 
+def test_heuristic_coarseness_of_diagonal_h_tries_no_translation(monkeypatch):
+    def no_trials(h, targets):
+        raise AssertionError("a trial translation was normed")
+
+    monkeypatch.setattr(translations, "_commutator_norms", no_trials)
+    s = space.path_graph(6)
+    for seed in range(5):
+        h = diagonal(s, np.random.default_rng(seed).standard_normal(6))
+        for r in s.distance_set():
+            exact = coarseness_modulus(h, r, "exact")
+            assert coarseness_modulus(h, r, "heuristic") == exact
+
+
 def all_rows_modulus(h, r):
     """max ||[h, v_f]|| over every row f of the enumeration, with no bound,
     no inverse-pair filter and no shortcut."""
@@ -452,6 +465,8 @@ def test_exact_coarseness_is_bracketed_and_matches_all_rows(case):
     ceiling = floor + 2 * spectral_norm(h.entries - np.diag(d))
     if kind in ("diagonal", "repeated"):
         assert exact == floor
+        # the heuristic closes the same bracket, bit for bit
+        assert coarseness_modulus(h, r, "heuristic") == exact
     assert floor <= exact <= ceiling * (1 + 1e-14)
     oracle = all_rows_modulus(h, r)
     assert abs(exact - oracle) <= 1e-14 * oracle
