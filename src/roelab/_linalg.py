@@ -52,15 +52,14 @@ def require_unitary(m, what):
     """Raise ValueError naming what unless ||m^H m - 1||_F <= UNITARY_TOL.
 
     m is one matrix or a (k, n, n) stack, checked slice by slice; the error
-    names the first slice that fails. Never looser than the same check in
-    the spectral norm: ||.||_2 <= ||.||_F.
+    names the first slice i that fails, as what(i) if what is a function.
+    Never looser than the same check in the spectral norm: ||.||_2 <= ||.||_F.
     """
     gram = np.swapaxes(m.conj(), -1, -2) @ m
     res = np.atleast_1d(np.linalg.norm(gram - np.eye(m.shape[-1]), axis=(-2, -1)))
     at = " (slice {})" if m.ndim == 3 else ""
-    check(
-        res, UNITARY_TOL, lambda i: f"{what}{at.format(i)} is not unitary", ValueError
-    )
+    name = what if callable(what) else lambda i: f"{what}{at.format(i)}"
+    check(res, UNITARY_TOL, lambda i: f"{name(i)} is not unitary", ValueError)
 
 
 def eigh(a):
@@ -130,6 +129,8 @@ def schur_bounds(stack):
     at most per row and column) it is the largest entry modulus, which is the
     norm: spectral_norms gives it bit for bit for real entries, and within a
     few roundings for complex ones, whose Gram matrix squares both parts.
+    Wherever the bound equals the norm it may so round below spectral_norms
+    by an ulp or so; a caller that skips a norm on it must allow for that.
     """
     a = np.abs(np.asarray(stack, dtype=np.complex128))
     cols = np.einsum("kij->kj", a).max(axis=1, initial=0.0)

@@ -211,7 +211,13 @@ def _build_times(cfg, square=False):
     if not rows <= MAX_ROWS:
         raise SizeGuardError("time_grid rows", MAX_ROWS, rows)
     n_steps = int(round((stop - start) / step))
-    return start + step * np.arange(n_steps + 1)
+    with np.errstate(over="ignore"):  # a time that overflows is refused below
+        times = start + step * np.arange(n_steps + 1)
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ConfigError(
+            "time_grid must be finite and strictly increasing after rounding"
+        )
+    return times
 
 
 def _radii(cfg, sp):
@@ -300,9 +306,8 @@ def _run_cocycle_verify(cfg, rng):
     h, k = _operators(cfg, rng, "h", "k")
 
     def compute(out, cfg_hash):
-        grid = flows.FlowGrid.from_generator(h, times)
-        eh, ek = grid.eigensystem, hermitian_eig(k)
-        family = flows.cocycle_from_eigensystems(grid, ek)
+        eh, ek = hermitian_eig(h), hermitian_eig(k)
+        family = flows.cocycle_from_eigensystems(eh, ek)
         residuals = flows.cocycle_residuals(family, times, times)
         # h and k swapped: e^{-itk} u_t e^{ith} = 1 for this family's u_t
         lam = flows.lambda_scalar_residuals(ek, eh, family, times)

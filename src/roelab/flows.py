@@ -1,5 +1,6 @@
 """Flows a -> e^{ith} a e^{-ith}, the comparison map w(t) = e^{ith}e^{-itk},
-cocycles built from generator pairs, and their quantitative audits.
+cocycles built from the eigensystems of generator pairs, and their
+quantitative audits.
 
 Negative controls are first class: the suite must be able to tell a true
 cocycle from a corrupted one, so corrupt_at() is part of the module API.
@@ -17,39 +18,23 @@ from .spectral import EigenSystem, hermitian_eig
 
 
 @dataclass(frozen=True)
-class FlowGrid:
-    generator: OperatorMatrix
-    times: Tuple[float, ...]
-    eigensystem: EigenSystem
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        if t.size == 0 or not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
-            raise ValueError("times must be a nonempty increasing finite grid")
-
-    @classmethod
-    def from_generator(cls, h: OperatorMatrix, times) -> "FlowGrid":
-        return cls(h, tuple(float(t) for t in times), hermitian_eig(h))
-
-
-@dataclass(frozen=True)
 class CocycleFamily:
-    base_flow: FlowGrid
+    eigensystem: EigenSystem  # of h, the generator of the base flow
     # 1-D float64 times -> the (T, n, n) stack of u_t, as EigenSystem.exp_many
     u_many: Callable[[np.ndarray], np.ndarray]
 
-    def __post_init__(self):
-        times = self.base_flow.times
-        n = self.base_flow.generator.n
-        for sl in chunks(len(times), n, n):
-            ts = times[sl]
-            u = self.u_many(np.array(ts))
-            if np.shape(u) != (len(ts), n, n):
-                raise ValueError(f"element at t={ts[0]}: stack shape {np.shape(u)}")
-            for t, u_t in zip(ts, u):
-                require_unitary(u_t, f"element at t={t}")
-                res0 = np.linalg.norm(u_t - np.eye(n)) if t == 0.0 else 0.0
-                check(res0, UNITARY_TOL, "u_0 is not the identity", ValueError)
+
+def _elements(c: CocycleFamily, ts: np.ndarray) -> np.ndarray:
+    """c.u_many(ts), checked: a (T, n, n) stack of unitaries, the identity
+    at t = 0. An error names the time of the first element that fails."""
+    n = c.eigensystem.vectors.shape[0]
+    u = c.u_many(ts)
+    if np.shape(u) != (len(ts), n, n):
+        raise ValueError(f"element at t={ts[0]}: stack shape {np.shape(u)}")
+    require_unitary(u, lambda i: f"element at t={ts[i]}")
+    res0 = np.linalg.norm(u[ts == 0.0] - np.eye(n), axis=(1, 2))
+    check(res0, UNITARY_TOL, lambda i: "u_0 is not the identity", ValueError)
+    return u
 
 
 def flow_profile(h: OperatorMatrix, a: OperatorMatrix, times):
@@ -106,54 +91,46 @@ def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> Tuple[float,
     return float(ratios.max(initial=0.0)), bound
 
 
-def cocycle_from_generators(
-    h: OperatorMatrix, k: OperatorMatrix, times
-) -> CocycleFamily:
-    """The cocycle u_t = e^{itk} e^{-ith} intertwining sigma_k with sigma_h."""
-    grid = FlowGrid.from_generator(h, times)
-    return cocycle_from_eigensystems(grid, hermitian_eig(k))
-
-
-def cocycle_from_eigensystems(grid: FlowGrid, ek: EigenSystem) -> CocycleFamily:
-    """cocycle_from_generators from the flow grid of h and the eigensystem of
-    k, for a caller that needs e^{itk} again and so keeps ek."""
-    eh = grid.eigensystem
-    return CocycleFamily(grid, lambda ts: ek.exp_many(ts) @ eh.exp_many(-ts))
+def cocycle_from_eigensystems(eh: EigenSystem, ek: EigenSystem) -> CocycleFamily:
+    """The cocycle u_t = e^{itk} e^{-ith} intertwining sigma_k with sigma_h,
+    from the eigensystems eh and ek of h and k."""
+    return CocycleFamily(eh, lambda ts: ek.exp_many(ts) @ eh.exp_many(-ts))
 
 
 def corrupt_at(c: CocycleFamily, t0: float) -> CocycleFamily:
     """Negative control: the element at t0 is replaced by the identity."""
-    eye = np.eye(c.base_flow.generator.n)
+    eye = np.eye(c.eigensystem.vectors.shape[0])
 
     def u_many(ts):
         hit = np.isclose(ts, t0, rtol=0.0, atol=1e-15)[:, None, None]
         return np.where(hit, eye, c.u_many(ts))
 
-    return CocycleFamily(c.base_flow, u_many)
+    return CocycleFamily(c.eigensystem, u_many)
 
 
 def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
     """(len ts, len ss) array of ||u_{t+s} - u_t sigma_{h,t}(u_s)|| for the
-    family's base flow; each row t is one stack over s.
+    family's flow sigma_h; each row t is one stack over s.
 
     Within a block of rows and columns, u_{t+s} is formed once per distinct
     sum t + s (2T - 1 of them, not T^2, on a uniform grid), a chunk at a
     time. Each matrix of a stack is computed on its own, so the residuals
-    are those of one u_many(t + ss) call per row, bit for bit.
+    are those of one u_many(t + ss) call per row, bit for bit. Every stack
+    formed is checked as it is formed (shape, unitarity, u_0 = 1).
     """
     ts = np.asarray(ts, dtype=np.float64)
     ss = np.asarray(ss, dtype=np.float64)
-    es = c.base_flow.eigensystem
+    es = c.eigensystem
     n = es.vectors.shape[0]
     out = np.zeros((len(ts), len(ss)))
     for tsl in chunks(len(ts), n, n):
-        e_it, u_t = es.exp_many(ts[tsl]), c.u_many(ts[tsl])
+        e_it, u_t = es.exp_many(ts[tsl]), _elements(c, ts[tsl])
         for sl in chunks(len(ss), n, n):
-            u_s = c.u_many(ss[sl])
+            u_s = _elements(c, ss[sl])
             sums, at = np.unique(ts[tsl, None] + ss[sl], return_inverse=True)
             at = at.reshape(len(e_it), -1)
             for part in chunks(len(sums), n, n):
-                u_sum = c.u_many(sums[part])
+                u_sum = _elements(c, sums[part])
                 for i, row in enumerate(at):
                     cols = np.flatnonzero((row >= part.start) & (row < part.stop))
                     if cols.size:
@@ -167,15 +144,16 @@ def lambda_scalar_residuals(
     eh: EigenSystem, ek: EigenSystem, u: CocycleFamily, times
 ) -> np.ndarray:
     """Per time t, the distance of lambda_t = e^{-ith} u_t e^{itk} from the
-    scalar line, given the eigensystems eh and ek of h and k.
+    scalar line, given the eigensystems eh and ek of h and k. Each stack of
+    u_t is checked as the cocycle_residuals ones are.
 
     Cocycles that intertwine the flows on the full matrix algebra land in
     the commutant, which is the scalars in finite dimension. The
-    intertwining direction matters: cocycle_from_generators(h, k), with
+    intertwining direction matters: cocycle_from_eigensystems(eh, ek), with
     u_t = e^{itk} e^{-ith}, is read with h and k swapped, as
     lambda_scalar_residuals(ek, eh, ...), and then lambda_t =
     e^{-itk} u_t e^{ith} = 1 exactly. That lambda_t is the adjoint of the
-    one the mirror family cocycle_from_generators(k, h) gives unswapped,
+    one the mirror family cocycle_from_eigensystems(ek, eh) gives unswapped,
     and the distance from the scalar line is invariant under adjoint.
     """
     times = np.asarray(times, dtype=np.float64)
@@ -184,7 +162,7 @@ def lambda_scalar_residuals(
     out = np.zeros(len(times))
     for sl in chunks(len(times), n, n):
         t = times[sl]
-        lam = eh.exp_many(-t) @ u.u_many(t) @ ek.exp_many(t)
+        lam = eh.exp_many(-t) @ _elements(u, t) @ ek.exp_many(t)
         mean = np.trace(lam, axis1=1, axis2=2) / n
         out[sl] = spectral_norms(lam - mean[:, None, None] * eye)
     return out

@@ -33,22 +33,13 @@ def hermitian_eig(a: OperatorMatrix) -> EigenSystem:
     return EigenSystem(w, v)
 
 
-def generator_check(u_grid) -> float:
-    """Residual of the central difference (u_d - u_{-d}) / 2d against i*h.
-
-    u_grid is a FlowGrid for t -> e^{ith}; the smallest positive grid time
-    with a mirrored negative partner supplies the step. Second-order
-    accurate: the residual scales like d^2 ||h||^3 / 6.
+def generator_check(h: OperatorMatrix, delta: float) -> float:
+    """Residual of the central difference (u_delta - u_{-delta}) / 2 delta
+    against i*h, for u_t = e^{ith} and a step delta > 0. Second-order
+    accurate: the residual scales like delta^2 ||h||^3 / 6.
     """
-    times = np.asarray(u_grid.times, dtype=np.float64)
-    pos = sorted(t for t in times if t > 0)
-    delta = None
-    for t in pos:
-        if np.any(np.isclose(times, -t, rtol=0.0, atol=1e-15)):
-            delta = t
-            break
-    if delta is None:
-        raise ValueError("grid has no symmetric +/-delta pair around 0")
-    u_p, u_m = u_grid.eigensystem.exp_many([delta, -delta])
-    diff = (u_p - u_m) / (2.0 * delta) - 1j * u_grid.generator.entries
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"step must be positive and finite, got {delta!r}")
+    u_p, u_m = hermitian_eig(h).exp_many([delta, -delta])
+    diff = (u_p - u_m) / (2.0 * delta) - 1j * h.entries
     return spectral_norm(diff)

@@ -143,6 +143,12 @@ def _first_of_inverse_pair(targets: np.ndarray, inverses: np.ndarray) -> np.ndar
     return ~differ[rows, first] | (targets[rows, first] < inverses[rows, first])
 
 
+# A Schur bound equal to its row's norm can round below the computed norm by
+# an ulp or so, so a row is skipped only when its bound does not beat the best
+# norm narrowed by this factor (a division, which cannot overflow).
+_SCHUR_MARGIN = 1.0 + 2.0**-40
+
+
 def _exact_modulus(h: np.ndarray, blocks, best: float) -> float:
     """max ||[h, v_f]|| over the rows of every block of targets and best, a
     lower bound on it, for Hermitian h.
@@ -151,7 +157,7 @@ def _exact_modulus(h: np.ndarray, blocks, best: float) -> float:
     (for h within require_hermitian's tolerance of h^H, the norms of a pair
     differ by at most 2 ||h - h^H||). A block's rows are normed in
     descending order of their Schur bounds, until no bound left exceeds the
-    best norm so far."""
+    best norm so far, divided by _SCHUR_MARGIN."""
     n = h.shape[0]
     for block in blocks:
         inverses = _inverses(block)
@@ -166,7 +172,7 @@ def _exact_modulus(h: np.ndarray, blocks, best: float) -> float:
         # block's max
         top, rest = order[:1], order[1:]
         for rows in [top, *(rest[sl] for sl in chunks(len(rest), n, n))]:
-            rows = rows[bounds[rows] > best]
+            rows = rows[bounds[rows] > best / _SCHUR_MARGIN]
             if not rows.size:
                 break
             c = _commutators(h, block[rows], inverses[rows])

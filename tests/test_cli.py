@@ -536,6 +536,28 @@ def test_oversize_request_is_size_guard(tmp_path, capsys, sub, extra_cfg):
 
 
 @pytest.mark.parametrize(
+    "grid",
+    [
+        # stop is the next float after 1e20: 17 grid times, each of which
+        # rounds to 1e20 or to stop
+        {"start": 1e20, "stop": math.nextafter(1e20, math.inf), "step": 1000},
+        # 1.5 steps round to 2, and the last time, 2e308, to inf
+        {"start": 0, "stop": 1.5e308, "step": 1e308},
+    ],
+    ids=["repeated-times", "last-time-overflows"],
+)
+@pytest.mark.parametrize(
+    "sub", ["flow-profile", "rigidity-probe", "expander-preflow", "cocycle-verify"]
+)
+def test_grid_not_increasing_after_rounding_is_config_error(tmp_path, capsys, sub, grid):
+    cfg_path = write_cfg(tmp_path, "cfg.json", {**_FUZZ[sub], "time_grid": grid})
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg_path, "--out", str(out)]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "source, text, line",
     [
         ("edge_list", "n\n", 1),

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_locality import HERMITIAN_KINDS, drawn_operator, small_spaces
 
 from roelab import space
 from roelab._linalg import spectral_norm, spectral_norms
 from roelab.flows import (
     CocycleFamily,
-    FlowGrid,
-    cocycle_from_generators,
+    cocycle_from_eigensystems,
     cocycle_residuals,
     corrupt_at,
     diagonal_closeness,
@@ -162,69 +164,63 @@ def test_lipschitz_random_pairs():
 
 def test_cocycle_identity_and_u0():
     s = space.path_graph(5)
-    h = random_hermitian(s, 20)
-    k = random_hermitian(s, 21)
-    times = np.linspace(-1, 1, 9)
-    fam = cocycle_from_generators(h, k, times)
+    eh = hermitian_eig(random_hermitian(s, 20))
+    ek = hermitian_eig(random_hermitian(s, 21))
+    fam = cocycle_from_eigensystems(eh, ek)
     assert np.allclose(fam.u_many(np.array([0.0]))[0], np.eye(5), atol=1e-12)
     assert cocycle_residuals(fam, [0.3, -0.5, 0.0], [0.7, 0.25, 0.0]).max() <= 1e-9
 
 
 def test_cocycle_equal_generators_constant_identity():
     s = space.path_graph(3)
-    h = random_hermitian(s, 22)
-    fam = cocycle_from_generators(h, h, [0.0, 0.5, 1.0])
-    for u in fam.u_many(np.array(fam.base_flow.times)):
+    eh = hermitian_eig(random_hermitian(s, 22))
+    fam = cocycle_from_eigensystems(eh, eh)
+    for u in fam.u_many(np.array([0.0, 0.5, 1.0])):
         assert np.allclose(u, np.eye(3), atol=1e-10)
 
 
 def test_corrupted_cocycle_fails():
     s = space.path_graph(5)
-    h = random_hermitian(s, 23)
-    k = random_hermitian(s, 24)
-    fam = cocycle_from_generators(h, k, np.linspace(-1, 1, 9))
+    eh = hermitian_eig(random_hermitian(s, 23))
+    ek = hermitian_eig(random_hermitian(s, 24))
+    fam = cocycle_from_eigensystems(eh, ek)
     bad = corrupt_at(fam, 0.3)
     assert cocycle_residuals(bad, [0.3], [0.7])[0, 0] > 1e-2
 
 
 def test_lambda_residual_intertwining():
     s = space.path_graph(4)
-    h = random_hermitian(s, 25)
-    k = random_hermitian(s, 26)
+    eh = hermitian_eig(random_hermitian(s, 25))
+    ek = hermitian_eig(random_hermitian(s, 26))
     # u_t = e^{ith} e^{-itk} makes lambda_t the identity exactly
-    fam = cocycle_from_generators(k, h, [0.0, 0.4, 0.8])
-    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    fam = cocycle_from_eigensystems(ek, eh)
     assert lambda_scalar_residuals(eh, ek, fam, [0.4])[0] <= 1e-10
 
 
 def test_lambda_residual_scalar_phase_passes():
     s = space.path_graph(4)
-    h = random_hermitian(s, 27)
-    k = random_hermitian(s, 28)
-    base = cocycle_from_generators(k, h, [0.0, 0.4])
+    eh = hermitian_eig(random_hermitian(s, 27))
+    ek = hermitian_eig(random_hermitian(s, 28))
+    base = cocycle_from_eigensystems(ek, eh)
 
     def phased(ts):
         return np.exp(1j * 0.9 * ts)[:, None, None] * base.u_many(ts)
 
-    fam = CocycleFamily(base.base_flow, phased)
-    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    fam = CocycleFamily(base.eigensystem, phased)
     assert lambda_scalar_residuals(eh, ek, fam, [0.4])[0] <= 1e-10
 
 
 def test_lambda_residual_negative_control():
     s = space.path_graph(4)
-    h = random_hermitian(s, 29)
-    k = random_hermitian(s, 30)
-    grid = FlowGrid.from_generator(h, [0.0, 0.4])
+    eh = hermitian_eig(random_hermitian(s, 29))
+    ek = hermitian_eig(random_hermitian(s, 30))
     # arbitrary non-intertwining unitary family
     rng = np.random.default_rng(31)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q, _ = np.linalg.qr(m)
     fam = CocycleFamily(
-        grid,
-        lambda ts: np.stack([np.eye(4) if t == 0.0 else q for t in ts]),
+        eh, lambda ts: np.stack([np.eye(4) if t == 0.0 else q for t in ts])
     )
-    eh, ek = hermitian_eig(h), hermitian_eig(k)
     assert lambda_scalar_residuals(eh, ek, fam, [0.4])[0] > 0.1
 
 
@@ -240,21 +236,37 @@ def _one_bad_slice(bad):
         (lambda ts: np.stack([np.eye(3)] * len(ts)), r"t=0\.0: stack shape"),
         (_one_bad_slice(2.0 * np.eye(4)), r"t=0\.25 is not unitary"),
         (_one_bad_slice(np.full((4, 4), np.nan)), r"t=0\.25 is not unitary"),
+        (lambda ts: np.stack([-np.eye(4)] * len(ts)), "u_0 is not the identity"),
     ],
 )
 def test_cocycle_family_rejects_a_bad_stack_naming_the_time(u_many, text):
-    s = space.path_graph(4)
-    grid = FlowGrid.from_generator(random_hermitian(s, 33), [0.0, 0.25, 0.5])
-    CocycleFamily(grid, _one_bad_slice(np.eye(4)))
+    es = hermitian_eig(random_hermitian(space.path_graph(4), 33))
+    times = np.array([0.0, 0.25, 0.5])
+    good = CocycleFamily(es, _one_bad_slice(np.eye(4)))
+    assert cocycle_residuals(good, times, times).max() <= 1e-9
+    assert lambda_scalar_residuals(es, es, good, times).max() <= 1e-10
+    # a family is not evaluated when it is built, only when it is read
+    fam = CocycleFamily(es, u_many)
     with pytest.raises(ValueError, match=text):
-        CocycleFamily(grid, u_many)
+        cocycle_residuals(fam, times, times)
+    with pytest.raises(ValueError, match=text):
+        lambda_scalar_residuals(es, es, fam, times)
+
+
+@pytest.mark.parametrize("ts, ss", [([0.25], [0.0]), ([0.0], [0.25]), ([0.0, 0.125], [0.125])])
+def test_each_of_u_t_u_s_and_u_t_plus_s_is_checked(ts, ss):
+    # u_{0.25} is read as u_t, as u_s, or only as the sum 0.125 + 0.125
+    es = hermitian_eig(random_hermitian(space.path_graph(4), 33))
+    fam = CocycleFamily(es, _one_bad_slice(2.0 * np.eye(4)))
+    with pytest.raises(ValueError, match=r"t=0\.25 is not unitary"):
+        cocycle_residuals(fam, np.array(ts), np.array(ss))
 
 
 def test_corrupt_at_changes_only_t0_and_element_is_one_slice():
     s = space.path_graph(5)
     times = np.linspace(-1.0, 1.0, 9)
-    h, k = random_hermitian(s, 34), random_hermitian(s, 35)
-    fam = cocycle_from_generators(h, k, times)
+    eh, ek = (hermitian_eig(random_hermitian(s, seed)) for seed in (34, 35))
+    fam = cocycle_from_eigensystems(eh, ek)
     bad = corrupt_at(fam, float(times[6]))
     base, corrupted = fam.u_many(times), bad.u_many(times)
     same = [np.array_equal(a, b) for a, b in zip(base, corrupted)]
@@ -275,14 +287,6 @@ def test_diagonal_closeness():
     assert diagonal_closeness(a, b) == pytest.approx(
         spectral_norm(np.diag(a - b)), abs=1e-12
     )
-
-
-def test_flow_grid_validates_times():
-    s = space.path_graph(3)
-    h = random_hermitian(s, 32)
-    for times in ([0.5, 0.5], [0.0, np.nan], [np.nan], [0.0, np.inf]):
-        with pytest.raises(ValueError):
-            FlowGrid.from_generator(h, times)
 
 
 def test_flow_profile_matches_per_time_formula():
@@ -308,7 +312,7 @@ def test_flow_profile_matches_per_time_formula():
 def _cocycle_oracle(c, t, s_):
     """The per-pair formula the stacked path replaced."""
     u_t, u_s, u_ts = c.u_many(np.array([t, s_, t + s_]))
-    [e_ith] = c.base_flow.eigensystem.exp_many([t])
+    [e_ith] = c.eigensystem.exp_many([t])
     rhs = u_t @ (e_ith @ u_s @ e_ith.conj().T)
     return np.linalg.norm(u_ts - rhs, 2)
 
@@ -316,8 +320,8 @@ def _cocycle_oracle(c, t, s_):
 def test_cocycle_residuals_match_per_pair_formula():
     s = space.path_graph(6)
     times = np.linspace(-0.8, 0.8, 7)
-    h, k = random_hermitian(s, 42), random_hermitian(s, 43)
-    fam = cocycle_from_generators(h, k, times)
+    eh, ek = (hermitian_eig(random_hermitian(s, seed)) for seed in (42, 43))
+    fam = cocycle_from_eigensystems(eh, ek)
     bad = corrupt_at(fam, float(times[2]))
     for c in (fam, bad):
         grid = cocycle_residuals(c, times, times[::-1])
@@ -334,7 +338,7 @@ def test_cocycle_residuals_match_per_pair_formula():
 
 def _per_row_residuals(c, ts, ss):
     """cocycle_residuals with one u_many(t + ss) call per row t."""
-    e_it = c.base_flow.eigensystem.exp_many(ts)
+    e_it = c.eigensystem.exp_many(ts)
     u_t, u_s = c.u_many(ts), c.u_many(ss)
     out = np.zeros((len(ts), len(ss)))
     for i, t in enumerate(ts):
@@ -351,14 +355,15 @@ def _per_row_residuals(c, ts, ss):
 def test_cocycle_residuals_form_each_sum_once_bit_for_bit(times):
     # 79 or 78 distinct sums t + s: more than one chunk of 64
     s = space.path_graph(4)
-    fam = cocycle_from_generators(random_hermitian(s, 46), random_hermitian(s, 47), times)
+    eh, ek = (hermitian_eig(random_hermitian(s, seed)) for seed in (46, 47))
+    fam = cocycle_from_eigensystems(eh, ek)
     formed = []
 
     def counted(ts):
         formed.append(len(ts))
         return fam.u_many(ts)
 
-    counting = CocycleFamily(fam.base_flow, counted)
+    counting = CocycleFamily(fam.eigensystem, counted)
     formed.clear()
     grid = cocycle_residuals(counting, times, times)
     sums = len(np.unique(times[:, None] + times))
@@ -375,7 +380,7 @@ def test_lambda_residuals_match_per_time_formula():
     h, k = random_hermitian(s, 44), random_hermitian(s, 45)
     eh, ek = hermitian_eig(h), hermitian_eig(k)
     times = np.linspace(0.0, 1.0, 5)
-    fam = cocycle_from_generators(h, k, times)  # not intertwining: lambda != 1
+    fam = cocycle_from_eigensystems(eh, ek)  # not intertwining: lambda != 1
     stacked = lambda_scalar_residuals(eh, ek, fam, times)
     for t, got in zip(times, stacked):
         lam = eh.exp_many([-t])[0] @ fam.u_many(np.array([t]))[0] @ ek.exp_many([t])[0]
@@ -394,9 +399,60 @@ def test_lambda_of_one_family_with_generators_swapped(n, seed):
     h, k = random_hermitian(s, seed), random_hermitian(s, seed + 100, scale=0.5)
     times = np.linspace(0.0, 1.0, 5)
     eh, ek = hermitian_eig(h), hermitian_eig(k)
-    family = cocycle_from_generators(h, k, times)
-    mirror_family = cocycle_from_generators(k, h, times)
+    family = cocycle_from_eigensystems(eh, ek)
+    mirror_family = cocycle_from_eigensystems(ek, eh)
     one = lambda_scalar_residuals(ek, eh, family, times)
     mirror = lambda_scalar_residuals(eh, ek, mirror_family, times)
     assert np.abs(one - mirror).max() <= 1e-14
     assert max(one.max(), mirror.max()) <= 1e-10
+
+
+def eigensystem(s, kind, seed):
+    """hermitian_eig of a drawn_operator kind, or of "repeated": q diag(v) q^H
+    with q a random unitary and v drawn from {0, 1, 2}, so that eigenvalues
+    repeat in a basis that is not the standard one."""
+    if kind != "repeated":
+        return hermitian_eig(drawn_operator(s, kind, seed))
+    rng = np.random.default_rng(seed)
+    n = s.n_points
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = (q * rng.integers(0, 3, n)) @ q.conj().T
+    return hermitian_eig(OperatorMatrix(s, 0.5 * (m + m.conj().T)))
+
+
+@st.composite
+def cocycle_cases(draw):
+    """(eh, ek, times): the eigensystems of h and k on a small space, each
+    of a Hermitian kind drawn independently, and a grid of 1 to 6 times."""
+    s = draw(small_spaces())
+    kinds = st.sampled_from(HERMITIAN_KINDS + ("repeated",))
+    eh, ek = (
+        eigensystem(s, draw(kinds), draw(st.integers(0, 2**32 - 1))) for _ in range(2)
+    )
+    times = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+    return eh, ek, np.array(times)
+
+
+@given(cocycle_cases())
+@settings(max_examples=60, deadline=None)
+def test_drawn_cocycle_holds_and_swapped_lambda_is_scalar(case):
+    eh, ek, times = case
+    fam = cocycle_from_eigensystems(eh, ek)
+    assert cocycle_residuals(fam, times, times).max() <= 1e-9
+    assert lambda_scalar_residuals(ek, eh, fam, times).max() <= 1e-10
+
+
+@given(cocycle_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_drawn_corruption_shows_as_the_distance_of_u_t0_from_one(case, data):
+    # with u_t0 replaced by 1, u_{t0+s} - sigma_t0(u_s) = (u_t0 - 1) sigma_t0(u_s),
+    # whose norm is ||u_t0 - 1||, for every s at which nothing else is replaced
+    eh, ek, times = case
+    t0 = data.draw(st.sampled_from(times.tolist()))
+    fam = cocycle_from_eigensystems(eh, ek)
+    hit = lambda ts: np.isclose(ts, t0, rtol=0.0, atol=1e-15)
+    ss = times[~hit(times) & ~hit(t0 + times)]
+    [u_t0] = fam.u_many(np.array([t0]))
+    moved = spectral_norm(u_t0 - np.eye(len(u_t0)))
+    got = cocycle_residuals(corrupt_at(fam, t0), [t0], ss)[0]
+    assert np.abs(got - moved).max(initial=0.0) <= 1e-9

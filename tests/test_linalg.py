@@ -26,8 +26,7 @@ from roelab.averaging import extract_finite_prop
 from roelab.errors import NumericCheckError
 from roelab.flows import (
     CocycleFamily,
-    FlowGrid,
-    cocycle_from_generators,
+    cocycle_from_eigensystems,
     cocycle_residuals,
     corrupt_at,
     flow_profile,
@@ -239,10 +238,12 @@ def _unitary_input(x):
 
 
 def _cocycle(u_0, u_half):
-    grid = FlowGrid.from_generator(OperatorMatrix(S3, np.zeros((3, 3))), [0.0, 0.5])
-    return CocycleFamily(
-        grid, lambda ts: np.stack([u_0 if t == 0.0 else u_half for t in ts])
+    """cocycle_residuals over the grid 0, 0.5 of a family with these elements."""
+    es = hermitian_eig(OperatorMatrix(S3, np.zeros((3, 3))))
+    fam = CocycleFamily(
+        es, lambda ts: np.stack([u_0 if t == 0.0 else u_half for t in ts])
     )
+    return cocycle_residuals(fam, [0.0, 0.5], [0.0, 0.5])
 
 
 # caller -> (call on x, the largest x the check accepts, error text)
@@ -407,8 +408,9 @@ def _stacked_paths():
 
     h, k, a = herm(), herm(0.5), herm()
     times = np.linspace(-1.0, 1.0, 9)
-    fam = cocycle_from_generators(h, k, times)
-    lam_fam = cocycle_from_generators(k, h, times)
+    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    fam = cocycle_from_eigensystems(eh, ek)
+    lam_fam = cocycle_from_eigensystems(ek, eh)
     blocks = expander.block_family(
         [space.path_graph(m) for m in (3, 5, 4)], "quadratic"
     )
@@ -418,9 +420,7 @@ def _stacked_paths():
         "sweep": np.column_stack(flow_displacement_sweep(h, times)),
         "cocycle": cocycle_residuals(fam, times, times),
         "corrupted": cocycle_residuals(corrupt_at(fam, float(times[3])), times, times),
-        "lambda": lambda_scalar_residuals(
-            hermitian_eig(h), hermitian_eig(k), lam_fam, times
-        ),
+        "lambda": lambda_scalar_residuals(eh, ek, lam_fam, times),
         "discontinuity": expander.discontinuity_profiles(blocks, times),
         "wmap": expander.wmap_lower_bounds(
             blocks, rng.standard_normal(blocks.union.n_points), times

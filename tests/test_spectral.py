@@ -3,7 +3,6 @@ import pytest
 
 from roelab import space
 from roelab._linalg import spectral_norm
-from roelab.flows import FlowGrid
 from roelab.operator import OperatorMatrix, diagonal, propagation
 from roelab.spectral import generator_check, hermitian_eig
 
@@ -101,20 +100,16 @@ def test_exp_eigenvalues_on_unit_circle():
     assert np.allclose(np.abs(np.linalg.eigvals(u)), 1.0, atol=1e-10)
 
 
-def grid_for(h, delta):
-    return FlowGrid.from_generator(h, [-delta, 0.0, delta])
-
-
 def test_generator_check_zero():
     s = space.path_graph(3)
     h = diagonal(s, [0.0, 0.0, 0.0])
-    assert generator_check(grid_for(h, 1e-4)) == pytest.approx(0.0, abs=1e-14)
+    assert generator_check(h, 1e-4) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_generator_check_diagonal_bound():
     s = space.path_graph(4)
     h = diagonal(s, [1.0, -2.0, 0.5, 3.0])
-    res = generator_check(grid_for(h, 1e-4))
+    res = generator_check(h, 1e-4)
     norm_h = spectral_norm(h.entries)
     assert res <= 1e-6 * (1 + norm_h**3)
 
@@ -122,6 +117,13 @@ def test_generator_check_diagonal_bound():
 def test_generator_check_second_order():
     s = space.path_graph(6)
     h = random_hermitian(s, 5)
-    r1 = generator_check(grid_for(h, 1e-2))
-    r2 = generator_check(grid_for(h, 5e-3))
+    r1 = generator_check(h, 1e-2)
+    r2 = generator_check(h, 5e-3)
     assert 3.5 <= r1 / r2 <= 4.5
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+def test_generator_check_refuses_a_step_that_is_not_positive_and_finite(delta):
+    h = diagonal(space.path_graph(3), [1.0, -2.0, 0.5])
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        generator_check(h, delta)

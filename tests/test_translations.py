@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_locality import HERMITIAN_KINDS, drawn_operator, graphs
 
@@ -470,6 +470,56 @@ def test_exact_coarseness_is_bracketed_and_matches_all_rows(case):
     assert floor <= exact <= ceiling * (1 + 1e-14)
     oracle = all_rows_modulus(h, r)
     assert abs(exact - oracle) <= 1e-14 * oracle
+
+
+def kept_rows_modulus(h, r):
+    """max ||[h, v_f]|| over the rows f the exact mode keeps, one of each
+    inverse pair, with every row normed: no Schur bound skips one."""
+    norms = [np.zeros(0)]
+    for f in translations._translation_targets(h.space, r, allow_large=False):
+        inverses = translations._inverses(f)
+        keep = translations._first_of_inverse_pair(f, inverses)
+        c = translations._commutators(h.entries, f[keep], inverses[keep])
+        norms.append(spectral_norms(c))
+    return float(np.concatenate(norms).max(initial=0.0))
+
+
+@st.composite
+def coupled_diagonal_cases(draw):
+    """A path or complete graph of 2 to 5 points, a radius of its distance
+    set, and h: an integer diagonal plus one or two Hermitian pairs of
+    off-diagonal entries of modulus 1 to 3, scaled by 1, 1e150 or 1e-310.
+    Its commutators tie Schur bounds with norms and norms with the floor."""
+    build = draw(st.sampled_from([space.path_graph, space.complete_graph]))
+    s = build(draw(st.integers(2, 5)))
+    n = s.n_points
+    m = np.diag(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    m = m.astype(complex)
+    point = st.integers(0, n - 1)
+    pairs = st.tuples(point, point).filter(lambda p: p[0] != p[1])
+    for x, y in draw(st.lists(pairs, min_size=1, max_size=2)):
+        z = draw(st.floats(1.0, 3.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+        m[x, y], m[y, x] = z, np.conj(z)
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-310]))
+    return OperatorMatrix(s, scale * m), draw(st.sampled_from(s.distance_set().tolist()))
+
+
+# a Schur bound that rounds below its own row's norm, 5.000000000000001,
+# once skipped that row and returned the floor, 5.0
+_TIED = np.diag([0.0, 0.0, -2.0, -3.0, 2.0]).astype(complex)
+_TIED[0, 1] = -1.7244803397616406 + 0.2931159801246747j
+_TIED[1, 0] = np.conj(_TIED[0, 1])
+
+
+@given(coupled_diagonal_cases())
+@example(case=(OperatorMatrix(space.path_graph(5), _TIED), 4.0))
+@settings(max_examples=150, deadline=None)
+def test_exact_coarseness_equals_the_max_over_kept_rows(case):
+    h, r = case
+    d = h.entries.diagonal()
+    floor = float(np.abs(d[:, None] - d[None, :])[h.space.dist <= r].max())
+    want = max(floor, kept_rows_modulus(h, r))
+    assert coarseness_modulus(h, r, "exact") == want
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
