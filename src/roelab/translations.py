@@ -124,14 +124,13 @@ def _commutators(h: np.ndarray, targets: np.ndarray, inverses: np.ndarray):
         return hv - rows.take(inverses, axis=0)
 
 
-def _commutator_norms(h: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """||[h, v_f]|| for each row f of a (k, n) target array, one chunk at a time."""
+def _commutator_stacks(h: np.ndarray, targets: np.ndarray):
+    """The stacks of [h, v_f] for the rows f of a (k, n) target array, one
+    chunk at a time, in row order."""
     n = h.shape[0]
-    out = [np.zeros(0)]
     for sl in chunks(len(targets), n, n):
         f = targets[sl]
-        out.append(spectral_norms(_commutators(h, f, _inverses(f))))
-    return np.concatenate(out)
+        yield _commutators(h, f, _inverses(f))
 
 
 def _first_of_inverse_pair(targets: np.ndarray, inverses: np.ndarray) -> np.ndarray:
@@ -155,28 +154,16 @@ def _exact_modulus(h: np.ndarray, blocks, best: float) -> float:
 
     [h, v_{f^-1}] = -[h, v_f]^H, so one row of each inverse pair is kept
     (for h within require_hermitian's tolerance of h^H, the norms of a pair
-    differ by at most 2 ||h - h^H||). A block's rows are normed in
-    descending order of their Schur bounds, until no bound left exceeds the
-    best norm so far, divided by _SCHUR_MARGIN."""
-    n = h.shape[0]
+    differ by at most 2 ||h - h^H||). Each stack of kept commutators is
+    formed once, and only its matrices whose Schur bound beats the best norm
+    so far, divided by _SCHUR_MARGIN, are normed: a skipped one's norm is at
+    most that best, so the max does not depend on the order."""
     for block in blocks:
-        inverses = _inverses(block)
-        keep = _first_of_inverse_pair(block, inverses)
-        block, inverses = block[keep], inverses[keep]
-        bounds = [np.zeros(0)]
-        for sl in chunks(len(block), n, n):
-            bounds.append(schur_bounds(_commutators(h, block[sl], inverses[sl])))
-        bounds = np.concatenate(bounds)
-        order = np.argsort(-bounds, kind="stable")
-        # the top row alone first: for nearly diagonal h its norm is about the
-        # block's max
-        top, rest = order[:1], order[1:]
-        for rows in [top, *(rest[sl] for sl in chunks(len(rest), n, n))]:
-            rows = rows[bounds[rows] > best / _SCHUR_MARGIN]
-            if not rows.size:
-                break
-            c = _commutators(h, block[rows], inverses[rows])
-            best = max(best, float(spectral_norms(c).max()))
+        block = block[_first_of_inverse_pair(block, _inverses(block))]
+        for c in _commutator_stacks(h, block):
+            c = c[schur_bounds(c) > best / _SCHUR_MARGIN]
+            if len(c):
+                best = max(best, float(spectral_norms(c).max()))
     return best
 
 
@@ -228,7 +215,8 @@ def coarseness_modulus(
         free = (current[src] < 0) & ~np.isin(tgt, current)
         trials = np.tile(current, (int(free.sum()), 1))
         trials[np.arange(len(trials)), src[free]] = tgt[free]
-        norms = _commutator_norms(entries, trials).tolist()
+        stacks = _commutator_stacks(entries, trials)
+        norms = [x for c in stacks for x in spectral_norms(c).tolist()]
         if best is None:
             best = max(norms, default=0.0)
         gain = None

@@ -9,6 +9,7 @@ from test_locality import graphs
 from roelab import expander, space
 from roelab.errors import NumericCheckError, SizeGuardError
 from roelab.expander import (
+    WEIGHT_PRESETS,
     averaging_projection,
     block_family,
     discontinuity_profiles,
@@ -209,6 +210,44 @@ def test_regular_family_refuses_oversize_union_before_sampling(monkeypatch):
     half = space.MAX_POINTS // 2 + 1
     with pytest.raises(SizeGuardError, match="'points'"):
         make_regular_family(2, 3, [half + half % 2, half + half % 2], seed=0)
+
+
+@st.composite
+def regular_families(draw):
+    """The arguments of make_regular_family: 1 to 3 blocks of 4 to 10 points,
+    degree 2 or 3 with size * degree even, a seed and a weight preset."""
+    degree = draw(st.sampled_from([2, 3]))
+    size = st.integers(4, 10).filter(lambda m: m * degree % 2 == 0)
+    sizes = draw(st.lists(size, min_size=1, max_size=3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    weights = draw(st.sampled_from(sorted(WEIGHT_PRESETS)))
+    return len(sizes), degree, sizes, seed, weights
+
+
+@given(
+    regular_families(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["zero", "diagonal"]),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_drawn_regular_family_profiles_do_not_depend_on_the_sample(
+    args, other_seed, k, times
+):
+    # p_n, p_A and so h depend on the block sizes and weights alone, not on
+    # the edges sampled; the checks inside raise on a violation
+    n_blocks, degree, sizes, _, weights = args
+    profiles = []
+    for fam in (
+        make_regular_family(*args),
+        make_regular_family(n_blocks, degree, sizes, other_seed, weights),
+    ):
+        diag = np.real(np.diag(generator(fam).entries))
+        k_vals = np.zeros(fam.n_points) if k == "zero" else diag
+        wmap = wmap_lower_bounds(fam, k_vals, times)
+        profiles.append((*discontinuity_profiles(fam, times), *wmap))
+    for a, b in zip(*profiles):
+        assert np.array_equal(a, b)
 
 
 def test_block_sum_projections_and_equi_profile():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_locality import HERMITIAN_KINDS, drawn_operator, small_spaces
 
@@ -160,6 +160,33 @@ def test_lipschitz_random_pairs():
         k = random_hermitian(s, seed + 100)
         max_ratio, bound = lipschitz_audit(h, k, grid)
         assert max_ratio <= bound * (1 + 1e-8)
+
+
+@st.composite
+def lipschitz_cases(draw):
+    """(h, k, times): two Hermitian operators on a small space, each of a
+    kind drawn independently, and 2 to 8 distinct times in [-2, 2]."""
+    s = draw(small_spaces())
+    kinds, seeds = st.sampled_from(HERMITIAN_KINDS), st.integers(0, 2**32 - 1)
+    h, k = (drawn_operator(s, draw(kinds), draw(seeds)) for _ in range(2))
+    times = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=8, unique=True))
+    return h, k, times
+
+
+# close times once raised: w(d) - 1 was formed as e^{idh} e^{-idk} - 1, which
+# cancels, and the ratio exceeded ||h - k|| (or 1e-9 for h = k)
+_CLOSE = [0.3, 0.3 + 1e-10]
+_H0, _H3 = (drawn_operator(space.path_graph(5), "full", seed) for seed in (0, 3))
+
+
+@given(lipschitz_cases())
+@example(case=(_H0, _H0, _CLOSE))
+@example(case=(_H0, _H3, _CLOSE))
+@settings(max_examples=60, deadline=None)
+def test_drawn_lipschitz_ratio_is_at_most_the_generator_distance(case):
+    h, k, times = case
+    max_ratio, bound = lipschitz_audit(h, k, times)  # raises on violation
+    assert max_ratio <= bound * (1 + 1e-8) + 1e-9
 
 
 def test_cocycle_identity_and_u0():

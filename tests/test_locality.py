@@ -391,3 +391,20 @@ def test_ql_values_on_one_and_two_points(mode):
     assert locality.ql_values(a, [], mode).shape == (0,)
     with pytest.raises(ValueError, match="radius"):
         locality.ql_values(a, [1.0, -1.0], mode)
+
+
+@given(
+    small_spaces(),
+    st.sampled_from(HERMITIAN_KINDS + ("non-hermitian", "upper")),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_drawn_ql_values_are_sandwiched(s, kind, seed):
+    # lower <= exact <= ||a - truncate(a, r)||, as in criterion 10
+    a = drawn_operator(s, kind, seed)
+    radii = s.distance_set()
+    exact = locality.ql_values(a, radii, "exact")
+    lower = locality.ql_values(a, radii, "lower")
+    for r, e, lo in zip(radii, exact, lower):
+        assert lo <= e + 1e-12
+        assert e <= spectral_norm(a.entries - truncate(a, float(r)).entries) + 1e-12

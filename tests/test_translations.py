@@ -417,13 +417,32 @@ def test_heuristic_coarseness_of_diagonal_h_tries_no_translation(monkeypatch):
     def no_trials(h, targets):
         raise AssertionError("a trial translation was normed")
 
-    monkeypatch.setattr(translations, "_commutator_norms", no_trials)
+    monkeypatch.setattr(translations, "_commutator_stacks", no_trials)
     s = space.path_graph(6)
     for seed in range(5):
         h = diagonal(s, np.random.default_rng(seed).standard_normal(6))
         for r in s.distance_set():
             exact = coarseness_modulus(h, r, "exact")
             assert coarseness_modulus(h, r, "heuristic") == exact
+
+
+@pytest.mark.parametrize("kind", ["dense", "banded", "rank-one"])
+def test_exact_coarseness_forms_each_kept_commutator_once(monkeypatch, kind):
+    s = space.path_graph(6)
+    kept = sum(
+        translations._first_of_inverse_pair(f, translations._inverses(f)).sum()
+        for f in translations._translation_targets(s, 2, allow_large=False)
+    )
+    formed = []
+    commutators = translations._commutators
+
+    def counted(h, targets, inverses):
+        formed.append(len(targets))
+        return commutators(h, targets, inverses)
+
+    monkeypatch.setattr(translations, "_commutators", counted)
+    coarseness_modulus(_generator(kind, s, seed=6), 2, "exact")
+    assert sum(formed) == kept
 
 
 def all_rows_modulus(h, r):
