@@ -3,12 +3,14 @@ coarse metric spaces.
 
 Finite metric spaces, operators as dense complex matrices, propagation and
 quasi-locality analyzers, Hermitian spectral calculus, flow and cocycle
-dynamics, sign-group averaging, and the expander pre-flow with its exact
-discontinuity constants.
+dynamics, sign-group averaging, partial translations, and the expander
+pre-flow with its exact discontinuity constants. The library holds what the
+CLI and the acceptance criteria call; dense reference oracles live in the
+tests.
 """
 
 from .errors import ConfigError, NumericCheckError, SizeGuardError
-from .space import FiniteSpace, coarse_union, from_edge_list, growth_profile
+from .space import FiniteSpace, coarse_union, from_edge_list
 from .operator import OperatorMatrix
 
 __all__ = [
@@ -19,7 +21,6 @@ __all__ = [
     "OperatorMatrix",
     "coarse_union",
     "from_edge_list",
-    "growth_profile",
 ]
 
 __version__ = "0.1.0"

@@ -91,6 +91,10 @@ _REQUIRED = object()
 
 # the most CSV rows one run may write: T time points, or T^2 for cocycle-verify
 MAX_ROWS = 100_000
+# how far (stop - start) / step may lie from a whole number, relative to
+# max(|start|, |stop|, step) / step, the scale of its rounding error: a time
+# grid ends on stop
+GRID_TOL = 1e-12
 
 
 def _check(value, what, kind, least=None):
@@ -206,16 +210,22 @@ def _build_times(cfg, square=False):
     start, stop, step = (_get(cfg, k, "number") for k in ("start", "stop", "step"))
     if step <= 0 or start > stop:
         raise ConfigError("time_grid needs step > 0 and start <= stop")
-    count = (stop - start) / step + 1  # a float, inf if the span overflows
+    steps = (stop - start) / step  # a float, inf if the span overflows
+    count = steps + 1
     rows = count * count if square else count
     if not rows <= MAX_ROWS:
         raise SizeGuardError("time_grid rows", MAX_ROWS, rows)
-    n_steps = int(round((stop - start) / step))
+    n_steps = int(round(steps))
     with np.errstate(over="ignore"):  # a time that overflows is refused below
         times = start + step * np.arange(n_steps + 1)
     if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
         raise ConfigError(
             "time_grid must be finite and strictly increasing after rounding"
+        )
+    if abs(steps - n_steps) > GRID_TOL * max(abs(start), abs(stop), step) / step:
+        raise ConfigError(
+            f"time_grid (stop - start) / step = {steps!r} is not a whole number "
+            f"of steps; the nearest valid stop is {float(times[-1])!r}"
         )
     return times
 

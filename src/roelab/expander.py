@@ -1,9 +1,10 @@
-"""Coarse unions of connected graph blocks carrying block weights, rank-one
-averaging projections, the pre-flow e^{ith} they generate, and the exact
-discontinuity constants of that pre-flow."""
+"""Families of connected graph blocks carrying block weights, and the exact
+discontinuity constants of the pre-flow e^{ith} they generate, with
+h = sum_n w(n) p_n and p_n the rank-one averaging projection of block n.
+The pre-flow is block diagonal, so every norm is taken block by block, and
+the coarse union of the blocks is never built."""
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -11,8 +12,7 @@ import numpy as np
 from ._linalg import _CHUNK, DISCONTINUITY_TOL, WMAP_TOL, check, chunks
 from ._linalg import spectral_norm, spectral_norms
 from .errors import ConfigError
-from .operator import OperatorMatrix, diagonal
-from .space import FiniteSpace, check_points, coarse_union, from_edge_list
+from .space import FiniteSpace, check_points, from_edge_list
 
 WEIGHT_PRESETS = {
     "constant": lambda n: 1.0,
@@ -26,11 +26,6 @@ class BlockFamily:
     blocks: Tuple[FiniteSpace, ...]
     weights: np.ndarray
     offsets: Tuple[int, ...]
-
-    @cached_property
-    def union(self) -> FiniteSpace:
-        """The coarse union of the blocks, built and validated on first read."""
-        return coarse_union(self.blocks)
 
     @property
     def n_blocks(self) -> int:
@@ -76,16 +71,6 @@ def _block_sum(fam: BlockFamily, terms) -> np.ndarray:
     return m
 
 
-def averaging_projection(fam: BlockFamily, n: int) -> OperatorMatrix:
-    """p_n: entries 1/|X_n| on block n, zero elsewhere. Rank one, trace one."""
-    return OperatorMatrix(fam.union, _block_sum(fam, [(n, 1.0)]))
-
-
-def generator(fam: BlockFamily) -> OperatorMatrix:
-    """h = sum_n w(n) p_n."""
-    return OperatorMatrix(fam.union, _block_sum(fam, enumerate(fam.weights)))
-
-
 def _split_mask(size: int) -> np.ndarray:
     """The diagonal of p_{A_n} on a block of ``size`` points: the half split
     A_n of a block is its first ceil(size / 2) points."""
@@ -97,24 +82,11 @@ def _split_diagonal(fam: BlockFamily) -> np.ndarray:
     return np.concatenate([_split_mask(b.n_points) for b in fam.blocks])
 
 
-def split_projection(fam: BlockFamily) -> OperatorMatrix:
-    """p_A for A = union of the per-block half splits (a diagonal projection)."""
-    return diagonal(fam.union, _split_diagonal(fam))
-
-
 def split_factor(fam: BlockFamily, n: int) -> float:
     """sqrt(|A_n| * |X_n \\ A_n|) / |X_n|; equals 1/2 for even block sizes."""
     size = fam.block_size(n)
     a = _split_mask(size).sum()
     return float(np.sqrt(a * (size - a)) / size)
-
-
-def preflow_unitary(fam: BlockFamily, t: float) -> OperatorMatrix:
-    """e^{ith} assembled directly as id + sum_n (e^{itw(n)} - 1) p_n."""
-    phases = np.exp(1j * t * fam.weights) - 1.0
-    return OperatorMatrix(
-        fam.union, np.eye(fam.n_points) + _block_sum(fam, enumerate(phases))
-    )
 
 
 def halfsplit_commutator_norm(fam: BlockFamily, n: int) -> float:
@@ -135,11 +107,12 @@ def _closed_forms(fam: BlockFamily, times) -> np.ndarray:
 def _block_norms(fam: BlockFamily, times, piece) -> np.ndarray:
     """(T, n_blocks) array of the norms of piece(ns, t, u) per block n and
     time. ns lists the blocks of one size s, and u is the (T, m, s, s) stack
-    of their blocks of preflow_unitary over a chunk t of the times.
+    of their blocks of the pre-flow over a chunk t of the times.
 
-    preflow_unitary is block diagonal by construction (_block_sum writes
-    only the diagonal blocks). For a block-diagonal piece, the norm of the
-    whole operator is the max over blocks: the norm of a direct sum.
+    The pre-flow e^{ith} = 1 + sum_n (e^{itw(n)} - 1) p_n is block diagonal,
+    since each p_n lives on block n's square. For a block-diagonal piece, the
+    norm of the whole operator is the max over blocks: the norm of a direct
+    sum.
 
     Every piece is built from the real h, p_A and k, so the piece at -t is
     the entrywise conjugate of the piece at t and has the same norm: the

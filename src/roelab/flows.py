@@ -176,12 +176,3 @@ def lambda_scalar_residuals(
         out[sl] = spectral_norms(lam - mean[:, None, None] * eye)
     return out
 
-
-def diagonal_closeness(h_vals, k_vals) -> float:
-    """max_x |h_x - k_x| for two real point functions; equals the operator
-    norm of diag(h - k)."""
-    h_vals = np.asarray(h_vals, dtype=np.float64)
-    k_vals = np.asarray(k_vals, dtype=np.float64)
-    if h_vals.shape != k_vals.shape:
-        raise ValueError("point functions must live on the same space")
-    return float(np.abs(h_vals - k_vals).max())

@@ -1,13 +1,11 @@
-"""Quasi-locality profiles: corner norms ||p_A a p_B|| over far-apart sets,
-and epsilon-r approximability certificates via band truncation."""
-
-from typing import Sequence
+"""Quasi-locality profiles: the largest corner norm ||p_A a p_B|| over sets
+A and their far sets B, per radius, exactly or over metric balls."""
 
 import numpy as np
 
-from ._linalg import chunks, spectral_norm, spectral_norms
+from ._linalg import chunks, spectral_norms
 from .errors import SizeGuardError
-from .operator import OperatorMatrix, truncate
+from .operator import OperatorMatrix
 
 EXACT_GUARD = 16
 # the most entries of the lower mode's (n |D|, n) ball masks, D the distance set
@@ -147,26 +145,3 @@ def ql_value(a: OperatorMatrix, r: float, mode: str = "exact") -> float:
     """ql_values at the one radius r."""
     return float(ql_values(a, [r], mode)[0])
 
-
-def eps_r_certificate(a: OperatorMatrix, eps: float) -> float:
-    """Smallest r in the distance set with ||a - truncate(a, r)|| <= eps.
-
-    An upper-bound certificate: truncation need not be the best
-    propagation-r approximant, but r = diameter always succeeds.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    for r in a.space.distance_set():
-        if spectral_norm(a.entries - truncate(a, r).entries) <= eps:
-            return float(r)
-    return a.space.diameter
-
-
-def equi_approx_profile(family: Sequence[OperatorMatrix], eps: float) -> float:
-    """The single r certifying eps-r approximability for every family member."""
-    if not family:
-        raise ValueError("family must be nonempty")
-    dist = family[0].space.dist
-    if not all(np.array_equal(member.space.dist, dist) for member in family):
-        raise ValueError("operators live on different spaces")
-    return max(eps_r_certificate(member, eps) for member in family)

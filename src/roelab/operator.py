@@ -7,12 +7,11 @@ numpy on .entries.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from ._linalg import require_finite, spectral_norm
-from .space import FiniteSpace, _parse, _records, growth_profile
+from ._linalg import require_finite
+from .space import FiniteSpace, _parse, _records
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,6 @@ class OperatorMatrix:
     @property
     def n(self) -> int:
         return self.space.n_points
-
-
-def identity(space: FiniteSpace) -> OperatorMatrix:
-    return OperatorMatrix(space, np.eye(space.n_points, dtype=np.complex128))
 
 
 def diagonal(space: FiniteSpace, values) -> OperatorMatrix:
@@ -74,40 +69,6 @@ def truncate(a: OperatorMatrix, r: float) -> OperatorMatrix:
         raise ValueError("radius must be nonnegative")
     kept = np.where(a.space.dist <= r, a.entries, 0.0)
     return OperatorMatrix(a.space, kept)
-
-
-def schur_bound(a: OperatorMatrix, r: float) -> float:
-    """Certified upper bound beta(r) * max|a_xy| on the operator norm.
-
-    Valid only when the support of a lies inside the r-band.
-    """
-    p = propagation(a)
-    if p > r:
-        raise ValueError(f"propagation {p} exceeds r={r}; Schur bound invalid")
-    return growth_profile(a.space, r) * float(np.abs(a.entries).max(initial=0.0))
-
-
-def offdiag_sup(a: OperatorMatrix) -> float:
-    """Max modulus over off-diagonal entries; 0 by convention on one point."""
-    n = a.n
-    if n < 2:
-        return 0.0
-    mags = np.abs(a.entries).copy()
-    mags[np.diag_indices(n)] = 0.0
-    return float(mags.max())
-
-
-def higson_commutator_profile(a: OperatorMatrix, f) -> Tuple[float, float]:
-    """(commutator_norm, entrywise_residual): ||[a, M_f]|| for the diagonal
-    multiplication operator of f, and the residual of the entrywise identity
-    [a, M_f]_xy = (f_y - f_x) a_xy."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (a.n,):
-        raise ValueError("f must assign one real value per point")
-    comm = a.entries * f[None, :] - f[:, None] * a.entries
-    predicted = (f[None, :] - f[:, None]) * a.entries
-    residual = float(np.abs(comm - predicted).max(initial=0.0))
-    return spectral_norm(comm), residual
 
 
 def save_matrix(a: OperatorMatrix, path) -> None:

@@ -1,4 +1,4 @@
-"""Finite metric spaces: graph metrics, coarse disjoint unions, growth profiles.
+"""Finite metric spaces: graph metrics, coarse disjoint unions, edge-list input.
 
 Points are 0-based contiguous integers. Distances are stored dense (double
 precision) so non-graph metrics are admissible.
@@ -120,14 +120,6 @@ def coarse_union(blocks: Sequence[FiniteSpace]) -> FiniteSpace:
     return FiniteSpace(dist)
 
 
-def growth_profile(s: FiniteSpace, r: float) -> int:
-    """beta(r): largest number of points in any closed ball of radius r."""
-    if not r >= 0:
-        raise ValueError("radius must be nonnegative")
-    tol = 1e-12 * (1.0 + abs(r))
-    return int(np.max(np.sum(s.dist <= r + tol, axis=1)))
-
-
 def path_graph(n: int) -> FiniteSpace:
     check_points(n)
     return from_edge_list([(i, i + 1) for i in range(n - 1)], n)
@@ -193,12 +185,3 @@ def load_edge_list(path) -> FiniteSpace:
         raise ValueError(f"{path}: missing 'n <n_points>' header")
     return from_edge_list(edges, n_points)
 
-
-def dump_edge_list(s: FiniteSpace, path) -> None:
-    """Write the hop-1 edges of a graph metric in the edge-list text format."""
-    with open(path, "w") as fh:
-        fh.write(f"n {s.n_points}\n")
-        for u in range(s.n_points):
-            for v in range(u + 1, s.n_points):
-                if s.dist[u, v] == 1.0:
-                    fh.write(f"{u} {v}\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_expander import generator
 
 import roelab
 from roelab import expander, operator, space, spectral
@@ -210,7 +211,7 @@ def test_expander_preflow_outputs(tmp_path):
         assert float(lhs) >= float(rhs) - 1e-9
     # "diagonal_of_h" is the diagonal of the generator, bit for bit
     fam = expander.make_regular_family(2, 3, [6, 8], 4)
-    k = np.real(np.diag(expander.generator(fam).entries))
+    k = np.real(np.diag(generator(fam).entries))
     times = np.array([float(row[0]) for row in wrows])
     lhs, rhs = expander.wmap_lower_bounds(fam, k, times)
     assert [row[1:] for row in wrows] == [
@@ -233,7 +234,6 @@ def test_expander_preflow_never_builds_the_union(tmp_path, monkeypatch, k):
         raise AssertionError("the job built the coarse union")
 
     monkeypatch.setattr(space, "coarse_union", refuse)
-    monkeypatch.setattr(expander, "coarse_union", refuse)
     assert run(tmp_path / "lazy", "expander-preflow", cfg) == 0
     for name in ("expander-preflow.csv", "expander-preflow-wmap.csv"):
         built = (tmp_path / "built" / name).read_text()
@@ -555,6 +555,46 @@ def test_grid_not_increasing_after_rounding_is_config_error(tmp_path, capsys, su
     assert main([sub, "--config", cfg_path, "--out", str(out)]) == 2
     assert "strictly increasing" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, nearest",
+    [
+        # 1.67 steps: rounding the count wrote a row at t = 1.2, past stop
+        ({"start": 0, "stop": 1, "step": 0.6}, 1.2),
+        ({"start": 0, "stop": 0.5, "step": 0.3}, 0.6),
+        # 2.5 steps: rounding the count dropped stop
+        ({"start": 0, "stop": 1, "step": 0.4}, 0.8),
+    ],
+    ids=["past-stop", "past-short-stop", "drops-stop"],
+)
+@pytest.mark.parametrize(
+    "sub", ["flow-profile", "rigidity-probe", "expander-preflow", "cocycle-verify"]
+)
+def test_grid_off_step_is_config_error(tmp_path, capsys, sub, grid, nearest):
+    cfg_path = write_cfg(tmp_path, "cfg.json", {**_FUZZ[sub], "time_grid": grid})
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"nearest valid stop is {nearest!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, count",
+    [
+        ({"start": 0, "stop": 0, "step": 0.3}, 1),
+        # stop - start rounds at this offset, and the grid still ends on stop
+        ({"start": 1e9, "stop": 1e9 + 0.3, "step": 0.1}, 4),
+    ],
+    ids=["one-time", "large-offset"],
+)
+def test_grid_on_step_runs_to_stop(tmp_path, grid, count):
+    # README's grids, such as (-1, 1, 0.1), run in test_readme_examples_run
+    cfg = {**_FUZZ["rigidity-probe"], "time_grid": grid}
+    assert run(tmp_path, "rigidity-probe", cfg) == 0
+    _, rows = read_rows(tmp_path / "probe.csv")
+    assert len(rows) == count
+    assert float(rows[-1][0]) == pytest.approx(grid["stop"], rel=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from roelab.flows import (
     cocycle_from_eigensystems,
     cocycle_residuals,
     corrupt_at,
-    diagonal_closeness,
     flow_profile,
     lambda_scalar_residuals,
     lipschitz_audit,
@@ -302,18 +301,6 @@ def test_corrupt_at_changes_only_t0_and_element_is_one_slice():
     for c, stack in ((fam, base), (bad, corrupted)):
         for t, u in zip(times, stack):
             assert np.array_equal(c.u_many(np.array([t]))[0], u)
-
-
-def test_diagonal_closeness():
-    s = space.path_graph(5)
-    hv = s.dist[0]
-    assert diagonal_closeness(hv, hv) == 0.0
-    assert diagonal_closeness(hv, hv + 3.0) == 3.0
-    rng = np.random.default_rng(0)
-    a, b = rng.standard_normal(5), rng.standard_normal(5)
-    assert diagonal_closeness(a, b) == pytest.approx(
-        spectral_norm(np.diag(a - b)), abs=1e-12
-    )
 
 
 def test_flow_profile_matches_per_time_formula():

@@ -1,7 +1,8 @@
 """Source hygiene of src/roelab and tests/: no unused import, every numeric
 identity through _linalg.check, no top-level def, class or constant in
-src/roelab that nothing names, no operator arithmetic on library classes,
-and no read of the environment in src/roelab."""
+src/roelab that nothing names, no public function in src/roelab that only
+unit tests call, no operator arithmetic on library classes, and no read of
+the environment in src/roelab."""
 
 import ast
 from pathlib import Path
@@ -135,6 +136,36 @@ def dead_names(root):
     return bad
 
 
+def unreached_functions(root):
+    """Every public top-level def `m.f` of src/roelab is named outside its
+    own def: by its own module, by another module of src/roelab, or by
+    tests/test_acceptance.py. A re-export in __init__.py does not count, nor
+    does a unit test: the library holds what the CLI and the criteria call,
+    and a dense reference oracle lives in tests/."""
+    files = parsed(root, "src/roelab/*.py", "tests/test_acceptance.py")
+    refs = {
+        path: references(path, tree)
+        for path, tree in files.items() if path.name != "__init__.py"
+    }
+    bad = []
+    for path, tree in files.items():
+        if path.parent != Path("src/roelab"):
+            continue
+        module = f"roelab.{path.stem}"
+        elsewhere = set().union(*(r for p, r in refs.items() if p != path))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            own = {
+                n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and id(n) not in inside
+            }
+            if node.name not in own and f"{module}.{node.name}" not in elsewhere:
+                bad.append(f"{path}:{node.lineno}: {node.name} is called by no module and no criterion")
+    return bad
+
+
 ARITHMETIC = {
     "__matmul__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
     "__truediv__",
@@ -185,6 +216,10 @@ def test_numeric_identities_go_through_check():
 
 def test_no_dead_names():
     assert dead_names(ROOT) == []
+
+
+def test_no_unreached_functions():
+    assert unreached_functions(ROOT) == []
 
 
 def test_no_arithmetic_dunders():
@@ -262,6 +297,32 @@ def test_dead_name_rule_resolves_imports(tmp_path):
     # np.zeros names the word zeros, but nothing resolves to operator.zeros
     assert dead_names(tmp_path) == [
         "src/roelab/operator.py:4: zeros is defined but not named elsewhere in src/ or tests/"
+    ]
+
+
+def test_unreached_rule_counts_modules_and_criteria_only(tmp_path):
+    sources = {
+        "src/roelab/__init__.py": "from .space import reexported\n",
+        "src/roelab/space.py": (
+            "def by_cli():\n    pass\n\n\n"
+            "def by_own_module():\n    pass\n\n\n"
+            "def by_criterion():\n    return by_own_module()\n\n\n"
+            "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n\n"
+            "def reexported():\n    pass\n\n\n"
+            "def by_unit_test():\n    pass\n\n\n"
+            "def _private():\n    pass\n"
+        ),
+        "src/roelab/cli.py": "from . import space\n\n\ndef main():\n    space.by_cli()\n\n\nmain()\n",
+        "tests/test_acceptance.py": "from roelab.space import by_criterion\n",
+        "tests/test_space.py": "from roelab.space import by_unit_test\n",
+    }
+    for name, text in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # a call inside its own def, a re-export or a unit test reaches nothing
+    assert unreached_functions(tmp_path) == [
+        f"src/roelab/space.py:{line}: {name} is called by no module and no criterion"
+        for line, name in ((13, "recursive"), (17, "reexported"), (21, "by_unit_test"))
     ]
 
 

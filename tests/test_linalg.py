@@ -345,7 +345,7 @@ def _discontinuity(monkeypatch, x):
 
 def _wmap(monkeypatch, x):
     fam = _blocks_off_by(monkeypatch, x)
-    expander.wmap_lower_bounds(fam, np.zeros(fam.union.n_points), [0.0, 0.5])
+    expander.wmap_lower_bounds(fam, np.zeros(fam.n_points), [0.0, 0.5])
 
 
 def _lipschitz(monkeypatch, x):
@@ -423,7 +423,7 @@ def _stacked_paths():
         "lambda": lambda_scalar_residuals(eh, ek, lam_fam, times),
         "discontinuity": expander.discontinuity_profiles(blocks, times),
         "wmap": expander.wmap_lower_bounds(
-            blocks, rng.standard_normal(blocks.union.n_points), times
+            blocks, rng.standard_normal(blocks.n_points), times
         ),
         "lipschitz": lipschitz_audit(h, k, times)[0],
         "ql": ql_value(a, 1.0, "exact"),

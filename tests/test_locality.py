@@ -8,18 +8,8 @@ from hypothesis import strategies as st
 from roelab import locality, space
 from roelab._linalg import spectral_norm, spectral_norms
 from roelab.errors import SizeGuardError
-from roelab.locality import (
-    eps_r_certificate,
-    equi_approx_profile,
-    ql_value,
-)
-from roelab.operator import (
-    OperatorMatrix,
-    diagonal,
-    identity,
-    truncate,
-)
-from roelab.translations import enumerate_r_translations, to_matrices
+from roelab.locality import ql_value
+from roelab.operator import OperatorMatrix, truncate
 
 
 def random_operator(s, seed):
@@ -105,59 +95,6 @@ def test_profile_nonincreasing():
     a = random_operator(s, 3)
     values = [ql_value(a, r, "exact") for r in s.distance_set()]
     assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
-
-
-def test_certificate_diagonal():
-    s = space.path_graph(5)
-    assert eps_r_certificate(diagonal(s, [1, 2, 3, 4, 5]), 0.1) == 0.0
-
-
-def test_certificate_single_offband_entry():
-    s = space.path_graph(5)
-    m = np.zeros((5, 5), dtype=complex)
-    m[0, 1] = m[1, 0] = 2.0  # band 1
-    m[0, 4] = 0.5  # far entry
-    a = OperatorMatrix(s, m)
-    assert eps_r_certificate(a, 0.6) == 1.0
-    assert eps_r_certificate(a, 0.4) == 4.0
-
-
-def test_certificate_large_eps():
-    s = space.path_graph(4)
-    a = random_operator(s, 8)
-    eps = spectral_norm(a.entries - truncate(a, 0).entries) + 0.01
-    assert eps_r_certificate(a, eps) == 0.0
-    for bad in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="eps"):
-            eps_r_certificate(a, bad)
-
-
-def test_equi_profile_projections_zero():
-    s = space.path_graph(4)
-    subsets = [[x if bits >> x & 1 else -1 for x in range(4)] for bits in range(16)]
-    family = [OperatorMatrix(s, p) for p in to_matrices(subsets)]
-    assert equi_approx_profile(family, 0.5) == 0.0
-
-
-def test_equi_profile_translations_bounded_by_displacement():
-    s = space.path_graph(5)
-    rows = list(enumerate_r_translations(s, 2))
-    family = [OperatorMatrix(s, v) for v in to_matrices(rows)]
-    assert equi_approx_profile(family, 0.5) <= 2.0
-
-
-def test_equi_profile_empty_family():
-    with pytest.raises(ValueError):
-        equi_approx_profile([], 0.5)
-
-
-def test_equi_profile_refuses_members_on_different_spaces():
-    p4, c4 = space.path_graph(4), space.cycle_graph(4)
-    family = [identity(p4), identity(c4)]
-    with pytest.raises(ValueError, match="different spaces"):
-        equi_approx_profile(family, 0.5)
-    # equal metrics are one space, whichever object carries them
-    assert equi_approx_profile([identity(p4), identity(space.path_graph(4))], 0.5) == 0.0
 
 
 def loop_ql(a, r, masks):

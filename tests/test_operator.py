@@ -9,13 +9,9 @@ from roelab.operator import (
     OperatorMatrix,
     diagonal,
     expectation,
-    higson_commutator_profile,
-    identity,
     load_matrix,
-    offdiag_sup,
     propagation,
     save_matrix,
-    schur_bound,
     truncate,
 )
 
@@ -106,7 +102,7 @@ def test_propagation_subadditive_on_products():
 
 def test_norm_identity():
     s = space.path_graph(3)
-    assert spectral_norm(identity(s).entries) == pytest.approx(1.0, abs=1e-12)
+    assert spectral_norm(np.eye(s.n_points)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_rank_one_projection():
@@ -133,70 +129,6 @@ def test_norm_matches_numpy_oracle(seed):
     assert spectral_norm(a.entries) == pytest.approx(
         np.linalg.norm(a.entries, 2), rel=1e-10
     )
-
-
-def test_schur_bound_diagonal_exact():
-    s = space.path_graph(4)
-    a = diagonal(s, [1.0, -3.0, 2.0, 0.5])
-    assert schur_bound(a, 0) == pytest.approx(3.0)
-    assert schur_bound(a, 0) == pytest.approx(spectral_norm(a.entries), abs=1e-12)
-
-
-def test_schur_bound_requires_band():
-    s = space.path_graph(4)
-    a = OperatorMatrix(s, np.ones((4, 4), dtype=complex))
-    with pytest.raises(ValueError, match="propagation"):
-        schur_bound(a, 1)
-    # no bound from a radius that is not one: ||diag(1, 2, 3, 4)|| = 4
-    d = diagonal(s, [1.0, 2.0, 3.0, 4.0])
-    for bad in (-1.0, np.nan):
-        with pytest.raises(ValueError):
-            schur_bound(d, bad)
-
-
-def test_schur_bound_dominates_norm_seeded():
-    s = space.path_graph(8)
-    for seed in range(100):
-        a = truncate(random_operator(s, seed), 2)
-        assert schur_bound(a, 2) >= spectral_norm(a.entries) - 1e-12
-
-
-def test_offdiag_sup():
-    s = space.path_graph(3)
-    assert offdiag_sup(diagonal(s, [1, 2, 3])) == 0.0
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 2] = 3j
-    assert offdiag_sup(OperatorMatrix(s, m)) == 3.0
-    one = space.from_edge_list([], 1)
-    assert offdiag_sup(OperatorMatrix(one, np.array([[5.0]]))) == 0.0
-
-
-def test_higson_constant_and_diagonal_commute():
-    s = space.path_graph(4)
-    a = random_operator(s, 4)
-    norm, _ = higson_commutator_profile(a, [2.0] * 4)
-    assert norm == pytest.approx(0.0, abs=1e-12)
-    d = diagonal(s, [1, 2, 3, 4])
-    norm, _ = higson_commutator_profile(d, [0, 1, 4, 9])
-    assert norm == 0.0
-
-
-def test_higson_exchange_explicit():
-    s = space.path_graph(2)
-    exchange = OperatorMatrix(s, np.array([[0, 1], [1, 0]], dtype=complex))
-    norm, _ = higson_commutator_profile(exchange, [0.0, 1.0])
-    # [a, M_f] = [[0, 1], [-1, 0]], a rotation, norm 1
-    assert norm == pytest.approx(1.0, abs=1e-12)
-
-
-def test_higson_entrywise_identity_random():
-    s = space.cycle_graph(7)
-    rng = np.random.default_rng(0)
-    for seed in range(10):
-        a = random_operator(s, seed)
-        f = rng.standard_normal(7)
-        _, residual = higson_commutator_profile(a, f)
-        assert residual <= 1e-12
 
 
 def test_matrix_io_roundtrip(tmp_path):
