@@ -1,11 +1,13 @@
-"""The package's one linear-algebra layer: Hermitian eigensolves, the
-spectral norm, and `check`, the one path of every numeric check, with every
-threshold in the table below.
+"""The package's one linear-algebra layer: the Hermitian eigensolve and its
+spectral calculus, the spectral norm, and `check`, the one path of every
+numeric check, with every threshold in the table below.
 
 LAPACK does not check its input: a NaN entry can come back as finite
-eigenvalues. The solvers and norms here therefore reject non-finite input with
+eigenvalues. The solver and norms here therefore reject non-finite input with
 numpy.linalg.LinAlgError, a ValueError.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,15 +64,45 @@ def require_unitary(m, what):
     check(res, UNITARY_TOL, lambda i: f"{name(i)} is not unitary", ValueError)
 
 
-def eigh(a):
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian array.
+@dataclass(frozen=True)
+class EigenSystem:
+    """h = V diag(lambda) V^H, and functions of h as V diag(f(lambda)) V^H."""
 
-    Only the lower triangle is read; symmetrize first if the input may
-    carry rounding noise above the diagonal.
-    """
-    a = np.asarray(a)
-    require_finite(a)
-    return np.linalg.eigh(a)
+    eigenvalues: np.ndarray  # ascending, real
+    vectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
+
+    def _many(self, f, times) -> np.ndarray:
+        """The (T, n, n) stack of V diag(f(t lambda)) V^H over times t; a
+        phase that overflows leaves a non-finite entry for the caller's checks."""
+        t = np.asarray(times, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = f(t[:, None] * self.eigenvalues[None, :])
+            return (self.vectors * phases[:, None, :]) @ self.vectors.conj().T
+
+    def exp_many(self, times) -> np.ndarray:
+        """The (T, n, n) stack of e^{ith} over times. Callers bound T by the
+        chunk rule."""
+        return self._many(lambda x: np.exp(1j * x), times)
+
+    def expm1_over_t_many(self, times) -> np.ndarray:
+        """The (T, n, n) stack of (e^{ith} - 1)/t over times, ih at t = 0, as
+        i lambda e^{ix/2} sin(x/2)/(x/2) with x = t lambda: no subtraction
+        cancels at a small t, and np.sinc is 1 where a subnormal t underflows."""
+        lam = self.eigenvalues
+        return self._many(
+            lambda x: 1j * lam * np.exp(0.5j * x) * np.sinc(x / (2 * np.pi)), times
+        )
+
+
+def hermitian_eig(a) -> EigenSystem:
+    """The package's one eigensolve, of an OperatorMatrix a that passes
+    require_hermitian, symmetrized as 0.5a + (0.5a)^H, which cannot overflow.
+    A sweep over many times solves once and evaluates the EigenSystem."""
+    require_hermitian(a.entries)
+    half = 0.5 * a.entries
+    m = half + half.conj().T
+    require_finite(m)
+    return EigenSystem(*np.linalg.eigh(m))
 
 
 # The chunk rule for every stack of matrices (enumerations and time grids):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, expander, flows, locality, rigidity, space, translations
-from ._linalg import check
+from ._linalg import check, hermitian_eig
 from .errors import ConfigError, NumericCheckError, SizeGuardError
 from .operator import (
     OperatorMatrix,
@@ -29,7 +29,6 @@ from .operator import (
     save_matrix,
     truncate,
 )
-from .spectral import hermitian_eig
 
 
 def _fmt(x):
@@ -175,6 +174,11 @@ def _build_space(cfg):
     raise ConfigError(f"unrecognized space source: {sorted(cfg)}")
 
 
+def _scaled(scale, values):
+    with np.errstate(over="ignore"):  # inf, refused by the finite check
+        return scale * values
+
+
 def _build_operator(cfg, sp, rng):
     if "file" in cfg:
         return load_matrix(_path(cfg, "file"), sp)
@@ -188,13 +192,13 @@ def _build_operator(cfg, sp, rng):
             raise ConfigError(
                 f"base_point must be a point index below {n}, got {base}"
             )
-        return diagonal(sp, scale * sp.dist[base])
+        return diagonal(sp, _scaled(scale, sp.dist[base]))
     if kind == "diagonal_random":
-        return diagonal(sp, scale * rng.standard_normal(n))
+        return diagonal(sp, _scaled(scale, rng.standard_normal(n)))
     if kind in ("random_hermitian", "random_hermitian_banded"):
         band = _get(gen, "band", "number", least=0) if kind.endswith("banded") else None
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        herm = OperatorMatrix(sp, scale * 0.5 * (m + m.conj().T))
+        herm = OperatorMatrix(sp, _scaled(scale * 0.5, m + m.conj().T))
         return herm if band is None else truncate(herm, band)
     raise ConfigError(f"unknown operator generator kind {kind!r}")
 

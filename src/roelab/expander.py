@@ -125,9 +125,11 @@ def _block_norms(fam: BlockFamily, times, piece) -> np.ndarray:
         # the chunk rule bounds the m blocks of one time as one (m s) x s slab
         for sl in chunks(len(mags), len(ns) * size, size):
             t = mags[sl]
-            phases = np.exp(1j * t[:, None] * fam.weights[ns]) - 1.0
-            u = np.eye(size) + (phases / size)[:, :, None, None]
-            norms = spectral_norms(piece(ns, t, u).reshape(-1, size, size))
+            # an overflow leaves a non-finite entry, refused by spectral_norms
+            with np.errstate(over="ignore", invalid="ignore"):
+                phases = np.exp(1j * t[:, None] * fam.weights[ns]) - 1.0
+                u = np.eye(size) + (phases / size)[:, :, None, None]
+                norms = spectral_norms(piece(ns, t, u).reshape(-1, size, size))
             out[sl, ns] = norms.reshape(len(t), len(ns))
     return out[back]
 

@@ -3,9 +3,8 @@ moves points from where they started."""
 
 import numpy as np
 
-from ._linalg import chunks, require_unitary
+from ._linalg import chunks, hermitian_eig, require_unitary
 from .operator import OperatorMatrix
-from .spectral import hermitian_eig
 
 
 def probes(space, stack):

@@ -20,13 +20,13 @@ from roelab.flows import (
     cocycle_from_eigensystems,
     cocycle_residuals,
     corrupt_at,
+    generator_check,
     lipschitz_audit,
 )
 from roelab.locality import ql_value
 from roelab.operator import OperatorMatrix, diagonal, expectation, truncate
-from roelab._linalg import spectral_norm
+from roelab._linalg import hermitian_eig, spectral_norm
 from roelab.rigidity import probes
-from roelab.spectral import generator_check, hermitian_eig
 from roelab.translations import (
     coarseness_modulus,
     displacements,

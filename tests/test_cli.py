@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from test_expander import generator
 
 import roelab
-from roelab import expander, operator, space, spectral
+from roelab import _linalg, expander, operator, space
 from roelab.cli import _RUNNERS, main
 
 
@@ -689,6 +689,60 @@ def test_overflowing_diagonal_gap_is_numeric_error_without_a_warning(tmp_path, m
     assert "RuntimeWarning" not in out.stderr
 
 
+def _scaled_generator(kind, **extra):
+    """ql-profile on path_graph(6) with a generator whose scale overflows."""
+    gen = {"kind": kind, "scale": 1.7e308, **extra}
+    return "ql-profile", {"space": {"path_graph": 6}, "operator": {"generator": gen}}
+
+
+def _p3(**sections):
+    return {"space": {"path_graph": 3}, **sections}
+
+
+# "big" is the file h.txt: a finite Hermitian h on path_graph(3) whose
+# entries, 1e308, overflow h + h^H; on _HUGE_GRID the phases t lambda overflow
+_BIG, _RH = {"file": "big"}, {"generator": {"kind": "random_hermitian"}}
+_HUGE_GRID = {"start": 0.0, "stop": 1.6e308, "step": 8e307}
+_FLOAT_LIMIT_CASES = {
+    "scale-distance": (*_scaled_generator("diagonal_from_distance"), 4),
+    "scale-diagonal-random": (*_scaled_generator("diagonal_random"), 0),
+    "scale-random": (*_scaled_generator("random_hermitian"), 4),
+    "scale-banded": (*_scaled_generator("random_hermitian_banded", band=1), 4),
+    "big-flow": ("flow-profile", _p3(h=_BIG, a=_BIG, time_grid=_GRID), 4),
+    "big-rigidity": ("rigidity-probe", _p3(h=_BIG, time_grid=_GRID), 0),
+    "big-cocycle": ("cocycle-verify", _p3(h=_BIG, k=_BIG, time_grid=_GRID), 0),
+    "big-diagonalize": ("diagonalize", _p3(h=_BIG, r=1), 0),
+    "big-coarse": ("coarse-check", _p3(operator=_BIG, radii=[1]), 0),
+    "big-ql": ("ql-profile", _p3(operator=_BIG, radii=[1]), 0),
+    "phase-flow": ("flow-profile", _p3(h=_RH, a=_RH, time_grid=_HUGE_GRID), 4),
+    "phase-rigidity": ("rigidity-probe", _p3(h=_RH, time_grid=_HUGE_GRID), 4),
+    "phase-cocycle": ("cocycle-verify", _p3(h=_RH, k=_RH, time_grid=_HUGE_GRID), 4),
+    "phase-expander": (
+        "expander-preflow", {**_VALID["expander-preflow"], "time_grid": _HUGE_GRID}, 4
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FLOAT_LIMIT_CASES))
+def test_float_limit_is_numeric_error_or_runs_without_a_warning(tmp_path, case):
+    # a fresh process, so that a RuntimeWarning reaches stderr as a line
+    sub, cfg, code = _FLOAT_LIMIT_CASES[case]
+    (tmp_path / "h.txt").write_text("n 3\n0 1 1e308 0.0\n1 0 1e308 0.0\n")
+    big = {"file": str(tmp_path / "h.txt")}
+    cfg = {key: big if value is _BIG else value for key, value in cfg.items()}
+    src = str(Path(roelab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "roelab.cli", sub,
+         "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert "RuntimeWarning" not in out.stderr
+    assert out.returncode == code, out.stderr
+    assert ("error: numeric:" in out.stderr) == (code == 4)
+
+
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
 def test_non_hermitian_file_operator_is_numeric_error(tmp_path, capsys, mode):
     sp = space.path_graph(3)
@@ -727,8 +781,8 @@ def test_taken_output_path_is_config_error(tmp_path):
 
 def test_cocycle_verify_builds_one_family_with_two_solves(tmp_path, monkeypatch):
     solves = []
-    eigh = spectral.eigh
-    monkeypatch.setattr(spectral, "eigh", lambda a: solves.append(a) or eigh(a))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a) or eigh(a))
     cfg = {
         "space": {"path_graph": 12},
         "h": {"generator": {"kind": "random_hermitian"}},
@@ -746,7 +800,7 @@ def _cocycle_verify_counts(tmp_path, monkeypatch, step):
     run on the grid 0, step, ..., 1."""
     counts = {"operators": 0, "exp_many": 0}
     post_init = operator.OperatorMatrix.__post_init__
-    exp_many = spectral.EigenSystem.exp_many
+    exp_many = _linalg.EigenSystem.exp_many
 
     def counted_post_init(self):
         counts["operators"] += 1
@@ -757,7 +811,7 @@ def _cocycle_verify_counts(tmp_path, monkeypatch, step):
         return exp_many(self, times)
 
     monkeypatch.setattr(operator.OperatorMatrix, "__post_init__", counted_post_init)
-    monkeypatch.setattr(spectral.EigenSystem, "exp_many", counted_exp_many)
+    monkeypatch.setattr(_linalg.EigenSystem, "exp_many", counted_exp_many)
     cfg = {
         "space": {"path_graph": 12},
         "h": {"generator": {"kind": "random_hermitian"}},

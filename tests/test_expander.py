@@ -17,9 +17,8 @@ from roelab.expander import (
     split_factor,
     wmap_lower_bounds,
 )
-from roelab._linalg import spectral_norm, spectral_norms
+from roelab._linalg import hermitian_eig, spectral_norm, spectral_norms
 from roelab.operator import OperatorMatrix, diagonal
-from roelab.spectral import hermitian_eig
 
 
 def family_of_paths(sizes, weights):

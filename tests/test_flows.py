@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from test_locality import HERMITIAN_KINDS, drawn_operator, small_spaces
 
 from roelab import space
-from roelab._linalg import spectral_norm, spectral_norms
+from roelab._linalg import hermitian_eig, spectral_norm, spectral_norms
 from roelab.flows import (
     CocycleFamily,
     cocycle_from_eigensystems,
@@ -16,7 +16,6 @@ from roelab.flows import (
     lipschitz_audit,
 )
 from roelab.operator import OperatorMatrix, diagonal
-from roelab.spectral import hermitian_eig
 from roelab.translations import to_matrices
 
 
@@ -176,11 +175,17 @@ def lipschitz_cases(draw):
 # cancels, and the ratio exceeded ||h - k|| (or 1e-9 for h = k)
 _CLOSE = [0.3, 0.3 + 1e-10]
 _H0, _H3 = (drawn_operator(space.path_graph(5), "full", seed) for seed in (0, 3))
+# a subnormal |t - s| once raised: the phases d lambda underflowed, and the
+# one ratio read 1.0, against ||h - k|| = 0.43
+_SUBNORMAL = tuple(
+    OperatorMatrix(space.path_graph(1), [[x]]) for x in (0.12573022, 0.55326059)
+) + ([0.0, 5e-324],)
 
 
 @given(lipschitz_cases())
 @example(case=(_H0, _H0, _CLOSE))
 @example(case=(_H0, _H3, _CLOSE))
+@example(case=_SUBNORMAL)
 @settings(max_examples=60, deadline=None)
 def test_drawn_lipschitz_ratio_is_at_most_the_generator_distance(case):
     h, k, times = case

@@ -1,8 +1,8 @@
 """Source hygiene of src/roelab and tests/: no unused import, every numeric
 identity through _linalg.check, no top-level def, class or constant in
 src/roelab that nothing names, no public function in src/roelab that only
-unit tests call, no operator arithmetic on library classes, and no read of
-the environment in src/roelab."""
+unit tests call, no operator arithmetic on library classes, no read of the
+environment in src/roelab, and no linear algebra outside _linalg."""
 
 import ast
 from pathlib import Path
@@ -63,13 +63,15 @@ def unchecked_identities(root):
 
 
 def references(path, tree):
-    """The dotted names a file refers to: what it imports from a module, and
-    each alias.attr chain with the alias resolved to what it is bound to."""
+    """The dotted names a file refers to: each module it imports, what it
+    imports from a module, and each alias.attr chain with the alias resolved
+    to what it is bound to."""
     package = list(path.parent.parts[1:])  # src/roelab/m.py is in roelab
     aliases, refs = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
+                refs.add(a.name)
                 head = a.asname or a.name.split(".")[0]
                 aliases[head] = a.name if a.asname else head
         elif isinstance(node, ast.ImportFrom):
@@ -206,6 +208,27 @@ def environment_reads(root):
     return bad
 
 
+# what a module other than _linalg may name of numpy.linalg: the Frobenius
+# norm of a residual, and the error the layer raises
+LINALG_ELSEWHERE = {"numpy.linalg.norm", "numpy.linalg.LinAlgError"}
+
+
+def linear_algebra_outside_linalg(root):
+    """_linalg is the one linear-algebra layer: no other module of src/roelab
+    names numpy.linalg beyond LINALG_ELSEWHERE, under any alias, and no
+    module names scipy."""
+    bad = []
+    for path, tree in parsed(root, "src/roelab/*.py").items():
+        for name in sorted(references(path, tree)):
+            if name.split(".")[0] == "scipy" or (
+                name.startswith("numpy.linalg.")
+                and name not in LINALG_ELSEWHERE
+                and path.name != "_linalg.py"
+            ):
+                bad.append(f"{path}: refers to {name}")
+    return bad
+
+
 def test_no_unused_imports():
     assert unused_imports(ROOT) == []
 
@@ -228,6 +251,33 @@ def test_no_arithmetic_dunders():
 
 def test_no_environment_reads():
     assert environment_reads(ROOT) == []
+
+
+def test_no_linear_algebra_outside_linalg():
+    assert linear_algebra_outside_linalg(ROOT) == []
+
+
+def test_linear_algebra_rule_resolves_aliases(tmp_path):
+    sources = {
+        "src/roelab/_linalg.py": (
+            "import numpy as np\nfrom scipy.linalg import expm\n\n\n"
+            "def solve(m):\n    return np.linalg.eigh(m), expm(m)\n"
+        ),
+        "src/roelab/flows.py": (
+            "import numpy as np\nfrom numpy import linalg as la\n\n\n"
+            "def top(m):\n    return la.eigvalsh(m)[-1] + np.linalg.norm(m)\n"
+        ),
+        "src/roelab/space.py": "import scipy.sparse\n",
+    }
+    for name, text in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # _linalg may solve, but scipy is named nowhere; norm is allowed anywhere
+    assert linear_algebra_outside_linalg(tmp_path) == [
+        "src/roelab/_linalg.py: refers to scipy.linalg.expm",
+        "src/roelab/flows.py: refers to numpy.linalg.eigvalsh",
+        "src/roelab/space.py: refers to scipy.sparse",
+    ]
 
 
 def test_environment_rule_resolves_aliases(tmp_path):

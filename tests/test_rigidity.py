@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from roelab import space
+from roelab._linalg import hermitian_eig
 from roelab.operator import OperatorMatrix, diagonal
 from roelab.rigidity import flow_displacement_sweep, probes
-from roelab.spectral import hermitian_eig
 from roelab.translations import to_matrices
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from roelab import space
-from roelab._linalg import spectral_norm
+from roelab._linalg import hermitian_eig, spectral_norm
+from roelab.flows import generator_check
 from roelab.operator import OperatorMatrix, diagonal, propagation
-from roelab.spectral import generator_check, hermitian_eig
 
 
 def random_hermitian(s, seed, scale=1.0):
@@ -98,6 +98,29 @@ def test_exp_eigenvalues_on_unit_circle():
     s = space.path_graph(5)
     [u] = hermitian_eig(random_hermitian(s, 4)).exp_many([1.3])
     assert np.allclose(np.abs(np.linalg.eigvals(u)), 1.0, atol=1e-10)
+
+
+def test_expm1_over_t_many_is_exp_many_minus_one_over_t():
+    s = space.path_graph(5)
+    es = hermitian_eig(random_hermitian(s, 6))
+    times = np.array([-3.0, -0.5, 1e-6, 0.5, 3.0])
+    moved = times[:, None, None] * es.expm1_over_t_many(times) + np.eye(5)
+    assert np.linalg.norm(moved - es.exp_many(times), 2, axis=(1, 2)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("t", [1e-12, -1e-12, 1e-300, 5e-324, 0.0])
+def test_expm1_over_t_many_is_accurate_at_small_and_subnormal_t(t):
+    # (e^{ith} - 1)/t = ih + O(t ||h||^2), and ih at t = 0
+    s = space.path_graph(5)
+    h = random_hermitian(s, 6)
+    norm_h = spectral_norm(h.entries)
+    [q] = hermitian_eig(h).expm1_over_t_many([t])
+    bound = abs(t) * norm_h**2 + 1e-14 * norm_h
+    assert spectral_norm(q - 1j * h.entries) <= bound
+    if abs(t) == 1e-12:
+        # the same quotient from exp_many cancels
+        [u] = hermitian_eig(h).exp_many([t])
+        assert spectral_norm((u - np.eye(5)) / t - 1j * h.entries) > 1e3 * bound
 
 
 def test_generator_check_zero():
