@@ -7,6 +7,7 @@ eigenvalues. The solver and norms here therefore reject non-finite input with
 numpy.linalg.LinAlgError, a ValueError.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,20 @@ def require_hermitian(m):
     Never looser than checking the residual in the spectral or the Frobenius
     norm against 1e-10 (1 + ||m||_2) or 1e-10 (1 + ||m||_F), because
     ||.||_2 <= ||.||_F and max|m_xy| <= ||m||_2 <= ||m||_F.
+
+    As in spectral_norms, m is scaled by 2^-e, with 2^(e-1) <= max|m_xy|
+    < 2^e, before the norm squares it, and the residual is scaled back: it
+    is inf only if it exceeds the largest float.
     """
-    res = np.linalg.norm(m - m.conj().T)
-    bound = HERMITIAN_TOL * (1.0 + float(np.abs(m).max(initial=0.0)))
-    check(res, bound, "input is not Hermitian", ValueError)
+    big = float(np.abs(m).max(initial=0.0))
+    e = math.frexp(big)[1]
+    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    scaled = np.ldexp(parts, -e).view(np.complex128)
+    try:
+        res = math.ldexp(float(np.linalg.norm(scaled - scaled.conj().T)), e)
+    except OverflowError:
+        res = math.inf
+    check(res, HERMITIAN_TOL * (1.0 + big), "input is not Hermitian", ValueError)
 
 
 def require_unitary(m, what):

@@ -379,18 +379,19 @@ def _run_expander_preflow(cfg, rng):
             # the diagonal of h = sum_n w(n) p_n: w(n) / |X_n| on block n
             sizes = [b.n_points for b in fam.blocks]
             k = np.repeat(fam.weights / sizes, sizes)
-        rows = zip(times, *expander.discontinuity_profiles(fam, times))
-        wmap_rows = zip(times, *expander.wmap_lower_bounds(fam, k, times))
+        measured, closed_form, block, lhs = expander.preflow_profiles(fam, k, times)
         _write_csv(
             out, "expander-preflow", cfg_hash,
             "t:seconds measured:operator-norm closed_form:operator-norm",
-            ("t", "measured", "closed_form", "block_of_max"), rows,
+            ("t", "measured", "closed_form", "block_of_max"),
+            zip(times, measured, closed_form, block),
         )
+        # the w-map's corner bound rhs is the closed form
         wmap_path = Path(out).with_name(Path(out).stem + "-wmap.csv")
         _write_csv(
             wmap_path, "expander-preflow", cfg_hash,
             "t:seconds lhs:operator-norm rhs:operator-norm",
-            ("t", "lhs", "rhs"), wmap_rows,
+            ("t", "lhs", "rhs"), zip(times, lhs, closed_form),
         )
 
     return compute

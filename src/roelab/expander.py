@@ -61,25 +61,10 @@ def block_family(blocks: Sequence[FiniteSpace], weights) -> BlockFamily:
     return BlockFamily(blocks, w, offsets)
 
 
-def _block_sum(fam: BlockFamily, terms) -> np.ndarray:
-    """sum c p_n over the (n, c) pairs of terms: c / |X_n| on block n's square."""
-    m = np.zeros((fam.n_points,) * 2, dtype=np.complex128)
-    for n, c in terms:
-        size = fam.block_size(n)  # before offsets[n]: refuses n outside [0, n_blocks)
-        block = slice(fam.offsets[n], fam.offsets[n] + size)
-        m[block, block] = c / size
-    return m
-
-
 def _split_mask(size: int) -> np.ndarray:
     """The diagonal of p_{A_n} on a block of ``size`` points: the half split
     A_n of a block is its first ceil(size / 2) points."""
     return (np.arange(size) < (size + 1) // 2).astype(np.float64)
-
-
-def _split_diagonal(fam: BlockFamily) -> np.ndarray:
-    """The diagonal of p_A, A the union of the per-block half splits."""
-    return np.concatenate([_split_mask(b.n_points) for b in fam.blocks])
 
 
 def split_factor(fam: BlockFamily, n: int) -> float:
@@ -91,9 +76,11 @@ def split_factor(fam: BlockFamily, n: int) -> float:
 
 def halfsplit_commutator_norm(fam: BlockFamily, n: int) -> float:
     """||p_n p_{A_n} - p_{A_n} p_n||, which evaluates to
-    sqrt(|A_n| |X_n \\ A_n|) / |X_n|."""
-    p_n = _block_sum(fam, [(n, 1.0)])
-    p_a = np.diag(_split_diagonal(fam))
+    sqrt(|A_n| |X_n \\ A_n|) / |X_n|. Both live on block n's square, and the
+    commutator is normed there."""
+    size = fam.block_size(n)
+    p_n = np.full((size, size), 1.0 / size)
+    p_a = np.diag(_split_mask(size))
     return spectral_norm(p_n @ p_a - p_a @ p_n)
 
 
@@ -104,84 +91,72 @@ def _closed_forms(fam: BlockFamily, times) -> np.ndarray:
     return factors * np.abs(phases - 1.0)
 
 
-def _block_norms(fam: BlockFamily, times, piece) -> np.ndarray:
-    """(T, n_blocks) array of the norms of piece(ns, t, u) per block n and
-    time. ns lists the blocks of one size s, and u is the (T, m, s, s) stack
-    of their blocks of the pre-flow over a chunk t of the times.
+def _block_norms(fam: BlockFamily, k, times):
+    """Two (T, n_blocks) arrays: per time t and block n, the norms on block n
+    of u p_{A_n} u* - p_{A_n} and of u e^{-itk} - 1, with u block n of the
+    pre-flow e^{ith} and k diagonal.
 
     The pre-flow e^{ith} = 1 + sum_n (e^{itw(n)} - 1) p_n is block diagonal,
-    since each p_n lives on block n's square. For a block-diagonal piece, the
-    norm of the whole operator is the max over blocks: the norm of a direct
-    sum.
+    since each p_n lives on block n's square, and so are both pieces. The
+    norm of a block-diagonal operator is the max over its blocks: the norm
+    of a direct sum. Each block u is formed once, and each piece is formed
+    and normed before the next.
 
-    Every piece is built from the real h, p_A and k, so the piece at -t is
+    Both pieces are built from the real h, p_A and k, so a piece at -t is
     the entrywise conjugate of the piece at t and has the same norm: the
     norms are taken once per distinct |t| and indexed back.
     """
     mags, back = np.unique(np.abs(times), return_inverse=True)
-    out = np.zeros((len(mags), fam.n_blocks))
+    moved, w_minus_one = np.zeros((2, len(mags), fam.n_blocks))
     for size in sorted({fam.block_size(n) for n in range(fam.n_blocks)}):
         ns = [n for n in range(fam.n_blocks) if fam.block_size(n) == size]
+        # every block of one size has the same p_{A_n} diagonal
+        mask = _split_mask(size)
+        k_ns = k[np.array(fam.offsets)[ns][:, None] + np.arange(size)]
         # the chunk rule bounds the m blocks of one time as one (m s) x s slab
         for sl in chunks(len(mags), len(ns) * size, size):
             t = mags[sl]
             # an overflow leaves a non-finite entry, refused by spectral_norms
             with np.errstate(over="ignore", invalid="ignore"):
                 phases = np.exp(1j * t[:, None] * fam.weights[ns]) - 1.0
-                u = np.eye(size) + (phases / size)[:, :, None, None]
-                norms = spectral_norms(piece(ns, t, u).reshape(-1, size, size))
-            out[sl, ns] = norms.reshape(len(t), len(ns))
-    return out[back]
+                # the blocks as one (T m, s, s) stack, time-major
+                u = np.eye(size) + (phases / size).reshape(-1, 1, 1)
+                norms = spectral_norms(
+                    (u * mask) @ u.conj().swapaxes(-1, -2) - np.diag(mask)
+                )
+                moved[sl, ns] = norms.reshape(len(t), -1)
+                phase_k = np.exp(-1j * t[:, None, None] * k_ns).reshape(-1, 1, size)
+                norms = spectral_norms(u * phase_k - np.eye(size))
+                w_minus_one[sl, ns] = norms.reshape(len(t), -1)
+    return moved[back], w_minus_one[back]
 
 
-def _block_rows(fam: BlockFamily, v, ns) -> np.ndarray:
-    """The (m, s) array of v restricted to each block in ns, all of size s."""
-    return v[np.array(fam.offsets)[ns][:, None] + np.arange(fam.block_size(ns[0]))]
+def preflow_profiles(fam: BlockFamily, k, times):
+    """Per grid time t, four arrays: measured = ||sigma_{h,t}(p_A) - p_A||,
+    its closed form max_n split_factor(n) * |e^{itw(n)} - 1|, the block
+    attaining it, and lhs = ||e^{ith} e^{-itk} - id|| for diagonal k. The
+    closed form is also the w-map's corner bound on lhs.
 
-
-def discontinuity_profiles(fam: BlockFamily, times):
-    """Per grid time t, ||sigma_{h,t}(p_A) - p_A||, its closed form
-    max_n split_factor(n) * |e^{itw(n)} - 1| and the block attaining it, as
-    three arrays.
-
-    p_A is diagonal, so sigma_{h,t}(p_A) - p_A is block diagonal, and the
-    identity is checked block by block: the norm on block n must equal
-    split_factor(n) * |e^{itw(n)} - 1| within DISCONTINUITY_TOL.
+    p_A and e^{-itk} are diagonal, so both operators are block diagonal, and
+    both identities are checked from one pass over the blocks: the norm on
+    block n must equal split_factor(n) * |e^{itw(n)} - 1| within
+    DISCONTINUITY_TOL, and lhs may fall below the corner bound by WMAP_TOL
+    at most.
     """
-    times = np.asarray(times, dtype=np.float64)
-
-    def moved(ns, t, u):
-        # every block of one size has the same p_{A_n} diagonal
-        mask = _split_mask(u.shape[-1])
-        return (u * mask) @ u.conj().swapaxes(-1, -2) - np.diag(mask)
-
-    measured = _block_norms(fam, times, moved)
-    closed = _closed_forms(fam, times)
-    m = measured.shape[1]
-    check(
-        np.abs(measured - closed), DISCONTINUITY_TOL,
-        lambda i: f"discontinuity identity at t={times[i // m]} on block {i % m}",
-    )
-    return measured.max(axis=1), closed.max(axis=1), np.argmax(closed, axis=1)
-
-
-def wmap_lower_bounds(fam: BlockFamily, k, times):
-    """Per grid time t, lhs = ||e^{ith} e^{-itk} - id|| for diagonal k and
-    the corner bound rhs = max_n split_factor(n) * |e^{itw(n)} - 1|, as two
-    arrays. e^{-itk} is diagonal, so lhs is a max over blocks."""
     k = np.asarray(k, dtype=np.float64)
     if k.shape != (fam.n_points,):
         raise ValueError("k must be a real function on the union")
     times = np.asarray(times, dtype=np.float64)
-
-    def w_minus_one(ns, t, u):
-        k_ns = _block_rows(fam, k, ns)[:, None, :]
-        return u * np.exp(-1j * t[:, None, None, None] * k_ns) - np.eye(u.shape[-1])
-
-    lhs = _block_norms(fam, times, w_minus_one).max(axis=1)
-    rhs = _closed_forms(fam, times).max(axis=1)
-    check(rhs - lhs, WMAP_TOL, lambda i: f"w-map lower bound at t={times[i]}")
-    return lhs, rhs
+    moved, w_minus_one = _block_norms(fam, k, times)
+    closed = _closed_forms(fam, times)
+    m = fam.n_blocks
+    check(
+        np.abs(moved - closed), DISCONTINUITY_TOL,
+        lambda i: f"discontinuity identity at t={times[i // m]} on block {i % m}",
+    )
+    closed_form, lhs = closed.max(axis=1), w_minus_one.max(axis=1)
+    check(closed_form - lhs, WMAP_TOL, lambda i: f"w-map lower bound at t={times[i]}")
+    return moved.max(axis=1), closed_form, np.argmax(closed, axis=1), lhs
 
 
 def _random_regular_graph(size: int, degree: int, rng) -> FiniteSpace:

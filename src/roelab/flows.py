@@ -57,7 +57,8 @@ def flow_profile(h: OperatorMatrix, a: OperatorMatrix, times):
         gaps = es.eigenvalues[:, None] - es.eigenvalues[None, :]
         for sl in chunks(len(times), h.n, h.n):
             t = times[sl, None, None]
-            moved = np.exp(1j * t * gaps) - 1.0
+            # expm1, not exp - 1, which cancels at a small t
+            moved = np.expm1(1j * t * gaps)
             modulus[sl] = spectral_norms(moved * a_eig)
             quotient = moved / np.where(t != 0.0, t, 1.0) - 1j * gaps
             residual[sl] = spectral_norms(quotient * a_eig)

@@ -13,8 +13,8 @@ from roelab.averaging import brute_average, conjugate_by_sign, extract_finite_pr
 from roelab.cli import main as cli_main
 from roelab.expander import (
     block_family,
-    discontinuity_profiles,
     halfsplit_commutator_norm,
+    preflow_profiles,
 )
 from roelab.flows import (
     cocycle_from_eigensystems,
@@ -70,8 +70,8 @@ def test_criterion_02_discontinuity_identity(capsys):
         fam = block_family(
             [space.path_graph(k) for k in (4, 4, 6, 8)], "quadratic"
         )
-        measured, closed_form, _ = discontinuity_profiles(
-            fam, np.linspace(-2.0, 2.0, 129)
+        measured, closed_form, _, _ = preflow_profiles(
+            fam, np.zeros(fam.n_points), np.linspace(-2.0, 2.0, 129)
         )
         assert np.abs(measured - closed_form).max() <= 1e-9
 
@@ -82,7 +82,9 @@ def test_criterion_03_non_flow_shadow(capsys):
     def body():
         fam = block_family([space.path_graph(4)] * 8, "quadratic")
         delta = 0.05
-        measured, _, _ = discontinuity_profiles(fam, np.linspace(-delta, delta, 101))
+        measured, _, _, _ = preflow_profiles(
+            fam, np.zeros(fam.n_points), np.linspace(-delta, delta, 101)
+        )
         assert measured.max() >= 0.99
 
     _run(capsys, 3, "pre-flow jumps by >= 0.99 within |t| <= 0.05", 30.0, body)

@@ -213,10 +213,26 @@ def test_expander_preflow_outputs(tmp_path):
     fam = expander.make_regular_family(2, 3, [6, 8], 4)
     k = np.real(np.diag(generator(fam).entries))
     times = np.array([float(row[0]) for row in wrows])
-    lhs, rhs = expander.wmap_lower_bounds(fam, k, times)
+    _, rhs, _, lhs = expander.preflow_profiles(fam, k, times)
     assert [row[1:] for row in wrows] == [
         [format(a, ".17g"), format(b, ".17g")] for a, b in zip(lhs, rhs)
     ]
+
+
+@pytest.mark.parametrize("k", ["zero", "diagonal_of_h"])
+def test_expander_preflow_forms_the_blocks_in_one_pass(tmp_path, monkeypatch, k):
+    # both CSVs come from one pass over the blocks of e^{ith}
+    passes = []
+    block_norms = expander._block_norms
+
+    def counting(*args):
+        passes.append(args)
+        return block_norms(*args)
+
+    monkeypatch.setattr(expander, "_block_norms", counting)
+    assert run(tmp_path, "expander-preflow", {**_VALID["expander-preflow"], "k": k}) == 0
+    assert len(passes) == 1
+    assert (tmp_path / "expander-preflow-wmap.csv").exists()
 
 
 @pytest.mark.parametrize("k", ["zero", "diagonal_of_h"])
@@ -699,9 +715,17 @@ def _p3(**sections):
     return {"space": {"path_graph": 3}, **sections}
 
 
-# "big" is the file h.txt: a finite Hermitian h on path_graph(3) whose
+# "big" is a matrix file holding a finite Hermitian h on path_graph(3) whose
 # entries, 1e308, overflow h + h^H; on _HUGE_GRID the phases t lambda overflow
 _BIG, _RH = {"file": "big"}, {"generator": {"kind": "random_hermitian"}}
+# matrix files on path_graph(3) whose ||m - m^H||_F once overflowed: "skew"
+# is not Hermitian (residual 1.4e200 against the bound 1e190), and
+# "near-hermitian" is, within its bound (residual 1.4e160 against 1e290)
+_FILES = {
+    "big": "n 3\n0 1 1e308 0.0\n1 0 1e308 0.0\n",
+    "skew": "n 3\n0 1 1e200 0.0\n",
+    "near-hermitian": "n 3\n0 0 1e300 0.0\n1 2 1e160 0.0\n",
+}
 _HUGE_GRID = {"start": 0.0, "stop": 1.6e308, "step": 8e307}
 _FLOAT_LIMIT_CASES = {
     "scale-distance": (*_scaled_generator("diagonal_from_distance"), 4),
@@ -714,6 +738,10 @@ _FLOAT_LIMIT_CASES = {
     "big-diagonalize": ("diagonalize", _p3(h=_BIG, r=1), 0),
     "big-coarse": ("coarse-check", _p3(operator=_BIG, radii=[1]), 0),
     "big-ql": ("ql-profile", _p3(operator=_BIG, radii=[1]), 0),
+    "skew-coarse": ("coarse-check", _p3(operator={"file": "skew"}, radii=[1]), 4),
+    "near-hermitian-coarse": (
+        "coarse-check", _p3(operator={"file": "near-hermitian"}, radii=[1]), 0
+    ),
     "phase-flow": ("flow-profile", _p3(h=_RH, a=_RH, time_grid=_HUGE_GRID), 4),
     "phase-rigidity": ("rigidity-probe", _p3(h=_RH, time_grid=_HUGE_GRID), 4),
     "phase-cocycle": ("cocycle-verify", _p3(h=_RH, k=_RH, time_grid=_HUGE_GRID), 4),
@@ -727,9 +755,14 @@ _FLOAT_LIMIT_CASES = {
 def test_float_limit_is_numeric_error_or_runs_without_a_warning(tmp_path, case):
     # a fresh process, so that a RuntimeWarning reaches stderr as a line
     sub, cfg, code = _FLOAT_LIMIT_CASES[case]
-    (tmp_path / "h.txt").write_text("n 3\n0 1 1e308 0.0\n1 0 1e308 0.0\n")
-    big = {"file": str(tmp_path / "h.txt")}
-    cfg = {key: big if value is _BIG else value for key, value in cfg.items()}
+    for name, text in _FILES.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    # a section {"file": name} reads the file written for name
+    cfg = {
+        key: {"file": str(tmp_path / f"{value['file']}.txt")}
+        if isinstance(value, dict) and "file" in value else value
+        for key, value in cfg.items()
+    }
     src = str(Path(roelab.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-m", "roelab.cli", sub,

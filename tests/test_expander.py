@@ -11,11 +11,10 @@ from roelab.errors import NumericCheckError, SizeGuardError
 from roelab.expander import (
     WEIGHT_PRESETS,
     block_family,
-    discontinuity_profiles,
     halfsplit_commutator_norm,
     make_regular_family,
+    preflow_profiles,
     split_factor,
-    wmap_lower_bounds,
 )
 from roelab._linalg import hermitian_eig, spectral_norm, spectral_norms
 from roelab.operator import OperatorMatrix, diagonal
@@ -30,28 +29,54 @@ def family_of_paths(sizes, weights):
 # every norm block by block.
 
 
+def _block_sum(fam, terms):
+    """sum c p_n over the (n, c) pairs of terms: c / |X_n| on block n's square."""
+    m = np.zeros((fam.n_points,) * 2, dtype=np.complex128)
+    for n, c in terms:
+        size = fam.block_size(n)  # before offsets[n]: refuses n outside [0, n_blocks)
+        block = slice(fam.offsets[n], fam.offsets[n] + size)
+        m[block, block] = c / size
+    return m
+
+
+def _split_diagonal(fam):
+    """The diagonal of p_A, A the union of the per-block half splits."""
+    return np.concatenate([expander._split_mask(b.n_points) for b in fam.blocks])
+
+
 def averaging_projection(fam, n):
     """p_n: entries 1/|X_n| on block n, zero elsewhere. Rank one, trace one."""
     union = space.coarse_union(fam.blocks)
-    return OperatorMatrix(union, expander._block_sum(fam, [(n, 1.0)]))
+    return OperatorMatrix(union, _block_sum(fam, [(n, 1.0)]))
 
 
 def generator(fam):
     """h = sum_n w(n) p_n."""
     union = space.coarse_union(fam.blocks)
-    return OperatorMatrix(union, expander._block_sum(fam, enumerate(fam.weights)))
+    return OperatorMatrix(union, _block_sum(fam, enumerate(fam.weights)))
 
 
 def split_projection(fam):
     """p_A for A = union of the per-block half splits (a diagonal projection)."""
-    return diagonal(space.coarse_union(fam.blocks), expander._split_diagonal(fam))
+    return diagonal(space.coarse_union(fam.blocks), _split_diagonal(fam))
 
 
 def preflow_unitary(fam, t):
     """e^{ith} assembled directly as id + sum_n (e^{itw(n)} - 1) p_n."""
     phases = np.exp(1j * t * fam.weights) - 1.0
-    terms = expander._block_sum(fam, enumerate(phases))
+    terms = _block_sum(fam, enumerate(phases))
     return OperatorMatrix(space.coarse_union(fam.blocks), np.eye(fam.n_points) + terms)
+
+
+def discontinuity(fam, times):
+    """measured, closed_form and block_of_max of preflow_profiles, with k = 0."""
+    return preflow_profiles(fam, np.zeros(fam.n_points), times)[:3]
+
+
+def wmap(fam, k, times):
+    """lhs and rhs of the w-map bound: rhs is preflow_profiles' closed form."""
+    _, closed_form, _, lhs = preflow_profiles(fam, k, times)
+    return lhs, closed_form
 
 
 def test_projection_single_point_block():
@@ -153,7 +178,7 @@ def test_halfsplit_commutator_matches_split_factor(blocks):
 
 def test_discontinuity_zero_at_zero():
     fam = family_of_paths([4, 4], [1.0, 4.0])
-    [measured], [closed_form], _ = discontinuity_profiles(fam, [0.0])
+    [measured], [closed_form], _ = discontinuity(fam, [0.0])
     assert measured <= 1e-12
     assert closed_form == 0.0
 
@@ -161,7 +186,7 @@ def test_discontinuity_zero_at_zero():
 def test_discontinuity_single_block_full_swing():
     # w = 5, t = pi/5: |e^{i pi} - 1| = 2, closed form = 1
     fam = family_of_paths([4], [5.0])
-    [measured], [closed_form], _ = discontinuity_profiles(fam, [np.pi / 5])
+    [measured], [closed_form], _ = discontinuity(fam, [np.pi / 5])
     assert closed_form == pytest.approx(1.0, abs=1e-12)
     assert measured == pytest.approx(1.0, abs=1e-9)
 
@@ -169,14 +194,14 @@ def test_discontinuity_single_block_full_swing():
 def test_discontinuity_grid_sweep():
     fam = family_of_paths([4, 2, 4, 2], [1.0, 4.0, 9.0, 16.0])
     # raises if the identity fails on a block
-    measured, closed_form, _ = discontinuity_profiles(fam, np.linspace(-2, 2, 17))
+    measured, closed_form, _ = discontinuity(fam, np.linspace(-2, 2, 17))
     assert np.abs(measured - closed_form).max() <= 1e-9
 
 
 def test_wmap_zero_k_single_block():
     fam = family_of_paths([4], [3.0])
     times = np.array([0.3, 1.1])
-    for t, lhs, rhs in zip(times, *wmap_lower_bounds(fam, np.zeros(4), times)):
+    for t, lhs, rhs in zip(times, *wmap(fam, np.zeros(4), times)):
         assert lhs >= rhs - 1e-9
         assert rhs == pytest.approx(
             0.5 * abs(np.exp(1j * t * 3.0) - 1.0)
@@ -185,7 +210,7 @@ def test_wmap_zero_k_single_block():
 
 def test_wmap_t_zero():
     fam = family_of_paths([4], [3.0])
-    [lhs], [rhs] = wmap_lower_bounds(fam, np.zeros(4), [0.0])
+    [lhs], [rhs] = wmap(fam, np.zeros(4), [0.0])
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == 0.0
 
@@ -193,7 +218,7 @@ def test_wmap_t_zero():
 def test_wmap_diagonal_k_sweep():
     fam = family_of_paths([4, 4], [2.0, 7.0])
     k = np.real(np.diag(generator(fam).entries))
-    lhs, rhs = wmap_lower_bounds(fam, k, np.linspace(-1.5, 1.5, 13))
+    lhs, rhs = wmap(fam, k, np.linspace(-1.5, 1.5, 13))
     assert (lhs >= rhs - 1e-9).all()
 
 
@@ -268,8 +293,7 @@ def test_drawn_regular_family_profiles_do_not_depend_on_the_sample(
     ):
         diag = np.real(np.diag(generator(fam).entries))
         k_vals = np.zeros(fam.n_points) if k == "zero" else diag
-        wmap = wmap_lower_bounds(fam, k_vals, times)
-        profiles.append((*discontinuity_profiles(fam, times), *wmap))
+        profiles.append(preflow_profiles(fam, k_vals, times))
     for a, b in zip(*profiles):
         assert np.array_equal(a, b)
 
@@ -295,8 +319,7 @@ def test_weight_presets():
 
 def assert_blockwise_norms_match_dense(fam, k, times):
     n = fam.n_points
-    measured, closed_form, block = discontinuity_profiles(fam, times)
-    lhs, rhs = wmap_lower_bounds(fam, k, times)
+    measured, closed_form, block, lhs = preflow_profiles(fam, k, times)
     p_a = split_projection(fam).entries
     for i, t in enumerate(times):
         u = preflow_unitary(fam, t).entries
@@ -305,9 +328,8 @@ def assert_blockwise_norms_match_dense(fam, k, times):
         w = u @ np.diag(np.exp(-1j * t * k))
         dense_w = np.linalg.norm(w - np.eye(n), 2)
         assert lhs[i] == pytest.approx(dense_w, rel=1e-12, abs=1e-14)
-        assert rhs[i] == closed_form[i]
-        [lhs_t], [rhs_t] = wmap_lower_bounds(fam, k, [t])
-        assert (lhs_t, rhs_t) == (lhs[i], rhs[i])
+        one = preflow_profiles(fam, k, [t])
+        assert [x[0] for x in one] == [measured[i], closed_form[i], block[i], lhs[i]]
 
 
 @pytest.mark.parametrize("sizes", [[6, 8], [6, 10, 12], [4, 6, 4, 6, 4]])
@@ -341,11 +363,9 @@ def test_one_norm_per_abs_time(monkeypatch):
         return spectral_norms(stack)
 
     monkeypatch.setattr(expander, "spectral_norms", counting)
-    discontinuity_profiles(fam, times)
-    assert sum(normed) == 9 * 4
-    normed.clear()
-    wmap_lower_bounds(fam, np.zeros(fam.n_points), times)
-    assert sum(normed) == 9 * 4
+    preflow_profiles(fam, np.zeros(fam.n_points), times)
+    # both pieces, each on 4 blocks at 9 times
+    assert sum(normed) == 2 * 9 * 4
 
 
 def test_block_family_refuses_oversize_union(monkeypatch):
@@ -366,7 +386,7 @@ def test_discontinuity_checks_every_block(monkeypatch):
 
     monkeypatch.setattr(expander, "_closed_forms", off_on_block_0)
     with pytest.raises(NumericCheckError, match="block 0"):
-        discontinuity_profiles(fam, [0.3])
+        discontinuity(fam, [0.3])
 
 
 def _sampler_oracle(size, degree, rng):

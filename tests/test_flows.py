@@ -108,6 +108,53 @@ def test_derivative_residual_first_order():
     assert 1.8 <= r1 / r2 <= 2.2
 
 
+@st.composite
+def small_t_cases(draw):
+    """(h, a, t): a Hermitian h of a drawn kind on a small space, an operator
+    a of any drawn kind, and t = +-10^x with x drawn from [-12, -2]."""
+    s = draw(small_spaces())
+    seeds = st.integers(0, 2**32 - 1)
+    h = drawn_operator(s, draw(st.sampled_from(HERMITIAN_KINDS)), draw(seeds))
+    a_kinds = HERMITIAN_KINDS + ("non-hermitian", "upper")
+    a = drawn_operator(s, draw(st.sampled_from(a_kinds)), draw(seeds))
+    t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -2.0))
+    return h, a, t
+
+
+def _random_h_and_real_a(n, seed):
+    rng = np.random.default_rng(seed)
+    s = space.path_graph(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
+    return h, OperatorMatrix(s, rng.standard_normal((n, n)))
+
+
+# e^{itD} - 1 formed as exp - 1 cancelled: here the residual over t, whose
+# limit is 13.41245, read 12.77 at t = 1e-8, 1.5e-6 at 1e-10, 5.5e-4 at 1e-12
+_FOUND = _random_h_and_real_a(5, 0)
+
+
+@given(small_t_cases())
+@example(case=(*_FOUND, 1e-8))
+@example(case=(*_FOUND, 1e-10))
+@example(case=(*_FOUND, -1e-12))
+@settings(max_examples=60, deadline=None)
+def test_drawn_derivative_residual_over_t_tends_to_half_of_d_squared_a(case):
+    # in h's eigenbasis (e^{itD} - 1)/t - iD = -tD^2/2 + R, |R| <= t^2 |D|^3 / 6
+    # entrywise, so residual/|t| tends to ||D^2 o A|| / 2
+    h, a, t = case
+    es = hermitian_eig(h)
+    a_eig = es.vectors.conj().T @ a.entries @ es.vectors
+    gaps = es.eigenvalues[:, None] - es.eigenvalues[None, :]
+    limit = spectral_norm(gaps**2 * a_eig) / 2
+    [residual] = flow_profile(h, a, [t])[1]
+    d, a_f = np.abs(gaps).max(), np.linalg.norm(a_eig)
+    # the Taylor remainder, and a few roundings of each entry of sin(tD)/t - D
+    eps = np.finfo(float).eps
+    bound = (abs(t) * d**3 / 6 + 8 * eps * d / abs(t)) * a_f + 1e-12 * limit
+    assert abs(residual / abs(t) - limit) <= bound
+
+
 def test_w_map_equal_generators():
     s = space.path_graph(4)
     h = random_hermitian(s, 9)

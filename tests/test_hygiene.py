@@ -1,8 +1,9 @@
 """Source hygiene of src/roelab and tests/: no unused import, every numeric
 identity through _linalg.check, no top-level def, class or constant in
-src/roelab that nothing names, no public function in src/roelab that only
-unit tests call, no operator arithmetic on library classes, no read of the
-environment in src/roelab, and no linear algebra outside _linalg."""
+src/roelab that nothing names, no function in src/roelab, public or
+private, that only unit tests call, no operator arithmetic on library
+classes, no read of the environment in src/roelab, and no linear algebra
+outside _linalg."""
 
 import ast
 from pathlib import Path
@@ -139,11 +140,12 @@ def dead_names(root):
 
 
 def unreached_functions(root):
-    """Every public top-level def `m.f` of src/roelab is named outside its
-    own def: by its own module, by another module of src/roelab, or by
-    tests/test_acceptance.py. A re-export in __init__.py does not count, nor
-    does a unit test: the library holds what the CLI and the criteria call,
-    and a dense reference oracle lives in tests/."""
+    """Every top-level def `m.f` of src/roelab, public or private, dunders
+    aside, is named outside its own def: by its own module, by another
+    module of src/roelab, or by tests/test_acceptance.py. A re-export in
+    __init__.py does not count, nor does a unit test: the library holds what
+    the CLI and the criteria call, and a dense reference oracle lives in
+    tests/."""
     files = parsed(root, "src/roelab/*.py", "tests/test_acceptance.py")
     refs = {
         path: references(path, tree)
@@ -156,7 +158,7 @@ def unreached_functions(root):
         module = f"roelab.{path.stem}"
         elsewhere = set().union(*(r for p, r in refs.items() if p != path))
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            if not isinstance(node, ast.FunctionDef) or node.name.endswith("__"):
                 continue
             inside = {id(n) for n in ast.walk(node)}
             own = {
@@ -354,25 +356,32 @@ def test_unreached_rule_counts_modules_and_criteria_only(tmp_path):
     sources = {
         "src/roelab/__init__.py": "from .space import reexported\n",
         "src/roelab/space.py": (
-            "def by_cli():\n    pass\n\n\n"
+            "def by_cli():\n    return _helper()\n\n\n"
             "def by_own_module():\n    pass\n\n\n"
             "def by_criterion():\n    return by_own_module()\n\n\n"
             "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n\n"
             "def reexported():\n    pass\n\n\n"
             "def by_unit_test():\n    pass\n\n\n"
-            "def _private():\n    pass\n"
+            "def _helper():\n    pass\n\n\n"
+            "def _private():\n    pass\n\n\n"
+            "def _by_unit_test():\n    pass\n\n\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n"
         ),
         "src/roelab/cli.py": "from . import space\n\n\ndef main():\n    space.by_cli()\n\n\nmain()\n",
         "tests/test_acceptance.py": "from roelab.space import by_criterion\n",
-        "tests/test_space.py": "from roelab.space import by_unit_test\n",
+        "tests/test_space.py": "from roelab.space import _by_unit_test, by_unit_test\n",
     }
     for name, text in sources.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
-    # a call inside its own def, a re-export or a unit test reaches nothing
+    # a call inside its own def, a re-export or a unit test reaches nothing,
+    # for a private def as for a public one; a dunder is not checked
     assert unreached_functions(tmp_path) == [
         f"src/roelab/space.py:{line}: {name} is called by no module and no criterion"
-        for line, name in ((13, "recursive"), (17, "reexported"), (21, "by_unit_test"))
+        for line, name in (
+            (13, "recursive"), (17, "reexported"), (21, "by_unit_test"),
+            (29, "_private"), (33, "_by_unit_test"),
+        )
     ]
 
 

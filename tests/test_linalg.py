@@ -17,6 +17,7 @@ from roelab._linalg import (
     check,
     chunk_len,
     hermitian_eig,
+    require_hermitian,
     require_unitary,
     schur_bounds,
     spectral_norm,
@@ -328,23 +329,27 @@ def _zero_prop(monkeypatch, x):
     extract_finite_prop(_op(np.eye(3)), 1.0)
 
 
-def _blocks_off_by(monkeypatch, x):
-    """A block family whose every block norm reads its closed form - x."""
+def _preflow_off_by(monkeypatch, x, piece):
+    """preflow_profiles on a block family whose block norms all read their
+    closed form, but those of one piece (0, the moved p_A; 1, w - 1) - x."""
     fam = expander.block_family([space.path_graph(3), space.path_graph(4)], "quadratic")
     closed = expander._closed_forms
-    monkeypatch.setattr(
-        expander, "_block_norms", lambda fam, times, f: closed(fam, times) - x
-    )
-    return fam
+
+    def block_norms(fam, k, times):
+        out = [closed(fam, times), closed(fam, times)]
+        out[piece] -= x
+        return out
+
+    monkeypatch.setattr(expander, "_block_norms", block_norms)
+    expander.preflow_profiles(fam, np.zeros(fam.n_points), [0.0, 0.5])
 
 
 def _discontinuity(monkeypatch, x):
-    expander.discontinuity_profiles(_blocks_off_by(monkeypatch, x), [0.0, 0.5])
+    _preflow_off_by(monkeypatch, x, 0)
 
 
 def _wmap(monkeypatch, x):
-    fam = _blocks_off_by(monkeypatch, x)
-    expander.wmap_lower_bounds(fam, np.zeros(fam.n_points), [0.0, 0.5])
+    _preflow_off_by(monkeypatch, x, 1)
 
 
 def _lipschitz(monkeypatch, x):
@@ -358,8 +363,8 @@ def _lipschitz(monkeypatch, x):
 # caller -> (call on monkeypatch and x, the largest x the check accepts, text)
 IDENTITY = {
     "extract_finite_prop": (_zero_prop, ZERO_PROP_TOL, r"E\(h\)"),
-    "discontinuity_profiles": (_discontinuity, DISCONTINUITY_TOL, "on block"),
-    "wmap_lower_bounds": (_wmap, WMAP_TOL, "w-map lower bound at t="),
+    "preflow_profiles-discontinuity": (_discontinuity, DISCONTINUITY_TOL, "on block"),
+    "preflow_profiles-wmap": (_wmap, WMAP_TOL, "w-map lower bound at t="),
     "lipschitz_audit": (_lipschitz, LIPSCHITZ_TOL[1], r"\|t - s\| = 1\.0"),
 }
 
@@ -383,6 +388,17 @@ def test_chunk_rule():
     assert chunk_len(1024, 1024) == 4
     assert chunk_len(2048, 2048) == 1
     assert chunk_len(2048, 4096) == 1
+
+
+def test_require_hermitian_residual_does_not_overflow():
+    # ||m - m^H||_F of each matrix overflowed to inf before m was scaled
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 1e200
+    with pytest.raises(ValueError, match=r"residual 1\.414e\+200 > 1\.000e\+190$"):
+        require_hermitian(skew)
+    near = np.zeros((3, 3), dtype=complex)
+    near[0, 0], near[1, 2] = 1e300, 1e160
+    require_hermitian(near)  # residual 1.4e160, bound 1e290
 
 
 def test_require_unitary_names_the_failing_slice():
@@ -420,8 +436,7 @@ def _stacked_paths():
         "cocycle": cocycle_residuals(fam, times, times),
         "corrupted": cocycle_residuals(corrupt_at(fam, float(times[3])), times, times),
         "lambda": lambda_scalar_residuals(eh, ek, lam_fam, times),
-        "discontinuity": expander.discontinuity_profiles(blocks, times),
-        "wmap": expander.wmap_lower_bounds(
+        "preflow": expander.preflow_profiles(
             blocks, rng.standard_normal(blocks.n_points), times
         ),
         "lipschitz": lipschitz_audit(h, k, times)[0],
