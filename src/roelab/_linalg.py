@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NumericCheckError
 
 # Every threshold of a numeric check, one line each; values never loosen.
-HERMITIAN_TOL = 1e-10  # ||m - m^H||_F per unit of 1 + max|m_xy|
+HERMITIAN_TOL = 1e-10  # ||m - m^H||_F per unit of 1 + max |Re m_xy|, |Im m_xy|
 UNITARY_TOL = 1e-10  # ||u^H u - 1||_F, and ||u_0 - 1||_F for a cocycle
 ZERO_PROP_TOL = 1e-10  # ||w + h - E(h)|| per unit of min(1, max|h_xy|)
 DISCONTINUITY_TOL = 1e-9  # |measured - closed form| per expander block
@@ -40,19 +40,21 @@ def require_finite(a):
 
 
 def require_hermitian(m):
-    """Raise ValueError unless ||m - m^H||_F <= HERMITIAN_TOL (1 + max|m_xy|).
+    """Raise ValueError unless ||m - m^H||_F <= HERMITIAN_TOL (1 + big), with
+    big the largest |Re m_xy| or |Im m_xy|.
 
     Never looser than checking the residual in the spectral or the Frobenius
     norm against 1e-10 (1 + ||m||_2) or 1e-10 (1 + ||m||_F), because
-    ||.||_2 <= ||.||_F and max|m_xy| <= ||m||_2 <= ||m||_F.
+    ||.||_2 <= ||.||_F and big <= max|m_xy| <= ||m||_2 <= ||m||_F.
 
-    As in spectral_norms, m is scaled by 2^-e, with 2^(e-1) <= max|m_xy|
-    < 2^e, before the norm squares it, and the residual is scaled back: it
-    is inf only if it exceeds the largest float.
+    big is finite for finite entries, where max|m_xy| may not be. m is
+    scaled by 2^-e, with 2^(e-1) <= big < 2^e, before the norm squares it,
+    and the residual is scaled back: it is inf only if it exceeds the
+    largest float.
     """
-    big = float(np.abs(m).max(initial=0.0))
-    e = math.frexp(big)[1]
     parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    big = float(np.abs(parts).max(initial=0.0))
+    e = math.frexp(big)[1]
     scaled = np.ldexp(parts, -e).view(np.complex128)
     try:
         res = math.ldexp(float(np.linalg.norm(scaled - scaled.conj().T)), e)

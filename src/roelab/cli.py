@@ -253,6 +253,16 @@ def _modes(cfg, both):
     return list(both) if mode == "both" else [mode]
 
 
+def _write_profile(out, subcommand, cfg_hash, radii, modes, values):
+    """The CSV of a (modes, radii) array of operator norms, mode-major."""
+    _write_csv(
+        out, subcommand, cfg_hash,
+        "radius:distance value:operator-norm",
+        ("radius", "value", "mode"),
+        [(r, v, mode) for mode, row in zip(modes, values) for r, v in zip(radii, row)],
+    )
+
+
 # Each runner reads its config and returns its computation, which takes the
 # output path and the config hash and writes the CSV.
 
@@ -264,18 +274,10 @@ def _run_coarse_check(cfg, rng):
     radii = _radii(cfg, h.space)
 
     def compute(out, cfg_hash):
-        rows = []
-        for mode in modes:
-            for r in radii:
-                value = translations.coarseness_modulus(
-                    h, r, mode, allow_large=allow_large
-                )
-                rows.append((r, value, mode))
-        _write_csv(
-            out, "coarse-check", cfg_hash,
-            "radius:distance value:operator-norm",
-            ("radius", "value", "mode"), rows,
+        values = translations.coarseness_moduli(
+            h, radii, modes, allow_large=allow_large
         )
+        _write_profile(out, "coarse-check", cfg_hash, radii, modes, values)
 
     return compute
 
@@ -286,16 +288,8 @@ def _run_ql_profile(cfg, rng):
     radii = _radii(cfg, a.space)
 
     def compute(out, cfg_hash):
-        rows = [
-            (r, value, mode)
-            for mode in modes
-            for r, value in zip(radii, locality.ql_values(a, radii, mode))
-        ]
-        _write_csv(
-            out, "ql-profile", cfg_hash,
-            "radius:distance value:operator-norm",
-            ("radius", "value", "mode"), rows,
-        )
+        values = locality.ql_values(a, radii, modes)
+        _write_profile(out, "ql-profile", cfg_hash, radii, modes, values)
 
     return compute
 

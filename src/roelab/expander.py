@@ -99,8 +99,16 @@ def _block_norms(fam: BlockFamily, k, times):
     The pre-flow e^{ith} = 1 + sum_n (e^{itw(n)} - 1) p_n is block diagonal,
     since each p_n lives on block n's square, and so are both pieces. The
     norm of a block-diagonal operator is the max over its blocks: the norm
-    of a direct sum. Each block u is formed once, and each piece is formed
-    and normed before the next.
+    of a direct sum. On a block of s points, u = 1 + (c/s) J with
+    c = expm1(itw(n)) and J the all-ones matrix, P = p_{A_n} = diag(mask)
+    and JPJ = |A_n| J, so entry (x, y) of each piece is
+
+        u P u* - P:        (c/s) mask_y + (conj(c)/s) mask_x + |c|^2 |A_n| / s^2,
+        u e^{-itk} - 1:    [x = y] expm1(-itk_y) + (c/s) e^{-itk_y}.
+
+    Both are formed from c, never as u minus 1, so neither cancels at a
+    small t. For each block size and chunk of times the c/s of every block
+    are formed once, and each piece is formed and normed before the next.
 
     Both pieces are built from the real h, p_A and k, so a piece at -t is
     the entrywise conjugate of the piece at t and has the same norm: the
@@ -118,16 +126,14 @@ def _block_norms(fam: BlockFamily, k, times):
             t = mags[sl]
             # an overflow leaves a non-finite entry, refused by spectral_norms
             with np.errstate(over="ignore", invalid="ignore"):
-                phases = np.exp(1j * t[:, None] * fam.weights[ns]) - 1.0
-                # the blocks as one (T m, s, s) stack, time-major
-                u = np.eye(size) + (phases / size).reshape(-1, 1, 1)
-                norms = spectral_norms(
-                    (u * mask) @ u.conj().swapaxes(-1, -2) - np.diag(mask)
-                )
-                moved[sl, ns] = norms.reshape(len(t), -1)
-                phase_k = np.exp(-1j * t[:, None, None] * k_ns).reshape(-1, 1, size)
-                norms = spectral_norms(u * phase_k - np.eye(size))
-                w_minus_one[sl, ns] = norms.reshape(len(t), -1)
+                # c/s of the blocks, time-major, as a (T m, 1, 1) stack
+                a = np.expm1(1j * t[:, None] * fam.weights[ns]).reshape(-1, 1, 1) / size
+                piece = a * mask + a.conj() * mask[:, None]
+                piece += (a * a.conj()).real * mask.sum()
+                moved[sl, ns] = spectral_norms(piece).reshape(len(t), -1)
+                em = np.expm1(-1j * t[:, None, None] * k_ns).reshape(-1, 1, size)
+                piece = a * (1.0 + em) + em * np.eye(size)
+                w_minus_one[sl, ns] = spectral_norms(piece).reshape(len(t), -1)
     return moved[back], w_minus_one[back]
 
 

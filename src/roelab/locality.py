@@ -66,7 +66,8 @@ def _max_corner_norms(entries, corners, count) -> np.ndarray:
     A batch of corners, across radii, is grouped by Gram side min(|A|, |B|);
     a corner with |A| > |B| is taken transposed, as ||C^T|| = ||C||. Only the
     long side is padded, with index n into a zero-bordered copy of a, so each
-    Gram matrix keeps its size.
+    Gram matrix keeps its size; it is padded to n - p, the most it can hold
+    for side p, so a corner's norm does not depend on its batch.
     """
     n = len(entries)
     padded = np.zeros((2, n + 1, n + 1), dtype=np.complex128)
@@ -99,19 +100,19 @@ def _norm_batch(padded, batch, out):
     flip = (sizes[:, 0] > sizes[:, 1]).astype(np.intp)
     k = np.arange(len(flip))
     short, long = points[k, flip], points[k, 1 - flip]
-    side, length = sizes[k, flip], sizes[k, 1 - flip]
+    side = sizes[k, flip]
     for p in np.unique(side).tolist():
         group = np.flatnonzero(side == p)
-        q = int(length[group].max())
+        q = n - p
         for sl in chunks(len(group), p, q):
             g = group[sl]
             corners = padded[flip[g, None, None], short[g, :p, None], long[g, None, :q]]
             np.maximum.at(out, index[g], spectral_norms(corners))
 
 
-def ql_values(a: OperatorMatrix, radii, mode: str = "exact") -> np.ndarray:
-    """Per radius r, the max over A of ||p_A a p_B|| with B = far(A), the full
-    set at distance > r from A.
+def ql_values(a: OperatorMatrix, radii, modes) -> np.ndarray:
+    """out[j, i] = the max over A of ||p_A a p_B|| with B = far(A), the full
+    set at distance > radii[i] from A, in modes[j].
 
     Taking B maximal is lossless: enlarging B can only grow the corner norm,
     which halves the exponent of the brute force. The exact mode norms only
@@ -120,28 +121,34 @@ def ql_values(a: OperatorMatrix, radii, mode: str = "exact") -> np.ndarray:
     A*. For a closed A, far(A) is closed with far set A, and when a is exactly
     Hermitian the two corners are adjoints, so only the set of the pair that
     holds its first point is normed. The max is still over every A. The lower
-    mode restricts A to singletons and metric balls. The corners of every
-    radius are normed together, grouped by Gram side.
+    mode restricts A to singletons and metric balls. Every mode's size guard
+    is checked before any corner is formed; then the corners of every mode
+    and distinct radius are normed together, grouped by Gram side.
     """
-    radii = [float(r) for r in radii]
-    if not all(r >= 0 for r in radii):
+    radii = np.asarray(radii, dtype=np.float64).reshape(-1)
+    if not (radii >= 0).all():
         raise ValueError("radius must be nonnegative")
     n = a.n
-    if mode == "exact":
-        if n > EXACT_GUARD:
-            raise SizeGuardError("ql-exact-subsets", EXACT_GUARD, n)
-        corners = _closed_corners(a, radii)
-    elif mode == "lower":
-        entries = n * len(a.space.distance_set()) * n
-        if entries > LOWER_GUARD:
-            raise SizeGuardError("ql-lower-balls", LOWER_GUARD, entries)
-        corners = _ball_corners(a.space.dist, radii)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _max_corner_norms(a.entries, corners, len(radii))
+    distinct, back = np.unique(radii, return_inverse=True)
+    corners = []  # lazy: no corner is formed before every guard has passed
+    for mode in modes:
+        if mode == "exact":
+            if n > EXACT_GUARD:
+                raise SizeGuardError("ql-exact-subsets", EXACT_GUARD, n)
+            corners.append(_closed_corners(a, distinct))
+        elif mode == "lower":
+            entries = n * len(a.space.distance_set()) * n
+            if entries > LOWER_GUARD:
+                raise SizeGuardError("ql-lower-balls", LOWER_GUARD, entries)
+            corners.append(_ball_corners(a.space.dist, distinct))
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+    m = len(distinct)
+    flat = ((j * m + i, sets) for j, c in enumerate(corners) for i, sets in c)
+    out = _max_corner_norms(a.entries, flat, len(modes) * m)
+    return out.reshape(len(modes), m)[:, back.reshape(-1)]
 
 
 def ql_value(a: OperatorMatrix, r: float, mode: str = "exact") -> float:
-    """ql_values at the one radius r."""
-    return float(ql_values(a, [r], mode)[0])
-
+    """ql_values at the one radius r in the one mode."""
+    return float(ql_values(a, [r], [mode])[0, 0])

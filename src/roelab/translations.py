@@ -148,74 +148,46 @@ def _first_of_inverse_pair(targets: np.ndarray, inverses: np.ndarray) -> np.ndar
 _SCHUR_MARGIN = 1.0 + 2.0**-40
 
 
-def _exact_modulus(h: np.ndarray, blocks, best: float) -> float:
-    """max ||[h, v_f]|| over the rows of every block of targets and best, a
-    lower bound on it, for Hermitian h.
+def _exact_moduli(h: np.ndarray, s: FiniteSpace, blocks, radii, floors):
+    """Per radius of the sorted distinct radii, max ||[h, v_f]|| over the
+    rows f of every block of targets with displacement <= that radius and
+    the radius's floor, a lower bound on it, for Hermitian h.
 
     [h, v_{f^-1}] = -[h, v_f]^H, so one row of each inverse pair is kept
     (for h within require_hermitian's tolerance of h^H, the norms of a pair
-    differ by at most 2 ||h - h^H||). Each stack of kept commutators is
-    formed once, and only its matrices whose Schur bound beats the best norm
-    so far, divided by _SCHUR_MARGIN, are normed: a skipped one's norm is at
-    most that best, so the max does not depend on the order."""
+    differ by at most 2 ||h - h^H||). A kept row of displacement d counts
+    toward every radius >= d: its norm goes into the running best of the
+    smallest such radius, and the cumulative max over the radii hands it on
+    to the larger ones. Each stack of kept commutators is formed once, and
+    only its matrices whose Schur bound beats that running best, divided by
+    _SCHUR_MARGIN, are normed: a skipped one's norm is at most that best, so
+    the values do not depend on the order."""
+    best = floors.copy()
+    n = s.n_points
     for block in blocks:
         block = block[_first_of_inverse_pair(block, _inverses(block))]
-        for c in _commutator_stacks(h, block):
-            c = c[schur_bounds(c) > best / _SCHUR_MARGIN]
-            if len(c):
-                best = max(best, float(spectral_norms(c).max()))
-    return best
+        first = np.searchsorted(radii, displacements(s, block))
+        for sl, c in zip(chunks(len(block), n, n), _commutator_stacks(h, block)):
+            at = first[sl]
+            normed = schur_bounds(c) > best[at] / _SCHUR_MARGIN
+            if normed.any():
+                np.maximum.at(best, at[normed], spectral_norms(c[normed]))
+    return np.maximum.accumulate(best)
 
 
-def coarseness_modulus(
-    h: OperatorMatrix,
-    r: float,
-    mode: str = "heuristic",
-    *,
-    allow_large: bool = False,
-) -> float:
-    """sup over partial r-translations f of ||[h, v_f]||, for Hermitian h.
-
-    Both modes first bracket the sup: with D the diagonal of h, it lies
-    between floor = max |D_y - D_x| over the pairs with d(x, y) <= r (the
-    one-pair translation {x -> y} has entry D_y - D_x) and
-    floor + 2 ||h - diag D||. So for diagonal h the value is the floor, and
-    no translation is enumerated or tried.
-    exact: the full enumeration (size guarded). It starts from the floor,
-    takes one f of each inverse pair, and norms only where a row's Schur
-    bound still beats the best norm.
-    heuristic: lower bound from all single-pair translations within r plus a
-    greedy matching grown one pair at a time.
-    """
-    if not r >= 0:
-        raise ValueError("radius must be nonnegative")
-    entries = h.entries
-    require_hermitian(entries)
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact":
-        # eager: the size guard fires before anything else
-        blocks = _translation_targets(h.space, r, allow_large)
-    d = entries.diagonal()
-    with np.errstate(over="ignore"):  # an overflowed gap is refused below
-        gaps = np.abs(d[None, :] - d[:, None])
-    floor = float(gaps[h.space.dist <= r].max(initial=0.0))
-    require_finite(floor)
-    if not np.count_nonzero(entries - np.diag(d)):
-        return floor  # the ceiling is the floor
-    if mode == "exact":
-        return _exact_modulus(entries, blocks, floor)
-
+def _heuristic_modulus(h: np.ndarray, s: FiniteSpace, r: float) -> float:
+    """The largest ||[h, v_f]|| over every single-pair translation within r
+    and a greedy matching grown from them one pair at a time."""
     # the first round's trials are the single pairs (x, y) with d(x, y) <= r
-    src, tgt = np.nonzero(h.space.dist <= r)
-    current = np.full(h.n, -1)
+    src, tgt = np.nonzero(s.dist <= r)
+    current = np.full(s.n_points, -1)
     current_norm = 0.0
     best = None
     while True:
         free = (current[src] < 0) & ~np.isin(tgt, current)
         trials = np.tile(current, (int(free.sum()), 1))
         trials[np.arange(len(trials)), src[free]] = tgt[free]
-        stacks = _commutator_stacks(entries, trials)
+        stacks = _commutator_stacks(h, trials)
         norms = [x for c in stacks for x in spectral_norms(c).tolist()]
         if best is None:
             best = max(norms, default=0.0)
@@ -230,3 +202,55 @@ def coarseness_modulus(
         current = trials[gain]
         current_norm = gain_norm
     return max(best, current_norm)
+
+
+def coarseness_moduli(
+    h: OperatorMatrix, radii, modes, *, allow_large: bool = False
+) -> np.ndarray:
+    """out[j, i] = sup over partial radii[i]-translations f of ||[h, v_f]||
+    in modes[j], for Hermitian h.
+
+    h is checked once, and every mode's size guard fires before any work.
+    Both modes first bracket each sup: with D the diagonal of h, it lies
+    between floor = max |D_y - D_x| over the pairs with d(x, y) <= r (the
+    one-pair translation {x -> y} has entry D_y - D_x) and
+    floor + 2 ||h - diag D||. So for diagonal h the values are the floors,
+    and no translation is enumerated or tried.
+    exact: one enumeration at the largest radius (size guarded), shared by
+    every radius. It takes one f of each inverse pair, and norms only where
+    a row's Schur bound still beats the best norm of its smallest radius.
+    heuristic: per radius, a lower bound from all single-pair translations
+    within r plus a greedy matching grown one pair at a time.
+    """
+    radii = np.asarray(radii, dtype=np.float64).reshape(-1)
+    if not (radii >= 0).all():
+        raise ValueError("radius must be nonnegative")
+    entries = h.entries
+    require_hermitian(entries)
+    for mode in modes:
+        if mode not in ("exact", "heuristic"):
+            raise ValueError(f"unknown mode {mode!r}")
+    s = h.space
+    distinct, back = np.unique(radii, return_inverse=True)
+    if "exact" in modes:
+        # eager: the size guard fires before anything else
+        blocks = _translation_targets(s, distinct.max(initial=0.0), allow_large)
+    d = entries.diagonal()
+    with np.errstate(over="ignore"):  # an overflowed gap is refused below
+        gaps = np.abs(d[None, :] - d[:, None])
+    floors = np.array([gaps[s.dist <= r].max(initial=0.0) for r in distinct])
+    require_finite(floors)
+    values = dict.fromkeys(modes, floors)
+    # for diagonal h each ceiling is its floor
+    if len(distinct) and np.count_nonzero(entries - np.diag(d)):
+        if "exact" in values:
+            values["exact"] = _exact_moduli(entries, s, blocks, distinct, floors)
+        if "heuristic" in values:
+            values["heuristic"] = [_heuristic_modulus(entries, s, r) for r in distinct]
+    out = np.array([values[mode] for mode in modes], dtype=np.float64)
+    return out.reshape(len(modes), len(distinct))[:, back.reshape(-1)]
+
+
+def coarseness_modulus(h, r, mode="heuristic", *, allow_large=False) -> float:
+    """coarseness_moduli at the one radius r in the one mode."""
+    return float(coarseness_moduli(h, [r], [mode], allow_large=allow_large)[0, 0])

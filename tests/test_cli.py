@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from test_expander import generator
 
 import roelab
-from roelab import _linalg, expander, operator, space
+from roelab import _linalg, expander, locality, operator, space, translations
 from roelab.cli import _RUNNERS, main
 
 
@@ -340,6 +340,61 @@ def test_size_guard_exit_code(tmp_path):
         "mode": "exact",
     }
     assert run(tmp_path, "coarse-check", cfg) == 3
+
+
+def _counting(monkeypatch, module, name):
+    """Patch module.name to record each call's arguments in the list returned."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_coarse_check_checks_h_and_enumerates_once(tmp_path, monkeypatch):
+    # every radius and both modes from one check of h and one enumeration,
+    # at the largest radius
+    checked = [
+        _counting(monkeypatch, module, "require_hermitian")
+        for module in (_linalg, translations)
+    ]
+    enumerated = _counting(monkeypatch, translations, "_translation_targets")
+    cfg = {
+        "space": {"path_graph": 6},
+        "operator": {"generator": {"kind": "random_hermitian"}},
+        "mode": "both",
+        "radii": [0, 1, 2],
+    }
+    assert run(tmp_path, "coarse-check", cfg) == 0
+    assert sum(map(len, checked)) == 1
+    assert [args[1] for args in enumerated] == [2.0]
+    _, rows = read_rows(tmp_path / "coarse-check.csv")
+    assert [row[2] for row in rows] == ["heuristic"] * 3 + ["exact"] * 3
+
+
+@pytest.mark.parametrize(
+    "sub, size, module",
+    [("ql-profile", 17, locality), ("coarse-check", 11, translations)],
+    ids=["ql-profile", "coarse-check"],
+)
+def test_mode_both_is_refused_before_either_mode_runs(
+    tmp_path, capsys, monkeypatch, sub, size, module
+):
+    # the first mode (lower, heuristic) passes its guard, the exact mode's
+    # fails: no corner or trial translation may be normed first
+    normed = _counting(monkeypatch, module, "spectral_norms")
+    cfg = {
+        "space": {"path_graph": size},
+        "operator": {"generator": {"kind": "random_hermitian"}},
+        "mode": "both",
+    }
+    assert run(tmp_path, sub, cfg) == 3
+    assert "error: size-guard:" in capsys.readouterr().err
+    assert normed == []
 
 
 def test_numeric_error_exit_code(tmp_path):
@@ -720,10 +775,12 @@ def _p3(**sections):
 _BIG, _RH = {"file": "big"}, {"generator": {"kind": "random_hermitian"}}
 # matrix files on path_graph(3) whose ||m - m^H||_F once overflowed: "skew"
 # is not Hermitian (residual 1.4e200 against the bound 1e190), and
-# "near-hermitian" is, within its bound (residual 1.4e160 against 1e290)
+# "near-hermitian" is, within its bound (residual 1.4e160 against 1e290);
+# "huge-skew" is not, though its one entry's modulus overflows
 _FILES = {
     "big": "n 3\n0 1 1e308 0.0\n1 0 1e308 0.0\n",
     "skew": "n 3\n0 1 1e200 0.0\n",
+    "huge-skew": "n 3\n0 1 1.5e308 1.5e308\n",
     "near-hermitian": "n 3\n0 0 1e300 0.0\n1 2 1e160 0.0\n",
 }
 _HUGE_GRID = {"start": 0.0, "stop": 1.6e308, "step": 8e307}
@@ -739,6 +796,9 @@ _FLOAT_LIMIT_CASES = {
     "big-coarse": ("coarse-check", _p3(operator=_BIG, radii=[1]), 0),
     "big-ql": ("ql-profile", _p3(operator=_BIG, radii=[1]), 0),
     "skew-coarse": ("coarse-check", _p3(operator={"file": "skew"}, radii=[1]), 4),
+    "huge-skew-coarse": (
+        "coarse-check", _p3(operator={"file": "huge-skew"}, radii=[1]), 4
+    ),
     "near-hermitian-coarse": (
         "coarse-check", _p3(operator={"file": "near-hermitian"}, radii=[1]), 0
     ),

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_locality import graphs
 
@@ -366,6 +366,41 @@ def test_one_norm_per_abs_time(monkeypatch):
     preflow_profiles(fam, np.zeros(fam.n_points), times)
     # both pieces, each on 4 blocks at 9 times
     assert sum(normed) == 2 * 9 * 4
+
+
+@st.composite
+def small_time_cases(draw):
+    """A family of 1 to 4 path blocks of 1 to 9 points, quadratic or drawn
+    weights, and one time t = +-10^x with x in [-12, -2]."""
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    weights = draw(st.sampled_from(["quadratic", "drawn"]))
+    if weights == "drawn":
+        weights = draw(
+            st.lists(st.floats(0.1, 100.0), min_size=len(sizes), max_size=len(sizes))
+        )
+    t = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-12.0, -2.0))
+    return family_of_paths(sizes, weights), t
+
+
+# blocks of 4, 6 and 8 points, where u p u* - p formed from u = 1 + (c/s) J
+# strayed from its closed form by up to 2.4e-9 relative
+@given(small_time_cases())
+@example(case=(family_of_paths([4, 6, 8], "quadratic"), 1e-4))
+@example(case=(family_of_paths([4, 6, 8], "quadratic"), 1e-6))
+@example(case=(family_of_paths([4, 6, 8], "quadratic"), 1e-8))
+@example(case=(family_of_paths([4, 6, 8], "quadratic"), 1e-10))
+@settings(max_examples=200, deadline=None)
+def test_block_norms_equal_their_closed_forms_at_small_t(case):
+    # per block, both pieces within 8 rounding units of |c|, c = e^{itw} - 1:
+    # the moved piece of split_factor |c|, and with k = 0 the w-map piece
+    # u - 1 = (c/s) J of |c| (3,000 drawn cases stayed within 2.9 units)
+    fam, t = case
+    times = np.array([t])
+    moved, w_minus_one = expander._block_norms(fam, np.zeros(fam.n_points), times)
+    c = np.abs(np.expm1(1j * times[:, None] * fam.weights))
+    bound = 8 * np.finfo(float).eps * c
+    assert (np.abs(moved - expander._closed_forms(fam, times)) <= bound).all()
+    assert (np.abs(w_minus_one - c) <= bound).all()
 
 
 def test_block_family_refuses_oversize_union(monkeypatch):

@@ -399,6 +399,14 @@ def test_require_hermitian_residual_does_not_overflow():
     near = np.zeros((3, 3), dtype=complex)
     near[0, 0], near[1, 2] = 1e300, 1e160
     require_hermitian(near)  # residual 1.4e160, bound 1e290
+    # |m_01| = 2.1e308 overflows, but its largest part, 1.5e308, does not:
+    # the bound stays finite, so the inf residual fails it, with no warning
+    huge = np.zeros((3, 3), dtype=complex)
+    huge[0, 1] = 1.5e308 + 1.5e308j
+    with pytest.raises(ValueError, match=r"residual inf > 1\.500e\+298$"):
+        require_hermitian(huge)
+    huge[1, 0] = np.conj(huge[0, 1])
+    require_hermitian(huge)
 
 
 def test_require_unitary_names_the_failing_slice():

@@ -215,12 +215,12 @@ def graphs(draw, max_n):
 
 
 @st.composite
-def small_spaces(draw):
-    """A graph of n <= 8 points, or the coarse union of two graphs."""
+def small_spaces(draw, max_n=8):
+    """A graph of n <= max_n points, or the coarse union of two graphs."""
     if not draw(st.booleans()):
-        return draw(graphs(8))
-    first = draw(graphs(7))
-    return space.coarse_union([first, draw(graphs(8 - first.n_points))])
+        return draw(graphs(max_n))
+    first = draw(graphs(max_n - 1))
+    return space.coarse_union([first, draw(graphs(max_n - first.n_points))])
 
 
 HERMITIAN_KINDS = ("full", "banded", "diagonal", "rank-one")
@@ -311,7 +311,7 @@ def test_ql_values_at_every_radius_match_the_per_corner_loop(s, kind, seed):
     ]
     balls = [s.dist[x] <= rho for x in range(n) for rho in radii]
     for mode, masks in (("exact", subsets), ("lower", balls)):
-        values = locality.ql_values(a, radii, mode)
+        values = locality.ql_values(a, radii, [mode])[0]
         assert values.shape == radii.shape
         for r, value in zip(radii, values):
             assert value == pytest.approx(loop_ql(a, r, masks), rel=1e-14, abs=0.0)
@@ -321,13 +321,13 @@ def test_ql_values_at_every_radius_match_the_per_corner_loop(s, kind, seed):
 def test_ql_values_on_one_and_two_points(mode):
     # one point: no far set at any radius; two points: none beyond r = 0
     a = OperatorMatrix(space.path_graph(1), np.array([[3.0]]))
-    assert locality.ql_values(a, [0.0, 1.0], mode).tolist() == [0.0, 0.0]
+    assert locality.ql_values(a, [0.0, 1.0], [mode]).tolist() == [[0.0, 0.0]]
     m = np.array([[1.0, -2.0], [0.5j, 4.0]])
     a = OperatorMatrix(space.path_graph(2), m)
-    assert locality.ql_values(a, [0.0, 1.0, 2.0], mode).tolist() == [2.0, 0.0, 0.0]
-    assert locality.ql_values(a, [], mode).shape == (0,)
+    assert locality.ql_values(a, [0.0, 1.0, 2.0], [mode]).tolist() == [[2.0, 0.0, 0.0]]
+    assert locality.ql_values(a, [], [mode]).shape == (1, 0)
     with pytest.raises(ValueError, match="radius"):
-        locality.ql_values(a, [1.0, -1.0], mode)
+        locality.ql_values(a, [1.0, -1.0], [mode])
 
 
 @given(
@@ -340,8 +340,27 @@ def test_drawn_ql_values_are_sandwiched(s, kind, seed):
     # lower <= exact <= ||a - truncate(a, r)||, as in criterion 10
     a = drawn_operator(s, kind, seed)
     radii = s.distance_set()
-    exact = locality.ql_values(a, radii, "exact")
-    lower = locality.ql_values(a, radii, "lower")
+    lower, exact = locality.ql_values(a, radii, ["lower", "exact"])
     for r, e, lo in zip(radii, exact, lower):
         assert lo <= e + 1e-12
         assert e <= spectral_norm(a.entries - truncate(a, float(r)).entries) + 1e-12
+
+
+@given(
+    small_spaces(),
+    st.sampled_from(HERMITIAN_KINDS + ("non-hermitian", "upper")),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_ql_values_of_both_modes_match_one_radius_calls(s, kind, seed, data):
+    # one call for both modes and unsorted, repeated radii: each row must be
+    # the one-mode, one-radius values bit for bit, though its corners are
+    # batched with the other mode's
+    a = drawn_operator(s, kind, seed)
+    radii = data.draw(st.lists(st.sampled_from(s.distance_set().tolist()), max_size=6))
+    values = locality.ql_values(a, radii, ["lower", "exact"])
+    assert values.shape == (2, len(radii))
+    for row, mode in zip(values, ["lower", "exact"]):
+        assert row.tolist() == [ql_value(a, r, mode) for r in radii]
+

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_locality import HERMITIAN_KINDS, drawn_operator, graphs
+from test_locality import HERMITIAN_KINDS, drawn_operator, graphs, small_spaces
 
 from roelab import space, translations
 from roelab._linalg import spectral_norm, spectral_norms
@@ -17,6 +17,7 @@ from roelab.operator import (
     truncate,
 )
 from roelab.translations import (
+    coarseness_moduli,
     coarseness_modulus,
     displacements,
     enumerate_r_translations,
@@ -561,3 +562,34 @@ def test_coarseness_of_non_hermitian_h_is_refused(mode):
     for bad in (-1.0, np.nan):
         with pytest.raises(ValueError, match="radius"):
             coarseness_modulus(d, bad, mode)
+
+
+@given(
+    small_spaces(max_n=6),
+    st.sampled_from(("full", "banded", "rank-one")),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_moduli_from_one_enumeration_match_the_oracles(s, kind, seed):
+    # every radius from one enumeration at the largest: each value is the
+    # one-radius value, max(floor, kept rows) bit for bit, and within
+    # rounding of the max over every row of its own radius's enumeration
+    h = drawn_operator(s, kind, seed)
+    d = h.entries.diagonal()
+    radii = s.distance_set()
+    values = coarseness_moduli(h, radii[::-1], ["exact", "heuristic"])[:, ::-1]
+    for r, exact, heuristic in zip(radii, *values):
+        floor = float(np.abs(d[:, None] - d[None, :])[s.dist <= r].max())
+        assert exact == max(floor, kept_rows_modulus(h, r))
+        oracle = all_rows_modulus(h, r)
+        assert abs(exact - oracle) <= 1e-14 * oracle
+        assert heuristic == coarseness_modulus(h, r, "heuristic")
+
+
+def test_coarseness_moduli_of_unsorted_repeated_radii():
+    h = _generator("dense", space.path_graph(5), seed=5)
+    modes = ["heuristic", "exact"]
+    want = coarseness_moduli(h, [0, 1, 2], modes)
+    got = coarseness_moduli(h, [2, 0, 2, 1], modes)
+    assert np.array_equal(got, want[:, [2, 0, 2, 1]])
+    assert coarseness_moduli(h, [], modes).shape == (2, 0)
