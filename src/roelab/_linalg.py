@@ -39,6 +39,19 @@ def require_finite(a):
         raise np.linalg.LinAlgError("matrix has non-finite entries")
 
 
+def _parts(m):
+    """m's real and imaginary parts side by side, as one float64 array."""
+    return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+
+
+def part_exponent(m):
+    """(big, e): big the largest |Re m_xy| or |Im m_xy|, and e with
+    2^(e-1) <= big < 2^e (e = 0 for big = 0). big is finite for finite
+    entries, where max|m_xy| may not be. Scaling m by 2^k adds k to e."""
+    big = float(np.abs(_parts(m)).max(initial=0.0))
+    return big, math.frexp(big)[1]
+
+
 def require_hermitian(m):
     """Raise ValueError unless ||m - m^H||_F <= HERMITIAN_TOL (1 + big), with
     big the largest |Re m_xy| or |Im m_xy|.
@@ -47,15 +60,11 @@ def require_hermitian(m):
     norm against 1e-10 (1 + ||m||_2) or 1e-10 (1 + ||m||_F), because
     ||.||_2 <= ||.||_F and big <= max|m_xy| <= ||m||_2 <= ||m||_F.
 
-    big is finite for finite entries, where max|m_xy| may not be. m is
-    scaled by 2^-e, with 2^(e-1) <= big < 2^e, before the norm squares it,
-    and the residual is scaled back: it is inf only if it exceeds the
-    largest float.
+    m is scaled by 2^-e (part_exponent) before the norm squares it, and the
+    residual is scaled back: it is inf only if it exceeds the largest float.
     """
-    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
-    big = float(np.abs(parts).max(initial=0.0))
-    e = math.frexp(big)[1]
-    scaled = np.ldexp(parts, -e).view(np.complex128)
+    big, e = part_exponent(m)
+    scaled = np.ldexp(_parts(m), -e).view(np.complex128)
     try:
         res = math.ldexp(float(np.linalg.norm(scaled - scaled.conj().T)), e)
     except OverflowError:

@@ -348,31 +348,31 @@ def _run_diagonalize(cfg, rng):
 
 
 def _family_args(cfg):
-    """The arguments of expander.make_regular_family, read from the config."""
+    """The block sizes and weights of the "expander" section. n_blocks must
+    count the sizes, and degree is the check that a connected degree-regular
+    graph exists on every block; the values read no graph."""
     exp_cfg = _get(cfg, "expander", "object")
     weights = _choice(exp_cfg, "weights", expander.WEIGHT_PRESETS, "quadratic")
-    return (
-        _get(exp_cfg, "n_blocks", "int", least=1),
-        _get(exp_cfg, "degree", "int", least=1),
-        _get_list(exp_cfg, "sizes", "int", least=1),
-        _get(exp_cfg, "seed", "int", cfg["seed"], least=0),
-        weights,
-    )
+    n_blocks = _get(exp_cfg, "n_blocks", "int", least=1)
+    degree = _get(exp_cfg, "degree", "int", least=1)
+    sizes = _get_list(exp_cfg, "sizes", "int", least=1)
+    if len(sizes) != n_blocks:
+        raise ConfigError(f"n_blocks is {n_blocks}, but {len(sizes)} sizes are given")
+    expander.require_regular_blocks(sizes, degree)
+    return sizes, weights
 
 
 def _run_expander_preflow(cfg, rng):
     k_kind = _choice(cfg, "k", ("zero", "diagonal_of_h"), "zero")
     times = _build_times(_get(cfg, "time_grid", "object"))
-    family_args = _family_args(cfg)
+    fam = expander.block_family(*_family_args(cfg))
 
     def compute(out, cfg_hash):
-        fam = expander.make_regular_family(*family_args)
         if k_kind == "zero":
             k = np.zeros(fam.n_points)
         else:
             # the diagonal of h = sum_n w(n) p_n: w(n) / |X_n| on block n
-            sizes = [b.n_points for b in fam.blocks]
-            k = np.repeat(fam.weights / sizes, sizes)
+            k = np.repeat(fam.weights / fam.sizes, fam.sizes)
         measured, closed_form, block, lhs = expander.preflow_profiles(fam, k, times)
         _write_csv(
             out, "expander-preflow", cfg_hash,

@@ -1,18 +1,21 @@
-"""Families of connected graph blocks carrying block weights, and the exact
+"""Families of blocks, each given by its size and weight, and the exact
 discontinuity constants of the pre-flow e^{ith} they generate, with
 h = sum_n w(n) p_n and p_n the rank-one averaging projection of block n.
-The pre-flow is block diagonal, so every norm is taken block by block, and
-the coarse union of the blocks is never built."""
+p_n, the half split A_n and so every value here depend on the block sizes
+alone, not on the graph on a block, so a family holds no graph. The
+pre-flow is block diagonal, so every norm is taken block by block, and the
+coarse union of the blocks is never built."""
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import _CHUNK, DISCONTINUITY_TOL, WMAP_TOL, check, chunks
+from ._linalg import DISCONTINUITY_TOL, WMAP_TOL, check, chunks
 from ._linalg import spectral_norm, spectral_norms
 from .errors import ConfigError
-from .space import FiniteSpace, check_points, from_edge_list
+from .space import check_points
 
 WEIGHT_PRESETS = {
     "constant": lambda n: 1.0,
@@ -23,42 +26,65 @@ WEIGHT_PRESETS = {
 
 @dataclass(frozen=True)
 class BlockFamily:
-    blocks: Tuple[FiniteSpace, ...]
+    sizes: Tuple[int, ...]
     weights: np.ndarray
-    offsets: Tuple[int, ...]
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.sizes)
 
     @property
     def n_points(self) -> int:
-        return self.offsets[-1] + self.blocks[-1].n_points
+        return sum(self.sizes)
+
+    @property
+    def offsets(self) -> Tuple[int, ...]:
+        """The first point of each block in the union of the blocks."""
+        return tuple(itertools.accumulate(self.sizes[:-1], initial=0))
 
     def block_size(self, n: int) -> int:
         if not 0 <= n < self.n_blocks:
             raise IndexError(f"block index {n} out of range")
-        return self.blocks[n].n_points
+        return self.sizes[n]
 
 
-def block_family(blocks: Sequence[FiniteSpace], weights) -> BlockFamily:
-    """Assemble a family of blocks with one weight each, given or named by a
-    preset."""
-    blocks = tuple(blocks)
-    if not blocks:
+def block_family(sizes: Sequence[int], weights) -> BlockFamily:
+    """Assemble a family of blocks of the given positive sizes with one
+    weight each, given or named by a preset."""
+    sizes = tuple(sizes)
+    if not sizes:
         raise ValueError("at least one block required")
+    if not all(isinstance(s, (int, np.integer)) and s >= 1 for s in sizes):
+        raise ValueError(f"block sizes must be positive integers, got {sizes!r}")
     if isinstance(weights, str):
         if weights not in WEIGHT_PRESETS:
             raise ValueError(f"unknown weight preset {weights!r}")
         preset = WEIGHT_PRESETS[weights]
-        weights = [preset(n + 1) for n in range(len(blocks))]
+        weights = [preset(n + 1) for n in range(len(sizes))]
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(blocks),):
+    if w.shape != (len(sizes),):
         raise ValueError("one weight per block required")
-    sizes = [b.n_points for b in blocks]
     check_points(sum(sizes))
-    offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
-    return BlockFamily(blocks, w, offsets)
+    return BlockFamily(tuple(int(s) for s in sizes), w)
+
+
+def require_regular_blocks(sizes: Sequence[int], degree: int) -> None:
+    """Raise ConfigError, a ValueError, unless a connected simple
+    degree-regular graph exists on every block size s: s > degree, s degree
+    even (the degree sum), and degree >= 2 unless s = degree + 1 (one point
+    or one edge). These suffice: the circulant graph on s points with
+    offsets +-1, ..., +-floor(degree / 2), and s / 2 when degree is odd, is
+    one."""
+    for size in sizes:
+        if size <= degree:
+            raise ConfigError(f"block size {size} must exceed degree {degree}")
+        if (size * degree) % 2 != 0:
+            raise ConfigError(f"degree*size must be even (size {size})")
+        if degree < 2 and size != degree + 1:
+            raise ConfigError(
+                f"a connected {degree}-regular graph has {degree + 1} points, "
+                f"not {size}"
+            )
 
 
 def _split_mask(size: int) -> np.ndarray:
@@ -116,8 +142,8 @@ def _block_norms(fam: BlockFamily, k, times):
     """
     mags, back = np.unique(np.abs(times), return_inverse=True)
     moved, w_minus_one = np.zeros((2, len(mags), fam.n_blocks))
-    for size in sorted({fam.block_size(n) for n in range(fam.n_blocks)}):
-        ns = [n for n in range(fam.n_blocks) if fam.block_size(n) == size]
+    for size in sorted(set(fam.sizes)):
+        ns = [n for n, s in enumerate(fam.sizes) if s == size]
         # every block of one size has the same p_{A_n} diagonal
         mask = _split_mask(size)
         k_ns = k[np.array(fam.offsets)[ns][:, None] + np.arange(size)]
@@ -163,58 +189,3 @@ def preflow_profiles(fam: BlockFamily, k, times):
     closed_form, lhs = closed.max(axis=1), w_minus_one.max(axis=1)
     check(closed_form - lhs, WMAP_TOL, lambda i: f"w-map lower bound at t={times[i]}")
     return moved.max(axis=1), closed_form, np.argmax(closed, axis=1), lhs
-
-
-def _random_regular_graph(size: int, degree: int, rng) -> FiniteSpace:
-    """Pairing-model sample, resampled until simple and connected, at most
-    1000 attempts. The attempts are drawn _CHUNK at a time, and rng ends
-    where one rng.shuffle per attempt would leave it."""
-    points = np.repeat(np.arange(size), degree)
-    for done in range(0, 1000, _CHUNK):
-        count = min(_CHUNK, 1000 - done)
-        state = rng.bit_generator.state
-        # row j is bit for bit the (j + 1)-th of count rng.shuffle draws
-        stubs = rng.permuted(np.tile(points, (count, 1)), axis=1)
-        # stubs 2i and 2i + 1 pair up. As sorted keys min * size + max, a
-        # repeated edge is a key equal to its neighbour
-        u, v = stubs[:, 0::2], stubs[:, 1::2]
-        keys = np.sort(np.minimum(u, v) * size + np.maximum(u, v), axis=1)
-        simple = ~((u == v).any(axis=1) | (keys[:, 1:] == keys[:, :-1]).any(axis=1))
-        for j in np.flatnonzero(simple):
-            edges = np.stack(np.divmod(keys[j], size), axis=1)
-            try:
-                block = from_edge_list(edges, size)
-            except ValueError:
-                continue  # disconnected sample
-            # leave rng where j + 1 single shuffles would have left it
-            rng.bit_generator.state = state
-            rng.permuted(np.tile(points, (j + 1, 1)), axis=1)
-            return block
-    raise ValueError(
-        f"could not sample a connected simple {degree}-regular graph on "
-        f"{size} points"
-    )
-
-
-def make_regular_family(
-    n_blocks: int,
-    degree: int,
-    sizes: Sequence[int],
-    seed: int,
-    weights="quadratic",
-) -> BlockFamily:
-    """Random connected degree-regular blocks (pairing model), deterministic
-    under the seed. A shape no such family has raises ConfigError, a
-    ValueError."""
-    if len(sizes) != n_blocks:
-        raise ConfigError("one size per block required")
-    for size in sizes:
-        if size <= degree:
-            raise ConfigError(f"block size {size} must exceed degree {degree}")
-        if (size * degree) % 2 != 0:
-            raise ConfigError(f"degree*size must be even (size {size})")
-    # the union is refused before a block of it is sampled
-    check_points(sum(sizes))
-    rng = np.random.default_rng(seed)
-    blocks = [_random_regular_graph(size, degree, rng) for size in sizes]
-    return block_family(blocks, weights)

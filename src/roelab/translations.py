@@ -10,10 +10,13 @@ so the exact mode sits behind a size guard and a cheap heuristic lower
 bound is the default.
 """
 
+import math
+
 import numpy as np
 
 from ._linalg import (
     chunks,
+    part_exponent,
     require_finite,
     require_hermitian,
     schur_bounds,
@@ -177,7 +180,10 @@ def _exact_moduli(h: np.ndarray, s: FiniteSpace, blocks, radii, floors):
 
 def _heuristic_modulus(h: np.ndarray, s: FiniteSpace, r: float) -> float:
     """The largest ||[h, v_f]|| over every single-pair translation within r
-    and a greedy matching grown from them one pair at a time."""
+    and a greedy matching grown from them one pair at a time. A trial is a
+    gain if it beats the current norm by 1e-15 2^e, with e from
+    part_exponent(h), so the greedy takes the same steps for h and 2^k h."""
+    min_gain = math.ldexp(1e-15, part_exponent(h)[1])
     # the first round's trials are the single pairs (x, y) with d(x, y) <= r
     src, tgt = np.nonzero(s.dist <= r)
     current = np.full(s.n_points, -1)
@@ -194,7 +200,7 @@ def _heuristic_modulus(h: np.ndarray, s: FiniteSpace, r: float) -> float:
         gain = None
         gain_norm = current_norm
         for i, cand in enumerate(norms):
-            if cand > gain_norm + 1e-15:
+            if cand > gain_norm + min_gain:
                 gain_norm = cand
                 gain = i
         if gain is None:

@@ -59,7 +59,7 @@ def _seeded_hermitian(s, seed, scale=1.0):
 def test_criterion_01_expander_constant(capsys):
     def body():
         for size in (2, 4, 8, 16):
-            fam = block_family([space.path_graph(size)], [1.0])
+            fam = block_family([size], [1.0])
             assert abs(halfsplit_commutator_norm(fam, 0) - 0.5) <= 1e-10
 
     _run(capsys, 1, "expander halfsplit constant 1/2", 1.0, body)
@@ -67,9 +67,7 @@ def test_criterion_01_expander_constant(capsys):
 
 def test_criterion_02_discontinuity_identity(capsys):
     def body():
-        fam = block_family(
-            [space.path_graph(k) for k in (4, 4, 6, 8)], "quadratic"
-        )
+        fam = block_family([4, 4, 6, 8], "quadratic")
         measured, closed_form, _, _ = preflow_profiles(
             fam, np.zeros(fam.n_points), np.linspace(-2.0, 2.0, 129)
         )
@@ -80,7 +78,7 @@ def test_criterion_02_discontinuity_identity(capsys):
 
 def test_criterion_03_non_flow_shadow(capsys):
     def body():
-        fam = block_family([space.path_graph(4)] * 8, "quadratic")
+        fam = block_family([4] * 8, "quadratic")
         delta = 0.05
         measured, _, _, _ = preflow_profiles(
             fam, np.zeros(fam.n_points), np.linspace(-delta, delta, 101)
@@ -273,7 +271,7 @@ _CLI_CONFIGS = {
         "seed": 5,
     },
     "expander-preflow": {
-        "expander": {"n_blocks": 2, "degree": 3, "sizes": [6, 8], "seed": 6},
+        "expander": {"n_blocks": 2, "degree": 3, "sizes": [6, 8]},
         "time_grid": {"start": -0.5, "stop": 0.5, "step": 0.25},
         "seed": 6,
     },

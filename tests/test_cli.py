@@ -195,7 +195,7 @@ def test_space_with_two_sources_is_config_error(tmp_path, capsys, sources, named
 
 def test_expander_preflow_outputs(tmp_path):
     cfg = {
-        "expander": {"n_blocks": 2, "degree": 3, "sizes": [6, 8], "seed": 4},
+        "expander": {"n_blocks": 2, "degree": 3, "sizes": [6, 8]},
         "time_grid": {"start": -0.5, "stop": 0.5, "step": 0.25},
         "k": "diagonal_of_h",
         "seed": 4,
@@ -210,7 +210,7 @@ def test_expander_preflow_outputs(tmp_path):
     for t, lhs, rhs in wrows:
         assert float(lhs) >= float(rhs) - 1e-9
     # "diagonal_of_h" is the diagonal of the generator, bit for bit
-    fam = expander.make_regular_family(2, 3, [6, 8], 4)
+    fam = expander.block_family([6, 8], "quadratic")
     k = np.real(np.diag(generator(fam).entries))
     times = np.array([float(row[0]) for row in wrows])
     _, rhs, _, lhs = expander.preflow_profiles(fam, k, times)
@@ -238,7 +238,7 @@ def test_expander_preflow_forms_the_blocks_in_one_pass(tmp_path, monkeypatch, k)
 @pytest.mark.parametrize("k", ["zero", "diagonal_of_h"])
 def test_expander_preflow_never_builds_the_union(tmp_path, monkeypatch, k):
     cfg = {
-        "expander": {"n_blocks": 3, "degree": 4, "sizes": [8, 10, 8], "seed": 2},
+        "expander": {"n_blocks": 3, "degree": 4, "sizes": [8, 10, 8]},
         "time_grid": {"start": -0.5, "stop": 0.75, "step": 0.25},
         "k": k,
     }
@@ -596,9 +596,11 @@ def test_negative_seed_flag_is_config_error(tmp_path):
         ("flow-profile", {"space": {"path_graph": space.MAX_POINTS + 1}}),
         # 162^3 lower-mode ball-mask entries, just over locality.LOWER_GUARD
         ("ql-profile", {"space": {"path_graph": 162}, "radii": [1]}),
+        # blocks that pass the degree check, in a union just over the guard
+        ("expander-preflow", {"expander": {**_EXPANDER, "sizes": [1026, 1024]}}),
     ],
     ids=["grid-eib", "grid-span-overflows", "cocycle-rows", "points-path",
-         "ql-lower-balls"],
+         "ql-lower-balls", "points-expander"],
 )
 def test_oversize_request_is_size_guard(tmp_path, capsys, sub, extra_cfg):
     assert run(tmp_path, sub, {**_VALID[sub], **extra_cfg}) == 3
@@ -847,13 +849,59 @@ def test_non_hermitian_file_operator_is_numeric_error(tmp_path, capsys, mode):
     assert not (tmp_path / "coarse-check.csv").exists()
 
 
-def test_expander_preflow_reads_config_before_sampling(tmp_path, monkeypatch):
-    def sample(*args):
-        raise AssertionError("sampled a block before the config was read")
+@pytest.mark.parametrize("e", [-60, 60])
+def test_heuristic_coarse_check_scales_with_h(tmp_path, e):
+    # the greedy's gain threshold scales with h: at 2^-60 it once read
+    # 3.6002552438423843e-18, where 2^-60 x 5.548507512712221 = 4.81e-18
+    values = []
+    for scale in (1.0, 2.0**e):
+        gen = {"kind": _BANDED, "band": 2, "scale": scale}
+        cfg = {"space": {"path_graph": 6}, "operator": {"generator": gen},
+               "mode": "heuristic", "radii": [1], "seed": 3}
+        assert run(tmp_path, "coarse-check", cfg) == 0
+        [[_, value, _]] = read_rows(tmp_path / "coarse-check.csv")[1]
+        values.append(float(value))
+    assert values[0] == 5.548507512712221
+    assert values[1] == math.ldexp(values[0], e)
 
-    monkeypatch.setattr(expander, "_random_regular_graph", sample)
-    cfg = {**_VALID["expander-preflow"], "k": "bogus"}
-    assert run(tmp_path, "expander-preflow", cfg) == 2
+
+def test_expander_preflow_builds_no_finite_space(tmp_path, monkeypatch):
+    # a family is its block sizes and weights: no block graph, no union
+    built = []
+    post_init = space.FiniteSpace.__post_init__
+
+    def counted_post_init(self):
+        built.append(self.n_points)
+        post_init(self)
+
+    monkeypatch.setattr(space.FiniteSpace, "__post_init__", counted_post_init)
+    for k in ("zero", "diagonal_of_h"):
+        assert run(tmp_path, "expander-preflow", {**_VALID["expander-preflow"], "k": k}) == 0
+    assert built == []
+
+
+# "degree" asks that a connected simple degree-regular graph exist on every
+# block: size > degree, size * degree even, and degree >= 2 unless size = 2
+@pytest.mark.parametrize(
+    "expander_cfg, code",
+    [
+        ({"n_blocks": 1, "degree": 6, "sizes": [8]}, 0),  # K8 minus a matching
+        ({"n_blocks": 1, "degree": 1, "sizes": [4]}, 2),  # two disjoint edges
+        ({"n_blocks": 1, "degree": 1, "sizes": [2]}, 0),  # one edge
+        ({"n_blocks": 2, "degree": 4, "sizes": [6, 4]}, 2),
+        ({"n_blocks": 2, "degree": 3, "sizes": [6, 7]}, 2),
+        ({"n_blocks": 2, "degree": 3, "sizes": [8]}, 2),
+        ({**_EXPANDER, "seed": 6}, 2),  # no sample is drawn, so no seed is read
+    ],
+    ids=["degree-6-on-8", "degree-1-on-4", "degree-1-on-2", "size-not-above-degree",
+         "size-times-degree-odd", "n-blocks-not-len-sizes", "expander-seed-unread"],
+)
+def test_expander_degree_is_an_existence_check(tmp_path, capsys, expander_cfg, code):
+    cfg = {"expander": expander_cfg, "time_grid": _GRID}
+    assert run(tmp_path, "expander-preflow", cfg) == code
+    assert (tmp_path / "expander-preflow.csv").exists() == (code == 0)
+    if "seed" in expander_cfg:
+        assert "'expander.seed'" in capsys.readouterr().err
 
 
 def test_taken_output_path_is_config_error(tmp_path):
@@ -957,7 +1005,7 @@ _FUZZ = {
     "cocycle-verify": _VALID["cocycle-verify"],
     "diagonalize": _VALID["diagonalize"],
     "expander-preflow": {
-        "expander": {**_EXPANDER, "weights": "linear", "seed": 2},
+        "expander": {**_EXPANDER, "weights": "linear"},
         "time_grid": _GRID,
         "k": "diagonal_of_h",
     },

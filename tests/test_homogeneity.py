@@ -1,0 +1,80 @@
+"""Exact homogeneity under powers of two: a value of degree one in an operator
+is scaled by exactly 2^e when the operator is, as long as nothing underflows
+or overflows. spectral_norms scales each matrix by a power of two before it
+norms, so a scaled input reaches LAPACK with the same bits, and every check
+and threshold on the way must scale with it."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_locality import HERMITIAN_KINDS, drawn_operator, small_spaces
+
+from roelab.averaging import extract_finite_prop
+from roelab.expander import block_family, preflow_profiles
+from roelab.flows import flow_profile
+from roelab.locality import ql_values
+from roelab.operator import OperatorMatrix
+from roelab.translations import coarseness_moduli
+
+# 2^e times an entry, a norm or a grid time stays a normal float
+EXPONENTS = st.integers(-60, 60)
+
+
+def scaled(a, e):
+    return OperatorMatrix(a.space, 2.0**e * a.entries)
+
+
+def grids():
+    """1 to 6 times k/16, |k| <= 48: no scaled time is subnormal."""
+    return st.lists(st.integers(-48, 48), min_size=1, max_size=6).map(
+        lambda ks: np.array(ks) / 16.0
+    )
+
+
+@given(
+    small_spaces(max_n=6),
+    st.sampled_from(HERMITIAN_KINDS),
+    st.integers(0, 2**32 - 1),
+    EXPONENTS,
+    grids(),
+)
+@settings(max_examples=60, deadline=None)
+def test_values_of_degree_one_scale_by_powers_of_two(s, kind, seed, e, times):
+    h = drawn_operator(s, kind, seed)
+    a = drawn_operator(s, "full", seed + 1)
+    radii = s.distance_set()
+
+    def homogeneous(f, x):
+        """f(2^e x) is 2^e f(x), bit for bit."""
+        assert np.array_equal(f(scaled(x, e)), np.ldexp(f(x), e))
+
+    homogeneous(lambda x: coarseness_moduli(x, radii, ["heuristic", "exact"]), h)
+    homogeneous(lambda x: ql_values(x, radii, ["lower", "exact"]), a)
+    homogeneous(lambda x: flow_profile(h, x, times)[0], a)
+    homogeneous(lambda x: [extract_finite_prop(x, r)[1] for r in radii], h)
+
+    # time covariance: sigma_{2^e h, t} = sigma_{h, 2^e t}, and the derivative
+    # residual, a difference quotient in t, carries one more factor 2^e
+    modulus, residual = flow_profile(scaled(h, e), a, times)
+    modulus_t, residual_t = flow_profile(h, a, np.ldexp(times, e))
+    assert np.array_equal(modulus, modulus_t)
+    assert np.array_equal(residual, np.ldexp(residual_t, e))
+
+
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    EXPONENTS,
+    grids(),
+)
+@settings(max_examples=60, deadline=None)
+def test_preflow_profiles_scale_weights_and_k_as_times(sizes, seed, e, times):
+    # e^{it 2^e h} = e^{i 2^e t h}: weights and k times 2^e against times 2^e
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 10.0, len(sizes))
+    k = rng.standard_normal(sum(sizes))
+    fam, fam_scaled = block_family(sizes, weights), block_family(sizes, 2.0**e * weights)
+    got = preflow_profiles(fam_scaled, 2.0**e * k, times)
+    want = preflow_profiles(fam, k, np.ldexp(times, e))
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)

@@ -332,7 +332,7 @@ def _zero_prop(monkeypatch, x):
 def _preflow_off_by(monkeypatch, x, piece):
     """preflow_profiles on a block family whose block norms all read their
     closed form, but those of one piece (0, the moved p_A; 1, w - 1) - x."""
-    fam = expander.block_family([space.path_graph(3), space.path_graph(4)], "quadratic")
+    fam = expander.block_family([3, 4], "quadratic")
     closed = expander._closed_forms
 
     def block_norms(fam, k, times):
@@ -434,9 +434,7 @@ def _stacked_paths():
     eh, ek = hermitian_eig(h), hermitian_eig(k)
     fam = cocycle_from_eigensystems(eh, ek)
     lam_fam = cocycle_from_eigensystems(ek, eh)
-    blocks = expander.block_family(
-        [space.path_graph(m) for m in (3, 5, 4)], "quadratic"
-    )
+    blocks = expander.block_family([3, 5, 4], "quadratic")
     out = {
         "flow_profile": flow_profile(h, a, times),
         # per time: the point map, delta and displacement, as one row

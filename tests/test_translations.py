@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -207,8 +208,11 @@ def loop_commutator_norm(h, row):
 
 
 def loop_heuristic(h, r):
-    """The heuristic mode evaluated one translation at a time."""
+    """The heuristic mode evaluated one translation at a time. A gain must
+    beat the current norm by 1e-15 2^e, 2^(e-1) <= max |Re h_xy|, |Im h_xy| < 2^e."""
     n = h.n
+    big = max(np.abs(h.entries.real).max(), np.abs(h.entries.imag).max())
+    min_gain = math.ldexp(1e-15, math.frexp(big)[1])
     feasible = [(x, y) for x in range(n) for y in range(n) if h.space.dist[x, y] <= r]
 
     def extended(row, x, y):
@@ -225,7 +229,7 @@ def loop_heuristic(h, r):
             if current[x] >= 0 or y in current:
                 continue
             cand = loop_commutator_norm(h, extended(current, x, y))
-            if cand > gain_norm + 1e-15:
+            if cand > gain_norm + min_gain:
                 gain_row, gain_norm = extended(current, x, y), cand
         if gain_row is None:
             return max(best, current_norm)
