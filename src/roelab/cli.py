@@ -31,30 +31,24 @@ from .operator import (
 )
 
 
-def _fmt(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _config_hash(cfg) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _write_csv(path, subcommand, cfg_hash, units, header, rows):
-    rows = list(rows)
-    # every numeric cell must be finite, checked before the file is opened
-    for j, name in enumerate(header):
-        cells = [abs(float(row[j])) for row in rows if not isinstance(row[j], str)]
-        check(np.array(cells), np.finfo(float).max, lambda i: f"column {name!r}")
+def _write_csv(path, subcommand, cfg_hash, units, header, columns):
+    """One column per header name: an array of floats, checked finite before
+    the file is opened, or of ints, or a list of strings."""
+    columns = [np.asarray(column) for column in columns]
+    for name, col in zip(header, columns):
+        if col.dtype.kind == "f":
+            check(np.abs(col), np.finfo(float).max, lambda i: f"column {name!r}")
+    cell = {"f": "%.17g", "i": "%d", "U": "%s"}  # by dtype kind
+    line = ",".join(cell[col.dtype.kind] for col in columns) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"# roelab {subcommand} config_hash={cfg_hash} units={units}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(line % row for row in zip(*(col.tolist() for col in columns)))
 
 
 class _Section(dict):
@@ -259,7 +253,7 @@ def _write_profile(out, subcommand, cfg_hash, radii, modes, values):
         out, subcommand, cfg_hash,
         "radius:distance value:operator-norm",
         ("radius", "value", "mode"),
-        [(r, v, mode) for mode, row in zip(modes, values) for r, v in zip(radii, row)],
+        (np.tile(radii, len(modes)), values.ravel(), np.repeat(modes, len(radii))),
     )
 
 
@@ -303,7 +297,7 @@ def _run_flow_profile(cfg, rng):
             out, "flow-profile", cfg_hash,
             "t:seconds modulus:operator-norm derivative_residual:operator-norm",
             ("t", "modulus", "derivative_residual"),
-            zip(times, *flows.flow_profile(h, a, times)),
+            (times, *flows.flow_profile(h, a, times)),
         )
 
     return compute
@@ -324,7 +318,7 @@ def _run_cocycle_verify(cfg, rng):
             out, "cocycle-verify", cfg_hash,
             "t:seconds s:seconds residuals:operator-norm",
             ("t", "s", "cocycle_residual", "lambda_residual"),
-            zip(t.ravel(), s.ravel(), residuals.ravel(), np.repeat(lam, len(times))),
+            (t.ravel(), s.ravel(), residuals.ravel(), np.repeat(lam, len(times))),
         )
 
     return compute
@@ -341,7 +335,7 @@ def _run_diagonalize(cfg, rng):
             out, "diagonalize", cfg_hash,
             "r:distance defect:operator-norm residual:operator-norm",
             ("r", "defect", "zero_prop_residual", "h_prime_propagation"),
-            [(r, defect, zero_prop_residual, propagation(h_prime))],
+            ([r], [defect], [zero_prop_residual], [propagation(h_prime)]),
         )
 
     return compute
@@ -378,14 +372,14 @@ def _run_expander_preflow(cfg, rng):
             out, "expander-preflow", cfg_hash,
             "t:seconds measured:operator-norm closed_form:operator-norm",
             ("t", "measured", "closed_form", "block_of_max"),
-            zip(times, measured, closed_form, block),
+            (times, measured, closed_form, block),
         )
         # the w-map's corner bound rhs is the closed form
         wmap_path = Path(out).with_name(Path(out).stem + "-wmap.csv")
         _write_csv(
             wmap_path, "expander-preflow", cfg_hash,
             "t:seconds lhs:operator-norm rhs:operator-norm",
-            ("t", "lhs", "rhs"), zip(times, lhs, closed_form),
+            ("t", "lhs", "rhs"), (times, lhs, closed_form),
         )
 
     return compute
@@ -400,7 +394,7 @@ def _run_rigidity_probe(cfg, rng):
         _write_csv(
             out, "rigidity-probe", cfg_hash,
             "t:seconds delta:modulus displacement:distance",
-            ("t", "delta", "displacement"), zip(times, deltas, displacements),
+            ("t", "delta", "displacement"), (times, deltas, displacements),
         )
 
     return compute

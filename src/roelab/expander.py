@@ -138,18 +138,21 @@ def _block_norms(fam: BlockFamily, k, times):
 
     Both pieces are built from the real h, p_A and k, so a piece at -t is
     the entrywise conjugate of the piece at t and has the same norm: the
-    norms are taken once per distinct |t| and indexed back.
+    norms are taken once per distinct |t| > 0 and indexed back (both are 0
+    at t = 0, since expm1(0) = 0).
     """
     mags, back = np.unique(np.abs(times), return_inverse=True)
-    moved, w_minus_one = np.zeros((2, len(mags), fam.n_blocks))
+    norms = np.zeros((2, len(mags), fam.n_blocks))
+    lo = np.searchsorted(mags, 0.0, side="right")
+    live, (moved, w_minus_one) = mags[lo:], norms[:, lo:]
     for size in sorted(set(fam.sizes)):
         ns = [n for n, s in enumerate(fam.sizes) if s == size]
         # every block of one size has the same p_{A_n} diagonal
         mask = _split_mask(size)
         k_ns = k[np.array(fam.offsets)[ns][:, None] + np.arange(size)]
         # the chunk rule bounds the m blocks of one time as one (m s) x s slab
-        for sl in chunks(len(mags), len(ns) * size, size):
-            t = mags[sl]
+        for sl in chunks(len(live), len(ns) * size, size):
+            t = live[sl]
             # an overflow leaves a non-finite entry, refused by spectral_norms
             with np.errstate(over="ignore", invalid="ignore"):
                 # c/s of the blocks, time-major, as a (T m, 1, 1) stack
@@ -160,7 +163,7 @@ def _block_norms(fam: BlockFamily, k, times):
                 em = np.expm1(-1j * t[:, None, None] * k_ns).reshape(-1, 1, size)
                 piece = a * (1.0 + em) + em * np.eye(size)
                 w_minus_one[sl, ns] = spectral_norms(piece).reshape(len(t), -1)
-    return moved[back], w_minus_one[back]
+    return norms[0, back], norms[1, back]
 
 
 def preflow_profiles(fam: BlockFamily, k, times):

@@ -11,7 +11,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from ._linalg import LIPSCHITZ_TOL, UNITARY_TOL, EigenSystem, check, chunks
+from ._linalg import LIPSCHITZ_TOL, UNITARY_TOL, EigenSystem, check, chunk_len, chunks
 from ._linalg import hermitian_eig, require_unitary, spectral_norm, spectral_norms
 from .operator import OperatorMatrix
 
@@ -60,9 +60,9 @@ def flow_profile(h: OperatorMatrix, a: OperatorMatrix, times):
             # expm1, not exp - 1, which cancels at a small t
             moved = np.expm1(1j * t * gaps)
             modulus[sl] = spectral_norms(moved * a_eig)
-            quotient = moved / np.where(t != 0.0, t, 1.0) - 1j * gaps
-            residual[sl] = spectral_norms(quotient * a_eig)
-    residual[times == 0.0] = 0.0
+            live = t[:, 0, 0] != 0.0
+            quotient = moved[live] / t[live] - 1j * gaps
+            residual[sl][live] = spectral_norms(quotient * a_eig)
     return modulus, residual
 
 
@@ -126,33 +126,39 @@ def corrupt_at(c: CocycleFamily, t0: float) -> CocycleFamily:
 
 def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
     """(len ts, len ss) array of ||u_{t+s} - u_t sigma_{h,t}(u_s)|| for the
-    family's flow sigma_h; each row t is one stack over s.
+    family's flow sigma_h, in blocks of rows and columns.
 
-    Within a block of rows and columns, u_{t+s} is formed once per distinct
-    sum t + s (2T - 1 of them, not T^2, on a uniform grid), a chunk at a
-    time. Each matrix of a stack is computed on its own, so the residuals
-    are those of one u_many(t + ss) call per row, bit for bit. Every stack
-    formed is checked as it is formed (shape, unitarity, u_0 = 1).
+    Within a block, u_{t+s} is formed once per distinct sum t + s (2T - 1,
+    not T^2, on a uniform grid), a chunk at a time; a block whose s are its
+    t (ss is ts in the CLI) reads u_s from u_t; the pair differences are
+    normed in stacks of up to 128 KiB. Each matrix of a stack is computed on
+    its own, so the residuals are those of one u_many(t + ss) per row, bit
+    for bit. Every stack formed is checked (shape, unitarity, u_0 = 1).
     """
     ts = np.asarray(ts, dtype=np.float64)
     ss = np.asarray(ss, dtype=np.float64)
     es = c.eigensystem
     n = es.vectors.shape[0]
     out = np.zeros((len(ts), len(ss)))
+    # pairs per stack of differences: within the chunk rule and at most 2**13
+    # complex entries (128 KiB); a larger temporary is mapped afresh per call
+    step = max(1, min(chunk_len(n, n), 2**13 // (n * n)))
     for tsl in chunks(len(ts), n, n):
         e_it, u_t = es.exp_many(ts[tsl]), _elements(c, ts[tsl])
         for sl in chunks(len(ss), n, n):
-            u_s = _elements(c, ss[sl])
+            u_s = u_t if np.array_equal(ss[sl], ts[tsl]) else _elements(c, ss[sl])
             sums, at = np.unique(ts[tsl, None] + ss[sl], return_inverse=True)
-            at = at.reshape(len(e_it), -1)
+            at = at.reshape(-1)
             for part in chunks(len(sums), n, n):
                 u_sum = _elements(c, sums[part])
-                for i, row in enumerate(at):
-                    cols = np.flatnonzero((row >= part.start) & (row < part.stop))
-                    if cols.size:
-                        moved = e_it[i] @ u_s[cols] @ e_it[i].conj().T
-                        diff = u_sum[row[cols] - part.start] - u_t[i] @ moved
-                        out[tsl.start + i, sl.start + cols] = spectral_norms(diff)
+                pairs = np.flatnonzero((at >= part.start) & (at < part.stop))
+                for lo in range(0, len(pairs), step):
+                    p = pairs[lo : lo + step]
+                    i, j = np.divmod(p, len(u_s))
+                    e = e_it[i]
+                    moved = e @ u_s[j] @ e.conj().transpose(0, 2, 1)
+                    diff = u_sum[at[p] - part.start] - u_t[i] @ moved
+                    out[tsl.start + i, sl.start + j] = spectral_norms(diff)
     return out
 
 

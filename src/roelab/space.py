@@ -121,22 +121,24 @@ def coarse_union(blocks: Sequence[FiniteSpace]) -> FiniteSpace:
 
 
 def path_graph(n: int) -> FiniteSpace:
+    """The path's hop metric, |i - j|."""
     check_points(n)
-    return from_edge_list([(i, i + 1) for i in range(n - 1)], n)
+    return FiniteSpace(abs(np.subtract.outer(np.arange(n), np.arange(n))))
 
 
 def cycle_graph(n: int) -> FiniteSpace:
+    """The cycle's hop metric, min(|i - j|, n - |i - j|)."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 points")
     check_points(n)
-    return from_edge_list([(i, (i + 1) % n) for i in range(n)], n)
+    d = abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return FiniteSpace(np.minimum(d, n - d))
 
 
 def complete_graph(n: int) -> FiniteSpace:
+    """The complete graph's hop metric, 1 off the diagonal."""
     check_points(n)
-    return from_edge_list(
-        [(i, j) for i in range(n) for j in range(i + 1, n)], n
-    )
+    return FiniteSpace(1.0 - np.eye(n))
 
 
 def _records(path):

@@ -15,7 +15,8 @@ from test_expander import generator
 
 import roelab
 from roelab import _linalg, expander, locality, operator, space, translations
-from roelab.cli import _RUNNERS, main
+from roelab.cli import _RUNNERS, _write_csv, main
+from roelab.errors import NumericCheckError
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -737,6 +738,36 @@ def test_exact_mode_overflow_is_numeric_error(tmp_path, capsys):
     assert run(tmp_path, "coarse-check", cfg) == 4
     assert "column 'value'" in capsys.readouterr().err
     assert not (tmp_path / "coarse-check.csv").exists()
+
+
+def test_write_csv_prints_each_column_by_its_kind(tmp_path):
+    path = tmp_path / "out.csv"
+    floats = [2.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    _write_csv(
+        path, "demo", "0123", "x:unit", ("i", "x", "name"),
+        (np.array([0, -3, 7, 2**40, 12]), np.array(floats), ["a", "b", "c", "d", "e f"]),
+    )
+    assert path.read_text() == (
+        "# roelab demo config_hash=0123 units=x:unit\n"
+        "i,x,name\n"
+        "0,2,a\n"
+        "-3,-0,b\n"
+        "7,4.9406564584124654e-324,c\n"
+        "1099511627776,1.7976931348623157e+308,d\n"
+        "12,0.10000000000000001,e f\n"
+    )
+    # the cells are what format(x, ".17g") and str(int) give one at a time
+    for line, x in zip(path.read_text().splitlines()[2:], floats):
+        assert line.split(",")[1] == format(x, ".17g")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_csv_refuses_a_non_finite_column_before_opening(tmp_path, bad):
+    path = tmp_path / "out.csv"
+    columns = (np.array([1, 2]), np.array([0.5, 1.5]), np.array([1.0, bad]))
+    with pytest.raises(NumericCheckError, match="column 'z'"):
+        _write_csv(path, "demo", "0123", "x:unit", ("i", "y", "z"), columns)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])

@@ -352,19 +352,21 @@ def test_drawn_family_profiles_do_not_depend_on_the_block_graph(
 
 @pytest.mark.parametrize(
     "times",
-    [np.linspace(-0.7, 1.3, 23), np.linspace(-1.5, -0.1, 15)],
-    ids=["asymmetric", "negative-only"],
+    [np.linspace(-0.7, 1.3, 23), np.linspace(-1.5, -0.1, 15), np.linspace(-0.5, 0.5, 17)],
+    ids=["asymmetric", "negative-only", "through-zero"],
 )
 def test_norms_per_abs_time_match_dense_norms(times):
     # the norms are taken at |t| only; a grid whose times are not mirrored,
-    # or all negative, must still give the norm of every t
+    # or all negative, must still give the norm of every t, and a grid
+    # through t = 0, where no norm is taken, must give 0 there
     fam = block_family([6, 8, 6], "quadratic")
     k = np.random.default_rng(5).standard_normal(fam.n_points)
     assert_blockwise_norms_match_dense(fam, k, times)
 
 
 def test_one_norm_per_abs_time(monkeypatch):
-    # the spectral-sweep benchmark's family and grid: 17 times, 9 distinct |t|
+    # the spectral-sweep benchmark's family and grid: 17 times, 9 distinct |t|,
+    # of which 8 are nonzero; at t = 0 both pieces are 0 and are not normed
     fam = block_family([16] * 4, "quadratic")
     times = -0.5 + 0.0625 * np.arange(17)
     normed = []
@@ -375,8 +377,8 @@ def test_one_norm_per_abs_time(monkeypatch):
 
     monkeypatch.setattr(expander, "spectral_norms", counting)
     preflow_profiles(fam, np.zeros(fam.n_points), times)
-    # both pieces, each on 4 blocks at 9 times
-    assert sum(normed) == 2 * 9 * 4
+    # both pieces, each on 4 blocks at 8 times
+    assert sum(normed) == 2 * 8 * 4
 
 
 @st.composite

@@ -433,12 +433,53 @@ def test_cocycle_residuals_form_each_sum_once_bit_for_bit(times):
     formed.clear()
     grid = cocycle_residuals(counting, times, times)
     sums = len(np.unique(times[:, None] + times))
-    assert sums > 64 and sum(formed) == 2 * len(times) + sums
+    assert sums > 64 and sum(formed) == len(times) + sums
     assert np.array_equal(grid, _per_row_residuals(fam, times, times))
     bad = corrupt_at(fam, float(times[5]))
     corrupted = cocycle_residuals(bad, times, times)
     assert np.array_equal(corrupted, _per_row_residuals(bad, times, times))
     assert grid.max() <= 1e-9 and corrupted.max() > 1e-2
+
+
+@pytest.mark.parametrize(
+    "n, ts, ss",
+    [
+        (4, np.linspace(-1.0, 1.0, 70), np.round(np.random.default_rng(49).uniform(-1, 1, 90), 2)),
+        (4, np.linspace(-1.0, 1.0, 130), np.linspace(-1.0, 1.0, 130)),
+        (40, np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9)),
+    ],
+    ids=["ts-is-not-ss", "ts-is-ss", "stacks-of-5-pairs"],
+)
+def test_cocycle_residuals_over_several_blocks_bit_for_bit(n, ts, ss):
+    # blocks of 64 rows and columns: 2 x 2 blocks, or 3 x 3 with 3 on the
+    # diagonal, where u_s is read from u_t; at n = 40 a stack of pair
+    # differences holds 5 pairs (2**13 entries), so stacks span rows
+    s = space.path_graph(n)
+    eh, ek = (hermitian_eig(random_hermitian(s, seed)) for seed in (50, 51))
+    fam = cocycle_from_eigensystems(eh, ek)
+    formed = []
+
+    def counted(times):
+        formed.append(len(times))
+        return fam.u_many(times)
+
+    grid = cocycle_residuals(CocycleFamily(fam.eigensystem, counted), ts, ss)
+    assert np.array_equal(grid, _per_row_residuals(fam, ts, ss))
+    bad = corrupt_at(fam, float(ss[3]))
+    assert np.array_equal(
+        cocycle_residuals(bad, ts, ss), _per_row_residuals(bad, ts, ss)
+    )
+    # u_t once, u_s once per block off the diagonal, u_{t+s} once per
+    # distinct sum of a block; the bound forms u_s for every block
+    want = bound = len(ts)
+    for i in range(0, len(ts), 64):
+        for j in range(0, len(ss), 64):
+            t, s_ = ts[i : i + 64], ss[j : j + 64]
+            sums = len(np.unique(t[:, None] + s_))
+            want += sums + (0 if np.array_equal(t, s_) else len(s_))
+            bound += sums + len(s_)
+    assert sum(formed) == want <= bound
+    assert grid.max() <= 1e-9
 
 
 def test_lambda_residuals_match_per_time_formula():

@@ -14,6 +14,7 @@ from roelab.expander import block_family, preflow_profiles
 from roelab.flows import flow_profile
 from roelab.locality import ql_values
 from roelab.operator import OperatorMatrix
+from roelab.rigidity import flow_displacement_sweep
 from roelab.translations import coarseness_moduli
 
 # 2^e times an entry, a norm or a grid time stays a normal float
@@ -76,5 +77,22 @@ def test_preflow_profiles_scale_weights_and_k_as_times(sizes, seed, e, times):
     fam, fam_scaled = block_family(sizes, weights), block_family(sizes, 2.0**e * weights)
     got = preflow_profiles(fam_scaled, 2.0**e * k, times)
     want = preflow_profiles(fam, k, np.ldexp(times, e))
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
+@given(
+    small_spaces(max_n=6),
+    st.sampled_from(HERMITIAN_KINDS),
+    st.integers(0, 2**32 - 1),
+    EXPONENTS,
+    grids(),
+)
+@settings(max_examples=60, deadline=None)
+def test_rigidity_probe_scales_h_as_times(s, kind, seed, e, times):
+    # e^{it 2^e h} = e^{i 2^e t h}: point maps, deltas and displacements agree
+    h = drawn_operator(s, kind, seed)
+    got = flow_displacement_sweep(scaled(h, e), times)
+    want = flow_displacement_sweep(h, np.ldexp(times, e))
     for x, y in zip(got, want):
         assert np.array_equal(x, y)

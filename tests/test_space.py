@@ -101,6 +101,24 @@ def test_edge_list_roundtrip(tmp_path):
     assert np.array_equal(s.dist, again.dist)
 
 
+# the edge lists the generated graphs were once built from
+EDGE_LISTS = {
+    space.path_graph: lambda n: [(i, i + 1) for i in range(n - 1)],
+    space.cycle_graph: lambda n: [(i, (i + 1) % n) for i in range(n)],
+    space.complete_graph: lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+}
+
+
+@pytest.mark.parametrize("build", EDGE_LISTS, ids=lambda b: b.__name__)
+def test_closed_form_graphs_are_their_edge_lists_bit_for_bit(build):
+    least = 3 if build is space.cycle_graph else 1
+    for n in range(least, 65):
+        want = space.from_edge_list(EDGE_LISTS[build](n), n).dist
+        got = build(n).dist
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize(
     "build",
     [
