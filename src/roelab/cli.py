@@ -7,10 +7,14 @@ reproduces the output byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 size-guard refusal, 4 numeric
 validation failure.
+
+A fresh process loads only what its subcommand runs: each runner imports
+its own library module, and numpy.random loads at the first draw.
 """
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import sys
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import averaging, expander, flows, locality, rigidity, space, translations
+from . import space
 from ._linalg import check, hermitian_eig
 from .errors import ConfigError, NumericCheckError, SizeGuardError
 from .operator import (
@@ -188,17 +192,19 @@ def _build_operator(cfg, sp, rng):
             )
         return diagonal(sp, _scaled(scale, sp.dist[base]))
     if kind == "diagonal_random":
-        return diagonal(sp, _scaled(scale, rng.standard_normal(n)))
+        return diagonal(sp, _scaled(scale, rng().standard_normal(n)))
     if kind in ("random_hermitian", "random_hermitian_banded"):
         band = _get(gen, "band", "number", least=0) if kind.endswith("banded") else None
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        draw = rng().standard_normal
+        m = draw((n, n)) + 1j * draw((n, n))
         herm = OperatorMatrix(sp, _scaled(scale * 0.5, m + m.conj().T))
         return herm if band is None else truncate(herm, band)
     raise ConfigError(f"unknown operator generator kind {kind!r}")
 
 
 def _operators(cfg, rng, *keys):
-    """Build the "space" section, then one operator per section in ``keys``."""
+    """Build the "space" section, then one operator per section in ``keys``;
+    ``rng()`` is the run's one generator, made at its first draw."""
     sp = _build_space(_get(cfg, "space", "object"))
     return [_build_operator(_get(cfg, key, "object"), sp, rng) for key in keys]
 
@@ -257,11 +263,14 @@ def _write_profile(out, subcommand, cfg_hash, radii, modes, values):
     )
 
 
-# Each runner reads its config and returns its computation, which takes the
-# output path and the config hash and writes the CSV.
+# Each runner imports its library module, reads its config and returns its
+# computation, which takes the output path and the config hash and writes the
+# CSV. The module is imported first: imported after the operators are built,
+# it raised a fresh process's peak RSS.
 
 
 def _run_coarse_check(cfg, rng):
+    from . import translations
     modes = _modes(cfg, ("heuristic", "exact"))
     allow_large = _get(cfg, "allow_large", "bool", False)
     [h] = _operators(cfg, rng, "operator")
@@ -277,6 +286,7 @@ def _run_coarse_check(cfg, rng):
 
 
 def _run_ql_profile(cfg, rng):
+    from . import locality
     modes = _modes(cfg, ("lower", "exact"))
     [a] = _operators(cfg, rng, "operator")
     radii = _radii(cfg, a.space)
@@ -289,6 +299,7 @@ def _run_ql_profile(cfg, rng):
 
 
 def _run_flow_profile(cfg, rng):
+    from . import flows
     times = _build_times(_get(cfg, "time_grid", "object"))
     h, a = _operators(cfg, rng, "h", "a")
 
@@ -304,6 +315,7 @@ def _run_flow_profile(cfg, rng):
 
 
 def _run_cocycle_verify(cfg, rng):
+    from . import flows
     times = _build_times(_get(cfg, "time_grid", "object"), square=True)
     h, k = _operators(cfg, rng, "h", "k")
 
@@ -325,6 +337,7 @@ def _run_cocycle_verify(cfg, rng):
 
 
 def _run_diagonalize(cfg, rng):
+    from . import averaging
     r = _get(cfg, "r", "number", least=0)
     [h] = _operators(cfg, rng, "h")
 
@@ -345,6 +358,7 @@ def _family_args(cfg):
     """The block sizes and weights of the "expander" section. n_blocks must
     count the sizes, and degree is the check that a connected degree-regular
     graph exists on every block; the values read no graph."""
+    from . import expander
     exp_cfg = _get(cfg, "expander", "object")
     weights = _choice(exp_cfg, "weights", expander.WEIGHT_PRESETS, "quadratic")
     n_blocks = _get(exp_cfg, "n_blocks", "int", least=1)
@@ -357,6 +371,7 @@ def _family_args(cfg):
 
 
 def _run_expander_preflow(cfg, rng):
+    from . import expander
     k_kind = _choice(cfg, "k", ("zero", "diagonal_of_h"), "zero")
     times = _build_times(_get(cfg, "time_grid", "object"))
     fam = expander.block_family(*_family_args(cfg))
@@ -386,6 +401,7 @@ def _run_expander_preflow(cfg, rng):
 
 
 def _run_rigidity_probe(cfg, rng):
+    from . import rigidity
     times = _build_times(_get(cfg, "time_grid", "object"))
     [h] = _operators(cfg, rng, "h")
 
@@ -418,13 +434,11 @@ def _parser():
         prog="roelab",
         description="Finite-scale experiments on operators over coarse spaces.",
     )
-    sub = p.add_subparsers(dest="subcommand", required=True)
-    for name in _RUNNERS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--threads", type=int, default=1)
+    p.add_argument("subcommand", choices=_RUNNERS)
+    p.add_argument("--config", required=True, help="JSON config path")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--threads", type=int, default=1)
     return p
 
 
@@ -445,7 +459,8 @@ def main(argv=None) -> int:
         cfg["seed"] = _get(seeds, "seed", "int", 0, least=0)
         cfg.read.add("seed")  # read above, or overridden by --seed
         out = Path(args.out) / _output_name(cfg, args.subcommand)
-        rng = np.random.default_rng(cfg["seed"])
+        seed = cfg["seed"]
+        rng = functools.cache(lambda: np.random.default_rng(seed))
         compute = _RUNNERS[args.subcommand](cfg, rng)
         unread = list(_unread(cfg))
         if unread:
@@ -465,5 +480,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry():
+    """The process entry, of ``python -m roelab.cli`` and the ``roelab``
+    script: main(), then exit without the shutdown collections over every
+    object the run allocated. main() itself freezes nothing, so that it can
+    be called in-process any number of times."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

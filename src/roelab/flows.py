@@ -14,6 +14,7 @@ import numpy as np
 from ._linalg import LIPSCHITZ_TOL, UNITARY_TOL, EigenSystem, check, chunk_len, chunks
 from ._linalg import hermitian_eig, require_unitary, spectral_norm, spectral_norms
 from .operator import OperatorMatrix
+from .space import sorted_distinct
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> Tuple[float,
     if not np.isfinite(times).all():
         raise ValueError("grid times must be finite")
     bound = spectral_norm(h.entries - k.entries)
-    diffs = np.unique(np.abs(times[None, :] - times[:, None]))
+    diffs = sorted_distinct(np.abs(times[None, :] - times[:, None]))
     diffs = diffs[diffs > 0]
     eh, ek = hermitian_eig(h), hermitian_eig(k)
     ratios = np.empty(len(diffs))

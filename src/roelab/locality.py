@@ -6,6 +6,7 @@ import numpy as np
 from ._linalg import chunks, spectral_norms
 from .errors import SizeGuardError
 from .operator import OperatorMatrix
+from .space import sorted_distinct
 
 EXACT_GUARD = 16
 # the most entries of the lower mode's (n |D|, n) ball masks, D the distance set
@@ -51,7 +52,7 @@ def _ball_corners(dist, radii):
     _closed_corners: A a metric ball, B = far(A) nonempty, from one exact 0/1
     count per radius."""
     n = len(dist)
-    balls = (dist[:, None, :] <= np.unique(dist)[None, :, None]).reshape(-1, n)
+    balls = (dist[:, None, :] <= sorted_distinct(dist)[None, :, None]).reshape(-1, n)
     counts = balls.astype(np.float32)
     for i, r in enumerate(radii):
         far = counts @ (dist <= r).astype(np.float32) == 0
@@ -101,7 +102,7 @@ def _norm_batch(padded, batch, out):
     k = np.arange(len(flip))
     short, long = points[k, flip], points[k, 1 - flip]
     side = sizes[k, flip]
-    for p in np.unique(side).tolist():
+    for p in sorted_distinct(side).tolist():
         group = np.flatnonzero(side == p)
         q = n - p
         for sl in chunks(len(group), p, q):

@@ -57,7 +57,17 @@ class FiniteSpace:
 
     def distance_set(self) -> np.ndarray:
         """Sorted distinct values occurring in the distance matrix (incl. 0)."""
-        return np.unique(self.dist)
+        return sorted_distinct(self.dist)
+
+
+def sorted_distinct(x) -> np.ndarray:
+    """The sorted distinct values of x, flattened: np.unique(x) for finite x,
+    without the numpy.ma import that np.unique makes when it returns values
+    alone."""
+    s = np.sort(x, axis=None)
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return s[first]
 
 
 def check_points(n: int) -> None:

@@ -1,7 +1,9 @@
 import copy
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,7 @@ from test_expander import generator
 
 import roelab
 from roelab import _linalg, expander, locality, operator, space, translations
-from roelab.cli import _RUNNERS, _write_csv, main
+from roelab.cli import _RUNNERS, _write_csv, entry, main
 from roelab.errors import NumericCheckError
 
 
@@ -1165,3 +1167,114 @@ def test_diagonalize_of_subnormal_entries(tmp_path):
     assert run(tmp_path, "diagonalize", cfg) == 0
     _, [row] = read_rows(tmp_path / "diagonalize.csv")
     assert float(row[1]) == 5e-324
+
+
+# the library module each subcommand runs; a fresh process loads no other
+_OWN_MODULE = {
+    "coarse-check": "translations", "ql-profile": "locality",
+    "flow-profile": "flows", "cocycle-verify": "flows",
+    "diagonalize": "averaging", "expander-preflow": "expander",
+    "rigidity-probe": "rigidity",
+}
+_DIAGONAL = {"generator": {"kind": "diagonal_from_distance"}}
+# case -> (subcommand, config, whether a generator draws)
+_COLD = {
+    "coarse-check-diagonal": (
+        "coarse-check", {"space": {"path_graph": 4}, "operator": _DIAGONAL}, False
+    ),
+    "ql-profile": ("ql-profile", _VALID["ql-profile"], True),
+    "flow-profile": ("flow-profile", _VALID["flow-profile"], True),
+    "flow-profile-diagonal": (
+        "flow-profile", {**_VALID["flow-profile"], "h": _DIAGONAL, "a": _DIAGONAL}, False
+    ),
+    "cocycle-verify": ("cocycle-verify", _VALID["cocycle-verify"], True),
+    "diagonalize": ("diagonalize", _VALID["diagonalize"], True),
+    "expander-preflow": ("expander-preflow", _VALID["expander-preflow"], False),
+    "rigidity-probe": ("rigidity-probe", _FUZZ["rigidity-probe"], True),
+}
+# one line per first import in a -X importtime report
+_IMPORTED = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.M)
+
+
+def _fresh(*args):
+    """A fresh interpreter on args, with this roelab on its path."""
+    src = str(Path(roelab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.mark.parametrize("case", list(_COLD))
+def test_fresh_process_loads_only_what_its_subcommand_runs(tmp_path, case):
+    sub, cfg, draws = _COLD[case]
+    out = _fresh(
+        "-X", "importtime", "-m", "roelab.cli", sub,
+        "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path),
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = set(_IMPORTED.findall(out.stderr))
+    subcommand_modules = {f"roelab.{m}" for m in _OWN_MODULE.values()}
+    assert loaded & subcommand_modules == {f"roelab.{_OWN_MODULE[sub]}"}
+    assert "numpy.ma" not in loaded
+    assert ("numpy.random" in loaded) == draws
+
+
+def test_main_freezes_nothing(tmp_path):
+    sub, cfg, _ = _COLD["ql-profile"]
+    assert run(tmp_path, sub, cfg) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_entry_freezes_the_heap_before_exit(tmp_path, monkeypatch):
+    sub, cfg, _ = _COLD["ql-profile"]
+    args = [sub, "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", ["roelab", *args])
+    try:
+        with pytest.raises(SystemExit) as exited:
+            entry()
+        assert exited.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def _script():
+    """-c code calling the [project.scripts] roelab function as its script does."""
+    pyproject = Path(roelab.__file__).resolve().parents[2] / "pyproject.toml"
+    [(module, func)] = re.findall(r'^roelab = "([\w.]+):(\w+)"$', pyproject.read_text(), re.M)
+    return ("-c", f"import sys; from {module} import {func}; sys.exit({func}())")
+
+
+_LAUNCHERS = {"module": ("-m", "roelab.cli"), "script": _script()}
+# case -> (subcommand, config or the text of a config file, exit code)
+_EXITS = {
+    "good": (*_COLD["coarse-check-diagonal"][:2], 0),
+    "malformed": ("coarse-check", "{", 2),
+    "oversize": (
+        "flow-profile", {**_VALID["flow-profile"], "space": {"path_graph": space.MAX_POINTS + 1}}, 3
+    ),
+    "numeric": (*_scaled_generator("diagonal_from_distance"), 4),
+}
+
+
+@pytest.mark.parametrize("launcher", list(_LAUNCHERS))
+@pytest.mark.parametrize("case", list(_EXITS))
+def test_process_entry_exit_codes(tmp_path, launcher, case):
+    sub, cfg, code = _EXITS[case]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    out = _fresh(*_LAUNCHERS[launcher], sub, "--config", str(cfg_path), "--out", str(tmp_path))
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("launcher", list(_LAUNCHERS))
+def test_process_entry_help_and_unknown_subcommand(launcher):
+    shown = _fresh(*_LAUNCHERS[launcher], "--help")
+    assert shown.returncode == 0
+    refused = _fresh(*_LAUNCHERS[launcher], "coarse-chek", "--config", "c.json")
+    assert refused.returncode == 2
+    assert "invalid choice: 'coarse-chek'" in refused.stderr
+    for sub in _RUNNERS:
+        assert sub in shown.stdout and f"'{sub}'" in refused.stderr

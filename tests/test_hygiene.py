@@ -2,8 +2,8 @@
 identity through _linalg.check, no top-level def, class or constant in
 src/roelab that nothing names, no function in src/roelab, public or
 private, that only unit tests call, no operator arithmetic on library
-classes, no read of the environment in src/roelab, and no linear algebra
-outside _linalg."""
+classes, no read of the environment in src/roelab, no linear algebra
+outside _linalg, and no np.unique that returns its values alone."""
 
 import ast
 from pathlib import Path
@@ -63,12 +63,11 @@ def unchecked_identities(root):
     return bad
 
 
-def references(path, tree):
-    """The dotted names a file refers to: each module it imports, what it
-    imports from a module, and each alias.attr chain with the alias resolved
-    to what it is bound to."""
+def imports(path, tree):
+    """(refs, aliases): each module a file imports and what it imports from
+    a module, and the dotted name each name bound by an import stands for."""
     package = list(path.parent.parts[1:])  # src/roelab/m.py is in roelab
-    aliases, refs = {}, set()
+    refs, aliases = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
@@ -81,14 +80,28 @@ def references(path, tree):
             for a in node.names:
                 refs.add(f"{base}.{a.name}")
                 aliases[a.asname or a.name] = f"{base}.{a.name}"
+    return refs, aliases
+
+
+def resolved(node, aliases):
+    """The dotted name a name or alias.attr chain stands for, or None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.insert(0, node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in aliases:
+        return ".".join([aliases[node.id]] + attrs)
+    return None
+
+
+def references(path, tree):
+    """The dotted names a file refers to: each module it imports, what it
+    imports from a module, and each alias.attr chain with the alias resolved
+    to what it is bound to."""
+    refs, aliases = imports(path, tree)
     for node in ast.walk(tree):
-        attrs = []
-        while isinstance(node, ast.Attribute):
-            attrs.insert(0, node.attr)
-            node = node.value
-        if attrs and isinstance(node, ast.Name) and node.id in aliases:
-            for k in range(1, len(attrs) + 1):
-                refs.add(".".join([aliases[node.id]] + attrs[:k]))
+        if isinstance(node, ast.Attribute) and (name := resolved(node, aliases)):
+            refs.add(name)
     return refs
 
 
@@ -231,6 +244,32 @@ def linear_algebra_outside_linalg(root):
     return bad
 
 
+UNIQUE_OUTPUTS = ("return_index", "return_inverse", "return_counts")
+
+
+def bare_uniques(root):
+    """No np.unique call in src/roelab, under any alias, returns the values
+    alone: that call imports numpy.ma, which a CLI run has no other use for;
+    space.sorted_distinct gives the same values. A call passes when it sets
+    one of UNIQUE_OUTPUTS, by keyword or by position, to anything but a
+    literal False."""
+    bad = []
+    for path, tree in parsed(root, "src/roelab/*.py").items():
+        _, aliases = imports(path, tree)
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and resolved(node.func, aliases) == "numpy.unique"
+            ):
+                continue
+            outputs = node.args[1:4] + [
+                k.value for k in node.keywords if k.arg in UNIQUE_OUTPUTS
+            ]
+            if all(isinstance(v, ast.Constant) and v.value is False for v in outputs):
+                bad.append(f"{path}:{node.lineno}: np.unique returns the values alone")
+    return bad
+
+
 def test_no_unused_imports():
     assert unused_imports(ROOT) == []
 
@@ -257,6 +296,39 @@ def test_no_environment_reads():
 
 def test_no_linear_algebra_outside_linalg():
     assert linear_algebra_outside_linalg(ROOT) == []
+
+
+def test_no_bare_uniques():
+    assert bare_uniques(ROOT) == []
+
+
+def test_unique_rule_resolves_aliases(tmp_path):
+    sources = {
+        "src/roelab/space.py": (
+            "import numpy as np\n\n\n"
+            "def distinct(x):\n    return np.unique(x)\n\n\n"
+            "def inverse(x):\n    return np.unique(x, return_inverse=True)\n\n\n"
+            "def counts(x):\n    return np.unique(x, False, False, True)\n\n\n"
+            "def off(x):\n    return np.unique(x, return_counts=False)\n"
+        ),
+        "src/roelab/flows.py": (
+            "import numpy\nfrom numpy import unique as distinct\n\n\n"
+            "def gaps(x):\n    return distinct(x), numpy.unique(x, return_index=True)\n"
+        ),
+        # a function of another module that is also named unique is not numpy's
+        "src/roelab/locality.py": (
+            "from .space import unique\n\n\n"
+            "def sets(x):\n    return unique(x)\n"
+        ),
+    }
+    for name, text in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert bare_uniques(tmp_path) == [
+        "src/roelab/flows.py:6: np.unique returns the values alone",
+        "src/roelab/space.py:5: np.unique returns the values alone",
+        "src/roelab/space.py:17: np.unique returns the values alone",
+    ]
 
 
 def test_linear_algebra_rule_resolves_aliases(tmp_path):

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roelab import space
 from roelab.errors import SizeGuardError
@@ -161,3 +164,16 @@ def test_triangle_violation_found_in_every_chunk(monkeypatch, row):
     monkeypatch.setattr(space, "_TRIANGLE_CHUNK", 2 * n * n)
     with pytest.raises(ValueError, match="triangle inequality"):
         space.FiniteSpace(dist)
+
+
+@given(
+    hnp.arrays(
+        st.sampled_from([np.float64, np.int16]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+        elements={"min_value": -3, "max_value": 3},
+    )
+)
+def test_sorted_distinct_is_unique_for_finite_input(x):
+    got, want = space.sorted_distinct(x), np.unique(x)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
