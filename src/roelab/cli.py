@@ -86,7 +86,8 @@ _KINDS = {
 }
 _REQUIRED = object()
 
-# the most CSV rows one run may write: T time points, or T^2 for cocycle-verify
+# the most CSV rows one run may write: T time points, T^2 for cocycle-verify,
+# or radii x modes for a profile
 MAX_ROWS = 100_000
 # how far (stop - start) / step may lie from a whole number, relative to
 # max(|start|, |stop|, step) / step, the scale of its rounding error: a time
@@ -234,10 +235,17 @@ def _build_times(cfg, square=False):
     return times
 
 
-def _radii(cfg, sp):
+def _radii(cfg, sp, modes):
+    """The radii (default: sp's distance set), refused if a row per radius
+    and mode would pass MAX_ROWS."""
     if "radii" not in cfg:
-        return [float(r) for r in sp.distance_set()]
-    return _get_list(cfg, "radii", "number", least=0)
+        radii = [float(r) for r in sp.distance_set()]
+    else:
+        radii = _get_list(cfg, "radii", "number", least=0)
+    rows = len(radii) * len(modes)
+    if rows > MAX_ROWS:
+        raise SizeGuardError("profile rows", MAX_ROWS, rows)
+    return radii
 
 
 def _output_name(cfg, subcommand):
@@ -274,7 +282,7 @@ def _run_coarse_check(cfg, rng):
     modes = _modes(cfg, ("heuristic", "exact"))
     allow_large = _get(cfg, "allow_large", "bool", False)
     [h] = _operators(cfg, rng, "operator")
-    radii = _radii(cfg, h.space)
+    radii = _radii(cfg, h.space, modes)
 
     def compute(out, cfg_hash):
         values = translations.coarseness_moduli(
@@ -289,7 +297,7 @@ def _run_ql_profile(cfg, rng):
     from . import locality
     modes = _modes(cfg, ("lower", "exact"))
     [a] = _operators(cfg, rng, "operator")
-    radii = _radii(cfg, a.space)
+    radii = _radii(cfg, a.space, modes)
 
     def compute(out, cfg_hash):
         values = locality.ql_values(a, radii, modes)
@@ -322,9 +330,7 @@ def _run_cocycle_verify(cfg, rng):
     def compute(out, cfg_hash):
         eh, ek = hermitian_eig(h), hermitian_eig(k)
         family = flows.cocycle_from_eigensystems(eh, ek)
-        residuals = flows.cocycle_residuals(family, times, times)
-        # h and k swapped: e^{-itk} u_t e^{ith} = 1 for this family's u_t
-        lam = flows.lambda_scalar_residuals(ek, eh, family, times)
+        residuals, lam = flows.cocycle_residuals(family, ek, times, times)
         t, s = np.meshgrid(times, times, indexing="ij")
         _write_csv(
             out, "cocycle-verify", cfg_hash,

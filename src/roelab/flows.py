@@ -125,27 +125,41 @@ def corrupt_at(c: CocycleFamily, t0: float) -> CocycleFamily:
     return CocycleFamily(c.eigensystem, u_many)
 
 
-def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
-    """(len ts, len ss) array of ||u_{t+s} - u_t sigma_{h,t}(u_s)|| for the
-    family's flow sigma_h, in blocks of rows and columns.
+def cocycle_residuals(
+    c: CocycleFamily, ek: EigenSystem, ts, ss
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(residuals, lam) for the family's flow sigma_h and the eigensystem ek
+    of k, from one pass over blocks of rows t.
 
-    Within a block, u_{t+s} is formed once per distinct sum t + s (2T - 1,
-    not T^2, on a uniform grid), a chunk at a time; a block whose s are its
-    t (ss is ts in the CLI) reads u_s from u_t; the pair differences are
-    normed in stacks of up to 128 KiB. Each matrix of a stack is computed on
-    its own, so the residuals are those of one u_many(t + ss) per row, bit
-    for bit. Every stack formed is checked (shape, unitarity, u_0 = 1).
+    residuals is the (len ts, len ss) array of ||u_{t+s} - u_t sigma_{h,t}(u_s)||.
+    lam[i] is the distance of lambda_t = e^{-itk} u_t e^{ith} from the
+    scalar line at t = ts[i]: Ad(u_t) o sigma_{h,t} is sigma_{k,t} exactly
+    when lambda_t is in the commutant, the scalars in finite dimension. For
+    cocycle_from_eigensystems(eh, ek), lambda_t = 1. ss = [] gives lam alone.
+
+    A block of rows forms e^{ith} and u_t once, and lambda_t from them and
+    one e^{-itk} stack. Within a block of rows and columns, u_{t+s} is
+    formed once per distinct sum t + s (2T - 1, not T^2, on a uniform
+    grid), a chunk at a time; a block whose s are its t (ss is ts in the
+    CLI) reads u_s from u_t; the pair differences are normed in stacks of
+    up to 128 KiB. Each matrix of a stack is computed on its own, so the
+    residuals are those of one u_many(t + ss) per row, bit for bit. Every
+    stack formed is checked (shape, unitarity, u_0 = 1).
     """
     ts = np.asarray(ts, dtype=np.float64)
     ss = np.asarray(ss, dtype=np.float64)
     es = c.eigensystem
     n = es.vectors.shape[0]
     out = np.zeros((len(ts), len(ss)))
+    lam = np.zeros(len(ts))
     # pairs per stack of differences: within the chunk rule and at most 2**13
     # complex entries (128 KiB); a larger temporary is mapped afresh per call
     step = max(1, min(chunk_len(n, n), 2**13 // (n * n)))
     for tsl in chunks(len(ts), n, n):
         e_it, u_t = es.exp_many(ts[tsl]), _elements(c, ts[tsl])
+        lam_t = ek.exp_many(-ts[tsl]) @ u_t @ e_it
+        mean = np.trace(lam_t, axis1=1, axis2=2) / n
+        lam[tsl] = spectral_norms(lam_t - mean[:, None, None] * np.eye(n))
         for sl in chunks(len(ss), n, n):
             u_s = u_t if np.array_equal(ss[sl], ts[tsl]) else _elements(c, ss[sl])
             sums, at = np.unique(ts[tsl, None] + ss[sl], return_inverse=True)
@@ -160,33 +174,4 @@ def cocycle_residuals(c: CocycleFamily, ts, ss) -> np.ndarray:
                     moved = e @ u_s[j] @ e.conj().transpose(0, 2, 1)
                     diff = u_sum[at[p] - part.start] - u_t[i] @ moved
                     out[tsl.start + i, sl.start + j] = spectral_norms(diff)
-    return out
-
-
-def lambda_scalar_residuals(
-    eh: EigenSystem, ek: EigenSystem, u: CocycleFamily, times
-) -> np.ndarray:
-    """Per time t, the distance of lambda_t = e^{-ith} u_t e^{itk} from the
-    scalar line, given the eigensystems eh and ek of h and k. Each stack of
-    u_t is checked as the cocycle_residuals ones are.
-
-    Cocycles that intertwine the flows on the full matrix algebra land in
-    the commutant, which is the scalars in finite dimension. The
-    intertwining direction matters: cocycle_from_eigensystems(eh, ek), with
-    u_t = e^{itk} e^{-ith}, is read with h and k swapped, as
-    lambda_scalar_residuals(ek, eh, ...), and then lambda_t =
-    e^{-itk} u_t e^{ith} = 1 exactly. That lambda_t is the adjoint of the
-    one the mirror family cocycle_from_eigensystems(ek, eh) gives unswapped,
-    and the distance from the scalar line is invariant under adjoint.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    n = eh.vectors.shape[0]
-    eye = np.eye(n)
-    out = np.zeros(len(times))
-    for sl in chunks(len(times), n, n):
-        t = times[sl]
-        lam = eh.exp_many(-t) @ _elements(u, t) @ ek.exp_many(t)
-        mean = np.trace(lam, axis1=1, axis2=2) / n
-        out[sl] = spectral_norms(lam - mean[:, None, None] * eye)
-    return out
-
+    return out, lam

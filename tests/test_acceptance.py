@@ -123,9 +123,9 @@ def test_criterion_06_cocycle_identity(capsys):
             eh = hermitian_eig(_seeded_hermitian(s, 2 * seed))
             ek = hermitian_eig(_seeded_hermitian(s, 2 * seed + 1))
             fam = cocycle_from_eigensystems(eh, ek)
-            assert cocycle_residuals(fam, grid, grid).max() <= 1e-9
+            assert cocycle_residuals(fam, ek, grid, grid)[0].max() <= 1e-9
             bad = corrupt_at(fam, float(grid[5]))
-            if cocycle_residuals(bad, grid[5:6], grid[10:11])[0, 0] > 1e-2:
+            if cocycle_residuals(bad, ek, grid[5:6], grid[10:11])[0][0, 0] > 1e-2:
                 corrupted_hits += 1
         assert corrupted_hits >= 9
 

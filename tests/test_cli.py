@@ -400,6 +400,27 @@ def test_mode_both_is_refused_before_either_mode_runs(
     assert normed == []
 
 
+@pytest.mark.parametrize(
+    "sub, module", [("ql-profile", locality), ("coarse-check", translations)],
+    ids=["ql-profile", "coarse-check"],
+)
+def test_profile_rows_are_refused_before_any_norm(
+    tmp_path, capsys, monkeypatch, sub, module
+):
+    # a row per radius and mode: 50001 radii pass in one mode, not in both
+    normed = _counting(monkeypatch, module, "spectral_norms")
+    cfg = {
+        "space": {"path_graph": 4},
+        "operator": {"generator": {"kind": "random_hermitian"}},
+        "radii": [0] * 50_001,
+    }
+    assert run(tmp_path, sub, {**cfg, "mode": "both"}) == 3
+    assert "error: size-guard: size guard 'profile rows'" in capsys.readouterr().err
+    assert normed == []
+    assert not (tmp_path / f"{sub}.csv").exists()
+    assert run(tmp_path, sub, cfg) == 0
+
+
 def test_numeric_error_exit_code(tmp_path):
     edges = tmp_path / "loop.txt"
     edges.write_text("n 3\n0 0\n0 1\n1 2\n")
@@ -601,9 +622,11 @@ def test_negative_seed_flag_is_config_error(tmp_path):
         ("ql-profile", {"space": {"path_graph": 162}, "radii": [1]}),
         # blocks that pass the degree check, in a union just over the guard
         ("expander-preflow", {"expander": {**_EXPANDER, "sizes": [1026, 1024]}}),
+        # 50001 radii in both modes, so 100002 rows
+        ("ql-profile", {"radii": [0] * 50_001, "mode": "both"}),
     ],
     ids=["grid-eib", "grid-span-overflows", "cocycle-rows", "points-path",
-         "ql-lower-balls", "points-expander"],
+         "ql-lower-balls", "points-expander", "profile-rows"],
 )
 def test_oversize_request_is_size_guard(tmp_path, capsys, sub, extra_cfg):
     assert run(tmp_path, sub, {**_VALID[sub], **extra_cfg}) == 3
@@ -970,22 +993,22 @@ def test_cocycle_verify_builds_one_family_with_two_solves(tmp_path, monkeypatch)
 
 
 def _cocycle_verify_counts(tmp_path, monkeypatch, step):
-    """(OperatorMatrix constructions, exp_many calls) of one cocycle-verify
-    run on the grid 0, step, ..., 1."""
-    counts = {"operators": 0, "exp_many": 0}
+    """(OperatorMatrix constructions, EigenSystem stack evaluations) of one
+    cocycle-verify run on the grid 0, step, ..., 1."""
+    counts = {"operators": 0, "stacks": 0}
     post_init = operator.OperatorMatrix.__post_init__
-    exp_many = _linalg.EigenSystem.exp_many
+    many = _linalg.EigenSystem._many
 
     def counted_post_init(self):
         counts["operators"] += 1
         post_init(self)
 
-    def counted_exp_many(self, times):
-        counts["exp_many"] += 1
-        return exp_many(self, times)
+    def counted_many(self, f, times):
+        counts["stacks"] += 1
+        return many(self, f, times)
 
     monkeypatch.setattr(operator.OperatorMatrix, "__post_init__", counted_post_init)
-    monkeypatch.setattr(_linalg.EigenSystem, "exp_many", counted_exp_many)
+    monkeypatch.setattr(_linalg.EigenSystem, "_many", counted_many)
     cfg = {
         "space": {"path_graph": 12},
         "h": {"generator": {"kind": "random_hermitian"}},
@@ -995,14 +1018,16 @@ def _cocycle_verify_counts(tmp_path, monkeypatch, step):
     }
     assert run(tmp_path, "cocycle-verify", cfg) == 0
     monkeypatch.undo()
-    return counts["operators"], counts["exp_many"]
+    return counts["operators"], counts["stacks"]
 
 
 def test_cocycle_verify_builds_no_operator_per_grid_time(tmp_path, monkeypatch):
-    ops_5, exps_5 = _cocycle_verify_counts(tmp_path, monkeypatch, 0.25)
-    ops_17, exps_17 = _cocycle_verify_counts(tmp_path, monkeypatch, 0.0625)
+    ops_5, stacks_5 = _cocycle_verify_counts(tmp_path, monkeypatch, 0.25)
+    ops_17, stacks_17 = _cocycle_verify_counts(tmp_path, monkeypatch, 0.0625)
     assert ops_5 == ops_17
-    assert exps_5 <= 6 * 5 and exps_17 <= 6 * 17
+    # one pass: e^{ith}, u_t (two stacks), e^{-itk} for lambda, and u_{t+s}
+    # (two stacks) over the 2T - 1 <= 64 sums, one chunk
+    assert stacks_5 == stacks_17 == 6
 
 
 def test_cli_import_does_not_load_scipy():

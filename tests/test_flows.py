@@ -12,7 +12,6 @@ from roelab.flows import (
     cocycle_residuals,
     corrupt_at,
     flow_profile,
-    lambda_scalar_residuals,
     lipschitz_audit,
 )
 from roelab.operator import OperatorMatrix, diagonal
@@ -246,7 +245,8 @@ def test_cocycle_identity_and_u0():
     ek = hermitian_eig(random_hermitian(s, 21))
     fam = cocycle_from_eigensystems(eh, ek)
     assert np.allclose(fam.u_many(np.array([0.0]))[0], np.eye(5), atol=1e-12)
-    assert cocycle_residuals(fam, [0.3, -0.5, 0.0], [0.7, 0.25, 0.0]).max() <= 1e-9
+    residuals, lam = cocycle_residuals(fam, ek, [0.3, -0.5, 0.0], [0.7, 0.25, 0.0])
+    assert residuals.max() <= 1e-9 and lam.max() <= 1e-10
 
 
 def test_cocycle_equal_generators_constant_identity():
@@ -263,29 +263,29 @@ def test_corrupted_cocycle_fails():
     ek = hermitian_eig(random_hermitian(s, 24))
     fam = cocycle_from_eigensystems(eh, ek)
     bad = corrupt_at(fam, 0.3)
-    assert cocycle_residuals(bad, [0.3], [0.7])[0, 0] > 1e-2
+    assert cocycle_residuals(bad, ek, [0.3], [0.7])[0][0, 0] > 1e-2
 
 
 def test_lambda_residual_intertwining():
     s = space.path_graph(4)
     eh = hermitian_eig(random_hermitian(s, 25))
     ek = hermitian_eig(random_hermitian(s, 26))
-    # u_t = e^{ith} e^{-itk} makes lambda_t the identity exactly
-    fam = cocycle_from_eigensystems(ek, eh)
-    assert lambda_scalar_residuals(eh, ek, fam, [0.4])[0] <= 1e-10
+    # u_t = e^{itk} e^{-ith} makes lambda_t = e^{-itk} u_t e^{ith} the identity
+    fam = cocycle_from_eigensystems(eh, ek)
+    assert cocycle_residuals(fam, ek, [0.4], [])[1][0] <= 1e-10
 
 
 def test_lambda_residual_scalar_phase_passes():
     s = space.path_graph(4)
     eh = hermitian_eig(random_hermitian(s, 27))
     ek = hermitian_eig(random_hermitian(s, 28))
-    base = cocycle_from_eigensystems(ek, eh)
+    base = cocycle_from_eigensystems(eh, ek)
 
     def phased(ts):
         return np.exp(1j * 0.9 * ts)[:, None, None] * base.u_many(ts)
 
     fam = CocycleFamily(base.eigensystem, phased)
-    assert lambda_scalar_residuals(eh, ek, fam, [0.4])[0] <= 1e-10
+    assert cocycle_residuals(fam, ek, [0.4], [])[1][0] <= 1e-10
 
 
 def test_lambda_residual_negative_control():
@@ -299,7 +299,7 @@ def test_lambda_residual_negative_control():
     fam = CocycleFamily(
         eh, lambda ts: np.stack([np.eye(4) if t == 0.0 else q for t in ts])
     )
-    assert lambda_scalar_residuals(eh, ek, fam, [0.4])[0] > 0.1
+    assert cocycle_residuals(fam, ek, [0.4], [])[1][0] > 0.1
 
 
 def _one_bad_slice(bad):
@@ -321,14 +321,14 @@ def test_cocycle_family_rejects_a_bad_stack_naming_the_time(u_many, text):
     es = hermitian_eig(random_hermitian(space.path_graph(4), 33))
     times = np.array([0.0, 0.25, 0.5])
     good = CocycleFamily(es, _one_bad_slice(np.eye(4)))
-    assert cocycle_residuals(good, times, times).max() <= 1e-9
-    assert lambda_scalar_residuals(es, es, good, times).max() <= 1e-10
-    # a family is not evaluated when it is built, only when it is read
+    residuals, lam = cocycle_residuals(good, es, times, times)
+    assert residuals.max() <= 1e-9 and lam.max() <= 1e-10
+    # a family is not evaluated when it is built, only when it is read; its
+    # u_t are checked for lambda alone too
     fam = CocycleFamily(es, u_many)
-    with pytest.raises(ValueError, match=text):
-        cocycle_residuals(fam, times, times)
-    with pytest.raises(ValueError, match=text):
-        lambda_scalar_residuals(es, es, fam, times)
+    for ss in (times, []):
+        with pytest.raises(ValueError, match=text):
+            cocycle_residuals(fam, es, times, ss)
 
 
 @pytest.mark.parametrize("ts, ss", [([0.25], [0.0]), ([0.0], [0.25]), ([0.0, 0.125], [0.125])])
@@ -337,7 +337,7 @@ def test_each_of_u_t_u_s_and_u_t_plus_s_is_checked(ts, ss):
     es = hermitian_eig(random_hermitian(space.path_graph(4), 33))
     fam = CocycleFamily(es, _one_bad_slice(2.0 * np.eye(4)))
     with pytest.raises(ValueError, match=r"t=0\.25 is not unitary"):
-        cocycle_residuals(fam, np.array(ts), np.array(ss))
+        cocycle_residuals(fam, es, np.array(ts), np.array(ss))
 
 
 def test_corrupt_at_changes_only_t0_and_element_is_one_slice():
@@ -390,16 +390,16 @@ def test_cocycle_residuals_match_per_pair_formula():
     fam = cocycle_from_eigensystems(eh, ek)
     bad = corrupt_at(fam, float(times[2]))
     for c in (fam, bad):
-        grid = cocycle_residuals(c, times, times[::-1])
+        grid = cocycle_residuals(c, ek, times, times[::-1])[0]
         assert grid.shape == (7, 7)
         for i, t in enumerate(times):
             for j, s_ in enumerate(times[::-1]):
                 assert grid[i, j] == pytest.approx(
                     _cocycle_oracle(c, t, s_), rel=1e-12, abs=1e-14
                 )
-    assert cocycle_residuals(fam, times, times).max() <= 1e-9
+    assert cocycle_residuals(fam, ek, times, times)[0].max() <= 1e-9
     # the corrupted element still shows through the stacked path
-    assert cocycle_residuals(bad, times[2:3], times)[0, 5] > 1e-2
+    assert cocycle_residuals(bad, ek, times[2:3], times)[0][0, 5] > 1e-2
 
 
 def _per_row_residuals(c, ts, ss):
@@ -431,12 +431,12 @@ def test_cocycle_residuals_form_each_sum_once_bit_for_bit(times):
 
     counting = CocycleFamily(fam.eigensystem, counted)
     formed.clear()
-    grid = cocycle_residuals(counting, times, times)
+    grid, _ = cocycle_residuals(counting, ek, times, times)
     sums = len(np.unique(times[:, None] + times))
     assert sums > 64 and sum(formed) == len(times) + sums
     assert np.array_equal(grid, _per_row_residuals(fam, times, times))
     bad = corrupt_at(fam, float(times[5]))
-    corrupted = cocycle_residuals(bad, times, times)
+    corrupted, _ = cocycle_residuals(bad, ek, times, times)
     assert np.array_equal(corrupted, _per_row_residuals(bad, times, times))
     assert grid.max() <= 1e-9 and corrupted.max() > 1e-2
 
@@ -463,11 +463,11 @@ def test_cocycle_residuals_over_several_blocks_bit_for_bit(n, ts, ss):
         formed.append(len(times))
         return fam.u_many(times)
 
-    grid = cocycle_residuals(CocycleFamily(fam.eigensystem, counted), ts, ss)
+    grid, _ = cocycle_residuals(CocycleFamily(fam.eigensystem, counted), ek, ts, ss)
     assert np.array_equal(grid, _per_row_residuals(fam, ts, ss))
     bad = corrupt_at(fam, float(ss[3]))
     assert np.array_equal(
-        cocycle_residuals(bad, ts, ss), _per_row_residuals(bad, ts, ss)
+        cocycle_residuals(bad, ek, ts, ss)[0], _per_row_residuals(bad, ts, ss)
     )
     # u_t once, u_s once per block off the diagonal, u_{t+s} once per
     # distinct sum of a block; the bound forms u_s for every block
@@ -487,29 +487,32 @@ def test_lambda_residuals_match_per_time_formula():
     h, k = random_hermitian(s, 44), random_hermitian(s, 45)
     eh, ek = hermitian_eig(h), hermitian_eig(k)
     times = np.linspace(0.0, 1.0, 5)
-    fam = cocycle_from_eigensystems(eh, ek)  # not intertwining: lambda != 1
-    stacked = lambda_scalar_residuals(eh, ek, fam, times)
+    # u_t = e^{ith} e^{-itk} with the base flow of h: lambda_t != 1
+    fam = CocycleFamily(eh, cocycle_from_eigensystems(ek, eh).u_many)
+    stacked = cocycle_residuals(fam, ek, times, [])[1]
     for t, got in zip(times, stacked):
-        lam = eh.exp_many([-t])[0] @ fam.u_many(np.array([t]))[0] @ ek.exp_many([t])[0]
+        lam = ek.exp_many([-t])[0] @ fam.u_many(np.array([t]))[0] @ eh.exp_many([t])[0]
         want = np.linalg.norm(lam - np.trace(lam) / 4 * np.eye(4), 2)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
-        single = lambda_scalar_residuals(eh, ek, fam, [t])[0]
+        single = cocycle_residuals(fam, ek, [t], [])[1][0]
         assert single == pytest.approx(got, rel=1e-12)
     assert stacked[1:].min() > 1e-3
+    # the columns s do not change lambda
+    assert np.array_equal(cocycle_residuals(fam, ek, times, times)[1], stacked)
 
 
 @pytest.mark.parametrize("n, seed", [(4, 0), (6, 1), (9, 2), (12, 3)])
 def test_lambda_of_one_family_with_generators_swapped(n, seed):
-    # e^{-itk} (e^{itk} e^{-ith}) e^{ith} is the adjoint of the mirror
-    # family's lambda_t, and the scalar-line distance is adjoint invariant
+    # the family of (h, k) read with k, and its mirror, the family of (k, h)
+    # read with h: both lambda_t are 1 up to rounding, and agree
     s = space.path_graph(n)
     h, k = random_hermitian(s, seed), random_hermitian(s, seed + 100, scale=0.5)
     times = np.linspace(0.0, 1.0, 5)
     eh, ek = hermitian_eig(h), hermitian_eig(k)
     family = cocycle_from_eigensystems(eh, ek)
     mirror_family = cocycle_from_eigensystems(ek, eh)
-    one = lambda_scalar_residuals(ek, eh, family, times)
-    mirror = lambda_scalar_residuals(eh, ek, mirror_family, times)
+    one = cocycle_residuals(family, ek, times, [])[1]
+    mirror = cocycle_residuals(mirror_family, eh, times, [])[1]
     assert np.abs(one - mirror).max() <= 1e-14
     assert max(one.max(), mirror.max()) <= 1e-10
 
@@ -542,11 +545,11 @@ def cocycle_cases(draw):
 
 @given(cocycle_cases())
 @settings(max_examples=60, deadline=None)
-def test_drawn_cocycle_holds_and_swapped_lambda_is_scalar(case):
+def test_drawn_cocycle_holds_and_lambda_is_scalar(case):
     eh, ek, times = case
     fam = cocycle_from_eigensystems(eh, ek)
-    assert cocycle_residuals(fam, times, times).max() <= 1e-9
-    assert lambda_scalar_residuals(ek, eh, fam, times).max() <= 1e-10
+    residuals, lam = cocycle_residuals(fam, ek, times, times)
+    assert residuals.max() <= 1e-9 and lam.max() <= 1e-10
 
 
 @given(cocycle_cases(), st.data())
@@ -561,5 +564,5 @@ def test_drawn_corruption_shows_as_the_distance_of_u_t0_from_one(case, data):
     ss = times[~hit(times) & ~hit(t0 + times)]
     [u_t0] = fam.u_many(np.array([t0]))
     moved = spectral_norm(u_t0 - np.eye(len(u_t0)))
-    got = cocycle_residuals(corrupt_at(fam, t0), [t0], ss)[0]
+    got = cocycle_residuals(corrupt_at(fam, t0), ek, [t0], ss)[0][0]
     assert np.abs(got - moved).max(initial=0.0) <= 1e-9

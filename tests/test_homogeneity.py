@@ -1,17 +1,23 @@
-"""Exact homogeneity under powers of two: a value of degree one in an operator
-is scaled by exactly 2^e when the operator is, as long as nothing underflows
+"""Exact invariances, bit for bit.
+
+Homogeneity under powers of two: a value of degree one in an operator is
+scaled by exactly 2^e when the operator is, as long as nothing underflows
 or overflows. spectral_norms scales each matrix by a power of two before it
 norms, so a scaled input reaches LAPACK with the same bits, and every check
-and threshold on the way must scale with it."""
+and threshold on the way must scale with it.
+
+Stacking: each matrix of a stack is computed on its own, so a sweep over a
+grid gives what one call per time gives."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_locality import HERMITIAN_KINDS, drawn_operator, small_spaces
 
+from roelab._linalg import hermitian_eig
 from roelab.averaging import extract_finite_prop
 from roelab.expander import block_family, preflow_profiles
-from roelab.flows import flow_profile
+from roelab.flows import cocycle_from_eigensystems, cocycle_residuals, flow_profile
 from roelab.locality import ql_values
 from roelab.operator import OperatorMatrix
 from roelab.rigidity import flow_displacement_sweep
@@ -96,3 +102,66 @@ def test_rigidity_probe_scales_h_as_times(s, kind, seed, e, times):
     want = flow_displacement_sweep(h, np.ldexp(times, e))
     for x, y in zip(got, want):
         assert np.array_equal(x, y)
+
+
+def _cocycle_verify(h, k, ts, ss):
+    """The residual grid and lambda of the cocycle of (h, k), read with k."""
+    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    return cocycle_residuals(cocycle_from_eigensystems(eh, ek), ek, ts, ss)
+
+
+@given(
+    small_spaces(max_n=6),
+    st.sampled_from(HERMITIAN_KINDS),
+    st.sampled_from(HERMITIAN_KINDS),
+    st.integers(0, 2**32 - 1),
+    EXPONENTS,
+    grids(),
+    grids(),
+)
+@settings(max_examples=60, deadline=None)
+def test_cocycle_scales_h_and_k_as_times_bit_for_bit(s, kind_h, kind_k, seed, e, ts, ss):
+    # u_t = e^{it 2^e k} e^{-it 2^e h} = e^{i 2^e t k} e^{-i 2^e t h}: the
+    # residual grid and lambda agree
+    h, k = drawn_operator(s, kind_h, seed), drawn_operator(s, kind_k, seed + 1)
+    got = _cocycle_verify(scaled(h, e), scaled(k, e), ts, ss)
+    want = _cocycle_verify(h, k, np.ldexp(ts, e), np.ldexp(ss, e))
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
+@given(
+    small_spaces(max_n=6),
+    st.sampled_from(HERMITIAN_KINDS),
+    st.integers(0, 2**32 - 1),
+    # no subnormal time: flow_profile divides by t as a product with 1/t,
+    # which overflows below 2^-1024 and leaves a NaN that spectral_norms refuses
+    st.integers(1, 130).flatmap(
+        lambda n: st.lists(
+            st.floats(-2.0, 2.0, allow_subnormal=False), min_size=n, max_size=n
+        )
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_stacked_sweeps_equal_one_call_per_time_bit_for_bit(s, kind, seed, times):
+    # 1 to 130 times: up to two stacks of 64 and a remainder, against stacks
+    # of one
+    times = np.array(times)
+    h, a = drawn_operator(s, kind, seed), drawn_operator(s, "full", seed + 1)
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 6, rng.integers(1, 4))
+    fam = block_family(sizes, rng.uniform(0.1, 10.0, len(sizes)))
+    k = rng.standard_normal(fam.n_points)
+    eh, ek = hermitian_eig(h), hermitian_eig(drawn_operator(s, kind, seed + 2))
+    cocycle = cocycle_from_eigensystems(eh, ek)
+    sweeps = {
+        "flow_profile": lambda ts: flow_profile(h, a, ts),
+        "flow_displacement_sweep": lambda ts: flow_displacement_sweep(h, ts),
+        "preflow_profiles": lambda ts: preflow_profiles(fam, k, ts),
+        "lambda": lambda ts: cocycle_residuals(cocycle, ek, ts, [])[1:],
+    }
+    for name, sweep in sweeps.items():
+        stacked = sweep(times)
+        for i, t in enumerate(times):
+            for x, y in zip(stacked, sweep(times[i : i + 1])):
+                assert np.array_equal(x[i], y[0]), (name, t)

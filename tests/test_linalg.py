@@ -31,7 +31,6 @@ from roelab.flows import (
     cocycle_residuals,
     corrupt_at,
     flow_profile,
-    lambda_scalar_residuals,
     lipschitz_audit,
 )
 from roelab.locality import ql_value
@@ -243,7 +242,7 @@ def _cocycle(u_0, u_half):
     fam = CocycleFamily(
         es, lambda ts: np.stack([u_0 if t == 0.0 else u_half for t in ts])
     )
-    return cocycle_residuals(fam, [0.0, 0.5], [0.0, 0.5])
+    return cocycle_residuals(fam, es, [0.0, 0.5], [0.0, 0.5])[0]
 
 
 # caller -> (call on x, the largest x the check accepts, error text)
@@ -433,15 +432,15 @@ def _stacked_paths():
     times = np.linspace(-1.0, 1.0, 9)
     eh, ek = hermitian_eig(h), hermitian_eig(k)
     fam = cocycle_from_eigensystems(eh, ek)
-    lam_fam = cocycle_from_eigensystems(ek, eh)
+    bad = corrupt_at(fam, float(times[3]))
     blocks = expander.block_family([3, 5, 4], "quadratic")
     out = {
         "flow_profile": flow_profile(h, a, times),
         # per time: the point map, delta and displacement, as one row
         "sweep": np.column_stack(flow_displacement_sweep(h, times)),
-        "cocycle": cocycle_residuals(fam, times, times),
-        "corrupted": cocycle_residuals(corrupt_at(fam, float(times[3])), times, times),
-        "lambda": lambda_scalar_residuals(eh, ek, lam_fam, times),
+        "cocycle": cocycle_residuals(fam, ek, times, times)[0],
+        "corrupted": cocycle_residuals(bad, ek, times, times)[0],
+        "lambda": cocycle_residuals(fam, ek, times, [])[1],
         "preflow": expander.preflow_profiles(
             blocks, rng.standard_normal(blocks.n_points), times
         ),
