@@ -94,26 +94,33 @@ class EigenSystem:
     vectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
 
     def _many(self, f, times) -> np.ndarray:
-        """The (T, n, n) stack of V diag(f(t lambda)) V^H over times t; a
+        """The (T, n, n) stack of V diag(f(t, lambda)) V^H over times t; a
         phase that overflows leaves a non-finite entry for the caller's checks."""
-        t = np.asarray(times, dtype=np.float64)
+        t = np.asarray(times, dtype=np.float64)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            phases = f(t[:, None] * self.eigenvalues[None, :])
+            phases = f(t, self.eigenvalues)
             return (self.vectors * phases[:, None, :]) @ self.vectors.conj().T
 
     def exp_many(self, times) -> np.ndarray:
         """The (T, n, n) stack of e^{ith} over times. Callers bound T by the
         chunk rule."""
-        return self._many(lambda x: np.exp(1j * x), times)
+        return self._many(lambda t, lam: np.exp(1j * (t * lam)), times)
 
     def expm1_over_t_many(self, times) -> np.ndarray:
-        """The (T, n, n) stack of (e^{ith} - 1)/t over times, ih at t = 0, as
-        i lambda e^{ix/2} sin(x/2)/(x/2) with x = t lambda: no subtraction
-        cancels at a small t, and np.sinc is 1 where a subnormal t underflows."""
-        lam = self.eigenvalues
-        return self._many(
-            lambda x: 1j * lam * np.exp(0.5j * x) * np.sinc(x / (2 * np.pi)), times
-        )
+        """The (T, n, n) stack of (e^{ith} - 1)/t over times, ih at t = 0."""
+        return self._many(expm1_over_t, times)
+
+
+def expm1_over_t(t, lam):
+    """(e^{it lam} - 1)/t for real t and lam that broadcast, i lam at t = 0:
+    every difference quotient of a phase. It is i lam e^{ix/2} sin(x/2)/(x/2)
+    with x = t lam, and i lam where x/2 is 0 (as a subnormal t can make it),
+    so no subtraction cancels at a small t and nothing is divided by t. x/2
+    is exact, where np.sinc(x / 2 pi) would round its argument twice. A phase
+    that overflows leaves a non-finite entry for the caller's checks."""
+    half = 0.5 * (t * lam)
+    sinc = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
+    return 1j * lam * np.exp(1j * half) * sinc
 
 
 def hermitian_eig(a) -> EigenSystem:

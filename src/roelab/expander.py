@@ -113,8 +113,7 @@ def halfsplit_commutator_norm(fam: BlockFamily, n: int) -> float:
 def _closed_forms(fam: BlockFamily, times) -> np.ndarray:
     """(T, n_blocks) array of split_factor(n) * |e^{itw(n)} - 1|."""
     factors = np.array([split_factor(fam, n) for n in range(fam.n_blocks)])
-    phases = np.exp(1j * times[:, None] * fam.weights[None, :])
-    return factors * np.abs(phases - 1.0)
+    return factors * np.abs(np.expm1(1j * times[:, None] * fam.weights[None, :]))
 
 
 def _block_norms(fam: BlockFamily, k, times):

@@ -12,7 +12,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from ._linalg import LIPSCHITZ_TOL, UNITARY_TOL, EigenSystem, check, chunk_len, chunks
-from ._linalg import hermitian_eig, require_unitary, spectral_norm, spectral_norms
+from ._linalg import expm1_over_t, hermitian_eig, require_unitary, spectral_norm
+from ._linalg import spectral_norms
 from .operator import OperatorMatrix
 from .space import sorted_distinct
 
@@ -45,7 +46,8 @@ def flow_profile(h: OperatorMatrix, a: OperatorMatrix, times):
     Functions of Matrices, 2008, section 10). With A = V^H a V and
     D_xy = lambda_x - lambda_y, V^H sigma_{h,t}(a) V = e^{itD} o A and
     V^H i[h, a] V = iD o A, and unitary invariance of the norm gives
-    ||(e^{itD} - 1) o A|| and ||((e^{itD} - 1)/t - iD) o A||.
+    ||t q o A|| and ||(q - iD) o A|| with q = (e^{itD} - 1)/t, formed as
+    expm1_over_t: nothing cancels at a small t or is divided by t.
     """
     times = np.asarray(times, dtype=np.float64)
     es = hermitian_eig(h)
@@ -58,12 +60,10 @@ def flow_profile(h: OperatorMatrix, a: OperatorMatrix, times):
         gaps = es.eigenvalues[:, None] - es.eigenvalues[None, :]
         for sl in chunks(len(times), h.n, h.n):
             t = times[sl, None, None]
-            # expm1, not exp - 1, which cancels at a small t
-            moved = np.expm1(1j * t * gaps)
-            modulus[sl] = spectral_norms(moved * a_eig)
+            q = expm1_over_t(t, gaps)
+            modulus[sl] = spectral_norms(t * q * a_eig)
             live = t[:, 0, 0] != 0.0
-            quotient = moved[live] / t[live] - 1j * gaps
-            residual[sl][live] = spectral_norms(quotient * a_eig)
+            residual[sl][live] = spectral_norms((q[live] - 1j * gaps) * a_eig)
     return modulus, residual
 
 
@@ -74,9 +74,10 @@ def generator_check(h: OperatorMatrix, delta: float) -> float:
     """
     if not 0.0 < delta < np.inf:
         raise ValueError(f"step must be positive and finite, got {delta!r}")
-    u_p, u_m = hermitian_eig(h).exp_many([delta, -delta])
-    diff = (u_p - u_m) / (2.0 * delta) - 1j * h.entries
-    return spectral_norm(diff)
+    # (q_delta + q_{-delta}) / 2 with q_t = (u_t - 1)/t: no two unitaries
+    # are subtracted, which would cancel at a small step
+    q_p, q_m = hermitian_eig(h).expm1_over_t_many([delta, -delta])
+    return spectral_norm((q_p + q_m) / 2.0 - 1j * h.entries)
 
 
 def lipschitz_audit(h: OperatorMatrix, k: OperatorMatrix, times) -> Tuple[float, float]:

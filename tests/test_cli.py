@@ -113,6 +113,28 @@ def test_flow_profile_modulus_zero_at_origin(tmp_path):
     assert t0 and float(t0[0][1]) == 0.0
 
 
+def test_flow_profile_on_a_subnormal_grid_reruns_bit_for_bit(tmp_path):
+    # (e^{itD} - 1)/t is formed as a whole: dividing by t went through 1/t,
+    # which overflows for a subnormal t, and the run exited 4
+    cfg = {
+        "space": {"path_graph": 3},
+        "h": {"generator": {"kind": "random_hermitian"}},
+        "a": {"generator": {"kind": "random_hermitian"}},
+        "time_grid": {"start": 0.0, "stop": 1e-308, "step": 5e-309},
+    }
+    assert run(tmp_path, "flow-profile", cfg) == 0
+    first = (tmp_path / "flow-profile.csv").read_bytes()
+    assert run(tmp_path, "flow-profile", cfg) == 0
+    assert (tmp_path / "flow-profile.csv").read_bytes() == first
+    _, rows = read_rows(tmp_path / "flow-profile.csv")
+    (t0, *zero), *live = np.array(rows, dtype=float)
+    assert t0 == 0.0 and not any(zero)
+    # both values are linear in t this close to 0
+    ratios = np.array([row[1:] / row[0] for row in live])
+    assert np.isfinite(ratios).all() and (ratios > 0).all()
+    assert np.allclose(ratios, ratios[0], rtol=1e-12, atol=0.0)
+
+
 def test_cocycle_verify_residuals_small(tmp_path):
     cfg = {
         "space": {"path_graph": 4},

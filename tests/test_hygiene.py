@@ -2,8 +2,8 @@
 identity through _linalg.check, no top-level def, class or constant in
 src/roelab that nothing names, no function in src/roelab, public or
 private, that only unit tests call, no operator arithmetic on library
-classes, no read of the environment in src/roelab, no linear algebra
-outside _linalg, and no np.unique that returns its values alone."""
+classes, no read of the environment in src/roelab, no linear algebra and
+no np.exp outside _linalg, and no np.unique that returns its values alone."""
 
 import ast
 from pathlib import Path
@@ -244,6 +244,17 @@ def linear_algebra_outside_linalg(root):
     return bad
 
 
+def exponentials_outside_linalg(root):
+    """No module of src/roelab but _linalg names numpy.exp, under any alias:
+    e^{ix} - 1 elsewhere is np.expm1 or _linalg.expm1_over_t, never exp
+    minus 1, which cancels at a small x."""
+    return [
+        f"{path}: refers to numpy.exp"
+        for path, tree in parsed(root, "src/roelab/*.py").items()
+        if path.name != "_linalg.py" and "numpy.exp" in references(path, tree)
+    ]
+
+
 UNIQUE_OUTPUTS = ("return_index", "return_inverse", "return_counts")
 
 
@@ -296,6 +307,10 @@ def test_no_environment_reads():
 
 def test_no_linear_algebra_outside_linalg():
     assert linear_algebra_outside_linalg(ROOT) == []
+
+
+def test_no_exponentials_outside_linalg():
+    assert exponentials_outside_linalg(ROOT) == []
 
 
 def test_no_bare_uniques():
@@ -351,6 +366,29 @@ def test_linear_algebra_rule_resolves_aliases(tmp_path):
         "src/roelab/_linalg.py: refers to scipy.linalg.expm",
         "src/roelab/flows.py: refers to numpy.linalg.eigvalsh",
         "src/roelab/space.py: refers to scipy.sparse",
+    ]
+
+
+def test_exponential_rule_resolves_aliases(tmp_path):
+    sources = {
+        "src/roelab/_linalg.py": (
+            "import numpy as np\n\n\ndef u(x):\n    return np.exp(1j * x)\n"
+        ),
+        "src/roelab/expander.py": (
+            "import numpy\n\n\ndef moved(x):\n    return abs(numpy.exp(1j * x) - 1.0)\n"
+        ),
+        "src/roelab/flows.py": "from numpy import exp as e\n",
+        # expm1 is allowed anywhere
+        "src/roelab/rigidity.py": (
+            "import numpy as np\n\n\ndef c(x):\n    return np.expm1(1j * x)\n"
+        ),
+    }
+    for name, text in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert exponentials_outside_linalg(tmp_path) == [
+        "src/roelab/expander.py: refers to numpy.exp",
+        "src/roelab/flows.py: refers to numpy.exp",
     ]
 
 

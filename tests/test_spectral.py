@@ -145,6 +145,17 @@ def test_generator_check_second_order():
     assert 3.5 <= r1 / r2 <= 4.5
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_generator_check_second_order_at_small_steps(seed):
+    # the residual is ||h||^3 delta^2 / 6 up to rounding, 7e-13 to 3e-11 here;
+    # (u_delta - u_{-delta}) / 2 delta cancelled to about 1e-10, which grew
+    # as delta fell, and the ratios read 0.4 to 0.7
+    h = random_hermitian(space.path_graph(8), seed)
+    r1, r2, r3 = (generator_check(h, d) for d in (1e-6, 5e-7, 2.5e-7))
+    assert 3.5 <= r1 / r2 <= 4.5
+    assert 3.5 <= r2 / r3 <= 4.5
+
+
 @pytest.mark.parametrize("delta", [0.0, -1e-3, np.nan, np.inf, -np.inf])
 def test_generator_check_refuses_a_step_that_is_not_positive_and_finite(delta):
     h = diagonal(space.path_graph(3), [1.0, -2.0, 0.5])
