@@ -4,7 +4,12 @@ h = sum_n w(n) p_n and p_n the rank-one averaging projection of block n.
 p_n, the half split A_n and so every value here depend on the block sizes
 alone, not on the graph on a block, so a family holds no graph. The
 pre-flow is block diagonal, so every norm is taken block by block, and the
-coarse union of the blocks is never built."""
+coarse union of the blocks is never built. On a block, each piece normed is
+constant on the products of its cells, the runs of equal (A_n-membership,
+k), apart from a diagonal constant on each cell. So it is the direct sum of
+a diagonal on W, the vectors that sum to 0 on every cell, and an m x m
+quotient Q_jl = [j = l] d_j + sqrt(s_j s_l) n_jl on the m cell indicators:
+2 x 2 for the CLI's choices of k (see _block_norms)."""
 
 import itertools
 from dataclasses import dataclass
@@ -122,18 +127,30 @@ def _block_norms(fam: BlockFamily, k, times):
     pre-flow e^{ith} and k diagonal.
 
     The pre-flow e^{ith} = 1 + sum_n (e^{itw(n)} - 1) p_n is block diagonal,
-    since each p_n lives on block n's square, and so are both pieces. The
-    norm of a block-diagonal operator is the max over its blocks: the norm
-    of a direct sum. On a block of s points, u = 1 + (c/s) J with
-    c = expm1(itw(n)) and J the all-ones matrix, P = p_{A_n} = diag(mask)
-    and JPJ = |A_n| J, so entry (x, y) of each piece is
+    and so are both pieces: the norm of each is the max over its blocks. On
+    a block of s points, u = 1 + (c/s) J, with c = expm1(itw(n)) and J the
+    all-ones matrix. The block's cells are its runs of equal (A_n-membership,
+    k), found by one lexsort over the union. Each piece is a constant n_jl
+    on cell j x cell l plus a diagonal d_j on cell j:
 
-        u P u* - P:        (c/s) mask_y + (conj(c)/s) mask_x + |c|^2 |A_n| / s^2,
-        u e^{-itk} - 1:    [x = y] expm1(-itk_y) + (c/s) e^{-itk_y}.
+        u p_{A_n} u* - p_{A_n}:  n_jl = (c/s) mask_l + (conj(c)/s) mask_j + |c|^2 |A_n| / s^2,  d_j = 0,
+        u e^{-itk} - 1:          n_jl = (c/s) e^{-itk_l},  d_j = expm1(-itk_j),
 
-    Both are formed from c, never as u minus 1, so neither cancels at a
-    small t. For each block size and chunk of times the c/s of every block
-    are formed once, and each piece is formed and normed before the next.
+    with mask_j = 1 on cells in A_n. So it maps V, the span of the cell
+    indicators, and W, the vectors that sum to 0 on every cell, into
+    themselves. On W it is d_j on each cell j of >= 2 points. On V, in the
+    basis 1_{C_j} / sqrt(s_j), s_j the size of cell j, it is the m x m
+    quotient
+
+        Q_jl = [j = l] d_j + sqrt(s_j s_l) n_jl,
+
+    so its norm is max(||Q||, |d_j| over the cells of >= 2 points). A k that
+    is constant on each block, as both CLI choices are, gives 2 x 2 quotients
+    (1 x 1 on a one-point block); a k distinct at every point gives s x s.
+    Blocks of m cells share a stack per chunk of times, and each piece is
+    normed before the next is formed. Both are formed from c, never as u
+    minus 1, so neither cancels at a small t, and each d_j sits on Q's
+    diagonal, so a non-finite value reaches spectral_norms, which refuses it.
 
     Both pieces are built from the real h, p_A and k, so a piece at -t is
     the entrywise conjugate of the piece at t and has the same norm: the
@@ -144,24 +161,42 @@ def _block_norms(fam: BlockFamily, k, times):
     norms = np.zeros((2, len(mags), fam.n_blocks))
     lo = np.searchsorted(mags, 0.0, side="right")
     live, (moved, w_minus_one) = mags[lo:], norms[:, lo:]
-    for size in sorted(set(fam.sizes)):
-        ns = [n for n, s in enumerate(fam.sizes) if s == size]
-        # every block of one size has the same p_{A_n} diagonal
-        mask = _split_mask(size)
-        k_ns = k[np.array(fam.offsets)[ns][:, None] + np.arange(size)]
-        # the chunk rule bounds the m blocks of one time as one (m s) x s slab
-        for sl in chunks(len(live), len(ns) * size, size):
+    # the cells: runs of equal (block, mask, k) in one sort over the union
+    block = np.repeat(np.arange(fam.n_blocks), fam.sizes)
+    mask = np.concatenate([_split_mask(size) for size in fam.sizes])
+    keys = np.stack([block, mask, k])[:, np.lexsort((k, mask, block))]
+    starts = np.flatnonzero(np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
+    cell_size = np.diff(np.append(starts, fam.n_points))
+    cell_block, cell_mask, cell_k = keys[:, starts]
+    per_block = np.bincount(cell_block.astype(np.intp), minlength=fam.n_blocks)
+    first = np.cumsum(per_block) - per_block
+    for m in sorted(set(per_block)):
+        # the b blocks of m cells each, as (b, m) arrays of their cells
+        ns = np.flatnonzero(per_block == m)
+        cells = first[ns][:, None] + np.arange(m)
+        s, mask_j, k_j = cell_size[cells], cell_mask[cells], cell_k[cells]
+        root = np.sqrt(s[:, :, None] * s[:, None, :])
+        size = s.sum(axis=1)[:, None, None]
+        split = (mask_j * s).sum(axis=1)[:, None, None]  # |A_n|
+        diag = np.arange(m)
+        # the chunk rule bounds the b quotients of one time as one (b m) x m slab
+        for sl in chunks(len(live), len(ns) * m, m):
             t = live[sl]
             # an overflow leaves a non-finite entry, refused by spectral_norms
             with np.errstate(over="ignore", invalid="ignore"):
-                # c/s of the blocks, time-major, as a (T m, 1, 1) stack
-                a = np.expm1(1j * t[:, None] * fam.weights[ns]).reshape(-1, 1, 1) / size
-                piece = a * mask + a.conj() * mask[:, None]
-                piece += (a * a.conj()).real * mask.sum()
-                moved[sl, ns] = spectral_norms(piece).reshape(len(t), -1)
-                em = np.expm1(-1j * t[:, None, None] * k_ns).reshape(-1, 1, size)
-                piece = a * (1.0 + em) + em * np.eye(size)
-                w_minus_one[sl, ns] = spectral_norms(piece).reshape(len(t), -1)
+                # c/s of the blocks, time-major, as a (T, b, 1, 1) array
+                a = np.expm1(1j * t[:, None] * fam.weights[ns])[..., None, None] / size
+                q = a * mask_j[:, None, :] + a.conj() * mask_j[:, :, None]
+                q += (a * a.conj()).real * split
+                q *= root
+                moved[sl, ns] = spectral_norms(q.reshape(-1, m, m)).reshape(len(t), -1)
+                em = np.expm1(-1j * t[:, None, None] * k_j)
+                q = root * (a * (1.0 + em[:, :, None, :]))
+                q[..., diag, diag] += em
+                norm = spectral_norms(q.reshape(-1, m, m)).reshape(len(t), -1)
+                # the W part of every cell of >= 2 points
+                on_w = np.abs(np.where(s >= 2, em, 0.0)).max(axis=-1)
+                w_minus_one[sl, ns] = np.maximum(norm, on_w)
     return norms[0, back], norms[1, back]
 
 

@@ -226,7 +226,10 @@ def coarseness_moduli(
     every radius. It takes one f of each inverse pair, and norms only where
     a row's Schur bound still beats the best norm of its smallest radius.
     heuristic: per radius, a lower bound from all single-pair translations
-    within r plus a greedy matching grown one pair at a time.
+    within r plus a greedy matching grown one pair at a time, and then, as
+    in the exact mode, the cumulative max over the sorted radii: every
+    r-translation is an R-translation for r <= R, so each value is still a
+    lower bound, and the profile does not fall as r grows.
     """
     radii = np.asarray(radii, dtype=np.float64).reshape(-1)
     if not (radii >= 0).all():
@@ -252,7 +255,8 @@ def coarseness_moduli(
         if "exact" in values:
             values["exact"] = _exact_moduli(entries, s, blocks, distinct, floors)
         if "heuristic" in values:
-            values["heuristic"] = [_heuristic_modulus(entries, s, r) for r in distinct]
+            heuristic = [_heuristic_modulus(entries, s, r) for r in distinct]
+            values["heuristic"] = np.maximum.accumulate(heuristic)
     out = np.array([values[mode] for mode in modes], dtype=np.float64)
     return out.reshape(len(modes), len(distinct))[:, back.reshape(-1)]
 

@@ -1,0 +1,88 @@
+"""Accuracy against an extended-precision reference. Each column is recomputed
+at 40 digits with mpmath from the same float64 inputs, by a dense formula
+that shares no step with the library's, and the float64 value must lie
+within c n eps of it, relative to the column's scale. A change that moves a
+column at rounding level is so judged against the true value, not against
+the bits of an earlier version.
+
+expander-preflow: `measured` = max_n ||u P u* - P|| and `lhs` =
+max_n ||u e^{-itk} - 1||, with u = 1 + (e^{itw(n)} - 1) p_n on block n and
+P = p_{A_n}, each normed on the block's s x s square by an SVD. Their scale
+is the reference value itself, and n is the largest block size."""
+
+import numpy as np
+import pytest
+from mpmath import mp
+from test_expander import drawn_k
+
+from roelab import expander
+from roelab.expander import block_family, preflow_profiles
+
+DIGITS = 40
+EPS = np.finfo(float).eps
+
+
+def _norm(m):
+    return max(mp.svd_c(m, compute_uv=False))
+
+
+def reference_preflow(fam, k, times):
+    """measured and lhs of preflow_profiles at DIGITS digits."""
+    measured, lhs = [], []
+    with mp.workdps(DIGITS):
+        for t in map(mp.mpf, times):
+            moved, w_minus_one = [], []
+            for size, w, offset in zip(fam.sizes, fam.weights, fam.offsets):
+                c = mp.expj(t * mp.mpf(w)) - 1
+                u = mp.eye(size) + mp.ones(size, size) * (c / size)
+                p = mp.diag(list(expander._split_mask(size)))
+                moved.append(_norm(u * p * u.H - p))
+                phases = [mp.expj(-t * mp.mpf(x)) for x in k[offset : offset + size]]
+                w_minus_one.append(_norm(u * mp.diag(phases) - mp.eye(size)))
+            measured.append(max(moved))
+            lhs.append(max(w_minus_one))
+    return measured, lhs
+
+
+def preflow_cases():
+    """Small families (blocks of at most 8 points, at most 9 times): the
+    cold-cli workload's family and grid with both CLI choices of k, families
+    with one-point and odd blocks, a k with two values per block, drawn
+    weights, and times from 1e-7 to 3."""
+    cold = block_family([6, 8], "quadratic")
+    grid = np.arange(-0.5, 0.5 + 0.125, 0.25)
+    odd = block_family([1, 3, 8], "quadratic")
+    drawn = block_family([2, 5, 7], np.random.default_rng(3).uniform(0.1, 10.0, 3))
+    spread = np.array([-3.0, -1.1, -1e-3, 0.0, 1e-7, 0.37, 1.1, 2.5, 3.0])
+    rng = np.random.default_rng(4)
+    # "block-constant" is the CLI's diagonal_of_h
+    return {
+        "cold-cli-zero": (cold, drawn_k(cold, "zero", rng), grid),
+        "cold-cli-diagonal_of_h": (cold, drawn_k(cold, "block-constant", rng), grid),
+        "odd-diagonal_of_h": (odd, drawn_k(odd, "block-constant", rng), spread),
+        "drawn-two-per-block": (drawn, drawn_k(drawn, "two-per-block", rng), spread),
+        "drawn-distinct": (drawn, drawn_k(drawn, "distinct", rng), spread),
+    }
+
+
+CASES = preflow_cases()
+
+
+def worst_units(fam, k, times):
+    """{column: max |x - ref| / (n eps ref)} for measured and lhs, n the
+    largest block size; where ref is 0 (at t = 0), x must be 0."""
+    got = preflow_profiles(fam, k, times)
+    worst = {}
+    for name, x, want in zip(("measured", "lhs"), (got[0], got[3]), reference_preflow(fam, k, times)):
+        units = [abs(mp.mpf(float(xi)) - ri) / ri for xi, ri in zip(x, want) if ri != 0]
+        assert all(xi == 0.0 for xi, ri in zip(x, want) if ri == 0), name
+        worst[name] = float(max(units, default=0)) / (max(fam.sizes) * EPS)
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_preflow_columns_match_a_40_digit_reference(name):
+    # measured and lhs within n eps of the reference, relative; the worst
+    # over these cases is 0.25 n eps
+    worst = worst_units(*CASES[name])
+    assert max(worst.values()) <= 1.0, worst

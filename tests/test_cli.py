@@ -64,6 +64,22 @@ def test_coarse_check_runs(tmp_path):
         assert hi <= r + 1e-12
 
 
+def test_heuristic_coarse_check_profile_does_not_fall(tmp_path):
+    # one greedy per radius read 5.7163017815688164 at r = 2 and
+    # 5.0707064695294788 at r = 3 here; the profile now keeps the max of
+    # the smaller radii, each value still a lower bound
+    cfg = {
+        "space": {"path_graph": 6},
+        "operator": {"generator": {"kind": "random_hermitian_banded", "band": 2}},
+        "mode": "heuristic",
+        "seed": 4,
+    }
+    assert run(tmp_path, "coarse-check", cfg) == 0
+    _, rows = read_rows(tmp_path / "coarse-check.csv")
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+    assert [row[1] for row in rows[2:]] == ["5.7163017815688164"] * 4
+
+
 def test_ql_profile_runs_and_orders(tmp_path):
     cfg = {
         "space": {"cycle_graph": 6},

@@ -582,12 +582,42 @@ def test_exact_moduli_from_one_enumeration_match_the_oracles(s, kind, seed):
     d = h.entries.diagonal()
     radii = s.distance_set()
     values = coarseness_moduli(h, radii[::-1], ["exact", "heuristic"])[:, ::-1]
-    for r, exact, heuristic in zip(radii, *values):
+    # the heuristic profile is the running max of the one-radius values
+    single = np.maximum.accumulate([coarseness_modulus(h, r, "heuristic") for r in radii])
+    for r, exact, heuristic, running in zip(radii, *values, single):
         floor = float(np.abs(d[:, None] - d[None, :])[s.dist <= r].max())
         assert exact == max(floor, kept_rows_modulus(h, r))
         oracle = all_rows_modulus(h, r)
         assert abs(exact - oracle) <= 1e-14 * oracle
-        assert heuristic == coarseness_modulus(h, r, "heuristic")
+        assert heuristic == running
+
+
+def assert_heuristic_profile_rises_below_exact(h, radii):
+    """The heuristic profile over radii does not fall as r grows, and stays
+    at or below the exact one: within _SCHUR_MARGIN, by which the exact mode
+    may round below a norm it skips."""
+    heuristic, exact = coarseness_moduli(h, radii, ["heuristic", "exact"])
+    assert (np.diff(heuristic) >= 0).all()
+    assert (heuristic <= exact * translations._SCHUR_MARGIN).all()
+
+
+@given(
+    small_spaces(max_n=6),
+    st.sampled_from(HERMITIAN_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_heuristic_profile_rises_with_r_and_stays_below_exact(s, kind, seed):
+    # every r-translation is an R-translation for r <= R
+    assert_heuristic_profile_rises_below_exact(drawn_operator(s, kind, seed), s.distance_set())
+
+
+@pytest.mark.parametrize("s", [space.path_graph(10), space.cycle_graph(10)], ids=["path10", "cycle10"])
+@pytest.mark.parametrize("kind", ["full", "banded"])
+def test_heuristic_profile_at_ten_points_rises_below_exact(s, kind):
+    # the largest space the exact mode takes without allow_large, at the
+    # radii whose enumerations stay small
+    assert_heuristic_profile_rises_below_exact(drawn_operator(s, kind, 2), [0.0, 1.0])
 
 
 def test_coarseness_moduli_of_unsorted_repeated_radii():
