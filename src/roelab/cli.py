@@ -95,7 +95,7 @@ MAX_ROWS = 100_000
 GRID_TOL = 1e-12
 
 
-def _check(value, what, kind, least=None):
+def _check(value, what, kind, least):
     types, name = _KINDS[kind]
     # abs() compares an int exactly, so one too large for a float fails
     if type(value) not in types or (

@@ -11,7 +11,6 @@ a diagonal on W, the vectors that sum to 0 on every cell, and an m x m
 quotient Q_jl = [j = l] d_j + sqrt(s_j s_l) n_jl on the m cell indicators:
 2 x 2 for the CLI's choices of k (see _block_norms)."""
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -31,6 +30,8 @@ WEIGHT_PRESETS = {
 
 @dataclass(frozen=True)
 class BlockFamily:
+    """Block sizes and one weight per block; built by block_family."""
+
     sizes: Tuple[int, ...]
     weights: np.ndarray
 
@@ -41,16 +42,6 @@ class BlockFamily:
     @property
     def n_points(self) -> int:
         return sum(self.sizes)
-
-    @property
-    def offsets(self) -> Tuple[int, ...]:
-        """The first point of each block in the union of the blocks."""
-        return tuple(itertools.accumulate(self.sizes[:-1], initial=0))
-
-    def block_size(self, n: int) -> int:
-        if not 0 <= n < self.n_blocks:
-            raise IndexError(f"block index {n} out of range")
-        return self.sizes[n]
 
 
 def block_family(sizes: Sequence[int], weights) -> BlockFamily:
@@ -98,26 +89,25 @@ def _split_mask(size: int) -> np.ndarray:
     return (np.arange(size) < (size + 1) // 2).astype(np.float64)
 
 
-def split_factor(fam: BlockFamily, n: int) -> float:
-    """sqrt(|A_n| * |X_n \\ A_n|) / |X_n|; equals 1/2 for even block sizes."""
-    size = fam.block_size(n)
+def split_factor(size: int) -> float:
+    """sqrt(|A_n| * |X_n \\ A_n|) / |X_n| for a block X_n of ``size`` points;
+    equals 1/2 for even block sizes."""
     a = _split_mask(size).sum()
     return float(np.sqrt(a * (size - a)) / size)
 
 
-def halfsplit_commutator_norm(fam: BlockFamily, n: int) -> float:
-    """||p_n p_{A_n} - p_{A_n} p_n||, which evaluates to
-    sqrt(|A_n| |X_n \\ A_n|) / |X_n|. Both live on block n's square, and the
-    commutator is normed there."""
-    size = fam.block_size(n)
+def halfsplit_commutator_norm(size: int) -> float:
+    """||p_n p_{A_n} - p_{A_n} p_n|| for a block X_n of ``size`` points, which
+    evaluates to sqrt(|A_n| |X_n \\ A_n|) / |X_n|. Both live on the block's
+    square, and the commutator is normed there."""
     p_n = np.full((size, size), 1.0 / size)
     p_a = np.diag(_split_mask(size))
     return spectral_norm(p_n @ p_a - p_a @ p_n)
 
 
 def _closed_forms(fam: BlockFamily, times) -> np.ndarray:
-    """(T, n_blocks) array of split_factor(n) * |e^{itw(n)} - 1|."""
-    factors = np.array([split_factor(fam, n) for n in range(fam.n_blocks)])
+    """(T, n_blocks) array of split_factor(|X_n|) * |e^{itw(n)} - 1|."""
+    factors = np.array([split_factor(size) for size in fam.sizes])
     return factors * np.abs(np.expm1(1j * times[:, None] * fam.weights[None, :]))
 
 
@@ -202,13 +192,13 @@ def _block_norms(fam: BlockFamily, k, times):
 
 def preflow_profiles(fam: BlockFamily, k, times):
     """Per grid time t, four arrays: measured = ||sigma_{h,t}(p_A) - p_A||,
-    its closed form max_n split_factor(n) * |e^{itw(n)} - 1|, the block
+    its closed form max_n split_factor(|X_n|) * |e^{itw(n)} - 1|, the block
     attaining it, and lhs = ||e^{ith} e^{-itk} - id|| for diagonal k. The
     closed form is also the w-map's corner bound on lhs.
 
     p_A and e^{-itk} are diagonal, so both operators are block diagonal, and
     both identities are checked from one pass over the blocks: the norm on
-    block n must equal split_factor(n) * |e^{itw(n)} - 1| within
+    block n must equal split_factor(|X_n|) * |e^{itw(n)} - 1| within
     DISCONTINUITY_TOL, and lhs may fall below the corner bound by WMAP_TOL
     at most.
     """

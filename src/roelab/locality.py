@@ -150,6 +150,6 @@ def ql_values(a: OperatorMatrix, radii, modes) -> np.ndarray:
     return out.reshape(len(modes), m)[:, back.reshape(-1)]
 
 
-def ql_value(a: OperatorMatrix, r: float, mode: str = "exact") -> float:
+def ql_value(a: OperatorMatrix, r: float, mode: str) -> float:
     """ql_values at the one radius r in the one mode."""
     return float(ql_values(a, [r], [mode])[0, 0])

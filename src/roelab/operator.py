@@ -40,19 +40,14 @@ def diagonal(space: FiniteSpace, values) -> OperatorMatrix:
     return OperatorMatrix(space, np.diag(values))
 
 
-def propagation(a: OperatorMatrix, tol: float = None) -> float:
-    """Largest distance d(x, y) over entries with |a_xy| > tol.
+def propagation(a: OperatorMatrix) -> float:
+    """Largest distance d(x, y) over entries with |a_xy| > 1e-12 max|a_xy|.
 
-    Defaults tol to 1e-12 * max|a_xy| because conjugating by floating-point
-    unitaries leaves denormal residue on entries that are zero in exact
-    arithmetic.
+    The cut-off is relative because conjugating by floating-point unitaries
+    leaves denormal residue on entries that are zero in exact arithmetic.
     """
     mags = np.abs(a.entries)
-    if tol is None:
-        tol = 1e-12 * float(mags.max(initial=0.0))
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
-    support = mags > tol
+    support = mags > 1e-12 * float(mags.max(initial=0.0))
     if not support.any():
         return 0.0
     return float(a.space.dist[support].max())

@@ -4,6 +4,7 @@ Points are 0-based contiguous integers. Distances are stored dense (double
 precision) so non-graph metrics are admissible.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -24,7 +25,8 @@ class FiniteSpace:
     dist: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=np.float64)
+        # a copy: the caller's array is neither shared nor frozen
+        d = np.array(self.dist, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
             raise ValueError("dist must be a nonempty square matrix")
         if not np.all(np.isfinite(d)):
@@ -109,24 +111,19 @@ def coarse_union(blocks: Sequence[FiniteSpace]) -> FiniteSpace:
         raise ValueError("coarse_union requires at least one block")
     if len(blocks) == 1:
         return blocks[0]
-    offsets = [0.0]
-    for k in range(1, len(blocks)):
-        offsets.append(
-            offsets[-1] + blocks[k - 1].diameter + blocks[k].diameter + (k + 1)
-        )
+    offsets = itertools.accumulate(
+        range(1, len(blocks)),
+        lambda c, k: c + blocks[k - 1].diameter + blocks[k].diameter + (k + 1),
+        initial=0.0,
+    )
     sizes = [b.n_points for b in blocks]
-    n = sum(sizes)
-    check_points(n)
-    dist = np.zeros((n, n), dtype=np.float64)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    for i, bi in enumerate(blocks):
-        si = starts[i]
-        dist[si : si + sizes[i], si : si + sizes[i]] = bi.dist
-        for j in range(i + 1, len(blocks)):
-            sj = starts[j]
-            gap = abs(offsets[j] - offsets[i])
-            dist[si : si + sizes[i], sj : sj + sizes[j]] = gap
-            dist[sj : sj + sizes[j], si : si + sizes[i]] = gap
+    check_points(sum(sizes))
+    # each point at its block's offset; then each block's own distances
+    at = np.repeat(list(offsets), sizes)
+    dist = np.abs(at[:, None] - at[None, :])
+    starts = itertools.accumulate(sizes, initial=0)
+    for block, start, size in zip(blocks, starts, sizes):
+        dist[start : start + size, start : start + size] = block.dist
     return FiniteSpace(dist)
 
 

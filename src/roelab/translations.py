@@ -7,7 +7,7 @@ where x is outside the domain; k of them form a (k, n) target array.
 The exact coarseness modulus ranges over every partial bijection with
 bounded displacement; that set is finite here but grows superexponentially,
 so the exact mode sits behind a size guard and a cheap heuristic lower
-bound is the default.
+bound is the CLI's default.
 """
 
 import math
@@ -261,6 +261,6 @@ def coarseness_moduli(
     return out.reshape(len(modes), len(distinct))[:, back.reshape(-1)]
 
 
-def coarseness_modulus(h, r, mode="heuristic", *, allow_large=False) -> float:
+def coarseness_modulus(h, r, mode) -> float:
     """coarseness_moduli at the one radius r in the one mode."""
-    return float(coarseness_moduli(h, [r], [mode], allow_large=allow_large)[0, 0])
+    return float(coarseness_moduli(h, [r], [mode])[0, 0])

@@ -59,8 +59,7 @@ def _seeded_hermitian(s, seed, scale=1.0):
 def test_criterion_01_expander_constant(capsys):
     def body():
         for size in (2, 4, 8, 16):
-            fam = block_family([size], [1.0])
-            assert abs(halfsplit_commutator_norm(fam, 0) - 0.5) <= 1e-10
+            assert abs(halfsplit_commutator_norm(size) - 0.5) <= 1e-10
 
     _run(capsys, 1, "expander halfsplit constant 1/2", 1.0, body)
 

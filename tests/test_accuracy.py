@@ -8,15 +8,26 @@ the bits of an earlier version.
 expander-preflow: `measured` = max_n ||u P u* - P|| and `lhs` =
 max_n ||u e^{-itk} - 1||, with u = 1 + (e^{itw(n)} - 1) p_n on block n and
 P = p_{A_n}, each normed on the block's s x s square by an SVD. Their scale
-is the reference value itself, and n is the largest block size."""
+is the reference value itself, and n is the largest block size.
+
+flow-profile: `modulus` = ||sigma_t(a) - a|| and `derivative_residual` =
+||(sigma_t(a) - a)/t - i[h, a]||, with sigma_t(a) = e^{ith} a e^{-ith}
+formed densely from mp.eighe of h and normed by an SVD. Their scales are
+||a|| and ||[h, a]||, and n is the number of points."""
+
+import itertools
 
 import numpy as np
 import pytest
 from mpmath import mp
 from test_expander import drawn_k
 
-from roelab import expander
+from test_operator import random_operator
+
+from roelab import expander, space
 from roelab.expander import block_family, preflow_profiles
+from roelab.flows import flow_profile
+from roelab.operator import diagonal, truncate
 
 DIGITS = 40
 EPS = np.finfo(float).eps
@@ -32,7 +43,8 @@ def reference_preflow(fam, k, times):
     with mp.workdps(DIGITS):
         for t in map(mp.mpf, times):
             moved, w_minus_one = [], []
-            for size, w, offset in zip(fam.sizes, fam.weights, fam.offsets):
+            offsets = itertools.accumulate(fam.sizes, initial=0)
+            for size, w, offset in zip(fam.sizes, fam.weights, offsets):
                 c = mp.expj(t * mp.mpf(w)) - 1
                 u = mp.eye(size) + mp.ones(size, size) * (c / size)
                 p = mp.diag(list(expander._split_mask(size)))
@@ -86,3 +98,70 @@ def test_preflow_columns_match_a_40_digit_reference(name):
     # over these cases is 0.25 n eps
     worst = worst_units(*CASES[name])
     assert max(worst.values()) <= 1.0, worst
+
+
+def reference_flow(h, a, times):
+    """modulus and derivative_residual of flow_profile at DIGITS digits (the
+    residual 0 at t = 0), with their scales ||a|| and ||[h, a]||."""
+    with mp.workdps(DIGITS):
+        hm, am = mp.matrix(h.entries.tolist()), mp.matrix(a.entries.tolist())
+        e, v = mp.eighe(hm)
+        generator = mp.mpc(0, 1) * (hm * am - am * hm)
+        modulus, residual = [], []
+        for t in map(mp.mpf, times):
+            u = v * mp.diag([mp.expj(t * x) for x in e]) * v.H
+            moved = u * am * u.H - am
+            modulus.append(_norm(moved))
+            residual.append(_norm(moved / t - generator) if t else mp.mpf(0))
+        return modulus, residual, _norm(am), _norm(generator)
+
+
+def flow_cases():
+    """Six drawn pairs (h, a) on 3 to 8 points, Hermitian as the CLI's
+    generators make them: full, banded and diagonal a, on path, cycle and
+    complete graphs, over the grid -1, -0.75, ..., 1 and the times 1e-7,
+    -3e-4 and 2.5."""
+    times = np.concatenate([np.arange(-1.0, 1.0 + 0.125, 0.25), [1e-7, -3e-4, 2.5]])
+    spaces = {
+        "path-3-full": space.path_graph(3),
+        "cycle-4-banded": space.cycle_graph(4),
+        "path-5-diagonal": space.path_graph(5),
+        "complete-6-full": space.complete_graph(6),
+        "path-7-banded": space.path_graph(7),
+        "cycle-8-diagonal": space.cycle_graph(8),
+    }
+    cases = {}
+    for seed, (name, s) in enumerate(spaces.items()):
+        h = random_operator(s, 2 * seed, hermitian=True)
+        a = random_operator(s, 2 * seed + 1, hermitian=True)
+        if name.endswith("banded"):
+            a = truncate(a, 1)
+        elif name.endswith("diagonal"):
+            a = diagonal(s, s.dist[0])
+        cases[name] = (h, a, times)
+    return cases
+
+
+FLOW_CASES = flow_cases()
+
+
+def flow_units(h, a, times):
+    """{column: max |x - ref| / (n eps scale)} for modulus and
+    derivative_residual; at t = 0 both must be 0."""
+    got = flow_profile(h, a, times)
+    *want, norm_a, norm_generator = reference_flow(h, a, times)
+    worst = {}
+    columns = zip(("modulus", "derivative_residual"), got, want, (norm_a, norm_generator))
+    for name, x, ref, scale in columns:
+        assert all(xi == 0.0 for xi, t in zip(x, times) if t == 0), name
+        error = max(abs(mp.mpf(float(xi)) - ri) for xi, ri in zip(x, ref))
+        worst[name] = float(error / scale) / (h.n * EPS)
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_CASES))
+def test_flow_columns_match_a_40_digit_reference(name):
+    # modulus and derivative_residual within 4 n eps of the reference,
+    # relative to ||a|| and ||[h, a]||
+    worst = flow_units(*FLOW_CASES[name])
+    assert max(worst.values()) <= 4.0, worst

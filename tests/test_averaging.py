@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_locality import HERMITIAN_KINDS, drawn_operator, small_spaces
+from test_operator import exact_propagation
 
 from roelab import averaging, space
 from roelab._linalg import ZERO_PROP_TOL, spectral_norm
@@ -77,7 +78,7 @@ def test_average_preserves_propagation():
     s = space.path_graph(4)
     a = truncate(random_hermitian(s, 3), 1)
     avg = brute_average(s, lambda eps: conjugate_by_sign(a, eps))
-    assert propagation(avg, 0.0) <= 1.0
+    assert exact_propagation(avg) <= 1.0
 
 
 def test_brute_size_guard():

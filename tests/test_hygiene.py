@@ -1,9 +1,11 @@
 """Source hygiene of src/roelab and tests/: no unused import, every numeric
 identity through _linalg.check, no top-level def, class or constant in
 src/roelab that nothing names, no function in src/roelab, public or
-private, that only unit tests call, no operator arithmetic on library
-classes, no read of the environment in src/roelab, no linear algebra and
-no np.exp outside _linalg, and no np.unique that returns its values alone."""
+private, that only unit tests call, no method or property that only unit
+tests name, no default that the library and the criteria always pass or
+never pass, no operator arithmetic on library classes, no read of the
+environment in src/roelab, no linear algebra and no np.exp outside
+_linalg, and no np.unique that returns its values alone."""
 
 import ast
 from pathlib import Path
@@ -183,6 +185,100 @@ def unreached_functions(root):
     return bad
 
 
+def unnamed_members(root):
+    """Every method and property `C.m` of a class of src/roelab, dunders
+    aside, is named as an attribute, `x.m`, outside its own def: in
+    src/roelab or in tests/test_acceptance.py. The type of x is not known,
+    so any attribute of that name counts; a unit test does not."""
+    files = parsed(root, "src/roelab/*.py", "tests/test_acceptance.py")
+    attrs = [
+        n for tree in files.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+    ]
+    bad = []
+    for path, tree in files.items():
+        if path.parent != Path("src/roelab"):
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.endswith("__"):
+                    continue
+                inside = {id(n) for n in ast.walk(node)}
+                if not any(a.attr == node.name and id(a) not in inside for a in attrs):
+                    bad.append(f"{path}:{node.lineno}: {cls.name}.{node.name} is named by no module and no criterion")
+    return bad
+
+
+def calls(path, tree):
+    """(dotted name, call) of each call in a file whose callee resolves:
+    through the file's imports, or, in src/roelab, by the name of a
+    top-level def of its own module."""
+    _, aliases = imports(path, tree)
+    own = {}
+    if path.parent == Path("src/roelab"):
+        own = {
+            n.name: f"roelab.{path.stem}.{n.name}"
+            for n in tree.body if isinstance(n, ast.FunctionDef)
+        }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = own.get(f.id) if isinstance(f, ast.Name) else None
+        if name := name or resolved(f, aliases):
+            yield name, node
+
+
+def passes(call, index, name):
+    """Whether a call passes the parameter ``name``, positional at ``index``
+    or keyword-only (``index`` None). A *args or a **kwargs that may pass it
+    counts as passing it."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def idle_defaults(root):
+    """Every parameter with a default, of every top-level def `m.f` of
+    src/roelab, is passed by at least one call and left out by at least one,
+    counting the calls of src/roelab and tests/test_acceptance.py, matched
+    through import aliases. A default that no call passes is an option
+    nothing sets; one that every call passes is a default nothing uses."""
+    files = parsed(root, "src/roelab/*.py", "tests/test_acceptance.py")
+    found = {}
+    for path, tree in files.items():
+        for name, call in calls(path, tree):
+            found.setdefault(name, []).append(call)
+    bad = []
+    for path, tree in files.items():
+        if path.parent != Path("src/roelab"):
+            continue
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            params = [
+                (i, a) for i, a in enumerate(positional)
+                if i >= len(positional) - len(args.defaults)
+            ] + [
+                (None, a) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None
+            ]
+            made = found.get(f"roelab.{path.stem}.{node.name}", [])
+            for index, arg in params:
+                passed = [passes(c, index, arg.arg) for c in made]
+                if not any(passed):
+                    bad.append(f"{path}:{node.lineno}: {node.name}({arg.arg}=...) is passed by no call")
+                elif all(passed):
+                    bad.append(f"{path}:{node.lineno}: {node.name}({arg.arg}=...) is passed by every call")
+    return bad
+
+
 ARITHMETIC = {
     "__matmul__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
     "__truediv__",
@@ -295,6 +391,14 @@ def test_no_dead_names():
 
 def test_no_unreached_functions():
     assert unreached_functions(ROOT) == []
+
+
+def test_no_unnamed_members():
+    assert unnamed_members(ROOT) == []
+
+
+def test_no_idle_defaults():
+    assert idle_defaults(ROOT) == []
 
 
 def test_no_arithmetic_dunders():
@@ -522,4 +626,66 @@ def test_dead_name_rule_covers_constants(tmp_path):
         "src/roelab/space.py:3: _UNREAD is defined but not named elsewhere in src/ or tests/",
         "src/roelab/space.py:6: _ONLY_STORED is defined but not named elsewhere in src/ or tests/",
         "src/roelab/space.py:7: _ONLY_STORED is defined but not named elsewhere in src/ or tests/",
+    ]
+
+
+def test_member_rule_counts_modules_and_criteria_only(tmp_path):
+    sources = {
+        "src/roelab/space.py": (
+            "class Space:\n"
+            "    def __len__(self):\n        return 0\n\n"
+            "    @property\n    def by_module(self):\n        return 1\n\n"
+            "    @property\n    def by_criterion(self):\n        return self.by_module\n\n"
+            "    @property\n    def by_unit_test(self):\n        return 2\n\n"
+            "    def recursive(self, k):\n        return self.recursive(k - 1) if k else 0\n"
+        ),
+        "tests/test_acceptance.py": (
+            "from roelab.space import Space\n\n\n"
+            "def test_it():\n    assert Space().by_criterion\n"
+        ),
+        "tests/test_space.py": (
+            "from roelab.space import Space\n\n\n"
+            "def test_it():\n    assert Space().by_unit_test + Space().recursive(0) == 2\n"
+        ),
+    }
+    for name, text in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # a property read only by a unit test, or a method named only inside its
+    # own def, is named by nothing; a dunder is not checked
+    assert unnamed_members(tmp_path) == [
+        "src/roelab/space.py:14: Space.by_unit_test is named by no module and no criterion",
+        "src/roelab/space.py:17: Space.recursive is named by no module and no criterion",
+    ]
+
+
+def test_default_rule_resolves_aliases(tmp_path):
+    sources = {
+        "src/roelab/cli.py": (
+            "from . import space\nfrom .space import cut as trim\n\n\n"
+            "def main(argv=None):\n"
+            "    return space.cut(argv, 1.0), trim(argv, tol=2.0), space.fixed(argv, 1)\n\n\n"
+            "def entry():\n    return main()\n"
+        ),
+        "src/roelab/space.py": (
+            "def cut(x, tol=None):\n    return x\n\n\n"
+            "def fixed(x, mode=0):\n    return x\n\n\n"
+            "def never(x, mode=0, *, tol=1.0):\n    return never(x, *[mode])\n\n\n"
+            "def spread(x, mode=0):\n    return spread(x, **{}), spread(x)\n"
+        ),
+        "tests/test_acceptance.py": "from roelab.cli import main as cli_main\n\ncli_main([])\n",
+        "tests/test_space.py": "from roelab.space import cut, fixed\n\ncut(1), fixed(1)\n",
+    }
+    for name, text in sources.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # main's argv is passed by the criterion's cli_main and left out by
+    # entry; cut's tol is passed by position and through the alias trim, and
+    # left out only by a unit test, which does not count; a *args or a
+    # **kwargs counts as passing what it may pass
+    assert idle_defaults(tmp_path) == [
+        "src/roelab/space.py:1: cut(tol=...) is passed by every call",
+        "src/roelab/space.py:5: fixed(mode=...) is passed by every call",
+        "src/roelab/space.py:9: never(mode=...) is passed by every call",
+        "src/roelab/space.py:9: never(tol=...) is passed by no call",
     ]

@@ -25,6 +25,12 @@ def random_operator(s, seed, hermitian=False):
     return OperatorMatrix(s, m)
 
 
+def exact_propagation(a):
+    """Largest d(x, y) over the nonzero entries of a: propagation with no
+    cut-off, for a matrix whose zeros are exact."""
+    return float(a.space.dist[a.entries != 0].max(initial=0.0))
+
+
 def test_propagation_diagonal_zero():
     s = space.path_graph(4)
     assert propagation(diagonal(s, [1, 2, 3, 4])) == 0.0
@@ -34,9 +40,6 @@ def test_propagation_all_ones_is_diameter():
     s = space.path_graph(3)
     a = OperatorMatrix(s, np.ones((3, 3), dtype=complex))
     assert propagation(a) == s.diameter == 2.0
-    for bad in (-1.0, np.nan):
-        with pytest.raises(ValueError, match="tol"):
-            propagation(a, bad)
 
 
 def test_nan_rejected():
@@ -63,7 +66,7 @@ def test_truncate_band_extraction():
     a = OperatorMatrix(s, s.dist.astype(complex) + np.eye(5))
     for r in range(5):
         t = truncate(a, r)
-        assert propagation(t, 0.0) <= r
+        assert exact_propagation(t) <= r
         expected = np.where(s.dist <= r, a.entries, 0)
         assert np.array_equal(t.entries, expected)
     assert np.array_equal(truncate(a, s.diameter).entries, a.entries)
@@ -97,7 +100,7 @@ def test_propagation_subadditive_on_products():
     a = truncate(random_operator(s, 2), 1)
     b = truncate(random_operator(s, 3), 2)
     ab = OperatorMatrix(s, a.entries @ b.entries)
-    assert propagation(ab, 0.0) <= propagation(a, 0.0) + propagation(b, 0.0)
+    assert exact_propagation(ab) <= exact_propagation(a) + exact_propagation(b)
 
 
 def test_norm_identity():

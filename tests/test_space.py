@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -59,6 +59,66 @@ def test_coarse_union_offsets_match_recursion():
         for n in range(3):
             if m != n:
                 assert u.dist[starts[m], starts[n]] == abs(c[m] - c[n])
+
+
+def looped_union(blocks):
+    """The distances of coarse_union(blocks) as it once built them, block
+    pair by block pair: the bit-for-bit oracle."""
+    offsets = [0.0]
+    for k in range(1, len(blocks)):
+        offsets.append(
+            offsets[-1] + blocks[k - 1].diameter + blocks[k].diameter + (k + 1)
+        )
+    sizes = [b.n_points for b in blocks]
+    n = sum(sizes)
+    dist = np.zeros((n, n), dtype=np.float64)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    for i, bi in enumerate(blocks):
+        si = starts[i]
+        dist[si : si + sizes[i], si : si + sizes[i]] = bi.dist
+        for j in range(i + 1, len(blocks)):
+            sj = starts[j]
+            gap = abs(offsets[j] - offsets[i])
+            dist[si : si + sizes[i], sj : sj + sizes[j]] = gap
+            dist[sj : sj + sizes[j], si : si + sizes[i]] = gap
+    return dist
+
+
+def _scaled_path(args):
+    """The path metric on n points times a float, a metric of non-integer
+    distances."""
+    n, scale = args
+    return space.FiniteSpace(scale * space.path_graph(n).dist)
+
+
+# graphs of 1 to 5 points, float metrics, and unions of them, nested
+SPACES = st.recursive(
+    st.one_of(
+        st.integers(1, 5).map(space.path_graph),
+        st.integers(3, 5).map(space.cycle_graph),
+        st.integers(1, 5).map(space.complete_graph),
+        st.tuples(st.integers(1, 5), st.floats(0.01, 10.0)).map(_scaled_path),
+    ),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(space.coarse_union),
+    max_leaves=8,
+)
+
+
+@given(st.lists(SPACES, min_size=2, max_size=4))
+@settings(deadline=None)
+def test_coarse_union_is_the_block_pair_loop_bit_for_bit(blocks):
+    got, want = space.coarse_union(blocks).dist, looped_union(blocks)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_space_copies_its_distances():
+    d = np.abs(np.subtract.outer(np.arange(4), np.arange(4))).astype(np.float64)
+    s = space.FiniteSpace(d)
+    # the caller's array stays writeable, and a later write does not reach s
+    assert d.flags.writeable and not s.dist.flags.writeable
+    d[0, 1] = d[1, 0] = 5.0
+    assert s.dist[0, 1] == 1.0
 
 
 def test_coarse_union_single_block_identity():
