@@ -155,31 +155,69 @@ def chunks(count, p, q):
 
 
 def spectral_norms(stack):
-    """Largest singular value of every matrix in a (k, p, q) stack.
+    """Largest singular value of every matrix in a (k, p, q) stack:
+    top_norms(*scaled_grams(stack)). An all-zero matrix, and every matrix of
+    an empty shape, has norm 0."""
+    return top_norms(*scaled_grams(stack))
 
-    Each matrix is scaled by 2^-e, with 2^(e-1) <= its largest entry modulus
-    < 2^e, before the Gram matrix squares it; the scaling is exact, even for
-    subnormal entries, and the result is scaled back by 2^e. So a result
-    neither overflows nor underflows unless the norm itself does. The Gram
-    matrix is formed on the smaller side. An all-zero matrix, and every
-    matrix of an empty shape, has norm 0.
-    """
+
+def scaled_grams(stack):
+    """(gram, e) for a (k, p, q) stack: matrix i scaled by 2^-e[i], with
+    2^(e-1) <= its largest entry modulus < 2^e, and its Gram matrix on the
+    smaller side. The scaling is exact, even for subnormal entries, so a
+    result scaled back by 2^e neither overflows nor underflows unless it
+    does itself; a nonzero scaled matrix has norm >= 1/2, and its Gram matrix
+    lambda_max >= 1/4. A stack of an empty shape gives (k, 0, 0) Grams."""
     m = np.ascontiguousarray(stack, dtype=np.complex128)
     if m.ndim != 3:
         raise ValueError(f"need a (k, p, q) stack, got shape {m.shape}")
     k, p, q = m.shape
     if m.size == 0:
-        return np.zeros(k)
+        return np.zeros((k, 0, 0), dtype=np.complex128), np.zeros(k, dtype=np.int32)
     scale = np.abs(m).max(axis=(1, 2))
     require_finite(scale)
-    e = np.frexp(scale)[1][:, None, None]
+    e = np.frexp(scale)[1]
     # the real and imaginary parts side by side, each scaled exactly
-    m = np.ldexp(m.view(np.float64), -e).view(np.complex128)
+    m = np.ldexp(m.view(np.float64), -e[:, None, None]).view(np.complex128)
     mh = m.conj().transpose(0, 2, 1)
-    gram = m @ mh if p < q else mh @ m
+    return (m @ mh if p < q else mh @ m), e
+
+
+def top_norms(gram, e):
+    """sqrt(lambda_max(gram[i])) 2^e[i] for scaled_grams' (gram, e): the
+    spectral norms, 0 for an empty Gram matrix; a norm that overflows is inf."""
+    if gram.size == 0:
+        return np.zeros(len(e))
     top = np.linalg.eigvalsh(gram)[:, -1]
-    with np.errstate(over="ignore"):  # a norm that overflows is inf
-        return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e[:, 0, 0])
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
+
+
+# A diagonal entry of a scaled Gram matrix below this is taken as this much
+# in gram_bounds' quotient, which only lowers the quotient
+_GRAM_DIAGONAL = 2.0**-512
+
+
+def gram_bounds(gram, e):
+    """(lo, hi) with lo <= ||m|| <= hi, up to rounding, for scaled_grams'
+    (gram, e) of each matrix m; both scaled back by 2^e.
+
+    lo = sqrt(max_j (G^2)_jj / G_jj) is the Rayleigh quotient of G at
+    G^(1/2) e_j, and (G^2)_jj = sum_k |G_jk|^2 is the squared norm of row j,
+    so it needs no product. hi = ||G||_F^(1/2) >= lambda_max^(1/2). Each is
+    within a small multiple of n^2 eps of its exact value, n = p + q, relative
+    to lambda_max >= 1/4: the row of G's largest diagonal entry has
+    G_jj >= 1/4, and a diagonal entry below 2^-512 is raised to it, so the
+    absolute underflow inside a scaled matrix, at most pq 2^-1074 per entry
+    of G, moves no quotient by more than pq 2^-562. lo is at most the largest
+    finite float, so a floor taken from it stays finite."""
+    g = gram.view(np.float64)
+    rows = np.einsum("kij,kij->ki", g, g)
+    diagonal = np.maximum(gram.diagonal(axis1=1, axis2=2).real, _GRAM_DIAGONAL)
+    with np.errstate(over="ignore"):
+        lo = np.ldexp(np.sqrt((rows / diagonal).max(axis=1, initial=0.0)), e)
+        hi = np.ldexp(np.sqrt(np.sqrt(rows.sum(axis=1))), e)
+    return np.minimum(lo, np.finfo(np.float64).max), hi
 
 
 def schur_bounds(stack):

@@ -13,7 +13,11 @@ is the reference value itself, and n is the largest block size.
 flow-profile: `modulus` = ||sigma_t(a) - a|| and `derivative_residual` =
 ||(sigma_t(a) - a)/t - i[h, a]||, with sigma_t(a) = e^{ith} a e^{-ith}
 formed densely from mp.eighe of h and normed by an SVD. Their scales are
-||a|| and ||[h, a]||, and n is the number of points."""
+||a|| and ||[h, a]||, and n is the number of points.
+
+ql-profile: the value of each mode, max ||p_A a p_B|| over every nonempty A
+(exact) or every metric ball A (lower) with B = far(A) nonempty, each corner
+normed by mp.svd_c. Its scale is ||a||, and n is the number of points."""
 
 import itertools
 
@@ -21,10 +25,11 @@ import numpy as np
 import pytest
 from mpmath import mp
 from test_expander import drawn_k
+from test_locality import drawn_operator
 
 from test_operator import random_operator
 
-from roelab import expander, space
+from roelab import expander, locality, space
 from roelab.expander import block_family, preflow_profiles
 from roelab.flows import flow_profile
 from roelab.operator import diagonal, truncate
@@ -165,3 +170,65 @@ def test_flow_columns_match_a_40_digit_reference(name):
     # relative to ||a|| and ||[h, a]||
     worst = flow_units(*FLOW_CASES[name])
     assert max(worst.values()) <= 4.0, worst
+
+
+def reference_ql(a, radii):
+    """ql_values(a, radii, ["lower", "exact"]) at DIGITS digits, and ||a||.
+    A corner is normed by mp.svd_c only if its float64 SVD norm is within
+    1e-9 relative of the largest: the others are below the max by far more
+    than any rounding."""
+    n, dist = a.n, a.space.dist
+    subsets = [np.array([bits >> i & 1 for i in range(n)], dtype=bool) for bits in range(1, 1 << n)]
+    balls = [dist[x] <= rho for x in range(n) for rho in a.space.distance_set()]
+    with mp.workdps(DIGITS):
+        values = []
+        for masks in (balls, subsets):
+            row = []
+            for r in radii:
+                corners = [a.entries[np.ix_(m, dist[m].min(axis=0) > r)] for m in masks]
+                corners = [c for c in corners if c.size]
+                if not corners:
+                    row.append(mp.mpf(0))
+                    continue
+                floats = [np.linalg.svd(c, compute_uv=False)[0] for c in corners]
+                near = [c for c, x in zip(corners, floats) if x >= max(floats) * (1 - 1e-9)]
+                row.append(max(_norm(mp.matrix(c.tolist())) for c in near))
+            values.append(row)
+        return values, _norm(mp.matrix(a.entries.tolist()))
+
+
+def ql_cases():
+    """Seven drawn operators on 3 to 8 points, every kind of drawn_operator,
+    on path, cycle and complete graphs and a coarse union."""
+    spaces = {
+        "path-3-full": space.path_graph(3),
+        "cycle-5-non-hermitian": space.cycle_graph(5),
+        "complete-4-banded": space.complete_graph(4),
+        "path-6-rank-one": space.path_graph(6),
+        "union-7-diagonal": space.coarse_union([space.path_graph(3), space.cycle_graph(4)]),
+        "cycle-8-upper": space.cycle_graph(8),
+        "path-8-banded": space.path_graph(8),
+    }
+    return {name: drawn_operator(s, name.split("-", 2)[2], seed) for seed, (name, s) in enumerate(spaces.items())}
+
+
+QL_CASES = ql_cases()
+
+
+def ql_units(a):
+    """{mode: max |x - ref| / (n eps ||a||)} over every radius and one past
+    the diameter."""
+    radii = np.append(a.space.distance_set(), a.space.diameter + 1.0)
+    got = locality.ql_values(a, radii, ["lower", "exact"])
+    want, scale = reference_ql(a, radii)
+    return {
+        mode: float(max(abs(mp.mpf(float(x)) - ref) for x, ref in zip(row, ref_row)) / scale) / (a.n * EPS)
+        for mode, row, ref_row in zip(("lower", "exact"), got, want)
+    }
+
+
+@pytest.mark.parametrize("name", sorted(QL_CASES))
+def test_ql_columns_match_a_40_digit_reference(name):
+    # both modes within n eps of the reference, relative to ||a||
+    worst = ql_units(QL_CASES[name])
+    assert max(worst.values()) <= 1.0, worst

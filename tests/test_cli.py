@@ -418,16 +418,16 @@ def test_coarse_check_checks_h_and_enumerates_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "sub, size, module",
-    [("ql-profile", 17, locality), ("coarse-check", 11, translations)],
+    "sub, size, module, norms",
+    [("ql-profile", 17, locality, "scaled_grams"), ("coarse-check", 11, translations, "spectral_norms")],
     ids=["ql-profile", "coarse-check"],
 )
 def test_mode_both_is_refused_before_either_mode_runs(
-    tmp_path, capsys, monkeypatch, sub, size, module
+    tmp_path, capsys, monkeypatch, sub, size, module, norms
 ):
     # the first mode (lower, heuristic) passes its guard, the exact mode's
-    # fails: no corner or trial translation may be normed first
-    normed = _counting(monkeypatch, module, "spectral_norms")
+    # fails: no corner may be formed, nor trial translation normed, first
+    normed = _counting(monkeypatch, module, norms)
     cfg = {
         "space": {"path_graph": size},
         "operator": {"generator": {"kind": "random_hermitian"}},
@@ -439,14 +439,16 @@ def test_mode_both_is_refused_before_either_mode_runs(
 
 
 @pytest.mark.parametrize(
-    "sub, module", [("ql-profile", locality), ("coarse-check", translations)],
+    "sub, module, norms",
+    [("ql-profile", locality, "scaled_grams"), ("coarse-check", translations, "spectral_norms")],
     ids=["ql-profile", "coarse-check"],
 )
 def test_profile_rows_are_refused_before_any_norm(
-    tmp_path, capsys, monkeypatch, sub, module
+    tmp_path, capsys, monkeypatch, sub, module, norms
 ):
-    # a row per radius and mode: 50001 radii pass in one mode, not in both
-    normed = _counting(monkeypatch, module, "spectral_norms")
+    # a row per radius and mode: 50001 radii pass in one mode, not in both;
+    # no corner is formed, nor trial translation normed
+    normed = _counting(monkeypatch, module, norms)
     cfg = {
         "space": {"path_graph": 4},
         "operator": {"generator": {"kind": "random_hermitian"}},

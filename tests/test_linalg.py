@@ -16,12 +16,15 @@ from roelab._linalg import (
     ZERO_PROP_TOL,
     check,
     chunk_len,
+    gram_bounds,
     hermitian_eig,
     require_hermitian,
     require_unitary,
+    scaled_grams,
     schur_bounds,
     spectral_norm,
     spectral_norms,
+    top_norms,
 )
 from roelab.averaging import extract_finite_prop
 from roelab.errors import NumericCheckError
@@ -171,6 +174,48 @@ def test_schur_bounds_hold_and_are_exact_on_weighted_permutations():
     # sums that overflow give an infinite bound, never NaN or a skipped row
     huge = np.full((1, 3, 3), np.finfo(float).max)
     assert schur_bounds(huge)[0] == np.inf
+
+
+@pytest.mark.parametrize("shape", [(7, 1, 5), (7, 3, 3), (7, 4, 2), (7, 5, 6)])
+@pytest.mark.parametrize("exponent", [0, 1000, -1000, -1060])
+def test_gram_bounds_enclose_the_norm_at_every_scale(shape, exponent):
+    # lo <= ||m|| <= hi within a few roundings, for the norm spectral_norms
+    # gives from the same Gram matrices; a row 2^-600 below the rest has a
+    # Gram diagonal that underflows, and must not raise lo past the norm
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack[1] = 0.0
+    stack[2, 0] *= 2.0**-600
+    stack[3, :, 0] *= 2.0**-540
+    stack = np.ldexp(stack.view(float), exponent).view(complex)
+    gram, e = scaled_grams(stack)
+    norms = top_norms(gram, e)
+    assert np.array_equal(norms, spectral_norms(stack))
+    lo, hi = gram_bounds(gram, e)
+    assert lo[1] == hi[1] == norms[1] == 0.0
+    slack = 1e-13 * norms + 2.0**-1070
+    assert (lo <= norms + slack).all() and (norms <= hi + slack).all()
+    # one row or column: the Gram matrix is 1 x 1 and both bounds are the norm
+    if 1 in shape[1:]:
+        np.testing.assert_allclose(lo, norms, rtol=1e-15)
+        np.testing.assert_allclose(hi, norms, rtol=1e-15)
+
+
+def test_gram_bounds_stay_finite_below_an_overflowing_norm():
+    # a norm past the largest float is inf; lo stays finite so that a floor
+    # taken from it never excludes a corner whose norm rounds to inf
+    big = np.full((1, 2, 2), np.finfo(float).max)
+    gram, e = scaled_grams(big)
+    lo, hi = gram_bounds(gram, e)
+    assert top_norms(gram, e)[0] == np.inf
+    assert lo[0] == np.finfo(float).max and hi[0] == np.inf
+
+
+def test_scaled_grams_of_empty_shapes():
+    for shape in [(0, 2, 3), (3, 0, 2), (2, 4, 0)]:
+        gram, e = scaled_grams(np.zeros(shape))
+        assert gram.shape == (shape[0], 0, 0)
+        assert top_norms(gram, e).tolist() == [0.0] * shape[0]
 
 
 @pytest.mark.parametrize(

@@ -278,19 +278,28 @@ def test_swap_pairing_needs_hermitian_a():
     "hermitian,counts", [(True, [255, 36, 18]), (False, [510, 72, 36])]
 )
 def test_exact_norms_closed_sets_and_one_of_each_swap_pair(monkeypatch, hermitian, counts):
-    normed = []
+    # corners are counted where they are formed, and fewer are eigensolved
+    formed, solved = [], []
+    scaled_grams, top_norms = locality.scaled_grams, locality.top_norms
 
-    def counting(stack):
-        normed[-1] += len(stack)
-        return spectral_norms(stack)
+    def forming(stack):
+        formed[-1] += len(stack)
+        return scaled_grams(stack)
 
-    monkeypatch.setattr(locality, "spectral_norms", counting)
+    def solving(gram, e):
+        solved[-1] += len(gram)
+        return top_norms(gram, e)
+
+    monkeypatch.setattr(locality, "scaled_grams", forming)
+    monkeypatch.setattr(locality, "top_norms", solving)
     s = space.cycle_graph(9)
     a = drawn_operator(s, "full" if hermitian else "non-hermitian", 9)
     for r in (0, 1, 2):
-        normed.append(0)
+        formed.append(0)
+        solved.append(0)
         ql_value(a, r, "exact")
-    assert normed == counts
+    assert formed == counts
+    assert all(0 < x < y for x, y in zip(solved, formed))
 
 
 @given(
@@ -364,3 +373,114 @@ def test_ql_values_of_both_modes_match_one_radius_calls(s, kind, seed, data):
     for row, mode in zip(values, ["lower", "exact"]):
         assert row.tolist() == [ql_value(a, r, mode) for r in radii]
 
+
+def formed_corner(a, amask, bmask):
+    """The corner p_A a p_B as ql_values forms it: on the smaller side's
+    points in order (taken transposed when |A| > |B|), the other side's
+    points in order and then zero columns, n - p in all for side p."""
+    n = a.n
+    rows, cols, m = np.flatnonzero(amask), np.flatnonzero(bmask), a.entries
+    if len(rows) > len(cols):
+        rows, cols, m = cols, rows, m.T
+    corner = np.zeros((len(rows), n - len(rows)), dtype=complex)
+    corner[:, : len(cols)] = m[np.ix_(rows, cols)]
+    return corner
+
+
+def unpruned_ql(a, r, mode):
+    """ql_value's max with every corner of the mode eigensolved, one at a
+    time: every closed set A (the one of each swap pair holding the first
+    point, for exactly Hermitian a), or every ball, repeats and all."""
+    n, dist = a.n, a.space.dist
+
+    def far(mask):
+        return dist[mask].min(axis=0) > r
+
+    if mode == "exact":
+        masks = [np.array([bits >> i & 1 for i in range(n)], dtype=bool) for bits in range(1, 1 << n)]
+        masks = [m for m in masks if far(m).any() and np.array_equal(far(far(m)), m)]
+        if np.array_equal(a.entries, a.entries.conj().T):
+            masks = [m for m in masks if np.argmax(m) < np.argmax(far(m))]
+    else:
+        masks = [dist[x] <= rho for x in range(n) for rho in a.space.distance_set()]
+        masks = [m for m in masks if far(m).any()]
+    return max((spectral_norm(formed_corner(a, m, far(m))) for m in masks), default=0.0)
+
+
+def assert_unpruned(a, radii):
+    got = locality.ql_values(a, radii, ["lower", "exact"])
+    want = [[unpruned_ql(a, r, mode) for r in radii] for mode in ("lower", "exact")]
+    assert got.tolist() == want
+
+
+@given(
+    small_spaces(),
+    st.sampled_from(HERMITIAN_KINDS + ("non-hermitian", "upper")),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1000, -1000]),
+)
+@settings(max_examples=80, deadline=None)
+def test_pruned_ql_values_bit_for_bit(s, kind, seed, exponent):
+    # only the corners whose Gram ceiling reaches a floor are eigensolved,
+    # and a ball that repeats an earlier one is dropped; the max must still
+    # be that of every corner, every ball included, at every radius and past
+    # the diameter, for a and for a scaled by 2^+-1000
+    a = drawn_operator(s, kind, seed)
+    a = OperatorMatrix(s, np.ldexp(a.entries.view(float), exponent).view(complex))
+    assert_unpruned(a, np.append(s.distance_set(), s.diameter + 1.0))
+
+
+@pytest.mark.parametrize("exponent", [0, 1000, -1000])
+def test_pruned_ql_values_bit_for_bit_on_near_ties(exponent):
+    # two corners one ulp apart, as 1 x 1 corners and as rank-one 2 x 2
+    # corners whose bounds meet the norm, and the zero operator
+    x = np.ldexp(1.0 + 2.0**-30, exponent)
+    m = np.zeros((3, 3), dtype=complex)
+    m[2, 0], m[0, 2] = x, np.nextafter(x, np.inf)
+    a = OperatorMatrix(space.path_graph(3), m)
+    assert_unpruned(a, [0.0, 1.0, 2.0])
+    assert ql_value(a, 1.0, "exact") == np.nextafter(x, np.inf)
+    s = space.path_graph(6)
+    m = np.zeros((6, 6), dtype=complex)
+    m[np.ix_([0, 1], [4, 5])] = x
+    m[np.ix_([4, 5], [0, 1])] = np.nextafter(x, 0.0)
+    assert_unpruned(OperatorMatrix(s, m), s.distance_set())
+    assert_unpruned(OperatorMatrix(s, np.zeros((6, 6))), s.distance_set())
+
+
+@pytest.mark.parametrize("kind", ["band-1", "band-2", "diagonal", "zero"])
+def test_exact_support_shortcut_bit_for_bit(monkeypatch, kind):
+    # at or past the largest d(x, y) of an exactly nonzero a_xy every value
+    # is 0 and no corner is formed; below it the values are unchanged
+    s = space.cycle_graph(8)
+    a = drawn_operator(s, "full", 4)
+    reach = {"band-1": 1.0, "band-2": 2.0, "diagonal": 0.0, "zero": -1.0}[kind]
+    a = OperatorMatrix(s, np.where(s.dist <= reach, a.entries, 0.0))
+    radii = np.append(s.distance_set(), 7.5)
+    assert_unpruned(a, radii)
+    formed = []
+    scaled_grams = locality.scaled_grams
+
+    def forming(stack):
+        formed.append(len(stack))
+        return scaled_grams(stack)
+
+    monkeypatch.setattr(locality, "scaled_grams", forming)
+    dead = radii[radii >= reach]
+    assert not locality.ql_values(a, dead, ["lower", "exact"]).any()
+    assert formed == []
+
+
+def test_exact_ql_temporaries_stay_small_at_every_radius():
+    # the radii are worked in blocks, and each batch's Gram matrices are
+    # held at once: every radius of path_graph(16) stays within the bound of
+    # one radius
+    s = space.path_graph(16)
+    a = random_operator(s, 0)
+    tracemalloc.start()
+    try:
+        locality.ql_values(a, s.distance_set(), ["exact"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
