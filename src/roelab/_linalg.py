@@ -220,24 +220,29 @@ def gram_bounds(gram, e):
     return np.minimum(lo, np.finfo(np.float64).max), hi
 
 
-def schur_bounds(stack):
-    """sqrt(||m||_1 ||m||_inf) >= ||m||_2 (Schur's test) for every matrix in a
-    (k, p, q) stack. With hi and lo the larger and smaller of the two norms
-    it is taken as hi sqrt(lo / hi), which neither overflows nor underflows
-    unless a sum does. For a weighted partial permutation (one nonzero entry
-    at most per row and column) it is the largest entry modulus, which is the
-    norm: spectral_norms gives it bit for bit for real entries, and within a
-    few roundings for complex ones, whose Gram matrix squares both parts.
-    Wherever the bound equals the norm it may so round below spectral_norms
-    by an ulp or so; a caller that skips a norm on it must allow for that.
-    """
-    a = np.abs(np.asarray(stack, dtype=np.complex128))
-    cols = np.einsum("kij->kj", a).max(axis=1, initial=0.0)
-    rows = np.einsum("kij->ki", a).max(axis=1, initial=0.0)
-    hi, lo = np.maximum(cols, rows), np.minimum(cols, rows)
-    # a sum that overflowed leaves hi = inf, and the bound inf
-    unit = np.where((hi > 0.0) & (hi < np.inf), hi, 1.0)
-    return hi * np.sqrt(lo / unit)
+# A matrix whose gram_bounds ceiling falls below a floor divided by
+# _GRAM_MARGIN, less _GRAM_SLACK, cannot set the max above it (gram_reaches)
+_GRAM_MARGIN = 1.0 + 2.0**-24
+_GRAM_SLACK = 2.0**-1070
+
+
+def gram_reaches(hi, floor):
+    """Where a matrix of gram_bounds ceiling hi may still set a max of
+    top_norms norms with the lower bound floor: hi >= floor / _GRAM_MARGIN
+    - _GRAM_SLACK. floor is the largest lo and norm known for that max, or
+    a bound proved no larger; skipping every other matrix is lossless.
+
+    The matrix of the largest computed norm always reaches it, so the max
+    of the norms computed is bit for bit the max over every matrix. Each
+    bound and norm is within a small multiple of n^2 eps of its exact value
+    (gram_bounds), and n^2 eps <= 2^-28 for n = p + q <= 2 MAX_POINTS (of
+    space); so a floor is at most (1 + 8 n^2 eps) times that matrix's hi,
+    which _GRAM_MARGIN covers twice over. A result that falls in the
+    subnormals is rounded once more, by at most 2^-1075 absolute;
+    _GRAM_SLACK covers 32 such roundings. A floor that overflowed stays
+    finite (gram_bounds), or is a norm of inf, which no skipped matrix can
+    beat."""
+    return hi >= floor / _GRAM_MARGIN - _GRAM_SLACK
 
 
 def spectral_norm(m):

@@ -4,15 +4,15 @@ A and their far sets B, per radius, exactly or over metric balls.
 Every corner's scaled Gram matrix G is formed once and bounded from itself:
 lo = sqrt(max_j (G^2)_jj / G_jj) <= ||C|| <= hi = ||G||_F^(1/2). Only the
 corners whose hi reaches their value's floor, the largest lo and norm known
-for it or for a value proved no larger, are eigensolved. The margin of the
-test covers the rounding of the bounds and the norms and the underflow inside
-a scaled corner (_norm_batch), so the corner of the largest computed norm is
-always eigensolved, and every value is bit for bit the max over all its
-corners; a corner's norm does not depend on its batch either way."""
+for it or for a value proved no larger, are eigensolved: _linalg.gram_reaches,
+whose margin covers the rounding of the bounds and the norms and the underflow
+inside a scaled corner. So the corner of the largest computed norm is always
+eigensolved, and every value is bit for bit the max over all its corners; a
+corner's norm does not depend on its batch either way."""
 
 import numpy as np
 
-from ._linalg import gram_bounds, scaled_grams, top_norms
+from ._linalg import gram_bounds, gram_reaches, scaled_grams, top_norms
 from .errors import SizeGuardError
 from .operator import OperatorMatrix
 from .space import sorted_distinct
@@ -24,10 +24,6 @@ LOWER_GUARD = 2**22
 # matrices, p(n - p) and p^2 <= n^2/4 entries each, stay within 1 MiB at
 # n = 16; also the most bitsets of a block of radii (int32, 128 KiB)
 _BATCH_ENTRIES = 2**15
-# A corner is eigensolved unless its ceiling falls below its floor divided by
-# _GRAM_MARGIN, less _GRAM_SLACK (see _norm_batch).
-_GRAM_MARGIN = 1.0 + 2.0**-24
-_GRAM_SLACK = 2.0**-1070
 
 
 def _batch_len(n):
@@ -106,7 +102,7 @@ def _max_corner_norms(entries, corners, exact, m) -> np.ndarray:
     to n - p, the most it can hold for side p, so a corner's norm does not
     depend on its batch. A batch eigensolves only the corners whose Gram
     ceiling reaches their value's floor, within a margin that covers every
-    rounding (_norm_batch), so the max loses nothing.
+    rounding (gram_reaches), so the max loses nothing.
     """
     n = len(entries)
     padded = np.zeros((2, n + 1, n + 1), dtype=np.complex128)
@@ -134,18 +130,9 @@ def _norm_batch(padded, batch, out, exact):
     side, and gram_bounds gives lo <= ||C|| <= hi: lo = sqrt(max_j
     (G^2)_jj / G_jj), hi = ||G||_F^(1/2). The floor of out[j, i] is the
     largest lo of its corners and the norms out holds; it is shared where an
-    order is proved (_floors). A corner is eigensolved unless
-    hi < floor / _GRAM_MARGIN - _GRAM_SLACK.
-
-    The skip is lossless: the corner of the largest computed norm always
-    passes, so out is the max of today's norms bit for bit. Each bound and
-    norm is within a small multiple of n^2 eps of its exact value (see
-    gram_bounds), and n^2 eps <= 2^-30 for n <= MAX_POINTS; so a floor is at
-    most (1 + 8 n^2 eps) times that corner's hi, which _GRAM_MARGIN covers 8
-    times over. A result that falls in the subnormals is rounded once more,
-    by at most 2^-1075 absolute; _GRAM_SLACK covers 32 such roundings. A
-    floor that overflowed stays finite (gram_bounds), or is a norm of inf,
-    which no skipped corner can beat.
+    order is proved (_floors). Only the corners whose hi reaches their
+    floor (gram_reaches) are eigensolved, which is lossless: out is the max
+    of every corner's norm bit for bit.
     """
     n = padded.shape[1] - 1
     index = np.concatenate([at for at, _ in batch])
@@ -176,7 +163,7 @@ def _norm_batch(padded, batch, out, exact):
     lo, hi = gram_bounds(grams, e)
     best = out.ravel().copy()
     np.maximum.at(best, index, lo)
-    live = hi >= _floors(best, exact)[index] / _GRAM_MARGIN - _GRAM_SLACK
+    live = gram_reaches(hi, _floors(best, exact)[index])
     norms = np.zeros(len(side))
     for p, g in sides:
         solve = np.flatnonzero(live[g]) + g.start

@@ -16,11 +16,14 @@ import numpy as np
 
 from ._linalg import (
     chunks,
+    gram_bounds,
+    gram_reaches,
     part_exponent,
     require_finite,
     require_hermitian,
-    schur_bounds,
+    scaled_grams,
     spectral_norms,
+    top_norms,
 )
 from .errors import SizeGuardError
 from .operator import OperatorMatrix
@@ -145,12 +148,6 @@ def _first_of_inverse_pair(targets: np.ndarray, inverses: np.ndarray) -> np.ndar
     return ~differ[rows, first] | (targets[rows, first] < inverses[rows, first])
 
 
-# A Schur bound equal to its row's norm can round below the computed norm by
-# an ulp or so, so a row is skipped only when its bound does not beat the best
-# norm narrowed by this factor (a division, which cannot overflow).
-_SCHUR_MARGIN = 1.0 + 2.0**-40
-
-
 def _exact_moduli(h: np.ndarray, s: FiniteSpace, blocks, radii, floors):
     """Per radius of the sorted distinct radii, max ||[h, v_f]|| over the
     rows f of every block of targets with displacement <= that radius and
@@ -161,20 +158,25 @@ def _exact_moduli(h: np.ndarray, s: FiniteSpace, blocks, radii, floors):
     differ by at most 2 ||h - h^H||). A kept row of displacement d counts
     toward every radius >= d: its norm goes into the running best of the
     smallest such radius, and the cumulative max over the radii hands it on
-    to the larger ones. Each stack of kept commutators is formed once, and
-    only its matrices whose Schur bound beats that running best, divided by
-    _SCHUR_MARGIN, are normed: a skipped one's norm is at most that best, so
-    the values do not depend on the order."""
+    to the larger ones. Each stack of kept commutators is formed once, with
+    its scaled Gram matrices, and bounded by gram_bounds: every lo goes into
+    the floor of its row's smallest radius, and only the rows whose hi
+    reaches the cumulative floor at that radius (_linalg.gram_reaches, whose
+    margin covers every rounding) are eigensolved. The values take only
+    computed norms, so each is the max over every kept row bit for bit."""
     best = floors.copy()
+    floor = floors.copy()
     n = s.n_points
     for block in blocks:
         block = block[_first_of_inverse_pair(block, _inverses(block))]
         first = np.searchsorted(radii, displacements(s, block))
         for sl, c in zip(chunks(len(block), n, n), _commutator_stacks(h, block)):
             at = first[sl]
-            normed = schur_bounds(c) > best[at] / _SCHUR_MARGIN
-            if normed.any():
-                np.maximum.at(best, at[normed], spectral_norms(c[normed]))
+            gram, e = scaled_grams(c)
+            lo, hi = gram_bounds(gram, e)
+            np.maximum.at(floor, at, lo)
+            live = gram_reaches(hi, np.maximum.accumulate(np.maximum(floor, best))[at])
+            np.maximum.at(best, at[live], top_norms(gram[live], e[live]))
     return np.maximum.accumulate(best)
 
 
@@ -223,8 +225,8 @@ def coarseness_moduli(
     floor + 2 ||h - diag D||. So for diagonal h the values are the floors,
     and no translation is enumerated or tried.
     exact: one enumeration at the largest radius (size guarded), shared by
-    every radius. It takes one f of each inverse pair, and norms only where
-    a row's Schur bound still beats the best norm of its smallest radius.
+    every radius. It takes one f of each inverse pair, and eigensolves only
+    the rows whose Gram ceiling reaches the floor of their smallest radius.
     heuristic: per radius, a lower bound from all single-pair translations
     within r plus a greedy matching grown one pair at a time, and then, as
     in the exact mode, the cumulative max over the sorted radii: every

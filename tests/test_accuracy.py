@@ -17,7 +17,12 @@ formed densely from mp.eighe of h and normed by an SVD. Their scales are
 
 ql-profile: the value of each mode, max ||p_A a p_B|| over every nonempty A
 (exact) or every metric ball A (lower) with B = far(A) nonempty, each corner
-normed by mp.svd_c. Its scale is ||a||, and n is the number of points."""
+normed by mp.svd_c. Its scale is ||a||, and n is the number of points.
+
+coarse-check: the exact value, the max of the floor max |h_yy - h_xx| over
+d(x, y) <= r and of ||[h, v_f]|| over every partial translation f with
+displacement <= r, each commutator formed densely and normed by mp.svd_c.
+Its scale is ||h|| (||[h, v_f]|| <= 2 ||h||), and n is the number of points."""
 
 import itertools
 
@@ -28,11 +33,13 @@ from test_expander import drawn_k
 from test_locality import drawn_operator
 
 from test_operator import random_operator
+from test_translations import brute_partial_injections
 
 from roelab import expander, locality, space
 from roelab.expander import block_family, preflow_profiles
 from roelab.flows import flow_profile
 from roelab.operator import diagonal, truncate
+from roelab.translations import coarseness_moduli
 
 DIGITS = 40
 EPS = np.finfo(float).eps
@@ -232,3 +239,57 @@ def test_ql_columns_match_a_40_digit_reference(name):
     # both modes within n eps of the reference, relative to ||a||
     worst = ql_units(QL_CASES[name])
     assert max(worst.values()) <= 1.0, worst
+
+
+# the most n eps ||h|| by which an exact coarse-check value may miss the
+# reference
+COARSE_UNITS = 1.0
+
+
+def reference_coarse(h, radii):
+    """coarseness_moduli(h, radii, ["exact"]) at DIGITS digits, over every
+    partial translation of brute_partial_injections, and ||h||."""
+    n, dist = h.n, h.space.dist
+    with mp.workdps(DIGITS):
+        hm = mp.matrix(h.entries.tolist())
+        values = []
+        for r in radii:
+            gaps = [abs(hm[y, y] - hm[x, x]) for x in range(n) for y in range(n) if dist[x, y] <= r]
+            norms = []
+            for row in brute_partial_injections(n, dist, r):
+                v = mp.zeros(n, n)
+                for x, y in enumerate(row):
+                    if y >= 0:
+                        v[y, x] = 1
+                norms.append(_norm(hm * v - v * hm))
+            values.append(max(gaps + norms))
+        return values, _norm(hm)
+
+
+def coarse_cases():
+    """Five drawn Hermitian h on 3 to 5 points: full, banded and rank-one,
+    on path, cycle and complete graphs."""
+    spaces = {
+        "path-3-full": space.path_graph(3),
+        "cycle-4-banded": space.cycle_graph(4),
+        "complete-4-rank-one": space.complete_graph(4),
+        "path-5-full": space.path_graph(5),
+        "cycle-5-banded": space.cycle_graph(5),
+    }
+    return {name: drawn_operator(s, name.split("-", 2)[2], seed) for seed, (name, s) in enumerate(spaces.items())}
+
+
+COARSE_CASES = coarse_cases()
+
+
+def coarse_units(h, radii=(0.0, 1.0)):
+    """max |x - ref| / (n eps ||h||) of the exact values over radii."""
+    got = coarseness_moduli(h, radii, ["exact"])[0]
+    want, scale = reference_coarse(h, radii)
+    return float(max(abs(mp.mpf(float(x)) - ref) for x, ref in zip(got, want)) / scale) / (h.n * EPS)
+
+
+@pytest.mark.parametrize("name", sorted(COARSE_CASES))
+def test_coarse_exact_column_matches_a_40_digit_reference(name):
+    # within COARSE_UNITS n eps of the reference, relative to ||h||
+    assert coarse_units(COARSE_CASES[name]) <= COARSE_UNITS

@@ -398,18 +398,22 @@ def test_inverse_pair_filter_keeps_one_row_of_each_pair(s, r):
 def test_exact_coarseness_of_diagonal_h_norms_few_rows(monkeypatch):
     s = space.path_graph(6)
     normed = []
-    norms = translations.spectral_norms
 
-    def counted(stack):
-        normed.append(len(stack))
-        return norms(stack)
+    def counted(norms):
+        def count(stack, *rest):
+            normed.append(len(stack))
+            return norms(stack, *rest)
+
+        return count
 
     def no_rows(rows, options):
         raise AssertionError("a translation was enumerated")
         yield
 
     assert len(_all_targets(s, 2)) == 2701
-    monkeypatch.setattr(translations, "spectral_norms", counted)
+    # both ways the module eigensolves: the heuristic's and the exact mode's
+    for name in ("spectral_norms", "top_norms"):
+        monkeypatch.setattr(translations, name, counted(getattr(translations, name)))
     monkeypatch.setattr(translations, "_extend", no_rows)
     for seed in range(5):
         normed.clear()
@@ -498,7 +502,7 @@ def test_exact_coarseness_is_bracketed_and_matches_all_rows(case):
 
 def kept_rows_modulus(h, r):
     """max ||[h, v_f]|| over the rows f the exact mode keeps, one of each
-    inverse pair, with every row normed: no Schur bound skips one."""
+    inverse pair, with every row normed: no Gram bound skips one."""
     norms = [np.zeros(0)]
     for f in translations._translation_targets(h.space, r, allow_large=False):
         inverses = translations._inverses(f)
@@ -513,7 +517,7 @@ def coupled_diagonal_cases(draw):
     """A path or complete graph of 2 to 5 points, a radius of its distance
     set, and h: an integer diagonal plus one or two Hermitian pairs of
     off-diagonal entries of modulus 1 to 3, scaled by 1, 1e150 or 1e-310.
-    Its commutators tie Schur bounds with norms and norms with the floor."""
+    Its commutators tie Gram bounds with norms and norms with the floor."""
     build = draw(st.sampled_from([space.path_graph, space.complete_graph]))
     s = build(draw(st.integers(2, 5)))
     n = s.n_points
@@ -528,8 +532,8 @@ def coupled_diagonal_cases(draw):
     return OperatorMatrix(s, scale * m), draw(st.sampled_from(s.distance_set().tolist()))
 
 
-# a Schur bound that rounds below its own row's norm, 5.000000000000001,
-# once skipped that row and returned the floor, 5.0
+# a row's norm, 5.000000000000001, just above the floor, 5.0: the skip must
+# keep that row, whose bound may round to its norm
 _TIED = np.diag([0.0, 0.0, -2.0, -3.0, 2.0]).astype(complex)
 _TIED[0, 1] = -1.7244803397616406 + 0.2931159801246747j
 _TIED[1, 0] = np.conj(_TIED[0, 1])
@@ -572,13 +576,17 @@ def test_coarseness_of_non_hermitian_h_is_refused(mode):
     small_spaces(max_n=6),
     st.sampled_from(("full", "banded", "rank-one")),
     st.integers(0, 2**32 - 1),
+    st.integers(-1000, 1000),
 )
 @settings(max_examples=40, deadline=None)
-def test_exact_moduli_from_one_enumeration_match_the_oracles(s, kind, seed):
+def test_exact_moduli_from_one_enumeration_match_the_oracles(s, kind, seed, exponent):
     # every radius from one enumeration at the largest: each value is the
     # one-radius value, max(floor, kept rows) bit for bit, and within
-    # rounding of the max over every row of its own radius's enumeration
+    # rounding of the max over every row of its own radius's enumeration;
+    # at every scale 2^exponent, where the Gram skip's margin and slack
+    # must still keep the row of the largest norm
     h = drawn_operator(s, kind, seed)
+    h = OperatorMatrix(s, math.ldexp(1.0, exponent) * h.entries)
     d = h.entries.diagonal()
     radii = s.distance_set()
     values = coarseness_moduli(h, radii[::-1], ["exact", "heuristic"])[:, ::-1]
@@ -594,11 +602,10 @@ def test_exact_moduli_from_one_enumeration_match_the_oracles(s, kind, seed):
 
 def assert_heuristic_profile_rises_below_exact(h, radii):
     """The heuristic profile over radii does not fall as r grows, and stays
-    at or below the exact one: within _SCHUR_MARGIN, by which the exact mode
-    may round below a norm it skips."""
+    at or below the exact one, within a factor 1 + 2^-40."""
     heuristic, exact = coarseness_moduli(h, radii, ["heuristic", "exact"])
     assert (np.diff(heuristic) >= 0).all()
-    assert (heuristic <= exact * translations._SCHUR_MARGIN).all()
+    assert (heuristic <= exact * (1 + 2**-40)).all()
 
 
 @given(
