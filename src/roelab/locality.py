@@ -221,8 +221,3 @@ def ql_values(a: OperatorMatrix, radii, modes) -> np.ndarray:
     out = np.zeros((len(modes), len(distinct)))
     out[:, : len(live)] = _max_corner_norms(a.entries, flat, exact, len(live))
     return out[:, back.reshape(-1)]
-
-
-def ql_value(a: OperatorMatrix, r: float, mode: str) -> float:
-    """ql_values at the one radius r in the one mode."""
-    return float(ql_values(a, [r], [mode])[0, 0])

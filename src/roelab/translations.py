@@ -261,8 +261,3 @@ def coarseness_moduli(
             values["heuristic"] = np.maximum.accumulate(heuristic)
     out = np.array([values[mode] for mode in modes], dtype=np.float64)
     return out.reshape(len(modes), len(distinct))[:, back.reshape(-1)]
-
-
-def coarseness_modulus(h, r, mode) -> float:
-    """coarseness_moduli at the one radius r in the one mode."""
-    return float(coarseness_moduli(h, [r], [mode])[0, 0])

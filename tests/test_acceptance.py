@@ -23,12 +23,12 @@ from roelab.flows import (
     generator_check,
     lipschitz_audit,
 )
-from roelab.locality import ql_value
+from roelab.locality import ql_values
 from roelab.operator import OperatorMatrix, diagonal, expectation, truncate
 from roelab._linalg import hermitian_eig, spectral_norm
 from roelab.rigidity import probes
 from roelab.translations import (
-    coarseness_modulus,
+    coarseness_moduli,
     displacements,
     enumerate_r_translations,
     to_matrices,
@@ -172,8 +172,9 @@ def test_criterion_09_coarseness_equivalence(capsys):
         for s in spaces:
             hvals = rng.standard_normal(s.n_points)
             h = diagonal(s, hvals)
-            for r in s.distance_set():
-                exact = coarseness_modulus(h, float(r), "exact")
+            radii = s.distance_set()
+            [profile] = coarseness_moduli(h, radii, ["exact"])
+            for r, exact in zip(radii.tolist(), profile.tolist()):
                 mask = s.dist <= r
                 closed = float(
                     np.abs(hvals[:, None] - hvals[None, :])[mask].max()
@@ -191,9 +192,9 @@ def test_criterion_10_ql_sandwich(capsys):
             n = 2 + seed % 9  # n in {2,...,10}
             s = space.path_graph(n)
             a = _seeded_hermitian(s, seed)
-            for r in s.distance_set():
-                exact = ql_value(a, float(r), "exact")
-                lower = ql_value(a, float(r), "lower")
+            radii = s.distance_set()
+            lowers, exacts = ql_values(a, radii, ["lower", "exact"])
+            for r, lower, exact in zip(radii.tolist(), lowers.tolist(), exacts.tolist()):
                 tail = spectral_norm(a.entries - truncate(a, float(r)).entries)
                 assert lower <= exact + 1e-12
                 assert exact <= tail + 1e-12

@@ -22,7 +22,24 @@ normed by mp.svd_c. Its scale is ||a||, and n is the number of points.
 coarse-check: the exact value, the max of the floor max |h_yy - h_xx| over
 d(x, y) <= r and of ||[h, v_f]|| over every partial translation f with
 displacement <= r, each commutator formed densely and normed by mp.svd_c.
-Its scale is ||h|| (||[h, v_f]|| <= 2 ||h||), and n is the number of points."""
+Its scale is ||h|| (||[h, v_f]|| <= 2 ||h||), and n is the number of points.
+
+cocycle-verify: `cocycle_residual` = ||u_{t+s} - u_t sigma_{h,t}(u_s)|| and
+`lambda_residual`, the distance of e^{-itk} u_t e^{ith} from the scalars, for
+u_t = e^{itk} e^{-ith}. Both are 0 in exact arithmetic, so the reference is 0
+and the scale is 1, as every u_t is unitary; n is the number of points.
+
+diagonalize: `defect` = ||h - h'||, where h - h' = h - truncate(h, r) is
+formed exactly, so it is normed by mp.svd_c from the same float64 entries.
+Its scale is the reference value itself, and n is the number of points.
+`zero_prop_residual` is exactly 0.0, and `h_prime_propagation` is the exact
+largest d(x, y) <= r with h_xy nonzero; both must be equal.
+
+rigidity-probe: `delta` = min_x |u_{f(x),x}| with u = e^{ith} from mp.expm
+and f(x) the argmax over y of |u_yx|. Its scale is 1 (|u_yx| <= 1), and n is
+the number of points. A time where some column's two largest |u_yx| lie
+within 1e-8 of each other is skipped, as f may differ there; elsewhere
+`displacement` = max_x d(x, f(x)) must equal the reference's."""
 
 import itertools
 
@@ -36,9 +53,12 @@ from test_operator import random_operator
 from test_translations import brute_partial_injections
 
 from roelab import expander, locality, space
+from roelab._linalg import hermitian_eig
+from roelab.averaging import extract_finite_prop
 from roelab.expander import block_family, preflow_profiles
-from roelab.flows import flow_profile
-from roelab.operator import diagonal, truncate
+from roelab.flows import cocycle_from_eigensystems, cocycle_residuals, flow_profile
+from roelab.operator import OperatorMatrix, diagonal, propagation, truncate
+from roelab.rigidity import flow_displacement_sweep
 from roelab.translations import coarseness_moduli
 
 DIGITS = 40
@@ -293,3 +313,110 @@ def coarse_units(h, radii=(0.0, 1.0)):
 def test_coarse_exact_column_matches_a_40_digit_reference(name):
     # within COARSE_UNITS n eps of the reference, relative to ||h||
     assert coarse_units(COARSE_CASES[name]) <= COARSE_UNITS
+
+
+# the most n eps by which a cocycle-verify residual, 0 in exact arithmetic,
+# may exceed 0; the worst over these cases is 5.3 n eps (cocycle_residual)
+# and 3.3 n eps (lambda_residual)
+COCYCLE_UNITS = 8.0
+# the most n eps, relative, by which a diagonalize defect may miss the
+# reference; the worst over these cases is 0.60 n eps
+DEFECT_UNITS = 2.0
+# the most n eps by which a rigidity-probe delta may miss the reference; the
+# worst over these cases is 0.78 n eps
+DELTA_UNITS = 2.0
+
+# the CLI's time grids: the cocycle-verify workload configs' and -1 to 1
+_CLI_GRIDS = (
+    np.arange(0.0, 1.0 + 0.125, 0.25),
+    np.arange(0.0, 0.8 + 0.2, 0.4),
+    np.arange(-1.0, 1.0 + 0.125, 0.25),
+)
+
+
+# the spaces of the last three columns' drawn operators: path, cycle and
+# complete graphs on 3 to 8 points
+SPACES = {
+    "path-3": space.path_graph(3),
+    "cycle-4": space.cycle_graph(4),
+    "complete-5": space.complete_graph(5),
+    "path-6": space.path_graph(6),
+    "cycle-7": space.cycle_graph(7),
+    "path-8": space.path_graph(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_cocycle_columns_are_within_rounding_of_zero(name):
+    # a drawn h and k = 0.5 times a drawn Hermitian matrix, as the CLI's
+    # configs make them, on each CLI time grid
+    s = SPACES[name]
+    seed = 2 * s.n_points
+    h = random_operator(s, seed, hermitian=True)
+    k = OperatorMatrix(s, 0.5 * random_operator(s, seed + 1, hermitian=True).entries)
+    eh, ek = hermitian_eig(h), hermitian_eig(k)
+    family = cocycle_from_eigensystems(eh, ek)
+    for times in _CLI_GRIDS:
+        residuals, lam = cocycle_residuals(family, ek, times, times)
+        worst = {
+            "cocycle_residual": residuals.max() / (s.n_points * EPS),
+            "lambda_residual": lam.max() / (s.n_points * EPS),
+        }
+        assert max(worst.values()) <= COCYCLE_UNITS, (times, worst)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_diagonalize_columns_match_a_40_digit_reference(name):
+    # at every radius of the distance set: the defect within DEFECT_UNITS
+    # n eps of the reference, relative, and the other two columns exact
+    s = SPACES[name]
+    h = random_operator(s, 20 + s.n_points, hermitian=True)
+    for r in s.distance_set():
+        h_prime, defect, zero_prop_residual = extract_finite_prop(h, float(r))
+        assert zero_prop_residual == 0.0
+        near = (s.dist <= r) & (h.entries != 0)
+        assert propagation(h_prime) == s.dist[near].max(initial=0.0)
+        with mp.workdps(DIGITS):
+            ref = _norm(mp.matrix(np.where(s.dist > r, h.entries, 0.0).tolist()))
+            if ref == 0:
+                assert defect == 0.0
+                continue
+            units = float(abs(mp.mpf(defect) - ref) / ref) / (s.n_points * EPS)
+        assert units <= DEFECT_UNITS, (r, units)
+
+
+def reference_probe(h, times):
+    """(delta, displacement) per time, from u = e^{ith} by mp.expm at DIGITS
+    digits, or None at a time where some column's two largest |u_yx| lie
+    within 1e-8 of each other."""
+    n, dist = h.n, h.space.dist
+    out = []
+    with mp.workdps(DIGITS):
+        generator = mp.mpc(0, 1) * mp.matrix(h.entries.tolist())
+        for t in times:
+            u = mp.expm(mp.mpf(t) * generator)
+            columns = [sorted(((abs(u[y, x]), y) for y in range(n)), reverse=True) for x in range(n)]
+            if any(c[0][0] - c[1][0] <= 1e-8 for c in columns):
+                out.append(None)
+                continue
+            f = [c[0][1] for c in columns]
+            out.append((min(c[0][0] for c in columns), max(dist[x, f[x]] for x in range(n))))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_rigidity_columns_match_a_40_digit_reference(name):
+    # on the rigidity-probe workload configs' grid, 0 to 2 in steps of 0.25:
+    # delta within DELTA_UNITS n eps of the reference and the displacement
+    # equal to it
+    s = SPACES[name]
+    h = random_operator(s, 40 + s.n_points, hermitian=True)
+    times = np.arange(0.0, 2.0 + 0.125, 0.25)
+    _, deltas, displacements = flow_displacement_sweep(h, times)
+    want = reference_probe(h, times)
+    compared = [(d, m, ref) for d, m, ref in zip(deltas, displacements, want) if ref is not None]
+    assert len(compared) >= len(times) - 1
+    for delta, displacement, (ref_delta, ref_displacement) in compared:
+        units = float(abs(mp.mpf(float(delta)) - ref_delta)) / (s.n_points * EPS)
+        assert units <= DELTA_UNITS, units
+        assert displacement == ref_displacement

@@ -36,10 +36,10 @@ from roelab.flows import (
     flow_profile,
     lipschitz_audit,
 )
-from roelab.locality import ql_value
+from roelab.locality import ql_values
 from roelab.operator import OperatorMatrix
 from roelab.rigidity import flow_displacement_sweep, probes
-from roelab.translations import coarseness_modulus
+from roelab.translations import coarseness_moduli
 
 SIZES = [1, 2, 64, 128]
 
@@ -287,8 +287,8 @@ VALIDITY = {
         UNITARY_TOL,
         "identity|unitary",
     ),
-    "coarseness_modulus": (
-        lambda x: coarseness_modulus(_op(_hermitian_input(x)), 1.0, "exact"),
+    "coarseness_moduli": (
+        lambda x: coarseness_moduli(_op(_hermitian_input(x)), [1.0], ["exact"]),
         2.0 * HERMITIAN_TOL,
         "Hermitian",
     ),
@@ -460,10 +460,8 @@ def _stacked_paths():
             blocks, rng.standard_normal(blocks.n_points), times
         ),
         "lipschitz": lipschitz_audit(h, k, times)[0],
-        "ql": ql_value(a, 1.0, "exact"),
-        "ql-lower": ql_value(a, 1.0, "lower"),
-        "coarse-exact": coarseness_modulus(a, 1.0, "exact"),
-        "coarse-heuristic": coarseness_modulus(a, 1.0, "heuristic"),
+        "ql": ql_values(a, [1.0], ["lower", "exact"]),
+        "coarse": coarseness_moduli(a, [1.0], ["exact", "heuristic"]),
         "extract": extract_finite_prop(h, 1.0)[0].entries,
     }
     return out

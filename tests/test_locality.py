@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from roelab import locality, space
 from roelab._linalg import spectral_norm, spectral_norms
 from roelab.errors import SizeGuardError
-from roelab.locality import ql_value
 from roelab.operator import OperatorMatrix, truncate
 
 
@@ -39,8 +38,7 @@ def brute_ql(a, r):
 def test_finite_propagation_vanishes():
     s = space.path_graph(5)
     a = truncate(random_operator(s, 0), 2)
-    for r in (2, 3, 4):
-        assert ql_value(a, r, "exact") == 0.0
+    assert locality.ql_values(a, [2, 3, 4], ["exact"]).tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_rank_one_threshold():
@@ -48,57 +46,56 @@ def test_rank_one_threshold():
     m = np.zeros((4, 4), dtype=complex)
     m[3, 0] = 1.0  # e_{3,0}: one entry, at distance 3
     a = OperatorMatrix(s, m)
-    assert ql_value(a, 2, "exact") == pytest.approx(1.0, abs=1e-12)
-    assert ql_value(a, 3, "exact") == 0.0
+    [[at_2, at_3]] = locality.ql_values(a, [2, 3], ["exact"])
+    assert at_2 == pytest.approx(1.0, abs=1e-12)
+    assert at_3 == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_matches_allpairs_oracle(seed):
     s = space.cycle_graph(5)
     a = random_operator(s, seed)
-    for r in s.distance_set():
-        assert ql_value(a, r, "exact") == pytest.approx(
-            brute_ql(a, r), abs=1e-10
-        )
+    radii = s.distance_set()
+    for r, value in zip(radii, locality.ql_values(a, radii, ["exact"])[0]):
+        assert value == pytest.approx(brute_ql(a, r), abs=1e-10)
 
 
 def test_truncation_sandwich():
     s = space.path_graph(7)
     for seed in range(5):
         a = random_operator(s, seed)
-        for r in s.distance_set():
-            assert ql_value(a, r, "exact") <= spectral_norm(
-                a.entries - truncate(a, r).entries
-            ) + 1e-10
+        radii = s.distance_set()
+        for r, value in zip(radii, locality.ql_values(a, radii, ["exact"])[0]):
+            assert value <= spectral_norm(a.entries - truncate(a, r).entries) + 1e-10
 
 
 def test_lower_below_exact():
     s = space.cycle_graph(6)
     for seed in range(5):
         a = random_operator(s, seed)
-        for r in s.distance_set():
-            assert ql_value(a, r, "lower") <= ql_value(a, r, "exact") + 1e-12
+        lower, exact = locality.ql_values(a, s.distance_set(), ["lower", "exact"])
+        assert (lower <= exact + 1e-12).all()
     for mode in ("exact", "lower"):
         for bad in (-1.0, np.nan):
             with pytest.raises(ValueError, match="radius"):
-                ql_value(a, bad, mode)
+                locality.ql_values(a, [bad], [mode])
 
 
 def test_exact_size_guard():
     s = space.path_graph(17)
     with pytest.raises(SizeGuardError):
-        ql_value(random_operator(s, 0), 1, "exact")
+        locality.ql_values(random_operator(s, 0), [1], ["exact"])
 
 
 def test_profile_nonincreasing():
     s = space.path_graph(6)
     a = random_operator(s, 3)
-    values = [ql_value(a, r, "exact") for r in s.distance_set()]
+    values = locality.ql_values(a, s.distance_set(), ["exact"])[0].tolist()
     assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
 
 
 def loop_ql(a, r, masks):
-    """ql_value's maximum evaluated one corner at a time over the sets A."""
+    """ql_values' maximum evaluated one corner at a time over the sets A."""
     dist = a.space.dist
     best = 0.0
     for amask in masks:
@@ -120,18 +117,16 @@ def test_stacked_ql_value_matches_per_corner_loop(s, seed):
         np.array([bits >> i & 1 for i in range(n)], dtype=bool)
         for bits in range(1, 1 << n)
     ]
-    balls = [s.dist[x] <= rho for x in range(n) for rho in s.distance_set()]
-    for r in s.distance_set():
-        assert ql_value(a, r, "exact") == pytest.approx(
-            loop_ql(a, r, subsets), abs=1e-12
-        )
-        assert ql_value(a, r, "lower") == pytest.approx(
-            loop_ql(a, r, balls), abs=1e-12
-        )
+    radii = s.distance_set()
+    balls = [s.dist[x] <= rho for x in range(n) for rho in radii]
+    exact, lower = locality.ql_values(a, radii, ["exact", "lower"])
+    for r, e, lo in zip(radii, exact, lower):
+        assert e == pytest.approx(loop_ql(a, r, subsets), abs=1e-12)
+        assert lo == pytest.approx(loop_ql(a, r, balls), abs=1e-12)
 
 
 def masked_ql(a, r, mode):
-    """ql_value's maximum with every corner taken as a masked n x n matrix:
+    """ql_values' maximum with every corner taken as a masked n x n matrix:
     p_A a p_B with the rows outside A and the columns outside B zeroed."""
     n = a.n
     dist = a.space.dist
@@ -155,9 +150,10 @@ def masked_ql(a, r, mode):
 def test_grouped_corners_match_masked_corners(s, mode):
     a = random_operator(s, 5)
     a = OperatorMatrix(s, 0.5 * (a.entries + a.entries.conj().T))
-    for r in s.distance_set():
+    radii = s.distance_set()
+    for r, value in zip(radii, locality.ql_values(a, radii, [mode])[0]):
         want = masked_ql(a, r, mode)
-        assert ql_value(a, r, mode) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert value == pytest.approx(want, rel=1e-14, abs=0.0)
         if s.diameter <= r:
             assert want == 0.0
 
@@ -166,7 +162,7 @@ def test_exact_ql_temporaries_stay_small():
     a = random_operator(space.path_graph(16), 0)
     tracemalloc.start()
     try:
-        ql_value(a, 1.0, "exact")
+        locality.ql_values(a, [1.0], ["exact"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -184,7 +180,7 @@ def test_lower_size_guard_fires_before_the_ball_masks():
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match="ql-lower-balls"):
-            ql_value(a, 1.0, "lower")
+            locality.ql_values(a, [1.0], ["lower"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,7 +193,7 @@ def test_exact_size_guard_fires_before_any_array():
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError):
-            ql_value(a, 1.0, "exact")
+            locality.ql_values(a, [1.0], ["exact"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,10 +256,9 @@ def test_closed_set_reduction_matches_all_subsets(s, kind, seed):
         np.array([bits >> i & 1 for i in range(n)], dtype=bool)
         for bits in range(1, 1 << n)
     ]
-    for r in s.distance_set():
-        assert ql_value(a, r, "exact") == pytest.approx(
-            loop_ql(a, r, subsets), rel=1e-14, abs=0.0
-        )
+    radii = s.distance_set()
+    for r, value in zip(radii, locality.ql_values(a, radii, ["exact"])[0]):
+        assert value == pytest.approx(loop_ql(a, r, subsets), rel=1e-14, abs=0.0)
 
 
 def test_swap_pairing_needs_hermitian_a():
@@ -271,7 +266,7 @@ def test_swap_pairing_needs_hermitian_a():
     s = space.path_graph(3)
     m = np.zeros((3, 3), dtype=complex)
     m[2, 0] = 1.0
-    assert ql_value(OperatorMatrix(s, m), 1, "exact") == 1.0
+    assert locality.ql_values(OperatorMatrix(s, m), [1], ["exact"]).tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize(
@@ -297,7 +292,7 @@ def test_exact_norms_closed_sets_and_one_of_each_swap_pair(monkeypatch, hermitia
     for r in (0, 1, 2):
         formed.append(0)
         solved.append(0)
-        ql_value(a, r, "exact")
+        locality.ql_values(a, [r], ["exact"])
     assert formed == counts
     assert all(0 < x < y for x, y in zip(solved, formed))
 
@@ -371,7 +366,7 @@ def test_ql_values_of_both_modes_match_one_radius_calls(s, kind, seed, data):
     values = locality.ql_values(a, radii, ["lower", "exact"])
     assert values.shape == (2, len(radii))
     for row, mode in zip(values, ["lower", "exact"]):
-        assert row.tolist() == [ql_value(a, r, mode) for r in radii]
+        assert row.tolist() == [locality.ql_values(a, [r], [mode])[0, 0] for r in radii]
 
 
 def formed_corner(a, amask, bmask):
@@ -388,7 +383,7 @@ def formed_corner(a, amask, bmask):
 
 
 def unpruned_ql(a, r, mode):
-    """ql_value's max with every corner of the mode eigensolved, one at a
+    """ql_values' max with every corner of the mode eigensolved, one at a
     time: every closed set A (the one of each swap pair holding the first
     point, for exactly Hermitian a), or every ball, repeats and all."""
     n, dist = a.n, a.space.dist
@@ -439,7 +434,7 @@ def test_pruned_ql_values_bit_for_bit_on_near_ties(exponent):
     m[2, 0], m[0, 2] = x, np.nextafter(x, np.inf)
     a = OperatorMatrix(space.path_graph(3), m)
     assert_unpruned(a, [0.0, 1.0, 2.0])
-    assert ql_value(a, 1.0, "exact") == np.nextafter(x, np.inf)
+    assert locality.ql_values(a, [1.0], ["exact"])[0, 0] == np.nextafter(x, np.inf)
     s = space.path_graph(6)
     m = np.zeros((6, 6), dtype=complex)
     m[np.ix_([0, 1], [4, 5])] = x

@@ -19,7 +19,6 @@ from roelab.operator import (
 )
 from roelab.translations import (
     coarseness_moduli,
-    coarseness_modulus,
     displacements,
     enumerate_r_translations,
     to_matrices,
@@ -158,13 +157,13 @@ def test_enumeration_size_guard():
 def test_coarseness_diagonal_two_points():
     s = two_point_space(1.0)
     h = diagonal(s, [0.0, 5.0])
-    assert coarseness_modulus(h, 1, "exact") == pytest.approx(5.0, abs=1e-12)
+    assert coarseness_moduli(h, [1], ["exact"])[0, 0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_coarseness_identity_commutes():
     s = space.path_graph(4)
     h = OperatorMatrix(s, np.eye(4, dtype=complex))
-    assert coarseness_modulus(h, 3, "exact") == pytest.approx(0.0, abs=1e-12)
+    assert coarseness_moduli(h, [3], ["exact"])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coarseness_diagonal_full_radius_is_pairwise_max():
@@ -172,7 +171,7 @@ def test_coarseness_diagonal_full_radius_is_pairwise_max():
     s = space.path_graph(5)
     vals = rng.standard_normal(5)
     h = diagonal(s, vals)
-    exact = coarseness_modulus(h, s.diameter, "exact")
+    exact = coarseness_moduli(h, [s.diameter], ["exact"])[0, 0]
     oracle = max(abs(vals[x] - vals[z]) for x in range(5) for z in range(5))
     assert exact == pytest.approx(oracle, abs=1e-12)
 
@@ -182,10 +181,8 @@ def test_heuristic_below_exact():
     s = space.cycle_graph(5)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
-    for r in (1, 2):
-        assert coarseness_modulus(h, r, "heuristic") <= coarseness_modulus(
-            h, r, "exact"
-        ) + 1e-10
+    heuristic, exact = coarseness_moduli(h, [1, 2], ["heuristic", "exact"])
+    assert (heuristic <= exact + 1e-10).all()
 
 
 def test_projection_commutator_bounded_by_r0_modulus():
@@ -193,7 +190,7 @@ def test_projection_commutator_bounded_by_r0_modulus():
     s = space.path_graph(5)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
-    modulus = coarseness_modulus(h, 0, "exact")
+    modulus = coarseness_moduli(h, [0], ["exact"])[0, 0]
     for subset_bits in range(1 << 5):
         [p] = to_matrices([[x if subset_bits >> x & 1 else -1 for x in range(5)]])
         assert spectral_norm(h.entries @ p - p @ h.entries) <= modulus + 1e-10
@@ -248,14 +245,13 @@ def test_stacked_coarseness_matches_per_translation_loop(s, radii, seed):
         (s.n_points,) * 2
     )
     h = OperatorMatrix(s, 0.5 * (m + m.conj().T))
-    for r in radii:
-        exact = max(
-            loop_commutator_norm(h, f) for f in enumerate_r_translations(s, r)
-        )
-        assert coarseness_modulus(h, r, "exact") == pytest.approx(exact, abs=1e-12)
-        assert coarseness_modulus(h, r, "heuristic") == pytest.approx(
-            loop_heuristic(h, r), abs=1e-12
-        )
+    exact, heuristic = coarseness_moduli(h, radii, ["exact", "heuristic"])
+    # the heuristic profile is the running max of the one-radius greedy values
+    running = np.maximum.accumulate([loop_heuristic(h, r) for r in radii])
+    for r, e, greedy, want in zip(radii, exact, heuristic, running):
+        loop = max(loop_commutator_norm(h, f) for f in enumerate_r_translations(s, r))
+        assert e == pytest.approx(loop, abs=1e-12)
+        assert greedy == pytest.approx(want, abs=1e-12)
 
 
 def dfs_translations(s, r):
@@ -302,7 +298,7 @@ def test_exact_coarseness_temporaries_stay_small():
         h = OperatorMatrix(s, np.diag(np.arange(10.0)) + coupling * (s.dist == 1))
         tracemalloc.start()
         try:
-            coarseness_modulus(h, 1, "exact")
+            coarseness_moduli(h, [1], ["exact"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -317,7 +313,7 @@ def test_enumeration_size_guard_fires_before_any_array():
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError):
-            coarseness_modulus(h, 1, "exact")
+            coarseness_moduli(h, [1], ["exact"])
         with pytest.raises(SizeGuardError):
             next(enumerate_r_translations(s, 1))
         peak = tracemalloc.get_traced_memory()[1]
@@ -358,12 +354,12 @@ def _generator(kind, s, seed):
 )
 def test_exact_coarseness_matches_the_loop_oracle(s, kind):
     h = _generator(kind, s, seed=s.n_points)
-    for r in s.distance_set():
+    radii = s.distance_set()
+    for r, got in zip(radii, coarseness_moduli(h, radii, ["exact"])[0]):
         want = max(
             loop_commutator_norm(h, f)
             for f in enumerate_r_translations(s, r)
         )
-        got = coarseness_modulus(h, float(r), "exact")
         assert abs(got - want) <= 1e-14 * want, (kind, r)
         if kind == "scalar":
             assert got == 0.0
@@ -418,7 +414,7 @@ def test_exact_coarseness_of_diagonal_h_norms_few_rows(monkeypatch):
     for seed in range(5):
         normed.clear()
         h = diagonal(s, np.random.default_rng(seed).standard_normal(6))
-        coarseness_modulus(h, 2, "exact")
+        coarseness_moduli(h, [2], ["exact"])
         assert sum(normed) == 0
 
 
@@ -430,9 +426,8 @@ def test_heuristic_coarseness_of_diagonal_h_tries_no_translation(monkeypatch):
     s = space.path_graph(6)
     for seed in range(5):
         h = diagonal(s, np.random.default_rng(seed).standard_normal(6))
-        for r in s.distance_set():
-            exact = coarseness_modulus(h, r, "exact")
-            assert coarseness_modulus(h, r, "heuristic") == exact
+        exact, heuristic = coarseness_moduli(h, s.distance_set(), ["exact", "heuristic"])
+        assert heuristic.tolist() == exact.tolist()
 
 
 @pytest.mark.parametrize("kind", ["dense", "banded", "rank-one"])
@@ -450,7 +445,7 @@ def test_exact_coarseness_forms_each_kept_commutator_once(monkeypatch, kind):
         return commutators(h, targets, inverses)
 
     monkeypatch.setattr(translations, "_commutators", counted)
-    coarseness_modulus(_generator(kind, s, seed=6), 2, "exact")
+    coarseness_moduli(_generator(kind, s, seed=6), [2], ["exact"])
     assert sum(formed) == kept
 
 
@@ -488,13 +483,13 @@ def coarseness_cases(draw):
 def test_exact_coarseness_is_bracketed_and_matches_all_rows(case):
     h, r, kind = case
     d = h.entries.diagonal()
-    exact = coarseness_modulus(h, r, "exact")
+    exact = coarseness_moduli(h, [r], ["exact"])[0, 0]
     floor = float(np.abs(d[:, None] - d[None, :])[h.space.dist <= r].max())
     ceiling = floor + 2 * spectral_norm(h.entries - np.diag(d))
     if kind in ("diagonal", "repeated"):
         assert exact == floor
         # the heuristic closes the same bracket, bit for bit
-        assert coarseness_modulus(h, r, "heuristic") == exact
+        assert coarseness_moduli(h, [r], ["heuristic"])[0, 0] == exact
     assert floor <= exact <= ceiling * (1 + 1e-14)
     oracle = all_rows_modulus(h, r)
     assert abs(exact - oracle) <= 1e-14 * oracle
@@ -547,7 +542,7 @@ def test_exact_coarseness_equals_the_max_over_kept_rows(case):
     d = h.entries.diagonal()
     floor = float(np.abs(d[:, None] - d[None, :])[h.space.dist <= r].max())
     want = max(floor, kept_rows_modulus(h, r))
-    assert coarseness_modulus(h, r, "exact") == want
+    assert coarseness_moduli(h, [r], ["exact"])[0, 0] == want
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
@@ -557,7 +552,7 @@ def test_overflowing_diagonal_gap_is_refused_without_a_warning(mode):
     for coupling in (0.0, 1.0):
         h = OperatorMatrix(s, np.diag([1e308, -1e308, 0.0]) + coupling * (s.dist == 1))
         with pytest.raises(np.linalg.LinAlgError):
-            coarseness_modulus(h, 1, mode)
+            coarseness_moduli(h, [1], [mode])
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
@@ -565,11 +560,11 @@ def test_coarseness_of_non_hermitian_h_is_refused(mode):
     s = space.path_graph(3)
     h = OperatorMatrix(s, np.triu(np.ones((3, 3))))
     with pytest.raises(ValueError, match="not Hermitian"):
-        coarseness_modulus(h, 1, mode)
+        coarseness_moduli(h, [1], [mode])
     d = diagonal(s, [0.0, 1.0, 2.0])
     for bad in (-1.0, np.nan):
         with pytest.raises(ValueError, match="radius"):
-            coarseness_modulus(d, bad, mode)
+            coarseness_moduli(d, [bad], [mode])
 
 
 @given(
@@ -591,7 +586,8 @@ def test_exact_moduli_from_one_enumeration_match_the_oracles(s, kind, seed, expo
     radii = s.distance_set()
     values = coarseness_moduli(h, radii[::-1], ["exact", "heuristic"])[:, ::-1]
     # the heuristic profile is the running max of the one-radius values
-    single = np.maximum.accumulate([coarseness_modulus(h, r, "heuristic") for r in radii])
+    single = [coarseness_moduli(h, [r], ["heuristic"])[0, 0] for r in radii]
+    single = np.maximum.accumulate(single)
     for r, exact, heuristic, running in zip(radii, *values, single):
         floor = float(np.abs(d[:, None] - d[None, :])[s.dist <= r].max())
         assert exact == max(floor, kept_rows_modulus(h, r))
