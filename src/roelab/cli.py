@@ -383,11 +383,8 @@ def _run_expander_preflow(cfg, rng):
     fam = expander.block_family(*_family_args(cfg))
 
     def compute(out, cfg_hash):
-        if k_kind == "zero":
-            k = np.zeros(fam.n_points)
-        else:
-            # the diagonal of h = sum_n w(n) p_n: w(n) / |X_n| on block n
-            k = np.repeat(fam.weights / fam.sizes, fam.sizes)
+        # zero, or the diagonal of h = sum_n w(n) p_n: w(n) / |X_n| on block n
+        k = np.zeros(fam.n_blocks) if k_kind == "zero" else fam.weights / fam.sizes
         measured, closed_form, block, lhs = expander.preflow_profiles(fam, k, times)
         _write_csv(
             out, "expander-preflow", cfg_hash,

@@ -2,14 +2,13 @@
 discontinuity constants of the pre-flow e^{ith} they generate, with
 h = sum_n w(n) p_n and p_n the rank-one averaging projection of block n.
 p_n, the half split A_n and so every value here depend on the block sizes
-alone, not on the graph on a block, so a family holds no graph. The
-pre-flow is block diagonal, so every norm is taken block by block, and the
-coarse union of the blocks is never built. On a block, each piece normed is
-constant on the products of its cells, the runs of equal (A_n-membership,
-k), apart from a diagonal constant on each cell. So it is the direct sum of
-a diagonal on W, the vectors that sum to 0 on every cell, and an m x m
-quotient Q_jl = [j = l] d_j + sqrt(s_j s_l) n_jl on the m cell indicators:
-2 x 2 for the CLI's choices of k (see _block_norms)."""
+alone, not on the graph on a block, so a family holds no graph. The w-map
+compares e^{ith} with e^{itk} for a k that is one real value per block, as
+E(h) = w(n) / |X_n| is. The pre-flow is block diagonal, so every norm is
+taken block by block, and the coarse union of the blocks is never built. On
+a block, u p_{A_n} u* - p_{A_n} is constant on the products of the two
+cells X_n \\ A_n and A_n, so it is normed on a 2 x 2 quotient, and
+u e^{-itk} - 1 is normal, with its norm in closed form (see _block_norms)."""
 
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -17,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ._linalg import DISCONTINUITY_TOL, WMAP_TOL, check, chunks
-from ._linalg import spectral_norm, spectral_norms
+from ._linalg import require_finite, spectral_norm, spectral_norms
 from .errors import ConfigError
 from .space import check_points
 
@@ -38,10 +37,6 @@ class BlockFamily:
     @property
     def n_blocks(self) -> int:
         return len(self.sizes)
-
-    @property
-    def n_points(self) -> int:
-        return sum(self.sizes)
 
 
 def block_family(sizes: Sequence[int], weights) -> BlockFamily:
@@ -113,88 +108,63 @@ def _closed_forms(fam: BlockFamily, times) -> np.ndarray:
 
 def _block_norms(fam: BlockFamily, k, times):
     """Two (T, n_blocks) arrays: per time t and block n, the norms on block n
-    of u p_{A_n} u* - p_{A_n} and of u e^{-itk} - 1, with u block n of the
-    pre-flow e^{ith} and k diagonal.
+    of u p_{A_n} u* - p_{A_n} and of u e^{-itk_n} - 1, with u block n of the
+    pre-flow e^{ith} = 1 + sum_n c p_n, c = expm1(itw(n)). Both pieces are
+    block diagonal, so the norm of each is the max over its blocks.
 
-    The pre-flow e^{ith} = 1 + sum_n (e^{itw(n)} - 1) p_n is block diagonal,
-    and so are both pieces: the norm of each is the max over its blocks. On
-    a block of s points, u = 1 + (c/s) J, with c = expm1(itw(n)) and J the
-    all-ones matrix. The block's cells are its runs of equal (A_n-membership,
-    k), found by one lexsort over the union. Each piece is a constant n_jl
-    on cell j x cell l plus a diagonal d_j on cell j:
+    On a block of s points, p_n = J/s, J the all-ones matrix, and
+    u p_{A_n} u* - p_{A_n} is the constant
+    n_jl = (c/s) mask_l + (conj(c)/s) mask_j + |c|^2 |A_n| / s^2 on cell
+    j x cell l of the two cells X_n \\ A_n and A_n (mask_j = 1 on A_n). So it
+    is 0 on the vectors that sum to 0 on both cells, and on the cell
+    indicators 1_{C_j} / sqrt(s_j) it is the 2 x 2 quotient
+    Q_jl = sqrt(s_j s_l) n_jl, complement first (an empty cell gives a zero
+    row and column). One spectral_norms call per chunk of times norms the
+    quotients of every block, and refuses a non-finite entry.
 
-        u p_{A_n} u* - p_{A_n}:  n_jl = (c/s) mask_l + (conj(c)/s) mask_j + |c|^2 |A_n| / s^2,  d_j = 0,
-        u e^{-itk} - 1:          n_jl = (c/s) e^{-itk_l},  d_j = expm1(-itk_j),
+    u e^{-itk_n} - 1 = (e^{it(w(n) - k_n)} - 1) p_n + em (1 - p_n), with
+    em = expm1(-itk_n), is normal: its norm is the larger modulus, the second
+    only where s >= 2. Its values pass require_finite. Neither piece is
+    formed as u minus 1, so neither cancels at a small t.
 
-    with mask_j = 1 on cells in A_n. So it maps V, the span of the cell
-    indicators, and W, the vectors that sum to 0 on every cell, into
-    themselves. On W it is d_j on each cell j of >= 2 points. On V, in the
-    basis 1_{C_j} / sqrt(s_j), s_j the size of cell j, it is the m x m
-    quotient
-
-        Q_jl = [j = l] d_j + sqrt(s_j s_l) n_jl,
-
-    so its norm is max(||Q||, |d_j| over the cells of >= 2 points). A k that
-    is constant on each block, as both CLI choices are, gives 2 x 2 quotients
-    (1 x 1 on a one-point block); a k distinct at every point gives s x s.
-    Blocks of m cells share a stack per chunk of times, and each piece is
-    normed before the next is formed. Both are formed from c, never as u
-    minus 1, so neither cancels at a small t, and each d_j sits on Q's
-    diagonal, so a non-finite value reaches spectral_norms, which refuses it.
-
-    Both pieces are built from the real h, p_A and k, so a piece at -t is
-    the entrywise conjugate of the piece at t and has the same norm: the
-    norms are taken once per distinct |t| > 0 and indexed back (both are 0
-    at t = 0, since expm1(0) = 0).
+    h, p_A and k are real, so a piece at -t is the entrywise conjugate of the
+    piece at t: the norms are taken once per distinct |t| > 0 and indexed
+    back (both are 0 at t = 0, since expm1(0) = 0).
     """
     mags, back = np.unique(np.abs(times), return_inverse=True)
     norms = np.zeros((2, len(mags), fam.n_blocks))
     lo = np.searchsorted(mags, 0.0, side="right")
     live, (moved, w_minus_one) = mags[lo:], norms[:, lo:]
-    # the cells: runs of equal (block, mask, k) in one sort over the union
-    block = np.repeat(np.arange(fam.n_blocks), fam.sizes)
-    mask = np.concatenate([_split_mask(size) for size in fam.sizes])
-    keys = np.stack([block, mask, k])[:, np.lexsort((k, mask, block))]
-    starts = np.flatnonzero(np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
-    cell_size = np.diff(np.append(starts, fam.n_points))
-    cell_block, cell_mask, cell_k = keys[:, starts]
-    per_block = np.bincount(cell_block.astype(np.intp), minlength=fam.n_blocks)
-    first = np.cumsum(per_block) - per_block
-    for m in sorted(set(per_block)):
-        # the b blocks of m cells each, as (b, m) arrays of their cells
-        ns = np.flatnonzero(per_block == m)
-        cells = first[ns][:, None] + np.arange(m)
-        s, mask_j, k_j = cell_size[cells], cell_mask[cells], cell_k[cells]
-        root = np.sqrt(s[:, :, None] * s[:, None, :])
-        size = s.sum(axis=1)[:, None, None]
-        split = (mask_j * s).sum(axis=1)[:, None, None]  # |A_n|
-        diag = np.arange(m)
-        # the chunk rule bounds the b quotients of one time as one (b m) x m slab
-        for sl in chunks(len(live), len(ns) * m, m):
-            t = live[sl]
-            # an overflow leaves a non-finite entry, refused by spectral_norms
-            with np.errstate(over="ignore", invalid="ignore"):
-                # c/s of the blocks, time-major, as a (T, b, 1, 1) array
-                a = np.expm1(1j * t[:, None] * fam.weights[ns])[..., None, None] / size
-                q = a * mask_j[:, None, :] + a.conj() * mask_j[:, :, None]
-                q += (a * a.conj()).real * split
-                q *= root
-                moved[sl, ns] = spectral_norms(q.reshape(-1, m, m)).reshape(len(t), -1)
-                em = np.expm1(-1j * t[:, None, None] * k_j)
-                q = root * (a * (1.0 + em[:, :, None, :]))
-                q[..., diag, diag] += em
-                norm = spectral_norms(q.reshape(-1, m, m)).reshape(len(t), -1)
-                # the W part of every cell of >= 2 points
-                on_w = np.abs(np.where(s >= 2, em, 0.0)).max(axis=-1)
-                w_minus_one[sl, ns] = np.maximum(norm, on_w)
+    size = np.array(fam.sizes, dtype=np.float64)
+    split = np.array([_split_mask(s).sum() for s in fam.sizes])  # |A_n|
+    cells = np.stack([size - split, split], axis=1)  # X_n \ A_n, then A_n
+    root = np.sqrt(cells[:, :, None] * cells[:, None, :])
+    mask = np.array([0.0, 1.0])
+    # an overflow leaves a non-finite entry, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.expm1(1j * live[:, None] * fam.weights)
+        em = np.expm1(-1j * live[:, None] * k)
+        # the chunk rule bounds the quotients of one time as one (2B) x 2 slab
+        for sl in chunks(len(live), 2 * fam.n_blocks, 2):
+            a = c[sl, :, None, None] / size[:, None, None]  # c/s, (T, B, 1, 1)
+            q = a * mask + a.conj() * mask[:, None]
+            q += (a * a.conj()).real * split[:, None, None]
+            q *= root
+            moved[sl] = spectral_norms(q.reshape(-1, 2, 2)).reshape(len(a), -1)
+        # e^{it(w(n) - k_n)} - 1 as (1 + c)(1 + em) - 1, from the c that the
+        # closed form reads, so the w-map bound holds at any t
+        on_p = em + c * (1.0 + em)
+    require_finite(on_p)  # non-finite wherever em is
+    w_minus_one[:] = np.maximum(np.abs(on_p), np.where(size >= 2, np.abs(em), 0.0))
     return norms[0, back], norms[1, back]
 
 
 def preflow_profiles(fam: BlockFamily, k, times):
     """Per grid time t, four arrays: measured = ||sigma_{h,t}(p_A) - p_A||,
     its closed form max_n split_factor(|X_n|) * |e^{itw(n)} - 1|, the block
-    attaining it, and lhs = ||e^{ith} e^{-itk} - id|| for diagonal k. The
-    closed form is also the w-map's corner bound on lhs.
+    attaining it, and lhs = ||e^{ith} e^{-itk} - id||, with k the diagonal
+    that is k[n] on block n. The closed form is also the w-map's corner
+    bound on lhs.
 
     p_A and e^{-itk} are diagonal, so both operators are block diagonal, and
     both identities are checked from one pass over the blocks: the norm on
@@ -203,8 +173,8 @@ def preflow_profiles(fam: BlockFamily, k, times):
     at most.
     """
     k = np.asarray(k, dtype=np.float64)
-    if k.shape != (fam.n_points,):
-        raise ValueError("k must be a real function on the union")
+    if k.shape != (fam.n_blocks,):
+        raise ValueError("k must be one real value per block")
     times = np.asarray(times, dtype=np.float64)
     moved, w_minus_one = _block_norms(fam, k, times)
     closed = _closed_forms(fam, times)

@@ -68,7 +68,7 @@ def test_criterion_02_discontinuity_identity(capsys):
     def body():
         fam = block_family([4, 4, 6, 8], "quadratic")
         measured, closed_form, _, _ = preflow_profiles(
-            fam, np.zeros(fam.n_points), np.linspace(-2.0, 2.0, 129)
+            fam, np.zeros(fam.n_blocks), np.linspace(-2.0, 2.0, 129)
         )
         assert np.abs(measured - closed_form).max() <= 1e-9
 
@@ -80,7 +80,7 @@ def test_criterion_03_non_flow_shadow(capsys):
         fam = block_family([4] * 8, "quadratic")
         delta = 0.05
         measured, _, _, _ = preflow_profiles(
-            fam, np.zeros(fam.n_points), np.linspace(-delta, delta, 101)
+            fam, np.zeros(fam.n_blocks), np.linspace(-delta, delta, 101)
         )
         assert measured.max() >= 0.99
 

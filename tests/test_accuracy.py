@@ -41,8 +41,6 @@ the number of points. A time where some column's two largest |u_yx| lie
 within 1e-8 of each other is skipped, as f may differ there; elsewhere
 `displacement` = max_x d(x, f(x)) must equal the reference's."""
 
-import itertools
-
 import numpy as np
 import pytest
 from mpmath import mp
@@ -70,18 +68,18 @@ def _norm(m):
 
 
 def reference_preflow(fam, k, times):
-    """measured and lhs of preflow_profiles at DIGITS digits."""
+    """measured and lhs of preflow_profiles at DIGITS digits, with k[n] on
+    every point of block n."""
     measured, lhs = [], []
     with mp.workdps(DIGITS):
         for t in map(mp.mpf, times):
             moved, w_minus_one = [], []
-            offsets = itertools.accumulate(fam.sizes, initial=0)
-            for size, w, offset in zip(fam.sizes, fam.weights, offsets):
+            for size, w, kn in zip(fam.sizes, fam.weights, k):
                 c = mp.expj(t * mp.mpf(w)) - 1
                 u = mp.eye(size) + mp.ones(size, size) * (c / size)
                 p = mp.diag(list(expander._split_mask(size)))
                 moved.append(_norm(u * p * u.H - p))
-                phases = [mp.expj(-t * mp.mpf(x)) for x in k[offset : offset + size]]
+                phases = [mp.expj(-t * mp.mpf(kn))] * size
                 w_minus_one.append(_norm(u * mp.diag(phases) - mp.eye(size)))
             measured.append(max(moved))
             lhs.append(max(w_minus_one))
@@ -91,21 +89,28 @@ def reference_preflow(fam, k, times):
 def preflow_cases():
     """Small families (blocks of at most 8 points, at most 9 times): the
     cold-cli workload's family and grid with both CLI choices of k, families
-    with one-point and odd blocks, a k with two values per block, drawn
-    weights, and times from 1e-7 to 3."""
+    with one-point and odd blocks, and drawn weights with a drawn k or a k
+    within a few ulps of the weights, and times from 1e-7 to 3."""
     cold = block_family([6, 8], "quadratic")
     grid = np.arange(-0.5, 0.5 + 0.125, 0.25)
     odd = block_family([1, 3, 8], "quadratic")
     drawn = block_family([2, 5, 7], np.random.default_rng(3).uniform(0.1, 10.0, 3))
+    one_point = block_family([1, 4, 6], np.random.default_rng(5).uniform(0.1, 10.0, 3))
     spread = np.array([-3.0, -1.1, -1e-3, 0.0, 1e-7, 0.37, 1.1, 2.5, 3.0])
     rng = np.random.default_rng(4)
+
+    def near_weight(fam):
+        """w(n) moved by 1 to 3 ulps either way."""
+        steps = rng.choice([-3, -2, -1, 1, 2, 3], fam.n_blocks)
+        return fam.weights + steps * np.spacing(fam.weights)
+
     # "block-constant" is the CLI's diagonal_of_h
     return {
         "cold-cli-zero": (cold, drawn_k(cold, "zero", rng), grid),
         "cold-cli-diagonal_of_h": (cold, drawn_k(cold, "block-constant", rng), grid),
         "odd-diagonal_of_h": (odd, drawn_k(odd, "block-constant", rng), spread),
-        "drawn-two-per-block": (drawn, drawn_k(drawn, "two-per-block", rng), spread),
-        "drawn-distinct": (drawn, drawn_k(drawn, "distinct", rng), spread),
+        "drawn-near-weight": (drawn, near_weight(drawn), spread),
+        "drawn-one-point": (one_point, drawn_k(one_point, "drawn", rng), spread),
     }
 
 
@@ -127,7 +132,9 @@ def worst_units(fam, k, times):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_preflow_columns_match_a_40_digit_reference(name):
     # measured and lhs within n eps of the reference, relative; the worst
-    # over these cases is 0.25 n eps
+    # over these cases is 0.83 n eps, of measured at t = 2.5 in
+    # drawn-one-point, where the phase tw(n) = 20.2 is rounded, and of lhs
+    # 0.28 n eps
     worst = worst_units(*CASES[name])
     assert max(worst.values()) <= 1.0, worst
 

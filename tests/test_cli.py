@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_expander import generator
+from test_expander import block_values, generator
 
 import roelab
 from roelab import _linalg, expander, locality, operator, space, translations
@@ -252,7 +252,7 @@ def test_expander_preflow_outputs(tmp_path):
         assert float(lhs) >= float(rhs) - 1e-9
     # "diagonal_of_h" is the diagonal of the generator, bit for bit
     fam = expander.block_family([6, 8], "quadratic")
-    k = np.real(np.diag(generator(fam).entries))
+    k = block_values(fam, np.real(np.diag(generator(fam).entries)))
     times = np.array([float(row[0]) for row in wrows])
     _, rhs, _, lhs = expander.preflow_profiles(fam, k, times)
     assert [row[1:] for row in wrows] == [

@@ -35,7 +35,7 @@ def _block_sum(fam, terms):
     An n outside [0, n_blocks) is an IndexError: -1 must not wrap round to the
     last block."""
     offsets = list(itertools.accumulate(fam.sizes, initial=0))
-    m = np.zeros((fam.n_points,) * 2, dtype=np.complex128)
+    m = np.zeros((sum(fam.sizes),) * 2, dtype=np.complex128)
     for n, c in terms:
         if not 0 <= n < fam.n_blocks:
             raise IndexError(f"block index {n} out of range")
@@ -67,12 +67,20 @@ def preflow_unitary(fam, t, graph=space.path_graph):
     """e^{ith} assembled directly as id + sum_n (e^{itw(n)} - 1) p_n."""
     phases = np.exp(1j * t * fam.weights) - 1.0
     terms = _block_sum(fam, enumerate(phases))
-    return OperatorMatrix(union(fam, graph), np.eye(fam.n_points) + terms)
+    return OperatorMatrix(union(fam, graph), np.eye(sum(fam.sizes)) + terms)
 
 
 def discontinuity(fam, times):
     """measured, closed_form and block_of_max of preflow_profiles, with k = 0."""
-    return preflow_profiles(fam, np.zeros(fam.n_points), times)[:3]
+    return preflow_profiles(fam, np.zeros(fam.n_blocks), times)[:3]
+
+
+def block_values(fam, diagonal):
+    """A diagonal that is constant on each block of fam, as one value per
+    block."""
+    starts = np.cumsum((0,) + fam.sizes[:-1])
+    assert np.array_equal(np.repeat(diagonal[starts], fam.sizes), diagonal)
+    return diagonal[starts]
 
 
 def wmap(fam, k, times):
@@ -120,7 +128,7 @@ def test_projection_index_out_of_range():
 def test_preflow_at_zero():
     fam = block_family([2, 4], [1.0, 4.0])
     assert np.allclose(
-        preflow_unitary(fam, 0.0).entries, np.eye(fam.n_points)
+        preflow_unitary(fam, 0.0).entries, np.eye(sum(fam.sizes))
     )
 
 
@@ -190,7 +198,7 @@ def test_discontinuity_grid_sweep():
 def test_wmap_zero_k_single_block():
     fam = block_family([4], [3.0])
     times = np.array([0.3, 1.1])
-    for t, lhs, rhs in zip(times, *wmap(fam, np.zeros(4), times)):
+    for t, lhs, rhs in zip(times, *wmap(fam, np.zeros(1), times)):
         assert lhs >= rhs - 1e-9
         assert rhs == pytest.approx(
             0.5 * abs(np.exp(1j * t * 3.0) - 1.0)
@@ -199,14 +207,14 @@ def test_wmap_zero_k_single_block():
 
 def test_wmap_t_zero():
     fam = block_family([4], [3.0])
-    [lhs], [rhs] = wmap(fam, np.zeros(4), [0.0])
+    [lhs], [rhs] = wmap(fam, np.zeros(1), [0.0])
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == 0.0
 
 
 def test_wmap_diagonal_k_sweep():
     fam = block_family([4, 4], [2.0, 7.0])
-    k = np.real(np.diag(generator(fam).entries))
+    k = block_values(fam, np.real(np.diag(generator(fam).entries)))
     lhs, rhs = wmap(fam, k, np.linspace(-1.5, 1.5, 13))
     assert (lhs >= rhs - 1e-9).all()
 
@@ -289,7 +297,7 @@ def test_block_sum_projections_and_equi_profile():
     for bits in range(8):
         m = sum(
             (p_all[n].entries for n in range(3) if bits >> n & 1),
-            start=np.zeros((fam.n_points,) * 2),
+            start=np.zeros((sum(fam.sizes),) * 2),
         )
         assert np.allclose(m @ m, m, atol=1e-12)
 
@@ -302,14 +310,14 @@ def test_weight_presets():
 
 
 def assert_blockwise_norms_match_dense(fam, k, times, graph=space.path_graph):
-    n = fam.n_points
+    n = sum(fam.sizes)
     measured, closed_form, block, lhs = preflow_profiles(fam, k, times)
     p_a = split_projection(fam, graph).entries
     for i, t in enumerate(times):
         u = preflow_unitary(fam, t, graph).entries
         dense = spectral_norm(u @ p_a @ u.conj().T - p_a)
         assert measured[i] == pytest.approx(dense, rel=1e-12, abs=1e-14)
-        w = u @ np.diag(np.exp(-1j * t * k))
+        w = u @ np.diag(np.exp(-1j * t * np.repeat(k, fam.sizes)))
         dense_w = np.linalg.norm(w - np.eye(n), 2)
         assert lhs[i] == pytest.approx(dense_w, rel=1e-12, abs=1e-14)
         one = preflow_profiles(fam, k, [t])
@@ -317,73 +325,77 @@ def assert_blockwise_norms_match_dense(fam, k, times, graph=space.path_graph):
 
 
 def drawn_k(fam, kind, rng):
-    """A diagonal k on the union: 0, w(n) / |X_n| on block n (the diagonal
-    of h), one of two drawn values per point of each block, or a drawn value
-    per point. Each block then has 2, 2, up to 4 and |X_n| cells of equal
-    (A_n-membership, k), and a one-point block one."""
+    """k as one value per block: 0, w(n) / |X_n| (the diagonal of h, as the
+    CLI's diagonal_of_h), w(n) itself, where e^{ith} e^{-itk} is 1 on the
+    range of p_n, or a drawn value."""
     if kind == "zero":
-        return np.zeros(fam.n_points)
+        return np.zeros(fam.n_blocks)
     if kind == "block-constant":
-        return np.repeat(fam.weights / fam.sizes, fam.sizes)
-    if kind == "two-per-block":
-        pairs = rng.standard_normal((fam.n_blocks, 2))
-        return np.concatenate([rng.choice(pair, size) for pair, size in zip(pairs, fam.sizes)])
-    return rng.standard_normal(fam.n_points)
+        return fam.weights / fam.sizes
+    if kind == "weight":
+        return fam.weights
+    return rng.standard_normal(fam.n_blocks)
 
 
-@pytest.mark.parametrize("sizes", [[6, 8], [6, 10, 12], [4, 6, 4, 6, 4]])
+@pytest.mark.parametrize("sizes", [[6, 8], [6, 10, 12], [4, 6, 1, 6, 4]])
 def test_blockwise_norms_match_dense_norms(sizes):
-    # every kind of k, from two cells per block to a cell per point
+    # every kind of k, on blocks of one point and of several
     fam = block_family(sizes, "quadratic")
-    for kind in ("zero", "block-constant", "two-per-block", "distinct"):
+    for kind in ("zero", "block-constant", "weight", "drawn"):
         k = drawn_k(fam, kind, np.random.default_rng(len(sizes)))
         assert_blockwise_norms_match_dense(fam, k, np.linspace(-1.5, 1.5, 61))
+
+
+def test_k_is_one_value_per_block():
+    fam = block_family([2, 3], "quadratic")
+    for k in (np.zeros(sum(fam.sizes)), np.zeros(1), np.zeros((2, 1)), 0.0):
+        with pytest.raises(ValueError, match="one real value per block"):
+            preflow_profiles(fam, k, [0.5])
 
 
 def dense_block_norms(fam, k, times):
     """_block_norms from the s x s pieces of every block, with entries
 
         u P u* - P:      (c/s) mask_y + (conj(c)/s) mask_x + |c|^2 |A_n| / s^2,
-        u e^{-itk} - 1:  [x = y] expm1(-itk_y) + (c/s) e^{-itk_y},
+        u e^{-itk} - 1:  [x = y] expm1(-itk_n) + (c/s) e^{-itk_n},
 
     c = expm1(itw(n)), each normed by an SVD."""
     out = np.zeros((2, len(times), fam.n_blocks))
-    offsets = itertools.accumulate(fam.sizes, initial=0)
-    for n, (size, offset) in enumerate(zip(fam.sizes, offsets)):
-        mask, kn = expander._split_mask(size), k[offset : offset + size]
+    for n, size in enumerate(fam.sizes):
+        mask = expander._split_mask(size)
         for i, t in enumerate(times):
             a = np.expm1(1j * t * fam.weights[n]) / size
             moved = a * mask + a.conj() * mask[:, None] + abs(a) ** 2 * mask.sum()
-            em = np.expm1(-1j * t * kn)
-            w = a * (1.0 + em) + np.diag(em)
+            em = np.expm1(-1j * t * k[n])
+            w = np.full((size, size), a * (1.0 + em)) + em * np.eye(size)
             out[:, i, n] = [np.linalg.norm(p, 2) for p in (moved, w)]
     return out
 
 
 @st.composite
 def block_norm_cases(draw):
-    """1 to 4 blocks of 1 to 10 points, drawn weights, 1 to 6 normal or zero
-    times and a k drawn from at most 3 values per block, so that cells of
-    several points are common."""
-    sizes = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4))
+    """1 to 4 blocks of 1 to 10 points, one-point blocks common, drawn
+    weights, 1 to 6 normal or zero times, and per block a drawn k_n or
+    k_n = w(n) exactly."""
+    sizes = draw(st.lists(st.one_of(st.just(1), st.integers(2, 10)), min_size=1, max_size=4))
     weights = draw(st.lists(st.floats(0.1, 20.0), min_size=len(sizes), max_size=len(sizes)))
     # a subnormal t makes 8 eps |c| smaller than a subnormal step
     times = draw(st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=1, max_size=6))
-    k = []
-    for size in sizes:
-        values = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3))
-        k += draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    k = [draw(st.one_of(st.just(w), st.floats(-5.0, 5.0))) for w in weights]
     return block_family(sizes, weights), np.array(k), np.array(times)
 
 
 @given(block_norm_cases())
+@example(case=(block_family([1, 4], [3.0, 5.0]), np.array([3.0, 5.0]), np.array([0.7, -2.0])))
 @settings(max_examples=150, deadline=None)
 def test_block_norms_on_cell_quotients_match_the_dense_pieces(case):
-    # both pieces, normed on the quotients of the block's cells, against the
-    # dense pieces of every block, within 8 rounding units of the larger of
-    # the norm and |c|, the size of the pieces' entries (a one-point block's
-    # moved piece is 0 up to rounding in both); 3,000 drawn cases stayed
-    # within 4.9 units, and norms taken on the s x s pieces within 5.2
+    # both pieces, the moved one normed on the 2 x 2 quotients of the
+    # block's cells and the w-map one in closed form, against the dense
+    # pieces of every block, within 8 rounding units of the larger of the
+    # norm and |c|, the size of the pieces' entries (a one-point block's
+    # moved piece is 0 up to rounding in both, and so is its w-map piece at
+    # k_n = w(n)); 3,000 drawn cases stayed within 2.0 units on the moved
+    # piece and 4.3 on the w-map piece
     fam, k, times = case
     got = np.array(expander._block_norms(fam, k, times))
     want = dense_block_norms(fam, k, times)
@@ -394,8 +406,9 @@ def test_block_norms_on_cell_quotients_match_the_dense_pieces(case):
 
 @pytest.mark.parametrize("kind", ["zero", "block-constant"])
 def test_block_constant_k_norms_two_by_two_quotients(monkeypatch, kind):
-    # with k constant on each block, as every CLI choice of k is, each block
-    # has the two cells A_n and its complement, and a one-point block one
+    # every block, a one-point block too, has the two cells X_n \ A_n and
+    # A_n: the moved piece is one (T B, 2, 2) stack per chunk of times, and
+    # the w-map piece, in closed form, is no stack
     fam = block_family([1, 4, 7, 16, 16], "quadratic")
     shapes = []
 
@@ -405,9 +418,9 @@ def test_block_constant_k_norms_two_by_two_quotients(monkeypatch, kind):
 
     monkeypatch.setattr(expander, "spectral_norms", recording)
     k = drawn_k(fam, kind, None)
-    preflow_profiles(fam, k, np.linspace(-1.0, 1.0, 9))
-    # both pieces at 4 nonzero |t|: 4 blocks of two cells, 1 block of one
-    assert sorted(shapes) == [(4, 1, 1)] * 2 + [(16, 2, 2)] * 2
+    preflow_profiles(fam, k, np.arange(-100, 101) / 100)
+    # 100 nonzero |t| in chunks of 64 times, each time a stack of 5 blocks
+    assert shapes == [(64 * 5, 2, 2), (36 * 5, 2, 2)]
 
 
 @given(
@@ -425,8 +438,8 @@ def test_drawn_family_profiles_do_not_depend_on_the_block_graph(
     # complete-graph blocks of the same sizes
     fam = block_family(sizes, weights)
     for graph in (space.path_graph, space.complete_graph):
-        diag = np.real(np.diag(generator(fam, graph).entries))
-        k_vals = np.zeros(fam.n_points) if k == "zero" else diag
+        diag = block_values(fam, np.real(np.diag(generator(fam, graph).entries)))
+        k_vals = np.zeros(fam.n_blocks) if k == "zero" else diag
         assert_blockwise_norms_match_dense(fam, k_vals, times, graph)
 
 
@@ -440,13 +453,14 @@ def test_norms_per_abs_time_match_dense_norms(times):
     # or all negative, must still give the norm of every t, and a grid
     # through t = 0, where no norm is taken, must give 0 there
     fam = block_family([6, 8, 6], "quadratic")
-    k = np.random.default_rng(5).standard_normal(fam.n_points)
+    k = np.random.default_rng(5).standard_normal(fam.n_blocks)
     assert_blockwise_norms_match_dense(fam, k, times)
 
 
 def test_one_norm_per_abs_time(monkeypatch):
     # the spectral-sweep benchmark's family and grid: 17 times, 9 distinct |t|,
-    # of which 8 are nonzero; at t = 0 both pieces are 0 and are not normed
+    # of which 8 are nonzero; at t = 0 both pieces are 0 and are not normed,
+    # and the w-map piece is in closed form, never normed
     fam = block_family([16] * 4, "quadratic")
     times = -0.5 + 0.0625 * np.arange(17)
     normed = []
@@ -456,9 +470,9 @@ def test_one_norm_per_abs_time(monkeypatch):
         return spectral_norms(stack)
 
     monkeypatch.setattr(expander, "spectral_norms", counting)
-    preflow_profiles(fam, np.zeros(fam.n_points), times)
-    # both pieces, each on 4 blocks at 8 times
-    assert sum(normed) == 2 * 8 * 4
+    preflow_profiles(fam, np.zeros(fam.n_blocks), times)
+    # the moved piece on 4 blocks at 8 times
+    assert sum(normed) == 8 * 4
 
 
 @st.composite
@@ -489,19 +503,18 @@ def test_block_norms_equal_their_closed_forms_at_small_t(case):
     # u - 1 = (c/s) J of |c| (3,000 drawn cases stayed within 2.9 units)
     fam, t = case
     times = np.array([t])
-    moved, w_minus_one = expander._block_norms(fam, np.zeros(fam.n_points), times)
+    moved, w_minus_one = expander._block_norms(fam, np.zeros(fam.n_blocks), times)
     c = np.abs(np.expm1(1j * times[:, None] * fam.weights))
     bound = 8 * np.finfo(float).eps * c
     assert (np.abs(moved - expander._closed_forms(fam, times)) <= bound).all()
     assert (np.abs(w_minus_one - c) <= bound).all()
 
 
-@pytest.mark.parametrize("kind", ["block-constant", "two-per-block"])
+@pytest.mark.parametrize("kind", ["block-constant", "drawn"])
 def test_overflowing_phase_of_k_is_refused(kind):
-    # t k overflows on every cell while the moved piece stays finite: each
-    # cell's expm1(-itk_j) sits on its quotient's diagonal, so the non-finite
-    # value reaches spectral_norms, which refuses it
-    fam = block_family([4, 6], "quadratic")
+    # t k overflows on every block while the moved piece stays finite: the
+    # w-map piece's phases pass require_finite, which refuses them
+    fam = block_family([1, 4, 6], "quadratic")
     k = 1e300 * np.abs(drawn_k(fam, kind, np.random.default_rng(0)))
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         preflow_profiles(fam, k, [1e10])

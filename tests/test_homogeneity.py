@@ -11,7 +11,7 @@ Stacking: each matrix of a stack is computed on its own, so a sweep over a
 grid gives what one call per time gives."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_locality import HERMITIAN_KINDS, drawn_operator, small_spaces
 
@@ -107,12 +107,15 @@ def test_values_of_degree_one_scale_into_subnormals_within_a_relative_bound(
     EXPONENTS,
     grids(),
 )
+# a phase tw near 2^53: e^{it(w - k)} - 1 taken from a phase t(w - k) of its
+# own, not from the phases tw and tk, broke the w-map bound by 0.12 here
+@example(sizes=[2], seed=95, e=54, times=np.array([0.125]))
 @settings(max_examples=60, deadline=None)
 def test_preflow_profiles_scale_weights_and_k_as_times(sizes, seed, e, times):
     # e^{it 2^e h} = e^{i 2^e t h}: weights and k times 2^e against times 2^e
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.1, 10.0, len(sizes))
-    k = rng.standard_normal(sum(sizes))
+    k = rng.standard_normal(len(sizes))
     fam, fam_scaled = block_family(sizes, weights), block_family(sizes, 2.0**e * weights)
     got = preflow_profiles(fam_scaled, 2.0**e * k, times)
     want = preflow_profiles(fam, k, np.ldexp(times, e))
@@ -180,7 +183,7 @@ def test_stacked_sweeps_equal_one_call_per_time_bit_for_bit(s, kind, seed, times
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 6, rng.integers(1, 4))
     fam = block_family(sizes, rng.uniform(0.1, 10.0, len(sizes)))
-    k = rng.standard_normal(fam.n_points)
+    k = rng.standard_normal(fam.n_blocks)
     eh, ek = hermitian_eig(h), hermitian_eig(drawn_operator(s, kind, seed + 2))
     cocycle = cocycle_from_eigensystems(eh, ek)
     sweeps = {

@@ -355,7 +355,7 @@ def _preflow_off_by(monkeypatch, x, piece):
         return out
 
     monkeypatch.setattr(expander, "_block_norms", block_norms)
-    expander.preflow_profiles(fam, np.zeros(fam.n_points), [0.0, 0.5])
+    expander.preflow_profiles(fam, np.zeros(fam.n_blocks), [0.0, 0.5])
 
 
 def _discontinuity(monkeypatch, x):
@@ -457,7 +457,7 @@ def _stacked_paths():
         "corrupted": cocycle_residuals(bad, ek, times, times)[0],
         "lambda": cocycle_residuals(fam, ek, times, [])[1],
         "preflow": expander.preflow_profiles(
-            blocks, rng.standard_normal(blocks.n_points), times
+            blocks, rng.standard_normal(blocks.n_blocks), times
         ),
         "lipschitz": lipschitz_audit(h, k, times)[0],
         "ql": ql_values(a, [1.0], ["lower", "exact"]),
