@@ -24,7 +24,7 @@ import numpy as np
 
 from . import space
 from ._linalg import check, hermitian_eig
-from .errors import ConfigError, NumericCheckError, SizeGuardError
+from .errors import ConfigError, SizeGuardError
 from .operator import (
     OperatorMatrix,
     diagonal,
@@ -477,7 +477,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: size-guard: {exc}", file=sys.stderr)
         return 3
-    except (NumericCheckError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 4
     return 0

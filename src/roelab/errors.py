@@ -3,12 +3,10 @@
 
 class SizeGuardError(RuntimeError):
     """Raised when an exhaustive computation is refused because the instance
-    is larger than the guard allows. ``guard`` names the limit that fired."""
+    is larger than the guard allows; the message names the guard that fired,
+    its limit and the size refused."""
 
     def __init__(self, guard, limit, actual):
-        self.guard = guard
-        self.limit = limit
-        self.actual = actual
         super().__init__(
             f"size guard '{guard}' refused: {actual} exceeds limit {limit}"
         )

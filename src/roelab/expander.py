@@ -8,7 +8,9 @@ E(h) = w(n) / |X_n| is. The pre-flow is block diagonal, so every norm is
 taken block by block, and the coarse union of the blocks is never built. On
 a block, u p_{A_n} u* - p_{A_n} is constant on the products of the two
 cells X_n \\ A_n and A_n, so it is normed on a 2 x 2 quotient, and
-u e^{-itk} - 1 is normal, with its norm in closed form (see _block_norms)."""
+u e^{-itk} - 1 is normal, with its norm in closed form. One pass over the
+grid's times reads both pieces and the closed form from one
+c = expm1(itw(n)) per time and block (see _block_norms)."""
 
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -100,16 +102,11 @@ def halfsplit_commutator_norm(size: int) -> float:
     return spectral_norm(p_n @ p_a - p_a @ p_n)
 
 
-def _closed_forms(fam: BlockFamily, times) -> np.ndarray:
-    """(T, n_blocks) array of split_factor(|X_n|) * |e^{itw(n)} - 1|."""
-    factors = np.array([split_factor(size) for size in fam.sizes])
-    return factors * np.abs(np.expm1(1j * times[:, None] * fam.weights[None, :]))
-
-
 def _block_norms(fam: BlockFamily, k, times):
-    """Two (T, n_blocks) arrays: per time t and block n, the norms on block n
-    of u p_{A_n} u* - p_{A_n} and of u e^{-itk_n} - 1, with u block n of the
-    pre-flow e^{ith} = 1 + sum_n c p_n, c = expm1(itw(n)). Both pieces are
+    """Three (T, n_blocks) arrays, all read from one c = expm1(itw(n)) per
+    grid time t and block n: the closed form split_factor(|X_n|) |c|, and the
+    norms on block n of u p_{A_n} u* - p_{A_n} and of u e^{-itk_n} - 1, with
+    u block n of the pre-flow e^{ith} = 1 + sum_n c p_n. Both pieces are
     block diagonal, so the norm of each is the max over its blocks.
 
     On a block of s points, p_n = J/s, J the all-ones matrix, and
@@ -118,34 +115,30 @@ def _block_norms(fam: BlockFamily, k, times):
     j x cell l of the two cells X_n \\ A_n and A_n (mask_j = 1 on A_n). So it
     is 0 on the vectors that sum to 0 on both cells, and on the cell
     indicators 1_{C_j} / sqrt(s_j) it is the 2 x 2 quotient
-    Q_jl = sqrt(s_j s_l) n_jl, complement first (an empty cell gives a zero
-    row and column). One spectral_norms call per chunk of times norms the
-    quotients of every block, and refuses a non-finite entry.
+    Q_jl = sqrt(s_j s_l) n_jl, complement first. One spectral_norms call per
+    chunk of times norms the quotients of every block, and refuses a
+    non-finite entry. On a one-point block p_n = p_{A_n} = 1, so the piece is
+    exactly 0, and it reads 0 in place of the rounding residue of its
+    quotient's one nonzero entry.
 
     u e^{-itk_n} - 1 = (e^{it(w(n) - k_n)} - 1) p_n + em (1 - p_n), with
     em = expm1(-itk_n), is normal: its norm is the larger modulus, the second
     only where s >= 2. Its values pass require_finite. Neither piece is
     formed as u minus 1, so neither cancels at a small t.
-
-    h, p_A and k are real, so a piece at -t is the entrywise conjugate of the
-    piece at t: the norms are taken once per distinct |t| > 0 and indexed
-    back (both are 0 at t = 0, since expm1(0) = 0).
     """
-    mags, back = np.unique(np.abs(times), return_inverse=True)
-    norms = np.zeros((2, len(mags), fam.n_blocks))
-    lo = np.searchsorted(mags, 0.0, side="right")
-    live, (moved, w_minus_one) = mags[lo:], norms[:, lo:]
     size = np.array(fam.sizes, dtype=np.float64)
     split = np.array([_split_mask(s).sum() for s in fam.sizes])  # |A_n|
     cells = np.stack([size - split, split], axis=1)  # X_n \ A_n, then A_n
     root = np.sqrt(cells[:, :, None] * cells[:, None, :])
     mask = np.array([0.0, 1.0])
+    several = size >= 2
+    moved = np.empty((len(times), fam.n_blocks))
     # an overflow leaves a non-finite entry, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.expm1(1j * live[:, None] * fam.weights)
-        em = np.expm1(-1j * live[:, None] * k)
+        c = np.expm1(1j * times[:, None] * fam.weights)
+        em = np.expm1(-1j * times[:, None] * k)
         # the chunk rule bounds the quotients of one time as one (2B) x 2 slab
-        for sl in chunks(len(live), 2 * fam.n_blocks, 2):
+        for sl in chunks(len(times), 2 * fam.n_blocks, 2):
             a = c[sl, :, None, None] / size[:, None, None]  # c/s, (T, B, 1, 1)
             q = a * mask + a.conj() * mask[:, None]
             q += (a * a.conj()).real * split[:, None, None]
@@ -155,8 +148,9 @@ def _block_norms(fam: BlockFamily, k, times):
         # closed form reads, so the w-map bound holds at any t
         on_p = em + c * (1.0 + em)
     require_finite(on_p)  # non-finite wherever em is
-    w_minus_one[:] = np.maximum(np.abs(on_p), np.where(size >= 2, np.abs(em), 0.0))
-    return norms[0, back], norms[1, back]
+    closed = np.array([split_factor(s) for s in fam.sizes]) * np.abs(c)
+    w_minus_one = np.maximum(np.abs(on_p), np.where(several, np.abs(em), 0.0))
+    return closed, np.where(several, moved, 0.0), w_minus_one
 
 
 def preflow_profiles(fam: BlockFamily, k, times):
@@ -167,17 +161,16 @@ def preflow_profiles(fam: BlockFamily, k, times):
     bound on lhs.
 
     p_A and e^{-itk} are diagonal, so both operators are block diagonal, and
-    both identities are checked from one pass over the blocks: the norm on
-    block n must equal split_factor(|X_n|) * |e^{itw(n)} - 1| within
-    DISCONTINUITY_TOL, and lhs may fall below the corner bound by WMAP_TOL
-    at most.
+    both identities are checked from one pass over the blocks, which also
+    gives the closed form: the norm on block n must equal
+    split_factor(|X_n|) * |e^{itw(n)} - 1| within DISCONTINUITY_TOL, and lhs
+    may fall below the corner bound by WMAP_TOL at most.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.shape != (fam.n_blocks,):
         raise ValueError("k must be one real value per block")
     times = np.asarray(times, dtype=np.float64)
-    moved, w_minus_one = _block_norms(fam, k, times)
-    closed = _closed_forms(fam, times)
+    closed, moved, w_minus_one = _block_norms(fam, k, times)
     m = fam.n_blocks
     check(
         np.abs(moved - closed), DISCONTINUITY_TOL,

@@ -10,12 +10,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ._linalg import chunks
 from .errors import SizeGuardError
 
 # the most points any space may have; checked before an n x n array is built
 MAX_POINTS = 2048
-# the most elements of one temporary in the triangle-inequality check
-_TRIANGLE_CHUNK = 2**22
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,10 @@ class FiniteSpace:
         if off.size and np.min(off) <= 0.0:
             raise ValueError("distinct points must be at positive distance")
         tol = 1e-9 * (1.0 + float(d.max(initial=0.0)))
-        # d[i,j] <= d[i,k] + d[k,j] for all triples, a block of rows i at a time
-        rows = max(1, _TRIANGLE_CHUNK // (n * n))
-        for i in range(0, n, rows):
-            di = d[i : i + rows]
+        # d[i,j] <= d[i,k] + d[k,j] for all triples, a block of rows i at a
+        # time: each row is an n x n slab, chunked by the one chunk rule
+        for rows in chunks(n, n, n):
+            di = d[rows]
             if np.any(di[:, None, :] > di[:, :, None] + d[None, :, :] + tol):
                 raise ValueError("triangle inequality violated")
         d.setflags(write=False)

@@ -354,7 +354,8 @@ def test_k_is_one_value_per_block():
 
 
 def dense_block_norms(fam, k, times):
-    """_block_norms from the s x s pieces of every block, with entries
+    """_block_norms' two pieces from the dense s x s pieces of every block,
+    with entries
 
         u P u* - P:      (c/s) mask_y + (conj(c)/s) mask_x + |c|^2 |A_n| / s^2,
         u e^{-itk} - 1:  [x = y] expm1(-itk_n) + (c/s) e^{-itk_n},
@@ -393,15 +394,28 @@ def test_block_norms_on_cell_quotients_match_the_dense_pieces(case):
     # block's cells and the w-map one in closed form, against the dense
     # pieces of every block, within 8 rounding units of the larger of the
     # norm and |c|, the size of the pieces' entries (a one-point block's
-    # moved piece is 0 up to rounding in both, and so is its w-map piece at
-    # k_n = w(n)); 3,000 drawn cases stayed within 2.0 units on the moved
-    # piece and 4.3 on the w-map piece
+    # moved piece is 0, up to rounding in the dense piece, and its w-map
+    # piece at k_n = w(n) is 0 up to rounding in both); 3,000 drawn cases
+    # stayed within 2.0 units on the moved piece and 4.3 on the w-map piece.
+    # The closed form is split_factor |c|, from the same c, bit for bit
     fam, k, times = case
-    got = np.array(expander._block_norms(fam, k, times))
+    closed, *got = expander._block_norms(fam, k, times)
     want = dense_block_norms(fam, k, times)
     c = np.abs(np.expm1(1j * times[:, None] * fam.weights))
+    assert np.array_equal(closed, [split_factor(s) for s in fam.sizes] * c)
     bound = 8 * np.finfo(float).eps * np.maximum(want, c)
-    assert (np.abs(got - want) <= bound).all()
+    assert (np.abs(np.array(got) - want) <= bound).all()
+
+
+@pytest.mark.parametrize("kind", ["zero", "block-constant"])
+def test_one_point_blocks_move_nothing(kind):
+    # on a one-point block p_n = p_{A_n} = 1, so u p_A u* - p_A is exactly 0,
+    # where its quotient's one entry 2 Re(c) + |c|^2 is a rounding residue
+    # (1.1e-16 at w = 2.7, t = 0.37); both CLI choices of k
+    fam = block_family([1, 1, 1], [2.7, 0.3, 17.0])
+    times = np.concatenate([[0.37], np.linspace(-3.0, 3.0, 61), [1e6]])
+    measured, closed_form, _, _ = preflow_profiles(fam, drawn_k(fam, kind, None), times)
+    assert (measured == 0.0).all() and (closed_form == 0.0).all()
 
 
 @pytest.mark.parametrize("kind", ["zero", "block-constant"])
@@ -419,8 +433,8 @@ def test_block_constant_k_norms_two_by_two_quotients(monkeypatch, kind):
     monkeypatch.setattr(expander, "spectral_norms", recording)
     k = drawn_k(fam, kind, None)
     preflow_profiles(fam, k, np.arange(-100, 101) / 100)
-    # 100 nonzero |t| in chunks of 64 times, each time a stack of 5 blocks
-    assert shapes == [(64 * 5, 2, 2), (36 * 5, 2, 2)]
+    # 201 times in chunks of 64, each time a stack of 5 blocks
+    assert shapes == [(64 * 5, 2, 2)] * 3 + [(9 * 5, 2, 2)]
 
 
 @given(
@@ -448,19 +462,17 @@ def test_drawn_family_profiles_do_not_depend_on_the_block_graph(
     [np.linspace(-0.7, 1.3, 23), np.linspace(-1.5, -0.1, 15), np.linspace(-0.5, 0.5, 17)],
     ids=["asymmetric", "negative-only", "through-zero"],
 )
-def test_norms_per_abs_time_match_dense_norms(times):
-    # the norms are taken at |t| only; a grid whose times are not mirrored,
-    # or all negative, must still give the norm of every t, and a grid
-    # through t = 0, where no norm is taken, must give 0 there
+def test_norms_on_any_grid_match_dense_norms(times):
+    # a grid whose times are not mirrored, or all negative, gives the norm of
+    # every t, and a grid through t = 0 gives 0 there
     fam = block_family([6, 8, 6], "quadratic")
     k = np.random.default_rng(5).standard_normal(fam.n_blocks)
     assert_blockwise_norms_match_dense(fam, k, times)
 
 
-def test_one_norm_per_abs_time(monkeypatch):
-    # the spectral-sweep benchmark's family and grid: 17 times, 9 distinct |t|,
-    # of which 8 are nonzero; at t = 0 both pieces are 0 and are not normed,
-    # and the w-map piece is in closed form, never normed
+def test_one_quotient_per_time_and_block(monkeypatch):
+    # the spectral-sweep benchmark's family and grid: 17 times, t = 0 among
+    # them; the w-map piece is in closed form, never normed
     fam = block_family([16] * 4, "quadratic")
     times = -0.5 + 0.0625 * np.arange(17)
     normed = []
@@ -471,8 +483,8 @@ def test_one_norm_per_abs_time(monkeypatch):
 
     monkeypatch.setattr(expander, "spectral_norms", counting)
     preflow_profiles(fam, np.zeros(fam.n_blocks), times)
-    # the moved piece on 4 blocks at 8 times
-    assert sum(normed) == 8 * 4
+    # the moved piece on 4 blocks at 17 times, in one call
+    assert normed == [17 * 4]
 
 
 @st.composite
@@ -503,10 +515,10 @@ def test_block_norms_equal_their_closed_forms_at_small_t(case):
     # u - 1 = (c/s) J of |c| (3,000 drawn cases stayed within 2.9 units)
     fam, t = case
     times = np.array([t])
-    moved, w_minus_one = expander._block_norms(fam, np.zeros(fam.n_blocks), times)
+    closed, moved, w_minus_one = expander._block_norms(fam, np.zeros(fam.n_blocks), times)
     c = np.abs(np.expm1(1j * times[:, None] * fam.weights))
     bound = 8 * np.finfo(float).eps * c
-    assert (np.abs(moved - expander._closed_forms(fam, times)) <= bound).all()
+    assert (np.abs(moved - closed) <= bound).all()
     assert (np.abs(w_minus_one - c) <= bound).all()
 
 
@@ -529,13 +541,13 @@ def test_block_family_refuses_oversize_union(monkeypatch):
 def test_discontinuity_checks_every_block(monkeypatch):
     # a wrong closed form on a block that does not attain the max still fails
     fam = block_family([4, 4], [1.0, 4.0])
-    closed = expander._closed_forms
+    block_norms = expander._block_norms
 
-    def off_on_block_0(fam, times):
-        out = closed(fam, times)
-        out[:, 0] += 1e-6
-        return out
+    def off_on_block_0(fam, k, times):
+        closed, moved, w_minus_one = block_norms(fam, k, times)
+        closed[:, 0] += 1e-6
+        return closed, moved, w_minus_one
 
-    monkeypatch.setattr(expander, "_closed_forms", off_on_block_0)
+    monkeypatch.setattr(expander, "_block_norms", off_on_block_0)
     with pytest.raises(NumericCheckError, match="block 0"):
         discontinuity(fam, [0.3])

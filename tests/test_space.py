@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from roelab import space
+from roelab import _linalg, space
 from roelab.errors import SizeGuardError
 
 
@@ -221,7 +221,7 @@ def test_triangle_violation_found_in_every_chunk(monkeypatch, row):
     # d(row, row + 1) = 9 > 3 = d(row, k) + d(k, row + 1) for k two steps away;
     # only rows row and row + 1 see it, and they share a chunk of two rows
     dist[row, row + 1] = dist[row + 1, row] = 9.0
-    monkeypatch.setattr(space, "_TRIANGLE_CHUNK", 2 * n * n)
+    monkeypatch.setattr(_linalg, "_CHUNK", 2)
     with pytest.raises(ValueError, match="triangle inequality"):
         space.FiniteSpace(dist)
 
